@@ -4,13 +4,13 @@
 Runs a small traced join and validates the exported telemetry against
 the checked-in golden set:
 
-1. every metric series in ``tests/golden/metrics_series.txt`` appears in
+1. the trace's filter/decode/compute totals match ``QueryStats`` within
+   rounding;
+2. every metric series in ``tests/golden/metrics_series.txt`` appears in
    the Prometheus dump;
-2. the Chrome trace export matches ``tests/golden/chrome_trace_schema.json``
+3. the Chrome trace export matches ``tests/golden/chrome_trace_schema.json``
    (event keys, types, ``"X"`` phase, required span names) and survives a
    JSON round-trip;
-3. the trace's filter/decode/compute totals match ``QueryStats`` within
-   rounding;
 4. with tracing disabled the engine hands out only the shared no-op span
    and a join is not substantially slower than the traced run (overhead
    smoke check — generous bound, this is not a benchmark);
@@ -30,16 +30,13 @@ the checked-in golden set:
    settled), per-LOD evaluated/settled equal the ledger exactly, and the
    funnel's total confirmations equal ``stats.results`` — including on a
    fault-injected run and under the active query backend;
-9. the batched gather/segment refinement (``core/batch.py``, the
-   default) and the per-pair dispatch path it replaced
-   (``batched_refine=False``) agree exactly — same result pairs, same
-   per-LOD pairs ledger, same funnel stage counts — on the intersection
-   and within joins under the active query backend;
-10. the v3 shard store (``REPRO_STORAGE_BACKEND=shard``: mmap-backed
+9. the v3 shard store (``REPRO_STORAGE_BACKEND=shard``: mmap-backed
    lazy datasets, manifest-handle worker transport) answers byte-for-
    byte identically to the legacy container store — same pairs, pairs
    ledger, and funnel — on the intersection and within joins under the
    active query backend.
+
+The numbers are the order ``main()`` runs the checks in.
 
 The join respects ``REPRO_QUERY_WORKERS`` / ``REPRO_QUERY_BACKEND``, so
 CI also runs this gate under the process query backend.
@@ -108,7 +105,6 @@ def run_join(datasets, tracing: bool):
 
 
 def check_prometheus(engine) -> None:
-    print("[2/8] Prometheus export vs golden series list")
     text = engine.metrics.to_prometheus()
     present = {
         line.split("{")[0].split(" ")[0]
@@ -127,7 +123,6 @@ def check_prometheus(engine) -> None:
 
 
 def check_chrome_trace(engine) -> None:
-    print("[3/8] Chrome trace vs golden schema")
     schema = json.loads((GOLDEN / "chrome_trace_schema.json").read_text())
     doc = json.loads(json.dumps(engine.tracer.to_chrome_trace()))
     for key in schema["required_top_level"]:
@@ -152,7 +147,6 @@ def check_chrome_trace(engine) -> None:
 
 
 def check_phase_agreement(engine, stats) -> None:
-    print("[1/8] trace phase totals vs QueryStats")
     totals = phase_totals(engine.tracer)
     for phase, value in (
         ("filter", stats.filter_seconds),
@@ -171,7 +165,6 @@ def check_phase_agreement(engine, stats) -> None:
 
 
 def check_disabled_overhead(datasets, traced_seconds: float) -> None:
-    print("[4/8] disabled-tracing fast path")
     engine, result, elapsed = run_join(datasets, tracing=False)
     check(engine.tracer.span("anything") is NOOP_SPAN, "disabled tracer hands out NOOP_SPAN")
     check(engine.tracer.roots == [], "disabled tracer collected no spans")
@@ -187,7 +180,6 @@ def check_disabled_overhead(datasets, traced_seconds: float) -> None:
 
 
 def check_pairs_ledger(datasets) -> None:
-    print("[5/8] degraded-run pairs ledger")
     from repro.faults import FaultInjector
 
     engine = ThreeDPro(
@@ -219,7 +211,6 @@ def check_pairs_ledger(datasets) -> None:
 
 
 def check_decode_equivalence(datasets) -> None:
-    print("[6/8] columnar slice decode vs reference replay")
     import numpy as np
 
     from repro.compression import ReplayDecoder
@@ -251,7 +242,6 @@ def check_decode_equivalence(datasets) -> None:
 
 
 def check_partial_completeness(datasets, reference) -> None:
-    print("[7/8] deadline-bounded partial result consistency")
     registry = MetricsRegistry()
     engine = ThreeDPro(
         EngineConfig(tracing=True, metrics=registry, deadline_ms=1)
@@ -303,7 +293,6 @@ def check_partial_completeness(datasets, reference) -> None:
 
 
 def check_funnel(datasets) -> None:
-    print("[8/8] refinement funnel vs pairs ledger / query stats")
     from repro.core.plan import QuerySpec
     from repro.faults import FaultInjector
 
@@ -349,54 +338,7 @@ def check_funnel(datasets) -> None:
     check(degraded > 0, f"faulted join books degraded settlements ({degraded})")
 
 
-def check_batched_parity(datasets) -> None:
-    print("[9/10] batched vs per-pair refinement parity")
-    from repro.core.plan import QuerySpec
-
-    specs = [
-        QuerySpec(kind="intersection", source="vessels", target="nuclei_a"),
-        QuerySpec(kind="within", source="vessels", target="nuclei_a", distance=40.0),
-    ]
-    results = {}
-    for batched in (False, True):
-        engine = ThreeDPro(
-            EngineConfig(metrics=MetricsRegistry(), batched_refine=batched)
-        )
-        for dataset in datasets.values():
-            engine.load_dataset(dataset)
-        results[batched] = [engine.execute(spec) for spec in specs]
-    # Under the process/thread backends (this gate runs under whatever
-    # REPRO_QUERY_* selects), decode-cache counters depend on scheduling;
-    # results and the pairs ledger never may.
-    for spec, per_pair, batched in zip(specs, results[False], results[True]):
-        check(
-            list(batched.pairs.items()) == list(per_pair.pairs.items()),
-            f"{spec.kind}: batched pairs identical to per-pair",
-        )
-        check(
-            dict(batched.stats.pairs_evaluated_by_lod)
-            == dict(per_pair.stats.pairs_evaluated_by_lod)
-            and dict(batched.stats.pairs_pruned_by_lod)
-            == dict(per_pair.stats.pairs_pruned_by_lod),
-            f"{spec.kind}: batched pairs ledger identical to per-pair",
-        )
-        per_stage = {
-            lod: (s.evaluated, s.settled, s.confirmed, s.rejected, s.degraded)
-            for lod, s in per_pair.funnel.stages.items()
-        }
-        batched_stage = {
-            lod: (s.evaluated, s.settled, s.confirmed, s.rejected, s.degraded)
-            for lod, s in batched.funnel.stages.items()
-        }
-        check(
-            batched_stage == per_stage
-            and batched.funnel.candidates == per_pair.funnel.candidates,
-            f"{spec.kind}: batched funnel stages identical to per-pair",
-        )
-
-
 def check_shard_parity(datasets) -> None:
-    print("[10/10] shard vs legacy storage parity")
     import tempfile
 
     from repro.core.plan import QuerySpec
@@ -451,16 +393,25 @@ def main() -> int:
     print("building datasets...")
     datasets = build_datasets()
     engine, result, traced_seconds = run_join(datasets, tracing=True)
-    check_phase_agreement(engine, result.stats)
-    check_prometheus(engine)
-    check_chrome_trace(engine)
-    check_disabled_overhead(datasets, traced_seconds)
-    check_pairs_ledger(datasets)
-    check_decode_equivalence(datasets)
-    check_partial_completeness(datasets, result)
-    check_funnel(datasets)
-    check_batched_parity(datasets)
-    check_shard_parity(datasets)
+    checks = [
+        ("trace phase totals vs QueryStats",
+         lambda: check_phase_agreement(engine, result.stats)),
+        ("Prometheus export vs golden series list", lambda: check_prometheus(engine)),
+        ("Chrome trace vs golden schema", lambda: check_chrome_trace(engine)),
+        ("disabled-tracing fast path",
+         lambda: check_disabled_overhead(datasets, traced_seconds)),
+        ("degraded-run pairs ledger", lambda: check_pairs_ledger(datasets)),
+        ("columnar slice decode vs reference replay",
+         lambda: check_decode_equivalence(datasets)),
+        ("deadline-bounded partial result consistency",
+         lambda: check_partial_completeness(datasets, result)),
+        ("refinement funnel vs pairs ledger / query stats",
+         lambda: check_funnel(datasets)),
+        ("shard vs legacy storage parity", lambda: check_shard_parity(datasets)),
+    ]
+    for number, (title, run) in enumerate(checks, start=1):
+        print(f"[{number}/{len(checks)}] {title}")
+        run()
     if _FAILURES:
         print(f"\n{len(_FAILURES)} check(s) FAILED:")
         for failure in _FAILURES:

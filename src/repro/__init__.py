@@ -43,7 +43,7 @@ from repro.mesh import Polyhedron
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage import Dataset, LoadReport
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "PPVPEncoder",

@@ -95,17 +95,6 @@ def _parse_storage_backend(env_name: str, raw: str) -> str:
     return value
 
 
-def _parse_bool(env_name: str, raw: str) -> bool:
-    value = raw.lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise EngineConfigError(
-        f"{env_name} must be a boolean (0/1/true/false), got {raw!r}"
-    )
-
-
 #: Every setting that resolves through the shared precedence chain.
 SETTINGS: dict[str, Setting] = {
     s.name: s
@@ -116,8 +105,6 @@ SETTINGS: dict[str, Setting] = {
         ),
         Setting("query_backend", "REPRO_QUERY_BACKEND", "thread",
                 parse=_parse_backend),
-        Setting("batched_refine", "REPRO_BATCHED_REFINE", True,
-                parse=_parse_bool),
         # Persistent-store layout and process-backend transport:
         # "shard" = v3 memory-mapped cuboid shard files (workers share
         # read-only pages), "legacy" = v2 cuboid containers with
@@ -238,15 +225,9 @@ class EngineConfig:
     # the on-disk store with its own DecodeCache. None defers to the
     # REPRO_QUERY_BACKEND environment variable, then "thread".
     query_backend: str | None = None
-    # Batched LOD-round refinement: each round gathers every surviving
-    # candidate pair (and, on the serial/worker target loop, every
-    # target in the chunk) into flat face-pair workloads evaluated by a
-    # few fused kernel calls (repro.core.batch), instead of one Python
-    # dispatch per pair. Results are identical either way; this exists
-    # as an escape hatch and as the A/B axis for bench_pipeline. None
-    # defers to REPRO_BATCHED_REFINE, then True. The AABB-tree
-    # acceleration path always runs per pair (tree traversals do not
-    # batch across pairs).
+    # Not a setting: refinement has one round loop (repro.core.refine).
+    # The keyword is still accepted, as None or True, so configurations
+    # written against 1.x keep constructing; False is rejected.
     batched_refine: bool | None = None
     # Persistent-store layout + process-backend dataset transport:
     # "shard" saves v3 memory-mapped cuboid shard stores and ships
@@ -322,10 +303,11 @@ class EngineConfig:
                 f"storage_backend must be None, 'shard', or 'legacy', "
                 f"got {self.storage_backend!r}"
             )
-        if self.batched_refine not in (None, True, False):
+        if self.batched_refine not in (None, True):
             raise EngineConfigError(
-                f"batched_refine must be None, True, or False, "
-                f"got {self.batched_refine!r}"
+                f"batched_refine must be None or True, got "
+                f"{self.batched_refine!r}: the per-pair refinement path "
+                f"was removed in 2.0"
             )
         if self.deadline_ms is not None and self.deadline_ms < 1:
             raise EngineConfigError("deadline_ms must be None or >= 1")
@@ -372,10 +354,6 @@ class EngineConfig:
     def resolve_query_backend(self) -> str:
         """The effective parallel backend: ``"thread"`` or ``"process"``."""
         return resolve_setting("query_backend", config=self)
-
-    def resolve_batched_refine(self) -> bool:
-        """Whether refinement rounds run batched (see :mod:`repro.core.batch`)."""
-        return resolve_setting("batched_refine", config=self)
 
     def resolve_storage_backend(self) -> str:
         """The effective store layout / transport: ``"shard"`` or ``"legacy"``."""

@@ -20,7 +20,6 @@ thin wrappers over :meth:`execute`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 from repro.compression.ppvp import PPVPEncoder
@@ -28,7 +27,6 @@ from repro.core.config import EngineConfig
 from repro.core.errors import DatasetNotLoadedError, EngineConfigError
 from repro.core.executor import QueryExecutor
 from repro.core.plan import STRATEGIES, QueryPlan, QueryResult, QuerySpec
-from repro.core.stats import QueryStats
 from repro.index.rtree import RTree, RTreeEntry
 from repro.mesh.polyhedron import Polyhedron
 from repro.obs import metrics as obs_metrics
@@ -274,56 +272,3 @@ class ThreeDPro:
         return self.execute(
             QuerySpec(kind="knn", source=source_name, target=target_name, k=k)
         )
-
-    # -- single-object queries ---------------------------------------------------
-
-    def intersection_query(self, source_name: str, probe: Polyhedron) -> list[int]:
-        """Deprecated: use ``execute(QuerySpec(kind="intersection", probe=...))``."""
-        self._warn_bare_form("intersection_query")
-        return self.execute(
-            QuerySpec(kind="intersection", source=source_name, probe=probe)
-        ).matches
-
-    def within_query(
-        self, source_name: str, probe: Polyhedron, distance: float
-    ) -> list[int]:
-        """Deprecated: use ``execute(QuerySpec(kind="within", probe=...))``."""
-        self._warn_bare_form("within_query")
-        return self.execute(
-            QuerySpec(
-                kind="within", source=source_name, probe=probe, distance=distance
-            )
-        ).matches
-
-    def nn_query(self, source_name: str, probe: Polyhedron) -> tuple[int, float, bool] | None:
-        """Deprecated: use ``execute(QuerySpec(kind="nn", probe=...))``."""
-        self._warn_bare_form("nn_query")
-        matches = self.execute(
-            QuerySpec(kind="nn", source=source_name, probe=probe)
-        ).matches
-        return matches[0] if matches else None
-
-    @staticmethod
-    def _warn_bare_form(method: str) -> None:
-        warnings.warn(
-            f"ThreeDPro.{method} returns a bare result and drops QueryStats; "
-            f"use engine.execute(QuerySpec(...)) which returns a QueryResult. "
-            f"The bare form will be removed in 2.0.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def containment_query(self, source_name: str, point) -> tuple[list[int], QueryStats]:
-        """Deprecated: use ``execute(QuerySpec(kind="containment", point=...))``.
-
-        The paper notes (Section 4.1) that point-in-polyhedron checks also
-        benefit from the FPR paradigm; the ``execute`` form returns the
-        full :class:`~repro.core.plan.QueryResult` (completeness, funnel,
-        wire serialization) instead of this bare ``(matches, stats)``
-        tuple.
-        """
-        self._warn_bare_form("containment_query")
-        result = self.execute(
-            QuerySpec(kind="containment", source=source_name, point=point)
-        )
-        return result.matches, result.stats

@@ -145,10 +145,6 @@ class QueryExecutor:
         # process backend's workers point it at their chunk's heartbeat
         # file so the parent's hang detector sees liveness per target.
         self.heartbeat = None
-        # Batched LOD-round refinement (core/batch.py): resolved once per
-        # engine; the per-pair path stays selectable for A/B parity runs
-        # (EngineConfig.batched_refine / REPRO_BATCHED_REFINE=0).
-        self.batched_refine = self.config.resolve_batched_refine()
 
     @property
     def tracer(self):
@@ -379,18 +375,13 @@ class QueryExecutor:
             )
 
     def _group_eligible(self, plan) -> bool:
-        """Whether this plan's targets can refine as one batched group.
+        """Whether this plan's targets refine as one group per chunk.
 
-        Group refinement needs the batched kernels (the tree traversals
-        are inherently per-pair) and forgoes per-target progressive
-        emission, so streaming queries stay on the per-target loop.
+        A multi-target group confirms pairs LOD-major; streaming queries
+        stay on the per-target loop (groups of one) so their progress
+        frames keep arriving target-major.
         """
-        return (
-            plan.strategy.supports_group_refine
-            and self.batched_refine
-            and not self.config.accel.aabbtree
-            and plan.spec.progress is None
-        )
+        return plan.strategy.supports_group_refine and plan.spec.progress is None
 
     def _refine_targets(
         self, plan, ctx, stats, tids, pairs, degraded_targets, deadline,
@@ -401,7 +392,7 @@ class QueryExecutor:
         Returns ``(finished, inflight, interrupt)`` — the completeness
         inputs the serial, thread-chunk, and quarantine callers all
         share. Group-eligible plans refine every target of the list as
-        one batched group; everything else walks the per-target loop.
+        one group; everything else walks the per-target loop.
         """
         if self._group_eligible(plan):
             return self._run_target_group(
@@ -425,11 +416,11 @@ class QueryExecutor:
         self, plan, ctx, stats, tids, pairs, degraded_targets, deadline,
         heartbeat=True, where="target_loop",
     ):
-        """All targets of a chunk through one batched group refinement.
+        """All targets of a chunk through one group refinement.
 
         Filters run per target (in target order), then the strategy's
         group refinement settles every target's candidates LOD-major
-        through shared kernel batches (see ``refine_*_group``). Commits
+        through shared evaluator rounds (see ``refine_*_group``). Commits
         land in target order, so ``pairs`` insertion order — and every
         funnel/ledger count — matches the per-target loop exactly.
         """
@@ -515,18 +506,6 @@ class QueryExecutor:
         if value is not None:
             pairs[tid] = value
             stats.results += count
-
-    @staticmethod
-    def _chunk_targets(tids, workers: int) -> list:
-        """Contiguous equal-size chunks of the cuboid-ordered target list.
-
-        The legacy chunk shape; the executor now routes through
-        :meth:`~repro.core.plan.KindStrategy.target_chunks`, which
-        additionally aligns cuts to cuboid boundaries for shard-backed
-        targets. Kept as the reference slicing used by tests.
-        """
-        chunk_size = -(-len(tids) // (workers * _CHUNKS_PER_WORKER))
-        return [tids[i : i + chunk_size] for i in range(0, len(tids), chunk_size)]
 
     def _run_process(self, plan, stats, chunks, workers, root, deadline):
         """Fan chunks across worker processes; ``None`` means fall back.
@@ -720,7 +699,6 @@ class QueryExecutor:
             max_decode_failures=self.config.max_decode_failures,
             tracer=self.tracer,
             progress=plan.spec.progress,
-            batched=self.batched_refine and not self.config.accel.aabbtree,
             heartbeat=self.heartbeat,
         )
         if degraded_keys is not None:

@@ -585,7 +585,7 @@ class KindStrategy:
         """
         return None, 0
 
-    #: whether the kind can refine many targets as one batched group
+    #: whether the kind can refine many targets as one group
     #: (``QueryExecutor._run_target_group``). Kinds that opt in provide
     #: ``group_refine``/``group_value``.
     supports_group_refine = False

@@ -15,16 +15,21 @@ as the progressive-approximation properties allow:
 Under the FR paradigm the same functions run with a single-entry LOD
 schedule (the top LOD), which reduces them to classical refinement.
 
-Batched rounds: with ``RefineContext.batched`` (the default, resolved
-from ``EngineConfig.batched_refine``), each LOD round gathers every
-surviving candidate's face pairs into flat workloads evaluated by a few
-fused kernel calls (:mod:`repro.core.batch`) instead of one Python
-dispatch per pair; :func:`refine_intersection_group` and
-:func:`refine_within_group` extend the same gather across all targets
-of an executor chunk. Pair classifications are per-lane deterministic
-and ``min`` is exact, so results, funnel, and ledger are identical to
-the per-pair path; the AABB-tree path (``use_tree``) always runs per
-pair, since dual-tree traversals do not batch across pairs.
+One round loop, two evaluators: intersection and within each have a
+single implementation — the group rounds of
+:func:`refine_intersection_group` / :func:`refine_within_group`. A round
+decodes every active target and its surviving candidates (*gather*),
+hands the round's face-pair jobs to one evaluator (*evaluate*), and
+applies the verdicts per target in order (*settle*). The evaluator is
+chosen from ``RefineContext.use_tree``: by default the fused wave
+kernels of :mod:`repro.core.batch` take all jobs of the round in a few
+kernel calls; with AABB-tree acceleration each job is one dual-tree
+traversal (traversals do not batch across pairs). Pair classifications
+are per-lane deterministic and ``min`` is exact, so results, funnel, and
+ledger do not depend on how targets are grouped: an executor chunk runs
+as one group, and :func:`refine_intersection` / :func:`refine_within`
+are the same rounds over a group of one (the shape streaming queries
+use, which keeps their progress frames target-major).
 
 Degraded mode: when an object's stored geometry cannot be decoded even
 at LOD 0 (see :class:`~repro.core.errors.DecodeFailureError`), each
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +66,8 @@ from repro.core.errors import (
     ErrorBudgetExceededError,
 )
 from repro.geometry.aabb import box_maxdist
-from repro.geometry.raycast import point_in_polyhedron, points_in_polyhedra
+from repro.geometry.raycast import points_in_polyhedra
 from repro.obs.trace import DISABLED_TRACER
-from repro.parallel.executor import Device
 
 __all__ = [
     "RefineContext",
@@ -77,7 +82,6 @@ __all__ = [
 ]
 
 _ALL_PARTS = None  # candidate part sentinel: evaluate every face
-_NO_TRIANGLES = np.zeros((0, 3, 3))  # stand-in job for undecodable sources
 
 # Per-survivor settle codes used by the gather/settle round helpers;
 # non-negative values are indices into the round's shared job list.
@@ -107,6 +111,8 @@ class RefineContext:
     target_partitions: dict = field(default_factory=dict)
     source_partitions: dict = field(default_factory=dict)
     lods: tuple[int, ...] = ()
+    # Round evaluator: per-job dual AABB-tree traversals instead of the
+    # fused wave kernels (Accel.aabbtree).
     use_tree: bool = False
     exact_nn_distances: bool = False
     # Span tracer (repro.obs.trace); the disabled singleton hands out
@@ -127,18 +133,14 @@ class RefineContext:
     deadline: object = None
     # Progressive-results hook (QuerySpec.progress): a callable
     # ``(target_id, lod, matches)`` invoked as pairs confirm, plus the
-    # target the executor is currently refining. FPR never revokes a
+    # target currently being refined. FPR never revokes a
     # confirmation, so every emission is final — the serve layer streams
     # them to clients before the query completes.
     progress: object = None
     progress_target: object = None
-    # Batched LOD rounds (repro.core.batch): gather each round's
-    # surviving pairs into fused kernel workloads. The per-pair path
-    # stays available for A/B parity checks and the tree traversals.
-    batched: bool = True
     # Optional worker-liveness callable (process-backend heartbeat),
-    # invoked alongside the deadline check at every batch flush so hang
-    # detection keeps per-batch granularity under batched rounds.
+    # invoked alongside the deadline check at every batch flush (every
+    # traversal, under use_tree) so hang detection keeps that granularity.
     heartbeat: object = None
     # Memoized per-(side, object, served-LOD) face AABBs for the
     # intersection containment stage, with hit/miss counters the cache
@@ -166,7 +168,7 @@ class RefineContext:
             self.deadline.check(where)
 
     def batch_tick(self) -> None:
-        """Per-flush checkpoint of the batched kernels: liveness + deadline."""
+        """Per-flush checkpoint of the round evaluators: liveness + deadline."""
         if self.heartbeat is not None:
             self.heartbeat()
         self.checkpoint("refine_batch")
@@ -309,63 +311,60 @@ class RefineContext:
         self._aabb_cache[key] = box
         return box
 
-    # -- pair kernels -----------------------------------------------------------
+    # -- round evaluators --------------------------------------------------------
 
-    def pair_intersects(self, dec_t, dec_s, sid: int, parts, lod: int) -> bool:
+    def _evaluate(self, jobs: list, lod: int, traverse, waves, **kernel_args) -> list:
+        """One result per ``(dec_t, dec_s, tris_s)`` job of a round.
+
+        The default evaluator hands every job to ``waves`` — the fused
+        kernels of :mod:`repro.core.batch` — at once; under ``use_tree``
+        each job is one ``traverse`` of the two decodes' AABB-trees,
+        ticking between traversals as the waves tick between flushes.
+        """
         kernel_stats: dict = {}
         if self.use_tree:
-            hit = self.computer.intersects(
-                dec_t.triangles,
-                dec_s.triangles,
-                tree_a=dec_t.tree,
-                tree_b=dec_s.tree,
-                stats=kernel_stats,
-            )
-        else:
-            tris_s = self.source_faces(dec_s, sid, parts)
-            hit = (
-                self.computer.intersects(dec_t.triangles, tris_s, stats=kernel_stats)
-                if len(tris_s)
-                else False
-            )
-        self.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
-        return hit
-
-    def pair_min_distance(
-        self, dec_t, dec_s, sid: int, parts, lod: int, stop_below: float = 0.0
-    ) -> float:
-        kernel_stats: dict = {}
-        if self.use_tree:
-            dist = self.computer.min_distance(
-                dec_t.triangles,
-                dec_s.triangles,
-                tree_a=dec_t.tree,
-                tree_b=dec_s.tree,
-                stop_below=stop_below,
-                stats=kernel_stats,
-            )
-        else:
-            tris_s = self.source_faces(dec_s, sid, parts)
-            dist = (
-                self.computer.min_distance(
-                    dec_t.triangles, tris_s, stop_below=stop_below, stats=kernel_stats
+            out = []
+            for dec_t, dec_s, _tris_s in jobs:
+                out.append(
+                    traverse(
+                        dec_t.triangles, dec_s.triangles,
+                        tree_a=dec_t.tree, tree_b=dec_s.tree,
+                        stats=kernel_stats, **kernel_args,
+                    )
                 )
-                if len(tris_s)
-                else math.inf
+                self.batch_tick()
+        else:
+            out = waves(
+                self.computer,
+                [(dec_t.triangles, tris_s) for dec_t, _dec_s, tris_s in jobs],
+                stats=kernel_stats, checkpoint=self.batch_tick, **kernel_args,
             )
         self.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
-        return dist
+        return out
+
+    def any_intersect(self, jobs: list, lod: int) -> list[bool]:
+        """Per job, whether any face pair between the two sides intersects."""
+        return self._evaluate(
+            jobs, lod, self.computer.intersects, batch.batched_any_intersect
+        )
+
+    def min_distances(self, jobs: list, lod: int, stop_below: float = 0.0) -> list[float]:
+        """Per job, the minimum face-pair distance (early exit at ``stop_below``)."""
+        return self._evaluate(
+            jobs, lod, self.computer.min_distance, batch.batched_min_distances,
+            stop_below=stop_below,
+        )
 
     def _gather_distance_jobs(self, dec_t, survivors, lod: int, target_id, jobs):
         """Decode each survivor in order; queue its face pairs as one job.
 
         Returns ``(entries, inexact)``: per survivor either a fixed
-        distance (MBB fallback for undecodable candidates, ``inf`` for
-        an empty partition mask — exactly the per-pair path's values) or
-        the index of its job in the shared ``jobs`` list, plus the
-        upper-bound-only flags. Decodes happen here, in survivor order,
-        so the provider sees the same request sequence as the per-pair
-        path (and the same fail-fast / fault-injection outcomes).
+        distance (the MBB upper bound for an undecodable candidate,
+        ``inf`` for an empty partition mask) or the index of its job in
+        the shared ``jobs`` list, plus the upper-bound-only flags.
+        Decodes happen here, per target in survivor order, so the
+        provider's request sequence for a target does not depend on
+        which other targets share the round.
         """
         entries: list[tuple[str, object]] = []
         inexact: list[bool] = []
@@ -381,7 +380,7 @@ class RefineContext:
                 entries.append(("fixed", math.inf))
             else:
                 entries.append(("job", len(jobs)))
-                jobs.append((dec_t.triangles, tris_s))
+                jobs.append((dec_t, dec_s, tris_s))
         return entries, inexact
 
     def batch_min_distances(
@@ -403,65 +402,15 @@ class RefineContext:
         other targets decoded earlier, which is what keeps NN exactness
         identical between serial and parallel execution.
 
-        Batched contexts gather every candidate's face pairs into the
-        fused wave kernels of :mod:`repro.core.batch` (early exit per
-        candidate at ``stop_below``); otherwise the per-pair kernels
-        run, with the GPU device fusing only exhaustive evaluations.
+        One gather, one evaluate (:meth:`min_distances`, early exit per
+        candidate at ``stop_below``), one scatter.
         """
-        if self.batched and not self.use_tree:
-            jobs: list = []
-            entries, inexact = self._gather_distance_jobs(
-                dec_t, survivors, lod, target_id, jobs
-            )
-            kernel_stats: dict = {}
-            dists = batch.batched_min_distances(
-                self.computer,
-                jobs,
-                stop_below=stop_below,
-                stats=kernel_stats,
-                checkpoint=self.batch_tick,
-            )
-            self.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
-            return _scatter_distances(entries, dists), inexact
-        if self.use_tree or self.computer.device is not Device.GPU or stop_below > 0.0:
-            out: list[float] = []
-            inexact = []
-            for sid, parts in survivors:
-                dec_s = self._decode_source_or_none(sid, lod)
-                if dec_s is None:
-                    out.append(self.box_upper_bound(target_id, sid))
-                    inexact.append(True)
-                    continue
-                inexact.append(bool(dec_s.degraded))
-                out.append(
-                    self.pair_min_distance(
-                        dec_t, dec_s, sid, parts, lod, stop_below=stop_below
-                    )
-                )
-            return out, inexact
-        jobs = []
-        inexact = []
-        fallback: dict[int, float] = {}
-        for i, (sid, parts) in enumerate(survivors):
-            dec_s = self._decode_source_or_none(sid, lod)
-            if dec_s is None:
-                jobs.append((dec_t.triangles, _NO_TRIANGLES))
-                fallback[i] = self.box_upper_bound(target_id, sid)
-                inexact.append(True)
-                continue
-            tris_s = self.source_faces(dec_s, sid, parts)
-            jobs.append((dec_t.triangles, tris_s))
-            inexact.append(bool(dec_s.degraded))
-        kernel_stats = {}
-        nonempty = [(i, job) for i, job in enumerate(jobs) if len(job[1])]
-        dists = self.computer.pairwise_min_distances(
-            [job for _i, job in nonempty], stats=kernel_stats
+        jobs: list = []
+        entries, inexact = self._gather_distance_jobs(
+            dec_t, survivors, lod, target_id, jobs
         )
-        self.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
-        out = [fallback.get(i, math.inf) for i in range(len(jobs))]
-        for (i, _job), dist in zip(nonempty, dists):
-            out[i] = dist
-        return out, inexact
+        dists = self.min_distances(jobs, lod, stop_below=stop_below)
+        return _scatter_distances(entries, dists), inexact
 
 
 def _scatter_distances(entries, dists) -> list[float]:
@@ -472,7 +421,7 @@ def _scatter_distances(entries, dists) -> list[float]:
 
 
 class GroupState:
-    """Per-target progress through one batched multi-target refinement."""
+    """Per-target progress through one group refinement."""
 
     __slots__ = (
         "tid", "survivors", "results", "done", "touched",
@@ -490,6 +439,23 @@ class GroupState:
         self.dec_t = None
 
 
+@contextmanager
+def _accruing_touches(ctx: RefineContext, s: GroupState):
+    """Accrue the block's degraded-geometry touches to ``s.touched``."""
+    ctx.touched_degraded = False
+    try:
+        yield
+    finally:
+        s.touched |= ctx.touched_degraded
+
+
+def _confirm(ctx: RefineContext, s: GroupState, lod: int, matches: list[int]) -> None:
+    """Append newly confirmed ``matches`` to the state and stream them."""
+    s.results.extend(matches)
+    ctx.progress_target = s.tid
+    ctx.emit_confirmed(lod, matches)
+
+
 def _attach_group_partial(exc: DeadlineExceededError, states) -> None:
     """Hang each state's confirmed-so-far results off the interrupt.
 
@@ -502,27 +468,114 @@ def _attach_group_partial(exc: DeadlineExceededError, states) -> None:
     exc.group_finished = sum(1 for s in states if s.done)
 
 
+def _group_of_one(ctx: RefineContext, target_id: int, run_group) -> list[int]:
+    """Run a one-target group under the single-target calling contract.
+
+    The caller reads ``ctx.touched_degraded`` afterwards, and a deadline
+    interrupt carries the confirmed-so-far ids out as ``exc.partial``.
+    """
+    try:
+        (state,) = run_group()
+    except DeadlineExceededError as exc:
+        exc.partial = exc.partial_by_target[target_id]
+        ctx.touched_degraded = target_id in exc.group_touched
+        raise
+    ctx.touched_degraded = state.touched
+    return state.results
+
+
 # -- Algorithm 1: intersection -------------------------------------------------
 
 
 def refine_intersection(ctx: RefineContext, target_id: int, candidates: dict) -> list[int]:
     """Source ids that truly intersect the target (Algorithm 1).
 
-    MBB overlap cannot *confirm* a mesh intersection, so degraded mode
-    only ever shrinks this answer: an undecodable candidate is dropped,
-    and an undecodable target returns the pairs already confirmed at the
-    LODs that did decode (a correct subset, by property 1).
+    A group of one over :func:`refine_intersection_group`. MBB overlap
+    cannot *confirm* a mesh intersection, so degraded mode only ever
+    shrinks this answer: an undecodable candidate is dropped, and an
+    undecodable target returns the pairs already confirmed at the LODs
+    that did decode (a correct subset, by property 1).
 
     A deadline interrupt carries the confirmed-so-far ids out on the
     exception (``exc.partial``) — each is final the moment it is
     appended (property 1 again), so the partial answer is sound.
     """
-    results: list[int] = []
+    return _group_of_one(
+        ctx, target_id,
+        lambda: refine_intersection_group(ctx, [(target_id, candidates)]),
+    )
+
+
+def refine_intersection_group(ctx: RefineContext, items) -> list[GroupState]:
+    """Refine many targets' intersection candidates as one group.
+
+    ``items`` is ``[(target_id, candidates), ...]`` in execution order.
+    Rounds run LOD-major: each round decodes every active target and its
+    survivors (per target, in order) and evaluates one flat job list, so
+    per-pair classifications, each target's results order, funnel, and
+    ledger do not depend on the grouping. The containment stage then
+    runs per target, with batched ray casts.
+
+    Confirmations stream through the progress hook per target and round.
+    A deadline interrupt attaches per-target partials
+    (``exc.partial_by_target``) plus the touched/finished bookkeeping
+    the executor commits from.
+    """
+    states = [GroupState(tid, dict(candidates)) for tid, candidates in items]
     try:
-        return _refine_intersection(ctx, target_id, candidates, results)
+        _intersection_group_rounds(ctx, states)
+        for s in states:
+            if s.done:
+                continue
+            with _accruing_touches(ctx, s):
+                if s.survivors:
+                    _containment_stage(ctx, s)
+                s.done = True
     except DeadlineExceededError as exc:
-        exc.partial = list(results)
+        _attach_group_partial(exc, states)
         raise
+    return states
+
+
+def _intersection_group_rounds(ctx: RefineContext, states) -> None:
+    top_lod = ctx.lods[-1]
+    for lod in ctx.lods:
+        active = []
+        for s in states:
+            if s.done:
+                continue
+            if not s.survivors:
+                s.done = True  # nothing left for the containment stage either
+                continue
+            active.append(s)
+        if not active:
+            return
+        ctx.checkpoint("intersection_round")
+        with ctx.tracer.span(
+            "refine", query="intersection", lod=lod,
+            survivors=sum(len(s.survivors) for s in active),
+        ) as round_span:
+            jobs: list = []
+            gathered = []
+            for s in active:
+                with _accruing_touches(ctx, s):
+                    try:
+                        dec_t = ctx.decode_target(s.tid, lod)
+                    except DecodeFailureError:
+                        # Keep the pairs already confirmed; no further
+                        # rounds and no containment stage for this target.
+                        s.done = True
+                        continue
+                    ctx.ledger_evaluated(lod, len(s.survivors))
+                    s.entries = _gather_intersect_entries(
+                        ctx, dec_t, s.survivors, lod, top_lod, jobs
+                    )
+                    gathered.append(s)
+            hits = ctx.any_intersect(jobs, lod)
+            n_settled = 0
+            for s in gathered:
+                n_settled += _settle_intersect_entries(ctx, s, hits, lod)
+            round_span.set(settled=n_settled)
 
 
 def _gather_intersect_entries(
@@ -552,105 +605,33 @@ def _gather_intersect_entries(
             entries.append((sid, _MISS))
             continue
         entries.append((sid, len(jobs)))
-        jobs.append((dec_t.triangles, tris_s))
+        jobs.append((dec_t, dec_s, tris_s))
     return entries
 
 
-def _settle_intersect_entries(
-    ctx: RefineContext, survivors: dict, entries, hits, results: list[int], lod: int
-) -> int:
-    """Apply one round's batched verdicts, in survivor order."""
-    settled = []
-    confirmed = degraded = 0
-    for sid, code in entries:
+def _settle_intersect_entries(ctx: RefineContext, s: GroupState, hits, lod: int) -> int:
+    """Apply one round's verdicts to a state, in survivor order."""
+    confirmed = []
+    degraded = 0
+    for sid, code in s.entries:
         if code == _DEGRADED:
-            settled.append(sid)
+            del s.survivors[sid]
             degraded += 1
-        elif code == _MISS:
-            continue
-        elif hits[code]:
-            results.append(sid)
-            settled.append(sid)
-            confirmed += 1
-    for sid in settled:
-        del survivors[sid]
-    ctx.ledger_settled(lod, confirmed=confirmed, degraded=degraded)
-    return len(settled)
+        elif code != _MISS and hits[code]:
+            del s.survivors[sid]
+            confirmed.append(sid)
+    s.entries = None
+    ctx.ledger_settled(lod, confirmed=len(confirmed), degraded=degraded)
+    _confirm(ctx, s, lod, confirmed)
+    return len(confirmed) + degraded
 
 
-def _refine_intersection(
-    ctx: RefineContext, target_id: int, candidates: dict, results: list[int]
-) -> list[int]:
-    survivors = dict(candidates)
-    top_lod = ctx.lods[-1]
-    for lod in ctx.lods:
-        if not survivors:
-            break
-        ctx.checkpoint("intersection_round")
-        with ctx.tracer.span("refine", query="intersection", lod=lod,
-                             survivors=len(survivors)) as round_span:
-            try:
-                dec_t = ctx.decode_target(target_id, lod)
-            except DecodeFailureError:
-                return results
-            ctx.ledger_evaluated(lod, len(survivors))
-            mark = len(results)
-            if ctx.batched and not ctx.use_tree:
-                jobs: list = []
-                entries = _gather_intersect_entries(
-                    ctx, dec_t, survivors, lod, top_lod, jobs
-                )
-                kernel_stats: dict = {}
-                hits = batch.batched_any_intersect(
-                    ctx.computer, jobs, stats=kernel_stats, checkpoint=ctx.batch_tick
-                )
-                ctx.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
-                n_settled = _settle_intersect_entries(
-                    ctx, survivors, entries, hits, results, lod
-                )
-            else:
-                settled = []
-                confirmed = degraded = 0
-                for sid, parts in survivors.items():
-                    ctx.checkpoint("intersection_pair")
-                    try:
-                        dec_s = ctx.decode_source(sid, lod)
-                    except DecodeFailureError:
-                        settled.append(sid)  # unconfirmable candidate: drop
-                        degraded += 1
-                        continue
-                    if dec_s.num_faces == 0 and lod == top_lod:
-                        # Uniform degraded accounting with the batched
-                        # path and the containment stage: an empty mesh
-                        # can never be confirmed, so settle it here.
-                        ctx.note_degraded("source", sid)
-                        settled.append(sid)
-                        degraded += 1
-                        continue
-                    if ctx.pair_intersects(dec_t, dec_s, sid, parts, lod):
-                        results.append(sid)
-                        settled.append(sid)
-                        confirmed += 1
-                for sid in settled:
-                    del survivors[sid]
-                ctx.ledger_settled(lod, confirmed=confirmed, degraded=degraded)
-                n_settled = len(settled)
-            ctx.emit_confirmed(lod, results[mark:])
-            round_span.set(settled=n_settled)
-
-    if survivors:
-        _containment_stage(ctx, target_id, survivors, results)
-    return results
-
-
-def _containment_stage(
-    ctx: RefineContext, target_id: int, survivors, results: list[int]
-) -> None:
+def _containment_stage(ctx: RefineContext, s: GroupState) -> None:
     """Algorithm 1 steps 8-12: no face pair intersects, but one object
     may contain the other entirely."""
     top_lod = ctx.lods[-1]
     try:
-        dec_t = ctx.decode_target(target_id, top_lod)
+        dec_t = ctx.decode_target(s.tid, top_lod)
     except DecodeFailureError:
         return
     if dec_t.num_faces == 0:
@@ -658,162 +639,49 @@ def _containment_stage(
         # is no bounding box (and no probe vertex) to test, so
         # containment is unprovable and the remaining candidates are
         # dropped — the answer stays a correct subset.
-        ctx.note_degraded("target", target_id)
-        ctx.ledger_settled(top_lod, degraded=len(survivors))
+        ctx.note_degraded("target", s.tid)
+        ctx.ledger_settled(top_lod, degraded=len(s.survivors))
         return
-    t_box = ctx.faces_aabb("target", target_id, dec_t)
-    confirmed = degraded = 0
-    mark = len(results)
-    if ctx.batched and not ctx.use_tree:
-        probes: list = []
-        entries: list[tuple[int, object]] = []
-        for sid in survivors:
-            ctx.checkpoint("intersection_containment_pair")
-            try:
-                dec_s = ctx.decode_source(sid, top_lod)
-            except DecodeFailureError:
-                entries.append((sid, _DEGRADED))
-                continue
-            if dec_s.num_faces == 0:
-                ctx.note_degraded("source", sid)
-                entries.append((sid, _DEGRADED))
-                continue
-            s_box = ctx.faces_aabb("source", sid, dec_s)
-            wanted = []
-            # Queue both directions eagerly when the boxes allow them;
-            # the per-pair path skips the second probe after a confirm,
-            # but an extra ray cast has no observable effect beyond time.
-            if _box_contains(t_box, s_box):
-                wanted.append(len(probes))
-                probes.append((dec_s.triangles[0, 0], dec_t.triangles))
-            if _box_contains(s_box, t_box):
-                wanted.append(len(probes))
-                probes.append((dec_t.triangles[0, 0], dec_s.triangles))
-            entries.append((sid, wanted))
-        contained = points_in_polyhedra(probes, checkpoint=ctx.batch_tick)
-        for sid, code in entries:
-            if code == _DEGRADED:
-                degraded += 1
-            elif any(contained[i] for i in code):
-                results.append(sid)
-                confirmed += 1
-    else:
-        for sid in survivors:
-            ctx.checkpoint("intersection_containment_pair")
-            try:
-                dec_s = ctx.decode_source(sid, top_lod)
-            except DecodeFailureError:
-                degraded += 1
-                continue
-            if dec_s.num_faces == 0:
-                ctx.note_degraded("source", sid)
-                degraded += 1
-                continue
-            s_box = ctx.faces_aabb("source", sid, dec_s)
-            if _box_contains(t_box, s_box):
-                probe = dec_s.triangles[0, 0]
-                if point_in_polyhedron(probe, dec_t.triangles):
-                    results.append(sid)
-                    confirmed += 1
-                    continue
-            if _box_contains(s_box, t_box):
-                probe = dec_t.triangles[0, 0]
-                if point_in_polyhedron(probe, dec_s.triangles):
-                    results.append(sid)
-                    confirmed += 1
+    t_box = ctx.faces_aabb("target", s.tid, dec_t)
+    probes: list = []
+    entries: list[tuple[int, object]] = []
+    for sid in s.survivors:
+        ctx.checkpoint("intersection_containment_pair")
+        dec_s = ctx._decode_source_or_none(sid, top_lod)
+        if dec_s is None:
+            entries.append((sid, _DEGRADED))
+            continue
+        if dec_s.num_faces == 0:
+            ctx.note_degraded("source", sid)
+            entries.append((sid, _DEGRADED))
+            continue
+        s_box = ctx.faces_aabb("source", sid, dec_s)
+        wanted = []
+        # Both directions are queued when the boxes allow them: probing
+        # the second after the first already confirmed has no observable
+        # effect beyond time.
+        if _box_contains(t_box, s_box):
+            wanted.append(len(probes))
+            probes.append((dec_s.triangles[0, 0], dec_t.triangles))
+        if _box_contains(s_box, t_box):
+            wanted.append(len(probes))
+            probes.append((dec_t.triangles[0, 0], dec_s.triangles))
+        entries.append((sid, wanted))
+    contained = points_in_polyhedra(probes, checkpoint=ctx.batch_tick)
+    confirmed = []
+    degraded = 0
+    for sid, code in entries:
+        if code == _DEGRADED:
+            degraded += 1
+        elif any(contained[i] for i in code):
+            confirmed.append(sid)
     ctx.ledger_settled(
         top_lod,
-        confirmed=confirmed,
+        confirmed=len(confirmed),
         degraded=degraded,
-        rejected=len(survivors) - confirmed - degraded,
+        rejected=len(s.survivors) - len(confirmed) - degraded,
     )
-    ctx.emit_confirmed(top_lod, results[mark:])
-
-
-def refine_intersection_group(ctx: RefineContext, items) -> list[GroupState]:
-    """Refine many targets' intersection candidates as one batched group.
-
-    ``items`` is ``[(target_id, candidates), ...]`` in execution order.
-    Rounds run LOD-major: each round decodes every active target and its
-    survivors (per target, in order — the same provider request sequence
-    as the per-target loop) and pushes one flat workload through the
-    fused kernels, so per-pair classifications, results order, funnel,
-    and ledger all match the per-target path exactly. The containment
-    stage then runs per target, with batched ray casts.
-
-    Only used when no progress hook is attached (per-round streaming
-    emission stays with the per-target loop). A deadline interrupt
-    attaches per-target partials (``exc.partial_by_target``) plus the
-    touched/finished bookkeeping the executor commits from.
-    """
-    states = [GroupState(tid, dict(candidates)) for tid, candidates in items]
-    try:
-        _intersection_group_rounds(ctx, states)
-        for s in states:
-            if s.done:
-                continue
-            ctx.touched_degraded = False
-            try:
-                if s.survivors:
-                    _containment_stage(ctx, s.tid, s.survivors, s.results)
-                s.done = True
-            finally:
-                s.touched |= ctx.touched_degraded
-    except DeadlineExceededError as exc:
-        _attach_group_partial(exc, states)
-        raise
-    return states
-
-
-def _intersection_group_rounds(ctx: RefineContext, states) -> None:
-    top_lod = ctx.lods[-1]
-    for lod in ctx.lods:
-        active = []
-        for s in states:
-            if s.done:
-                continue
-            if not s.survivors:
-                s.done = True  # nothing left for the containment stage either
-                continue
-            active.append(s)
-        if not active:
-            return
-        ctx.checkpoint("intersection_round")
-        with ctx.tracer.span(
-            "refine", query="intersection", lod=lod,
-            survivors=sum(len(s.survivors) for s in active),
-        ) as round_span:
-            jobs: list = []
-            gathered = []
-            for s in active:
-                ctx.touched_degraded = False
-                try:
-                    try:
-                        dec_t = ctx.decode_target(s.tid, lod)
-                    except DecodeFailureError:
-                        # Keep the pairs already confirmed; no further
-                        # rounds and no containment stage for this target.
-                        s.done = True
-                        continue
-                    ctx.ledger_evaluated(lod, len(s.survivors))
-                    s.entries = _gather_intersect_entries(
-                        ctx, dec_t, s.survivors, lod, top_lod, jobs
-                    )
-                    gathered.append(s)
-                finally:
-                    s.touched |= ctx.touched_degraded
-            kernel_stats: dict = {}
-            hits = batch.batched_any_intersect(
-                ctx.computer, jobs, stats=kernel_stats, checkpoint=ctx.batch_tick
-            )
-            ctx.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
-            n_settled = 0
-            for s in gathered:
-                n_settled += _settle_intersect_entries(
-                    ctx, s.survivors, s.entries, hits, s.results, lod
-                )
-                s.entries = None
-            round_span.set(settled=n_settled)
+    _confirm(ctx, s, top_lod, confirmed)
 
 
 def _faces_aabb(dec) -> tuple[np.ndarray, np.ndarray]:
@@ -833,120 +701,33 @@ def refine_within(
 ) -> list[int]:
     """Source ids truly within ``distance`` of the target (Algorithm 2).
 
-    In degraded mode a measured distance is replaced by the MBB MAXDIST
-    upper bound ("LOD -1"): ``MAXDIST <= distance`` still soundly
-    confirms a pair, and anything unconfirmable is excluded — the answer
-    stays a correct subset.
+    A group of one over :func:`refine_within_group`, with no filter-level
+    definite matches. In degraded mode a measured distance is replaced
+    by the MBB MAXDIST upper bound ("LOD -1"): ``MAXDIST <= distance``
+    still soundly confirms a pair, and anything unconfirmable is
+    excluded — the answer stays a correct subset.
 
     A deadline interrupt carries the confirmed-so-far ids out on the
     exception (``exc.partial``): a distance ≤ D at any LOD settles the
     pair for good (property 2), so the partial answer is sound.
     """
-    results: list[int] = []
-    try:
-        return _refine_within(ctx, target_id, candidates, distance, results)
-    except DeadlineExceededError as exc:
-        exc.partial = list(results)
-        raise
-
-
-def _classify_within(
-    ctx: RefineContext,
-    survivors: list,
-    results: list[int],
-    dists,
-    inexact,
-    lod: int,
-    top_lod: int,
-    distance: float,
-    target_degraded: bool,
-) -> tuple[list, int]:
-    """Settle one within round from its measured distances.
-
-    Returns ``(remaining_survivors, n_settled)``. Exact distances
-    exclude at the top LOD; a rough distance (degraded decode or MBB
-    fallback) is only an upper bound, so its exclusion is a
-    degraded-mode drop.
-    """
-    remaining = []
-    confirmed = rejected = degraded = 0
-    for (sid, parts), dist, rough in zip(survivors, dists, inexact):
-        if dist <= distance:
-            results.append(sid)
-            confirmed += 1
-        elif lod == top_lod:
-            if rough or target_degraded:
-                degraded += 1
-            else:
-                rejected += 1
-        else:
-            remaining.append((sid, parts))
-    ctx.ledger_settled(
-        lod, confirmed=confirmed, rejected=rejected, degraded=degraded
+    return _group_of_one(
+        ctx, target_id,
+        lambda: refine_within_group(ctx, [(target_id, ((), candidates))], distance),
     )
-    return remaining, confirmed + rejected + degraded
-
-
-def _refine_within(
-    ctx: RefineContext,
-    target_id: int,
-    candidates: dict,
-    distance: float,
-    results: list[int],
-) -> list[int]:
-    survivors = list(candidates.items())
-    top_lod = ctx.lods[-1]
-    for lod in ctx.lods:
-        if not survivors:
-            break
-        ctx.checkpoint("within_round")
-        with ctx.tracer.span("refine", query="within", lod=lod,
-                             survivors=len(survivors)) as round_span:
-            try:
-                dec_t = ctx.decode_target(target_id, lod)
-            except DecodeFailureError:
-                # MBB-only: confirm what the box upper bound alone can
-                # prove. These fallback evaluations stay on the pairs
-                # ledger — charged to the LOD whose decode failed — and
-                # every survivor settles here (confirmed or excluded), so
-                # pruned ≤ evaluated holds per LOD in degraded runs too.
-                ctx.ledger_evaluated(lod, len(survivors))
-                confirmed = 0
-                mark = len(results)
-                for sid, _parts in survivors:
-                    if ctx.box_upper_bound(target_id, sid) <= distance:
-                        results.append(sid)
-                        confirmed += 1
-                ctx.ledger_settled(
-                    lod, confirmed=confirmed, degraded=len(survivors) - confirmed
-                )
-                ctx.emit_confirmed(lod, results[mark:])
-                return results
-            ctx.ledger_evaluated(lod, len(survivors))
-            dists, inexact = ctx.batch_min_distances(
-                dec_t, survivors, lod, stop_below=distance, target_id=target_id
-            )
-            mark = len(results)
-            survivors, n_settled = _classify_within(
-                ctx, survivors, results, dists, inexact,
-                lod, top_lod, distance, dec_t.degraded,
-            )
-            ctx.emit_confirmed(lod, results[mark:])
-            round_span.set(settled=n_settled)
-    return results
 
 
 def refine_within_group(
     ctx: RefineContext, items, distance: float
 ) -> list[GroupState]:
-    """Refine many targets' within candidates as one batched group.
+    """Refine many targets' within candidates as one group.
 
     ``items`` is ``[(target_id, (definite, open_candidates)), ...]`` —
     the filter's split, exactly as :meth:`WithinStrategy.filter` returns
-    it. The definite matches are booked on the funnel here (as the
-    per-target path does before refining); the executor folds them into
-    each committed value. See :func:`refine_intersection_group` for the
-    round structure and interrupt contract.
+    it. The definite matches are booked on the funnel here; the executor
+    folds them into each committed value. See
+    :func:`refine_intersection_group` for the round structure and
+    interrupt contract.
     """
     states = []
     for tid, (definite, open_candidates) in items:
@@ -984,8 +765,7 @@ def _within_group_rounds(ctx: RefineContext, states, distance: float) -> None:
             jobs: list = []
             gathered = []
             for s in active:
-                ctx.touched_degraded = False
-                try:
+                with _accruing_touches(ctx, s):
                     try:
                         dec_t = ctx.decode_target(s.tid, lod)
                     except DecodeFailureError:
@@ -997,40 +777,67 @@ def _within_group_rounds(ctx: RefineContext, states, distance: float) -> None:
                         dec_t, s.survivors, lod, s.tid, jobs
                     )
                     gathered.append(s)
-                finally:
-                    s.touched |= ctx.touched_degraded
-            kernel_stats: dict = {}
-            dists = batch.batched_min_distances(
-                ctx.computer, jobs, stop_below=distance,
-                stats=kernel_stats, checkpoint=ctx.batch_tick,
-            )
-            ctx.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
+            dists = ctx.min_distances(jobs, lod, stop_below=distance)
             n_settled = 0
             for s in gathered:
-                s.survivors, settled = _classify_within(
-                    ctx, s.survivors, s.results,
-                    _scatter_distances(s.entries, dists), s.inexact,
-                    lod, top_lod, distance, s.dec_t.degraded,
-                )
-                n_settled += settled
-                s.entries = s.inexact = s.dec_t = None
+                n_settled += _classify_within(ctx, s, dists, lod, top_lod, distance)
             round_span.set(settled=n_settled)
     for s in states:
         if not s.survivors:
             s.done = True
 
 
-def _within_mbb_fallback(ctx: RefineContext, s: GroupState, lod: int, distance: float) -> None:
-    """Undecodable target: settle its whole state from box upper bounds."""
-    ctx.ledger_evaluated(lod, len(s.survivors))
-    confirmed = 0
-    for sid, _parts in s.survivors:
-        if ctx.box_upper_bound(s.tid, sid) <= distance:
-            s.results.append(sid)
-            confirmed += 1
+def _classify_within(
+    ctx: RefineContext, s: GroupState, dists, lod: int, top_lod: int, distance: float
+) -> int:
+    """Settle one state's within round from the round's measured distances.
+
+    Exact distances exclude at the top LOD; a rough distance (degraded
+    decode on either side, or MBB fallback) is only an upper bound, so
+    its exclusion is a degraded-mode drop.
+    """
+    remaining = []
+    confirmed = []
+    rejected = degraded = 0
+    target_degraded = s.dec_t.degraded
+    for (sid, parts), dist, rough in zip(
+        s.survivors, _scatter_distances(s.entries, dists), s.inexact
+    ):
+        if dist <= distance:
+            confirmed.append(sid)
+        elif lod == top_lod:
+            if rough or target_degraded:
+                degraded += 1
+            else:
+                rejected += 1
+        else:
+            remaining.append((sid, parts))
+    s.survivors = remaining
+    s.entries = s.inexact = s.dec_t = None
     ctx.ledger_settled(
-        lod, confirmed=confirmed, degraded=len(s.survivors) - confirmed
+        lod, confirmed=len(confirmed), rejected=rejected, degraded=degraded
     )
+    _confirm(ctx, s, lod, confirmed)
+    return len(confirmed) + rejected + degraded
+
+
+def _within_mbb_fallback(ctx: RefineContext, s: GroupState, lod: int, distance: float) -> None:
+    """Undecodable target: settle its whole state from box upper bounds.
+
+    MBB-only: confirm what the box upper bound alone can prove. These
+    fallback evaluations stay on the pairs ledger — charged to the LOD
+    whose decode failed — and every survivor settles here (confirmed or
+    excluded), so pruned ≤ evaluated holds per LOD in degraded runs too.
+    """
+    ctx.ledger_evaluated(lod, len(s.survivors))
+    confirmed = [
+        sid for sid, _parts in s.survivors
+        if ctx.box_upper_bound(s.tid, sid) <= distance
+    ]
+    ctx.ledger_settled(
+        lod, confirmed=len(confirmed), degraded=len(s.survivors) - len(confirmed)
+    )
+    _confirm(ctx, s, lod, confirmed)
     s.survivors = []
     s.done = True
 
@@ -1163,19 +970,17 @@ def refine_containment(
     """
     matches: list[int] = []
     try:
-        return _refine_containment(ctx, point, candidates, lods, matches)
+        _containment_rounds(ctx, point, candidates, lods, matches)
     except DeadlineExceededError as exc:
         exc.partial = list(matches)
         raise
+    return matches
 
 
-def _refine_containment(
+def _containment_rounds(
     ctx: RefineContext, point, candidates: list[int], lods: tuple[int, ...],
     matches: list[int],
-) -> list[int]:
-    if not lods:
-        return matches
-    top = lods[-1]
+) -> None:
     survivors = list(candidates)
     for lod in lods:
         if not survivors:
@@ -1185,49 +990,33 @@ def _refine_containment(
             "refine", query="containment", lod=lod, survivors=len(survivors)
         ):
             ctx.ledger_evaluated(lod, len(survivors))
+            probes: list = []
+            entries: list[tuple[int, int]] = []
+            for sid in survivors:
+                ctx.checkpoint("containment_pair")
+                dec = ctx._decode_source_or_none(sid, lod)
+                if dec is None:
+                    entries.append((sid, _DEGRADED))  # unverifiable candidate: drop
+                    continue
+                entries.append((sid, len(probes)))
+                probes.append((point, dec.triangles))
+            contained = points_in_polyhedra(probes, checkpoint=ctx.batch_tick)
             remaining = []
-            confirmed = degraded = 0
-            mark = len(matches)
-            if ctx.batched:
-                probes: list = []
-                entries: list[tuple[int, int]] = []
-                for sid in survivors:
-                    ctx.checkpoint("containment_pair")
-                    try:
-                        dec = ctx.decode_source(sid, lod)
-                    except DecodeFailureError:
-                        entries.append((sid, _DEGRADED))
-                        continue
-                    entries.append((sid, len(probes)))
-                    probes.append((point, dec.triangles))
-                contained = points_in_polyhedra(probes, checkpoint=ctx.batch_tick)
-                for sid, code in entries:
-                    if code == _DEGRADED:
-                        degraded += 1  # unverifiable candidate: drop
-                    elif contained[code]:
-                        matches.append(sid)  # inside a subset => inside
-                        confirmed += 1
-                    elif lod < top:
-                        remaining.append(sid)
-            else:
-                for sid in survivors:
-                    ctx.checkpoint("containment_pair")
-                    try:
-                        dec = ctx.decode_source(sid, lod)
-                    except DecodeFailureError:
-                        degraded += 1  # unverifiable candidate: drop
-                        continue
-                    if point_in_polyhedron(point, dec.triangles):
-                        matches.append(sid)  # inside a subset => inside
-                        confirmed += 1
-                    elif lod < top:
-                        remaining.append(sid)
+            confirmed = []
+            degraded = 0
+            for sid, code in entries:
+                if code == _DEGRADED:
+                    degraded += 1
+                elif contained[code]:
+                    confirmed.append(sid)  # inside a subset => inside
+                elif lod < lods[-1]:
+                    remaining.append(sid)
             ctx.ledger_settled(
                 lod,
-                confirmed=confirmed,
+                confirmed=len(confirmed),
                 degraded=degraded,
-                rejected=len(survivors) - len(remaining) - confirmed - degraded,
+                rejected=len(survivors) - len(remaining) - len(confirmed) - degraded,
             )
-            ctx.emit_confirmed(lod, matches[mark:])
+            matches.extend(confirmed)
+            ctx.emit_confirmed(lod, confirmed)
             survivors = remaining
-    return matches

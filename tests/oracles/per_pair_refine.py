@@ -1,0 +1,344 @@
+"""Reference oracle: Algorithms 1 and 2 and point containment, one pair at a time.
+
+These are the per-pair refinement loops the engine shipped before 2.0
+(``batched_refine=False``), kept as the reference the production round
+loop of :mod:`repro.core.refine` is compared against. Each candidate
+pair is decoded and evaluated by its own ``GeometryComputer`` call, one
+target at a time, with no gather step and no fused kernels — the
+simplest thing that implements the paper's pseudo-code, built only on
+public :class:`~repro.core.refine.RefineContext` methods,
+``GeometryComputer.intersects`` / ``min_distance`` and
+``point_in_polyhedron``.
+
+:func:`installed` swaps the oracle into the query strategies of
+:mod:`repro.core.plan` for the duration of a ``with`` block. The swap
+is in-process only: it cannot reach spawned worker processes, so oracle
+runs are serial (``query_workers=1``).
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+
+from repro.core import plan
+from repro.core.errors import DeadlineExceededError, DecodeFailureError
+from repro.core.refine import RefineContext
+from repro.geometry.raycast import point_in_polyhedron
+
+__all__ = [
+    "refine_intersection",
+    "refine_within",
+    "refine_containment",
+    "batch_min_distances",
+    "installed",
+]
+
+
+def _with_partial(results: list[int], run) -> list[int]:
+    """Run a loop that appends to ``results``; a deadline carries them out."""
+    try:
+        run()
+    except DeadlineExceededError as exc:
+        exc.partial = list(results)
+        raise
+    return results
+
+
+# -- pair kernels ------------------------------------------------------------------
+
+
+def _pair_intersects(ctx, dec_t, dec_s, sid, parts, lod) -> bool:
+    kernel_stats: dict = {}
+    if ctx.use_tree:
+        hit = ctx.computer.intersects(
+            dec_t.triangles, dec_s.triangles,
+            tree_a=dec_t.tree, tree_b=dec_s.tree, stats=kernel_stats,
+        )
+    else:
+        tris_s = ctx.source_faces(dec_s, sid, parts)
+        hit = bool(len(tris_s)) and ctx.computer.intersects(
+            dec_t.triangles, tris_s, stats=kernel_stats
+        )
+    ctx.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
+    return hit
+
+
+def _pair_min_distance(ctx, dec_t, dec_s, sid, parts, lod, stop_below) -> float:
+    kernel_stats: dict = {}
+    if ctx.use_tree:
+        dist = ctx.computer.min_distance(
+            dec_t.triangles, dec_s.triangles,
+            tree_a=dec_t.tree, tree_b=dec_s.tree,
+            stop_below=stop_below, stats=kernel_stats,
+        )
+    else:
+        tris_s = ctx.source_faces(dec_s, sid, parts)
+        dist = (
+            ctx.computer.min_distance(
+                dec_t.triangles, tris_s, stop_below=stop_below, stats=kernel_stats
+            )
+            if len(tris_s)
+            else math.inf
+        )
+    ctx.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
+    return dist
+
+
+def batch_min_distances(ctx, dec_t, survivors, lod, stop_below=0.0, target_id=None):
+    """Per-pair stand-in for ``RefineContext.batch_min_distances``.
+
+    An undecodable candidate reports the MBB upper bound and is flagged
+    inexact, as is a degraded decode.
+    """
+    dists: list[float] = []
+    inexact: list[bool] = []
+    for sid, parts in survivors:
+        try:
+            dec_s = ctx.decode_source(sid, lod)
+        except DecodeFailureError:
+            dists.append(ctx.box_upper_bound(target_id, sid))
+            inexact.append(True)
+            continue
+        inexact.append(bool(dec_s.degraded))
+        dists.append(_pair_min_distance(ctx, dec_t, dec_s, sid, parts, lod, stop_below))
+    return dists, inexact
+
+
+# -- Algorithm 1: intersection -------------------------------------------------------
+
+
+def refine_intersection(ctx, target_id: int, candidates: dict) -> list[int]:
+    results: list[int] = []
+    return _with_partial(
+        results, lambda: _intersection(ctx, target_id, candidates, results)
+    )
+
+
+def _intersection(ctx, target_id, candidates, results) -> None:
+    survivors = dict(candidates)
+    top_lod = ctx.lods[-1]
+    for lod in ctx.lods:
+        if not survivors:
+            break
+        ctx.checkpoint("intersection_round")
+        with ctx.tracer.span("refine", query="intersection", lod=lod,
+                             survivors=len(survivors)) as round_span:
+            try:
+                dec_t = ctx.decode_target(target_id, lod)
+            except DecodeFailureError:
+                return
+            ctx.ledger_evaluated(lod, len(survivors))
+            mark = len(results)
+            settled = []
+            degraded = 0
+            for sid, parts in survivors.items():
+                ctx.checkpoint("intersection_pair")
+                try:
+                    dec_s = ctx.decode_source(sid, lod)
+                except DecodeFailureError:
+                    settled.append(sid)  # unconfirmable candidate: drop
+                    degraded += 1
+                    continue
+                if dec_s.num_faces == 0 and lod == top_lod:
+                    # An empty mesh can never be confirmed: settle it here.
+                    ctx.note_degraded("source", sid)
+                    settled.append(sid)
+                    degraded += 1
+                    continue
+                if _pair_intersects(ctx, dec_t, dec_s, sid, parts, lod):
+                    results.append(sid)
+                    settled.append(sid)
+            for sid in settled:
+                del survivors[sid]
+            ctx.ledger_settled(lod, confirmed=len(results) - mark, degraded=degraded)
+            ctx.emit_confirmed(lod, results[mark:])
+            round_span.set(settled=len(settled))
+    if survivors:
+        _containment_stage(ctx, target_id, survivors, results)
+
+
+def _box_contains(outer, inner) -> bool:
+    return bool((outer[0] <= inner[0]).all() and (inner[1] <= outer[1]).all())
+
+
+def _containment_stage(ctx, target_id, survivors, results) -> None:
+    """Algorithm 1 steps 8-12: one object may contain the other entirely."""
+    top_lod = ctx.lods[-1]
+    try:
+        dec_t = ctx.decode_target(target_id, top_lod)
+    except DecodeFailureError:
+        return
+    if dec_t.num_faces == 0:
+        ctx.note_degraded("target", target_id)
+        ctx.ledger_settled(top_lod, degraded=len(survivors))
+        return
+    t_box = ctx.faces_aabb("target", target_id, dec_t)
+    mark = len(results)
+    degraded = 0
+    for sid in survivors:
+        ctx.checkpoint("intersection_containment_pair")
+        try:
+            dec_s = ctx.decode_source(sid, top_lod)
+        except DecodeFailureError:
+            degraded += 1
+            continue
+        if dec_s.num_faces == 0:
+            ctx.note_degraded("source", sid)
+            degraded += 1
+            continue
+        s_box = ctx.faces_aabb("source", sid, dec_s)
+        if _box_contains(t_box, s_box) and point_in_polyhedron(
+            dec_s.triangles[0, 0], dec_t.triangles
+        ):
+            results.append(sid)
+        elif _box_contains(s_box, t_box) and point_in_polyhedron(
+            dec_t.triangles[0, 0], dec_s.triangles
+        ):
+            results.append(sid)
+    confirmed = len(results) - mark
+    ctx.ledger_settled(
+        top_lod,
+        confirmed=confirmed,
+        degraded=degraded,
+        rejected=len(survivors) - confirmed - degraded,
+    )
+    ctx.emit_confirmed(top_lod, results[mark:])
+
+
+# -- Algorithm 2: within -------------------------------------------------------------
+
+
+def refine_within(ctx, target_id: int, candidates: dict, distance: float) -> list[int]:
+    results: list[int] = []
+    return _with_partial(
+        results, lambda: _within(ctx, target_id, candidates, distance, results)
+    )
+
+
+def _within(ctx, target_id, candidates, distance, results) -> None:
+    survivors = list(candidates.items())
+    top_lod = ctx.lods[-1]
+    for lod in ctx.lods:
+        if not survivors:
+            break
+        ctx.checkpoint("within_round")
+        with ctx.tracer.span("refine", query="within", lod=lod,
+                             survivors=len(survivors)) as round_span:
+            mark = len(results)
+            try:
+                dec_t = ctx.decode_target(target_id, lod)
+            except DecodeFailureError:
+                # MBB-only: confirm what the box upper bound alone proves;
+                # every survivor is evaluated and settles at the LOD whose
+                # decode failed.
+                ctx.ledger_evaluated(lod, len(survivors))
+                results.extend(
+                    sid for sid, _parts in survivors
+                    if ctx.box_upper_bound(target_id, sid) <= distance
+                )
+                confirmed = len(results) - mark
+                ctx.ledger_settled(
+                    lod, confirmed=confirmed, degraded=len(survivors) - confirmed
+                )
+                ctx.emit_confirmed(lod, results[mark:])
+                return
+            ctx.ledger_evaluated(lod, len(survivors))
+            dists, inexact = batch_min_distances(
+                ctx, dec_t, survivors, lod, stop_below=distance, target_id=target_id
+            )
+            remaining = []
+            rejected = degraded = 0
+            for (sid, parts), dist, rough in zip(survivors, dists, inexact):
+                if dist <= distance:
+                    results.append(sid)
+                elif lod < top_lod:
+                    remaining.append((sid, parts))
+                elif rough or dec_t.degraded:
+                    degraded += 1  # only an upper bound: a degraded-mode drop
+                else:
+                    rejected += 1
+            survivors = remaining
+            confirmed = len(results) - mark
+            ctx.ledger_settled(
+                lod, confirmed=confirmed, rejected=rejected, degraded=degraded
+            )
+            ctx.emit_confirmed(lod, results[mark:])
+            round_span.set(settled=confirmed + rejected + degraded)
+
+
+# -- point containment ---------------------------------------------------------------
+
+
+def refine_containment(ctx, point, candidates: list[int], lods) -> list[int]:
+    matches: list[int] = []
+    return _with_partial(
+        matches, lambda: _containment(ctx, point, candidates, lods, matches)
+    )
+
+
+def _containment(ctx, point, candidates, lods, matches) -> None:
+    survivors = list(candidates)
+    for lod in lods:
+        if not survivors:
+            break
+        ctx.checkpoint("containment_round")
+        with ctx.tracer.span(
+            "refine", query="containment", lod=lod, survivors=len(survivors)
+        ):
+            ctx.ledger_evaluated(lod, len(survivors))
+            remaining = []
+            degraded = 0
+            mark = len(matches)
+            for sid in survivors:
+                ctx.checkpoint("containment_pair")
+                try:
+                    dec = ctx.decode_source(sid, lod)
+                except DecodeFailureError:
+                    degraded += 1  # unverifiable candidate: drop
+                    continue
+                if point_in_polyhedron(point, dec.triangles):
+                    matches.append(sid)  # inside a subset => inside
+                elif lod < lods[-1]:
+                    remaining.append(sid)
+            confirmed = len(matches) - mark
+            ctx.ledger_settled(
+                lod,
+                confirmed=confirmed,
+                degraded=degraded,
+                rejected=len(survivors) - len(remaining) - confirmed - degraded,
+            )
+            ctx.emit_confirmed(lod, matches[mark:])
+            survivors = remaining
+
+
+# -- installation ----------------------------------------------------------------------
+
+
+@contextmanager
+def installed():
+    """Route every query kind through the oracle for the enclosed block.
+
+    The strategies' ``refine`` hooks call the names bound in
+    :mod:`repro.core.plan`, so those are swapped; group refinement is
+    switched off so the executor walks its per-target loop; and
+    ``RefineContext.batch_min_distances`` — the one evaluation step of
+    Algorithm 3 — becomes the per-pair loop too, which puts NN/kNN on
+    the oracle's kernels without copying ``refine_nn``.
+    """
+    swaps = [
+        (plan, "refine_intersection", refine_intersection),
+        (plan, "refine_within", refine_within),
+        (plan, "refine_containment", refine_containment),
+        (plan.IntersectionStrategy, "supports_group_refine", False),
+        (plan.WithinStrategy, "supports_group_refine", False),
+        (RefineContext, "batch_min_distances", batch_min_distances),
+    ]
+    originals = [(owner, name, owner.__dict__[name]) for owner, name, _new in swaps]
+    for owner, name, new in swaps:
+        setattr(owner, name, new)
+    try:
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)

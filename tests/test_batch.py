@@ -6,10 +6,12 @@ Two layers of properties:
   agree with a plain per-job loop over the fused geometry kernels
   (exactly for intersection; up to early exit for distances), lane
   screening must be invisible, and the flush checkpoint must fire.
-* the engine end to end — ``batched_refine=True`` (the default) must
-  be byte-identical to ``batched_refine=False`` on every query kind,
-  across backends, under injected decode faults, under deadlines
-  (sound subsets), and through the streaming progress hook.
+* the engine end to end — the shipped round loop must be byte-identical
+  to the per-pair reference oracle (``tests/oracles/per_pair_refine``,
+  run on a serial engine) on every query kind, across backends, under
+  injected decode faults, under deadlines (sound subsets), and through
+  the streaming progress hook; and the AABB-tree evaluator must settle
+  every pair exactly where the default evaluator does.
 
 Satellites ride along: the ``_kth_smallest`` heap rewrite, the memoized
 containment-stage AABBs, and uniform degraded accounting.
@@ -21,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import EngineConfig, QuerySpec, ThreeDPro
+from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
 from repro.core.batch import (
     _lane_box_gap_sq,
     _screened_distance,
@@ -29,12 +31,14 @@ from repro.core.batch import (
     batched_any_intersect,
     batched_min_distances,
 )
+from repro.core.errors import EngineConfigError
 from repro.core.refine import RefineContext, _kth_smallest
 from repro.core.stats import QueryStats
 from repro.faults import FaultInjector
 from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
 from repro.parallel import Device, GeometryComputer
+from tests.oracles import per_pair_refine
 
 
 def _soup(rng, n, center, spread=1.0):
@@ -280,13 +284,26 @@ def _build(datasets, **config_kwargs):
     return engine
 
 
+@pytest.fixture
+def oracle_run(datasets):
+    """Run a spec on a serial engine that refines through the per-pair
+    reference oracle (the swap cannot reach spawned workers, so parallel
+    runs of the shipped code are compared with this serial run)."""
+
+    def run(spec, **config_kwargs):
+        with per_pair_refine.installed():
+            return _build(datasets, query_workers=1, **config_kwargs).execute(spec)
+
+    return run
+
+
 def _comparable(result, with_cache):
-    """Everything the two refinement modes must agree on.
+    """Everything the shipped rounds and the oracle must agree on.
 
     Cache counters are deterministic only single-worker: chunk-to-worker
     assignment (and with it cross-chunk cache reuse) is scheduling-
-    dependent under thread/process fan-out in *both* modes, the same
-    exclusion ``test_parallel_query._comparable_counters`` makes.
+    dependent under thread/process fan-out, the same exclusion
+    ``test_parallel_query._comparable_counters`` makes.
     """
     funnel = result.stats.funnel.as_dict()
     if not with_cache:
@@ -303,10 +320,10 @@ def _comparable(result, with_cache):
         "candidates": result.stats.candidates,
         "results": result.stats.results,
         "degraded_objects": result.stats.degraded_objects,
-        # face_pairs_by_lod is deliberately absent: the two modes walk
+        # face_pairs_by_lod is deliberately absent: the oracle walks
         # the same candidate pairs but with different early-exit block
         # granularity, so raw face-pair lane counts differ. Backend
-        # invariance of that counter *within* a mode is covered by
+        # invariance of that counter is covered by
         # test_parallel_query._comparable_counters.
         "pairs_evaluated_by_lod": sorted(result.stats.pairs_evaluated_by_lod.items()),
         "pairs_pruned_by_lod": sorted(result.stats.pairs_pruned_by_lod.items()),
@@ -328,57 +345,58 @@ BACKENDS = [
 ]
 
 
+def _faulted(run, *args, **kwargs):
+    """``run`` under a fresh seed-11 decode-fault injector that must fire."""
+    injector = FaultInjector(seed=11, decode_error_rate=0.3)
+    result = run(*args, fault_injector=injector, **kwargs)
+    assert injector.counts.get("decode", 0) > 0, "no faults fired"
+    return result
+
+
 class TestBatchedMatchesPerPair:
-    """The tentpole property: batched refinement is invisible."""
+    """The tentpole property: the round loop answers as the per-pair
+    oracle does, whatever the grouping."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("spec", PARITY_SPECS, ids=PARITY_IDS)
-    def test_clean_runs_identical(self, datasets, spec, backend):
-        per_pair = _build(datasets, batched_refine=False, **backend).execute(spec)
-        batched = _build(datasets, batched_refine=True, **backend).execute(spec)
+    def test_clean_runs_identical(self, datasets, oracle_run, spec, backend):
+        per_pair = oracle_run(spec)
+        batched = _build(datasets, **backend).execute(spec)
         with_cache = backend.get("query_workers") == 1
         assert _comparable(batched, with_cache) == _comparable(per_pair, with_cache)
         for result in (per_pair, batched):
             assert result.funnel.violations(result.stats, strict=True) == []
 
     @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_process_backend_identical(self, datasets, spec):
+    def test_process_backend_identical(self, datasets, oracle_run, spec):
         backend = {"query_workers": 2, "query_backend": "process"}
-        per_pair = _build(datasets, batched_refine=False, **backend).execute(spec)
-        batched = _build(datasets, batched_refine=True, **backend).execute(spec)
+        per_pair = oracle_run(spec)
+        batched = _build(datasets, **backend).execute(spec)
         assert _comparable(batched, False) == _comparable(per_pair, False)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_faulted_runs_identical(self, datasets, spec, backend):
-        def faulted(batched):
-            injector = FaultInjector(seed=11, decode_error_rate=0.3)
-            engine = _build(
-                datasets, batched_refine=batched, fault_injector=injector, **backend
-            )
-            result = engine.execute(spec)
-            assert injector.counts.get("decode", 0) > 0, "no faults fired"
-            return result
+    def test_faulted_runs_identical(self, datasets, oracle_run, spec, backend):
+        def shipped(spec, **config_kwargs):
+            return _build(datasets, **backend, **config_kwargs).execute(spec)
 
-        per_pair, batched = faulted(False), faulted(True)
+        per_pair, batched = _faulted(oracle_run, spec), _faulted(shipped, spec)
         with_cache = backend.get("query_workers") == 1
         assert _comparable(batched, with_cache) == _comparable(per_pair, with_cache)
         for result in (per_pair, batched):
             assert result.funnel.violations(result.stats, strict=True) == []
 
-    def test_containment_identical(self, datasets, small_scene):
+    def test_containment_identical(self, datasets, oracle_run, small_scene):
         point = tuple(small_scene.nuclei_a[0].vertices.mean(axis=0))
         spec = QuerySpec(kind="containment", source="nuclei_a", point=point)
-        per_pair = _build(datasets, batched_refine=False).execute(spec)
-        batched = _build(datasets, batched_refine=True).execute(spec)
+        per_pair = oracle_run(spec)
+        batched = _build(datasets, query_workers=1).execute(spec)
         assert _comparable(batched, True) == _comparable(per_pair, True)
 
     @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_deadline_partials_are_sound_subsets(self, datasets, spec):
-        reference = _build(datasets, batched_refine=False).execute(spec)
-        partial = _build(datasets, batched_refine=True).execute(
-            replace(spec, deadline_ms=1)
-        )
+    def test_deadline_partials_are_sound_subsets(self, datasets, oracle_run, spec):
+        reference = oracle_run(spec)
+        partial = _build(datasets).execute(replace(spec, deadline_ms=1))
         comp = partial.completeness
         assert comp is not None
         assert comp.targets_total == (
@@ -390,37 +408,39 @@ class TestBatchedMatchesPerPair:
         assert partial.funnel.violations(partial.stats, strict=False) == []
 
     @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_streamed_frames_identical(self, datasets, spec):
-        def frames(batched):
+    def test_streamed_frames_identical(self, datasets, oracle_run, spec):
+        def streamed(run):
             collected = []
-            engine = _build(datasets, batched_refine=batched)
-            engine.execute(
-                replace(spec, progress=lambda tid, lod, m: collected.append(
-                    (tid, lod, list(m))
-                ))
-            )
+            run(replace(spec, progress=lambda tid, lod, m: collected.append(
+                (tid, lod, list(m))
+            )))
             return collected
 
-        assert frames(True) == frames(False)
+        serial = _build(datasets, query_workers=1)
+        threaded = _build(datasets, query_workers=4, query_backend="thread")
+        reference = streamed(oracle_run)
+        assert reference, "nothing streamed"
+        # Serial frames arrive target-major, round by round, exactly as
+        # the oracle emits them; thread chunks interleave, so only the
+        # frame set is comparable there.
+        assert streamed(serial.execute) == reference
+        assert sorted(streamed(threaded.execute)) == sorted(reference)
 
 
 class TestDegradedAccountingUniform:
     """Satellite: source-decode failures settle identically whether they
     surface as a DecodeFailureError or as a zero-face degraded serve —
-    and identically across the batched and per-pair paths."""
+    and identically in the round loop and the per-pair oracle."""
 
     @pytest.mark.parametrize("rate", [0.3, 0.9])
-    def test_source_faults_reconcile(self, datasets, rate):
+    def test_source_faults_reconcile(self, datasets, oracle_run, rate):
         spec = QuerySpec(kind="intersection", source="nuclei_b", target="nuclei_a")
-        results = {}
-        for batched in (False, True):
-            engine = _build(
-                datasets,
-                batched_refine=batched,
-                fault_injector=FaultInjector(seed=11, decode_error_rate=rate),
-            )
-            results[batched] = engine.execute(spec)
-        per_pair, batched = results[False], results[True]
+        per_pair = oracle_run(
+            spec, fault_injector=FaultInjector(seed=11, decode_error_rate=rate)
+        )
+        batched = _build(
+            datasets, fault_injector=FaultInjector(seed=11, decode_error_rate=rate)
+        ).execute(spec)
         assert batched.stats.degraded_objects == per_pair.stats.degraded_objects
         assert batched.degraded_targets == per_pair.degraded_targets
         assert list(batched.pairs.items()) == list(per_pair.pairs.items())
@@ -430,3 +450,65 @@ class TestDegradedAccountingUniform:
             if rate == 0.9:
                 assert result.stats.degraded_objects > 0
                 assert degraded > 0
+
+
+class TestTreeEvaluatorMatchesBase:
+    """``Accel(aabbtree=True)`` is the second evaluator behind the same
+    rounds: dual-tree traversals per job instead of fused waves. It must
+    settle every pair at the LOD, and in the way, the default does
+    (``_comparable``: pairs, pairs ledger, funnel — not face-lane counts)."""
+
+    TREE = Accel(aabbtree=True)
+
+    @pytest.mark.parametrize("backend", [
+        pytest.param({"query_workers": 1}, id="serial"),
+        pytest.param({"query_workers": 4}, id="workers4"),
+    ])
+    @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
+    def test_settlement_identical(self, datasets, spec, backend):
+        base = _build(datasets, **backend).execute(spec)
+        tree = _build(datasets, accel=self.TREE, **backend).execute(spec)
+        with_cache = backend["query_workers"] == 1
+        assert _comparable(tree, with_cache) == _comparable(base, with_cache)
+        assert tree.funnel.violations(tree.stats, strict=True) == []
+
+    @pytest.mark.parametrize("spec", PARITY_SPECS[2:], ids=PARITY_IDS[2:])
+    def test_nearest_neighbors_identical(self, datasets, spec):
+        # Distances may differ in the last ulp (the traversal visits face
+        # pairs in another order than the waves), so compare who matched.
+        def neighbors(result):
+            return {tid: [sid for sid, _d, _x in m] for tid, m in result.pairs.items()}
+
+        base = _build(datasets).execute(spec)
+        tree = _build(datasets, accel=self.TREE).execute(spec)
+        assert neighbors(tree) == neighbors(base)
+
+    def test_faulted_settlement_identical(self, datasets):
+        def run(spec, **config_kwargs):
+            return _build(datasets, query_workers=1, **config_kwargs).execute(spec)
+
+        spec = PARITY_SPECS[0]
+        base = _faulted(run, spec)
+        tree = _faulted(run, spec, accel=self.TREE)
+        assert _comparable(tree, True) == _comparable(base, True)
+
+    def test_tree_matches_the_tree_oracle(self, oracle_run, datasets):
+        # The route change itself: before 2.0 the tree ran on the
+        # per-pair loop the oracle preserves.
+        for spec in PARITY_SPECS[:2]:
+            per_pair = oracle_run(spec, accel=self.TREE)
+            rounds = _build(datasets, query_workers=1, accel=self.TREE).execute(spec)
+            assert _comparable(rounds, True) == _comparable(per_pair, True)
+
+
+class TestBatchedRefineKeywordIsPinned:
+    """``batched_refine`` is no longer a setting: the keyword survives so
+    1.x configurations construct, but only with the one remaining value."""
+
+    @pytest.mark.parametrize("value", [None, True])
+    def test_accepted(self, value):
+        EngineConfig(batched_refine=value)
+
+    def test_false_is_rejected(self):
+        with pytest.raises(EngineConfigError, match="removed in 2.0"):
+            EngineConfig(batched_refine=False)

@@ -180,9 +180,7 @@ class TestContainment:
 
 
 class TestProbeQueries:
-    # Probe queries go through execute(QuerySpec(probe=...)); the
-    # deprecated bare ``*_query`` wrappers are only exercised by the
-    # dedicated deprecation tests in test_query_api.py.
+    # Probe queries go through execute(QuerySpec(probe=...)).
 
     @staticmethod
     def _probe_matches(engine, kind, source, probe, **kwargs):

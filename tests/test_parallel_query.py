@@ -287,7 +287,7 @@ class TestBackendResolution:
 
 
 def _chunk_count(n_targets, workers):
-    """Mirror QueryExecutor._chunk_targets for parent-side roll checks."""
+    """Mirror the executor's equal-size chunking for parent-side roll checks."""
     chunk_size = -(-n_targets // (workers * 4))
     return -(-n_targets // chunk_size)
 

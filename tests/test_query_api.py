@@ -1,8 +1,8 @@
 """The unified declarative query API: QuerySpec -> execute() -> QueryResult.
 
 Covers spec validation/normalization, wrapper equivalence, the
-deprecation path of the bare single-object query forms, result-shape
-behavior, cache eviction, and query-worker resolution.
+single-object (probe / point) query forms, result-shape behavior, cache
+eviction, and query-worker resolution.
 """
 
 import pytest
@@ -134,50 +134,56 @@ class TestExecuteEquivalence:
         assert stats.query == "intersection_join"
 
 
-class TestDeprecatedBareForms:
-    def test_intersection_query_warns_and_matches_spec_form(
-        self, engine, small_scene
-    ):
+class TestSingleObjectForms:
+    """The bare ``*_query`` wrappers are gone in 2.0; a probe spec must
+    answer as the same object joined from a one-object dataset does."""
+
+    @staticmethod
+    def _as_join(engine, probe, **spec_kwargs):
+        from repro.storage import Dataset
+
+        engine.load_dataset(Dataset.from_polyhedra("one_probe", [probe]))
+        return engine.execute(QuerySpec(target="one_probe", **spec_kwargs))
+
+    def test_intersection_probe_matches_join_form(self, engine, small_scene):
         probe = small_scene.nuclei_a[0]
-        with pytest.warns(DeprecationWarning, match="intersection_query"):
-            bare = engine.intersection_query("nuclei_b", probe)
         full = engine.execute(
             QuerySpec(kind="intersection", source="nuclei_b", probe=probe)
         )
-        assert bare == full.matches
+        joined = self._as_join(engine, probe, kind="intersection", source="nuclei_b")
+        assert full.matches == joined.pairs.get(0, [])
 
-    def test_within_query_warns(self, engine, small_scene):
+    def test_within_probe_matches_join_form(self, engine, small_scene):
         probe = small_scene.nuclei_a[1]
-        with pytest.warns(DeprecationWarning, match="within_query"):
-            bare = engine.within_query("nuclei_b", probe, 1.0)
         full = engine.execute(
             QuerySpec(kind="within", source="nuclei_b", probe=probe, distance=1.0)
         )
-        assert bare == full.matches
+        joined = self._as_join(
+            engine, probe, kind="within", source="nuclei_b", distance=1.0
+        )
+        assert full.matches == joined.pairs.get(0, [])
 
-    def test_nn_query_warns(self, engine, small_scene):
+    def test_nn_probe_matches_join_form(self, engine, small_scene):
         probe = small_scene.nuclei_a[2]
-        with pytest.warns(DeprecationWarning, match="nn_query"):
-            bare = engine.nn_query("vessels", probe)
         full = engine.execute(
             QuerySpec(kind="nn", source="vessels", probe=probe)
         )
-        assert bare == (full.matches[0] if full.matches else None)
+        joined = self._as_join(engine, probe, kind="nn", source="vessels")
+        assert full.matches == joined.pairs.get(0, [])
+        assert len(full.matches) == 1
 
-    def test_containment_query_warns(self, engine, small_scene):
+    def test_containment_point_form(self, engine, small_scene):
         point = tuple(float(x) for x in small_scene.nuclei_b[0].vertices.mean(axis=0))
-        with pytest.warns(DeprecationWarning, match="containment_query"):
-            bare_matches, bare_stats = engine.containment_query("nuclei_b", point)
         full = engine.execute(
             QuerySpec(kind="containment", source="nuclei_b", point=point)
         )
-        assert bare_matches == full.matches
-        assert bare_stats.results == full.stats.results
+        assert 0 in full.matches
+        assert full.stats.results == len(full.matches)
 
-    def test_deprecation_names_removal_version(self, engine, small_scene):
-        probe = small_scene.nuclei_a[0]
-        with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-            engine.intersection_query("nuclei_b", probe)
+    def test_bare_forms_are_removed(self, engine):
+        for name in ("intersection_query", "within_query", "nn_query",
+                     "containment_query"):
+            assert not hasattr(engine, name)
 
     def test_probe_spec_returns_stats(self, engine, small_scene):
         """The replacement form keeps the stats the bare form drops."""
