@@ -12,20 +12,6 @@ import pytest
 from repro.bench.workloads import get_workload
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--query-backend",
-        choices=["thread", "process", "both"],
-        default="both",
-        help="query parallelism backend(s) to benchmark (bench_parallel_query)",
-    )
-
-
-@pytest.fixture(scope="session")
-def query_backend_choice(request):
-    return request.config.getoption("--query-backend")
-
-
 @pytest.fixture(scope="session")
 def workload():
     wl = get_workload()

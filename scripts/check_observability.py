@@ -17,24 +17,16 @@ the checked-in golden set:
 5. a fault-injected join keeps the pairs ledger consistent: per LOD,
    pairs pruned never exceed pairs evaluated, and every confirmed result
    was evaluated somewhere — including MBB-fallback confirmations;
-6. the columnar slice decoder agrees with the reference replay decoder
-   byte-for-byte at every LOD of every object in the gate scene, and the
-   O(1) ``face_count_at_lod`` matches the materialized face counts;
-7. a deadline-bounded join reports a ``completeness`` record whose
+6. a deadline-bounded join reports a ``completeness`` record whose
    arithmetic adds up, whose pairs are a sound subset of the undeadlined
    answer, and whose partiality agrees with the root span attributes and
    the ``repro_deadline_exceeded_total`` counter;
-8. the refinement funnel reconciles with the pairs ledger and the query
+7. the refinement funnel reconciles with the pairs ledger and the query
    stats on every query kind — stages are monotonic (settled never
    exceeds evaluated, the confirmed/rejected/degraded split sums to
    settled), per-LOD evaluated/settled equal the ledger exactly, and the
    funnel's total confirmations equal ``stats.results`` — including on a
-   fault-injected run and under the active query backend;
-9. the v3 shard store (``REPRO_STORAGE_BACKEND=shard``: mmap-backed
-   lazy datasets, manifest-handle worker transport) answers byte-for-
-   byte identically to the legacy container store — same pairs, pairs
-   ledger, and funnel — on the intersection and within joins under the
-   active query backend.
+   fault-injected run and under the active query backend.
 
 The numbers are the order ``main()`` runs the checks in.
 
@@ -210,37 +202,6 @@ def check_pairs_ledger(datasets) -> None:
     )
 
 
-def check_decode_equivalence(datasets) -> None:
-    import numpy as np
-
-    from repro.compression import ReplayDecoder
-
-    objects = [obj for ds in datasets.values() for obj in ds.objects]
-    mismatched = count_mismatches = 0
-    lods_checked = 0
-    for obj in objects:
-        ref, cur = ReplayDecoder(obj), obj.decoder()
-        for lod in obj.lods:
-            ref.advance_to(lod)
-            cur.advance_to(lod)
-            lods_checked += 1
-            if not (
-                np.array_equal(ref.face_array(), cur.face_array())
-                and ref.vertices_reinserted == cur.vertices_reinserted
-            ):
-                mismatched += 1
-            if obj.face_count_at_lod(lod) != len(cur.face_array()):
-                count_mismatches += 1
-    check(
-        mismatched == 0,
-        f"slice == replay on all {lods_checked} (object, LOD) pairs",
-    )
-    check(
-        count_mismatches == 0,
-        f"face_count_at_lod matches materialized counts on {lods_checked} pairs",
-    )
-
-
 def check_partial_completeness(datasets, reference) -> None:
     registry = MetricsRegistry()
     engine = ThreeDPro(
@@ -338,57 +299,6 @@ def check_funnel(datasets) -> None:
     check(degraded > 0, f"faulted join books degraded settlements ({degraded})")
 
 
-def check_shard_parity(datasets) -> None:
-    import tempfile
-
-    from repro.core.plan import QuerySpec
-    from repro.storage.store import load_dataset, save_dataset
-
-    specs = [
-        QuerySpec(kind="intersection", source="vessels", target="nuclei_a"),
-        QuerySpec(kind="within", source="vessels", target="nuclei_a", distance=40.0),
-    ]
-    results = {}
-    with tempfile.TemporaryDirectory(prefix="shard-gate-") as tmp:
-        for layout in ("legacy", "shard"):
-            engine = ThreeDPro(
-                EngineConfig(metrics=MetricsRegistry(), storage_backend=layout)
-            )
-            for name, dataset in datasets.items():
-                directory = Path(tmp) / layout / name
-                save_dataset(dataset, directory, layout=layout)
-                engine.load_dataset(load_dataset(directory))
-            results[layout] = [engine.execute(spec) for spec in specs]
-        # Both engines answer from disk-backed stores holding identical
-        # blobs, so every observable must match exactly — the shard
-        # path's lazy mmap materialization may not change one bit.
-        for spec, legacy, shard in zip(specs, results["legacy"], results["shard"]):
-            check(
-                list(shard.pairs.items()) == list(legacy.pairs.items()),
-                f"{spec.kind}: shard pairs identical to legacy store",
-            )
-            check(
-                dict(shard.stats.pairs_evaluated_by_lod)
-                == dict(legacy.stats.pairs_evaluated_by_lod)
-                and dict(shard.stats.pairs_pruned_by_lod)
-                == dict(legacy.stats.pairs_pruned_by_lod),
-                f"{spec.kind}: shard pairs ledger identical to legacy store",
-            )
-            legacy_stage = {
-                lod: (s.evaluated, s.settled, s.confirmed, s.rejected, s.degraded)
-                for lod, s in legacy.funnel.stages.items()
-            }
-            shard_stage = {
-                lod: (s.evaluated, s.settled, s.confirmed, s.rejected, s.degraded)
-                for lod, s in shard.funnel.stages.items()
-            }
-            check(
-                shard_stage == legacy_stage
-                and shard.funnel.candidates == legacy.funnel.candidates,
-                f"{spec.kind}: shard funnel stages identical to legacy store",
-            )
-
-
 def main() -> int:
     print("building datasets...")
     datasets = build_datasets()
@@ -401,13 +311,10 @@ def main() -> int:
         ("disabled-tracing fast path",
          lambda: check_disabled_overhead(datasets, traced_seconds)),
         ("degraded-run pairs ledger", lambda: check_pairs_ledger(datasets)),
-        ("columnar slice decode vs reference replay",
-         lambda: check_decode_equivalence(datasets)),
         ("deadline-bounded partial result consistency",
          lambda: check_partial_completeness(datasets, result)),
         ("refinement funnel vs pairs ledger / query stats",
          lambda: check_funnel(datasets)),
-        ("shard vs legacy storage parity", lambda: check_shard_parity(datasets)),
     ]
     for number, (title, run) in enumerate(checks, start=1):
         print(f"[{number}/{len(checks)}] {title}")

@@ -6,11 +6,7 @@ scale selected by the ``REPRO_BENCH_SCALE`` environment variable:
 
 * ``tiny``   (default) — seconds per cell; CI-friendly;
 * ``small``  — tens of seconds for the worst cells;
-* ``medium`` — minutes; closest to the paper's relative gaps;
-* ``large``  — the memory-ceiling tier: enough objects that per-worker
-  dataset copies visibly dominate process-backend RSS, used by
-  ``benchmarks/bench_shard.py`` to measure the shard store's shared
-  page-cache ceiling. Generation takes minutes; not for CI loops.
+* ``medium`` — minutes; closest to the paper's relative gaps.
 
 All generation is deterministic and cached per process so a benchmark
 session builds each workload exactly once.
@@ -73,16 +69,6 @@ SCALES = {
         region=260.0,
         within_nn=1.2,
         within_nv=18.0,
-    ),
-    "large": BenchScale(
-        name="large",
-        n_nuclei=1000,
-        n_vessels=4,
-        nucleus_subdivisions=2,
-        vessel_spec=VesselSpec(bifurcations=5, points_per_branch=8, segments=12),
-        region=420.0,
-        within_nn=1.2,
-        within_nv=20.0,
     ),
 }
 

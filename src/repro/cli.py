@@ -5,9 +5,8 @@ Commands:
 * ``generate`` — synthesize a tissue scene and persist its datasets;
 * ``compress`` — ingest OFF/STL mesh files into a compressed dataset;
 * ``store``    — dataset directory maintenance; ``store migrate``
-  converts between the legacy v2 container layout and the v3
-  memory-mapped shard layout in place (blobs, ids, and grid preserved
-  byte-for-byte);
+  rewrites a v1/v2 container directory as a v3 memory-mapped shard
+  store in place (blobs, ids, and grid preserved byte-for-byte);
 * ``inspect``  — summarize a dataset directory (objects, LODs, bytes);
 * ``decode``   — export one object at one LOD to OFF or STL;
 * ``query``    — run a join between two dataset directories, or — with
@@ -64,34 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--region", type=float, default=120.0)
     gen.add_argument("--subdivisions", type=int, default=1)
 
-    backend_help = (
-        "on-disk layout for saved datasets: 'shard' (v3 memory-mapped "
-        "shard files, page-cache shared across worker processes) or "
-        "'legacy' (v2 cuboid containers) (default: REPRO_STORAGE_BACKEND "
-        "env or legacy)"
-    )
-    gen.add_argument("--storage-backend", choices=["shard", "legacy"],
-                     default=None, help=backend_help)
-
     comp = sub.add_parser("compress", help="ingest OFF/STL meshes into a dataset")
     comp.add_argument("meshes", type=Path, nargs="+", help="input .off/.stl files")
     comp.add_argument("--output", "-o", type=Path, required=True)
     comp.add_argument("--name", default="dataset")
     comp.add_argument("--max-lods", type=int, default=6)
     comp.add_argument("--quant-bits", type=int, default=16)
-    comp.add_argument("--storage-backend", choices=["shard", "legacy"],
-                      default=None, help=backend_help)
 
     store = sub.add_parser("store", help="dataset directory maintenance")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     mig = store_sub.add_parser(
         "migrate",
-        help="convert a dataset directory between storage layouts in place",
+        help="rewrite a v1/v2 container directory as a v3 shard store in place",
     )
     mig.add_argument("dataset", type=Path, nargs="+",
                      help="dataset directories to migrate")
-    mig.add_argument("--to", choices=["shard", "legacy"], default="shard",
-                     help="target layout (default: shard)")
 
     salvage_help = (
         "load damaged dataset directories best-effort instead of failing "
@@ -265,11 +251,9 @@ def _cmd_generate(args) -> int:
         if not meshes:
             continue
         dataset = Dataset.from_polyhedra(name, meshes, encoder)
-        summary = save_dataset(
-            dataset, args.output / name, layout=args.storage_backend
-        )
+        summary = save_dataset(dataset, args.output / name)
         print(f"{name}: {len(dataset)} objects, {summary['total_bytes']} bytes "
-              f"[{summary['layout']}] -> {args.output / name}")
+              f"-> {args.output / name}")
     return 0
 
 
@@ -277,10 +261,7 @@ def _cmd_compress(args) -> int:
     encoder = PPVPEncoder(max_lods=args.max_lods)
     meshes = [_load_mesh(path) for path in args.meshes]
     dataset = Dataset.from_polyhedra(args.name, meshes, encoder)
-    summary = save_dataset(
-        dataset, args.output, quant_bits=args.quant_bits,
-        layout=args.storage_backend,
-    )
+    summary = save_dataset(dataset, args.output, quant_bits=args.quant_bits)
     flat = sum(m.num_vertices * 24 + m.num_faces * 12 for m in meshes)
     print(f"compressed {len(meshes)} meshes: {flat} flat bytes -> "
           f"{summary['total_bytes']} ({flat / max(summary['total_bytes'], 1):.2f}x)")
@@ -291,15 +272,15 @@ def _cmd_store(args) -> int:
     status = 0
     for path in args.dataset:
         try:
-            summary = migrate_dataset(path, to=args.to)
+            summary = migrate_dataset(path)
         except (StorageError, OSError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             status = 2
             continue
         if not summary["migrated"]:
-            print(f"{path}: already {summary['layout']}, nothing to do")
+            print(f"{path}: already a shard store, nothing to do")
         else:
-            print(f"{path}: migrated to {summary['layout']} "
+            print(f"{path}: migrated to shard "
                   f"({len(summary['files'])} files, "
                   f"{summary['total_bytes']} bytes)")
     return status

@@ -24,7 +24,6 @@ from repro.compression.ppvp import (
     PPVPEncoder,
     ProgressiveDecoder,
     RemovalRecord,
-    ReplayDecoder,
 )
 from repro.compression.serialize import (
     deserialize_object,
@@ -43,7 +42,6 @@ __all__ = [
     "PPVPEncoder",
     "ProgressiveDecoder",
     "RemovalRecord",
-    "ReplayDecoder",
     "deserialize_object",
     "serialize_object",
     "serialized_segment_sizes",

@@ -27,8 +27,8 @@ engine. The decoder no longer replays records through an
 rounds once into a columnar :class:`~repro.compression.lodtable.LODTable`
 (face rows with birth/death decode-step intervals) and a decoder is just
 a monotone cursor slicing that table. The record-by-record replay
-survives as :class:`ReplayDecoder` — the reference implementation the
-equivalence tests and benchmarks compare against.
+survives as the reference implementation the equivalence tests compare
+against (``tests/oracles/replay_decoder.py``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "CompressedObject",
     "PPVPEncoder",
     "ProgressiveDecoder",
-    "ReplayDecoder",
 ]
 
 
@@ -192,7 +191,7 @@ class ProgressiveDecoder:
     and :meth:`face_array` materializes the face set as a sorted
     birth-prefix slice plus a death mask — byte-identical (rows, order,
     orientation, and the accounting above) to the record-by-record
-    :class:`ReplayDecoder` it replaced. Corrupt rounds keep their legacy
+    replay it replaced. Corrupt rounds keep their legacy
     behavior: every step the table compiled decodes normally and an
     advance into the corrupt region raises the original replay error.
     """
@@ -227,52 +226,6 @@ class ProgressiveDecoder:
 
     def face_array(self) -> np.ndarray:
         return self._table.faces_at_step(self._rounds_reinserted)
-
-
-class ReplayDecoder:
-    """Reference decoder: replays removal records through an EditableMesh.
-
-    This is the pre-table implementation, kept as ground truth — the
-    equivalence suite asserts :class:`ProgressiveDecoder` matches it
-    byte-for-byte at every LOD, and the decode benchmark measures the
-    table against it. Not used on any query path.
-    """
-
-    def __init__(self, compressed: CompressedObject):
-        self.compressed = compressed
-        self._mesh = EditableMesh(
-            compressed.positions, map(tuple, compressed.base_faces.tolist())
-        )
-        self._rounds_reinserted = 0
-        self.current_lod = 0
-        self.vertices_reinserted = 0
-
-    def advance_to(self, lod: int) -> int:
-        """Reinsert rounds until ``lod`` is reached; returns vertices added."""
-        target = self.compressed.rounds_reinserted_at(lod)
-        if lod < self.current_lod:
-            raise ValueError(
-                f"decoder is at LOD {self.current_lod}; cannot go back to {lod}"
-            )
-        added = 0
-        rounds = self.compressed.rounds
-        while self._rounds_reinserted < target:
-            # Rounds reinsert in reverse encode order.
-            round_records = rounds[len(rounds) - 1 - self._rounds_reinserted]
-            for record in round_records:
-                self._mesh.reinsert(record.as_vertex_patch())
-            added += len(round_records)
-            self._rounds_reinserted += 1
-        self.current_lod = lod
-        self.vertices_reinserted += added
-        return added
-
-    def polyhedron(self) -> Polyhedron:
-        """Snapshot of the mesh at the current LOD (shares the vertex table)."""
-        return self._mesh.to_polyhedron()
-
-    def face_array(self) -> np.ndarray:
-        return self._mesh.face_array()
 
 
 class PPVPEncoder:

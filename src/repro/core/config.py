@@ -86,15 +86,6 @@ def _parse_backend(env_name: str, raw: str) -> str:
     return value
 
 
-def _parse_storage_backend(env_name: str, raw: str) -> str:
-    value = raw.lower()
-    if value not in ("shard", "legacy"):
-        raise EngineConfigError(
-            f"{env_name} must be 'shard' or 'legacy', got {raw!r}"
-        )
-    return value
-
-
 #: Every setting that resolves through the shared precedence chain.
 SETTINGS: dict[str, Setting] = {
     s.name: s
@@ -105,13 +96,6 @@ SETTINGS: dict[str, Setting] = {
         ),
         Setting("query_backend", "REPRO_QUERY_BACKEND", "thread",
                 parse=_parse_backend),
-        # Persistent-store layout and process-backend transport:
-        # "shard" = v3 memory-mapped cuboid shard files (workers share
-        # read-only pages), "legacy" = v2 cuboid containers with
-        # pickle-spill transport. Reading auto-detects either format;
-        # this selects what *new* saves and spills produce.
-        Setting("storage_backend", "REPRO_STORAGE_BACKEND", "legacy",
-                parse=_parse_storage_backend),
         Setting(
             "deadline_ms", "REPRO_DEADLINE_MS", None,
             parse=_parse_int, check=_check_min("deadline_ms", 1),
@@ -229,13 +213,9 @@ class EngineConfig:
     # The keyword is still accepted, as None or True, so configurations
     # written against 1.x keep constructing; False is rejected.
     batched_refine: bool | None = None
-    # Persistent-store layout + process-backend dataset transport:
-    # "shard" saves v3 memory-mapped cuboid shard stores and ships
-    # in-memory datasets to workers as shard spills (workers mmap the
-    # shards read-only and share OS page cache); "legacy" keeps the v2
-    # cuboid containers and whole-dataset pickle-spill. Loading always
-    # auto-detects the on-disk format regardless of this setting. None
-    # defers to REPRO_STORAGE_BACKEND, then "legacy".
+    # Not a setting either: v3 shard stores are the only layout written
+    # and the only process-backend dataset transport (repro.storage.store).
+    # Accepted as None or "shard"; "legacy" is rejected.
     storage_backend: str | None = None
     # FPR may settle a nearest neighbor before its exact distance is
     # known (the result carries an upper bound). Setting this forces a
@@ -298,10 +278,12 @@ class EngineConfig:
                 f"query_backend must be None, 'thread', or 'process', "
                 f"got {self.query_backend!r}"
             )
-        if self.storage_backend not in (None, "shard", "legacy"):
+        if self.storage_backend not in (None, "shard"):
             raise EngineConfigError(
-                f"storage_backend must be None, 'shard', or 'legacy', "
-                f"got {self.storage_backend!r}"
+                f"storage_backend must be None or 'shard', got "
+                f"{self.storage_backend!r}: the legacy layout and pickle "
+                f"transport were removed in 2.0 (`repro store migrate DIR` "
+                f"converts a v1/v2 directory)"
             )
         if self.batched_refine not in (None, True):
             raise EngineConfigError(
@@ -354,7 +336,3 @@ class EngineConfig:
     def resolve_query_backend(self) -> str:
         """The effective parallel backend: ``"thread"`` or ``"process"``."""
         return resolve_setting("query_backend", config=self)
-
-    def resolve_storage_backend(self) -> str:
-        """The effective store layout / transport: ``"shard"`` or ``"legacy"``."""
-        return resolve_setting("storage_backend", config=self)

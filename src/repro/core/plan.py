@@ -513,8 +513,9 @@ class KindStrategy:
     def target_chunks(self, plan: QueryPlan, tids, chunk_size: int) -> list:
         """Contiguous chunks of ``tids`` for scatter-gather fan-out.
 
-        Legacy datasets get plain equal-size slices — the historical
-        shape, which chunk-keyed chaos injection depends on. When the
+        In-memory datasets (and v1/v2 container loads) get plain
+        equal-size slices — the historical shape, which chunk-keyed
+        chaos injection depends on. When the
         target dataset is shard-backed, cuts are aligned to cuboid
         boundaries instead (``tids`` is already in flattened-cuboid
         order, so boundary-aligned cuts stay contiguous and the

@@ -22,8 +22,7 @@ The result is a :class:`ProfileReport`: ``(phase, stack) -> samples``.
 ``to_collapsed()`` emits Brendan Gregg's collapsed-stack text (feed it
 to ``flamegraph.pl`` or https://speedscope.app), ``top_self()`` is the
 top-N self-time table, and ``phase_counts()`` gives per-phase sample
-shares directly comparable to span ``phase_totals`` — the
-``bench_regress`` harness asserts they agree within 15%.
+shares directly comparable to span ``phase_totals``.
 
 Reports are picklable and mergeable: process-backend workers profile
 their own chunks and ship the per-chunk report back inside

@@ -9,27 +9,24 @@ pool of **worker processes**, each owning a full engine — its own
 ``DecodeCache``, decoders, R-tree, and metrics registry.
 
 Dataset transport
-    A dataset loaded from disk (``Dataset.source_dir`` set) is reopened
-    by each worker from its directory — what crosses the process
-    boundary is a tiny :class:`DatasetManifest` handle (name + path +
-    load mode), never object bytes. A v3 shard store the parent loaded
-    cleanly is strict-loaded *lazily* (``verify="lazy"``): each worker
-    memory-maps the shards and faults in only the blobs its chunks
-    decode, and every worker on the machine shares those pages through
-    the OS page cache — resident memory stays O(dataset), not
-    O(workers × dataset). Legacy v2 stores (and any store whose parent
-    load was not clean) reload in salvage mode — deterministic, so a
-    clean store loads identically to strict mode and a damaged store
-    reproduces the parent's salvage outcome.
+    Every dataset reaches a worker as a store path: what crosses the
+    process boundary is a tiny :class:`DatasetManifest` handle (name +
+    path + load mode), never object bytes. A v3 shard store the parent
+    loaded cleanly is strict-loaded *lazily* (``verify="lazy"``): each
+    worker memory-maps the shards and faults in only the blobs its
+    chunks decode, and every worker on the machine shares those pages
+    through the OS page cache — resident memory stays O(dataset), not
+    O(workers × dataset). Anything else loaded from disk (a v1/v2
+    container directory, a store whose parent load was not clean)
+    reloads in salvage mode — deterministic, so a clean store loads
+    identically to strict mode and a damaged store reproduces the
+    parent's salvage outcome.
 
-    An in-memory dataset is *spilled* once. Under
-    ``REPRO_STORAGE_BACKEND=shard`` the spill is a pickle-codec v3
-    shard store (:func:`~repro.storage.store.spill_dataset`: exact
-    object round-trip, mmap-shared, lazily unpickled per touched
-    object); under the legacy backend it is a single pickle file the
-    workers unpickle whole. Either spill round-trips objects exactly —
-    the serialized store format re-quantizes positions and would
-    perturb results. Compiled
+    An in-memory dataset is *spilled* once to a pickle-codec shard
+    store (:func:`~repro.storage.store.spill_dataset`) and then opened
+    like any other clean shard store. The pickle codec round-trips
+    objects exactly — the serialized store format re-quantizes
+    positions and would perturb results. Compiled
     :class:`~repro.compression.lodtable.LODTable` columnar decode
     tables are immutable and pickle with their objects, so any table
     the parent already built ships in the spill; workers compile the
@@ -153,16 +150,15 @@ class ProcessBackendUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """How a worker obtains one dataset: reload from the store, or unpickle.
+    """How a worker obtains one dataset: the store directory to open.
 
     ``mode`` selects the worker's load: ``"strict"`` (lazy shard load,
     ``verify="lazy"`` so only touched blobs are CRC-checked and
-    deserialized) for stores the parent loaded cleanly, ``"salvage"``
-    otherwise. Irrelevant for ``kind="spill"`` pickle files.
+    deserialized) for clean shard stores — spills included —
+    ``"salvage"`` otherwise.
     """
 
     name: str
-    kind: str  # "store" | "spill"
     path: str
     mode: str = "salvage"  # "strict" | "salvage"
 
@@ -212,10 +208,10 @@ _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
 _SPILL_DIR: str | None = None
-# (id(dataset), storage backend) -> spill path; entries are removed by
-# a weakref.finalize when the dataset is collected, so a recycled id can
-# never alias a stale spill file.
-_SPILLS: dict[tuple[int, str], str] = {}
+# id(dataset) -> spill directory; entries are removed by a
+# weakref.finalize when the dataset is collected, so a recycled id can
+# never alias a stale spill.
+_SPILLS: dict[int, str] = {}
 
 
 def _ensure_importable() -> None:
@@ -363,35 +359,25 @@ def _spill_dir() -> str:
     return _SPILL_DIR
 
 
-def _manifest_for(dataset, backend: str = "legacy") -> DatasetManifest:
+def _manifest_for(dataset) -> DatasetManifest:
     if dataset.source_dir is not None:
         # Shard stores the parent loaded cleanly strict-load lazily in
-        # the workers; anything else (legacy v2, damaged stores)
+        # the workers; anything else (v1/v2 containers, damaged stores)
         # reloads in deterministic salvage mode.
         report = dataset.load_report
         clean = report is None or report.ok
         mode = "strict" if (dataset.shard_source is not None and clean) else "salvage"
-        return DatasetManifest(dataset.name, "store", dataset.source_dir, mode)
-    key = (id(dataset), backend)
+        return DatasetManifest(dataset.name, dataset.source_dir, mode)
+    key = id(dataset)
     path = _SPILLS.get(key)
     if path is None:
-        if backend == "shard":
-            from repro.storage.store import spill_dataset
+        from repro.storage.store import spill_dataset
 
-            path = os.path.join(_spill_dir(), f"spill-{uuid.uuid4().hex}")
-            spill_dataset(dataset, path)
-            kind, mode = "store", "strict"
-        else:
-            path = os.path.join(_spill_dir(), f"spill-{uuid.uuid4().hex}.pkl")
-            with open(path, "wb") as fh:
-                pickle.dump(dataset, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            kind, mode = "spill", "salvage"
+        path = os.path.join(_spill_dir(), f"spill-{uuid.uuid4().hex}")
+        spill_dataset(dataset, path)
         _SPILLS[key] = path
         weakref.finalize(dataset, _SPILLS.pop, key, None)
-    else:
-        kind = "spill" if path.endswith(".pkl") else "store"
-        mode = "salvage" if kind == "spill" else "strict"
-    return DatasetManifest(dataset.name, kind, path, mode)
+    return DatasetManifest(dataset.name, path, "strict")
 
 
 def _worker_config(config):
@@ -434,16 +420,14 @@ def execute_chunks(engine, plan, chunks: list, deadline=None) -> list:
     affected chunks. Worker-side query errors (``EngineError``)
     propagate as themselves.
     """
-    from repro.core.config import resolve_setting
     from repro.core.errors import EngineError
 
     try:
         config = _worker_config(engine.config)
-        backend = resolve_setting("storage_backend", config=engine.config)
         records = {plan.target.dataset.name: plan.target.dataset}
         records[plan.source.dataset.name] = plan.source.dataset
         manifests = tuple(
-            _manifest_for(records[name], backend) for name in sorted(records)
+            _manifest_for(records[name]) for name in sorted(records)
         )
         blob = pickle.dumps((config, manifests), protocol=pickle.HIGHEST_PROTOCOL)
         import hashlib
@@ -636,19 +620,12 @@ _WORKER_ENGINES: "OrderedDict[bytes, object]" = OrderedDict()
 def _load_manifest(manifest: DatasetManifest):
     dataset = _WORKER_DATASETS.get(manifest)
     if dataset is None:
-        if manifest.kind == "store":
-            from repro.storage.store import load_dataset
+        from repro.storage.store import load_dataset
 
-            if manifest.mode == "strict":
-                # Lazy shard load: mmap the shards, CRC-check and
-                # unpickle/deserialize only the blobs this worker's
-                # chunks actually touch.
-                dataset = load_dataset(manifest.path, mode="strict", verify="lazy")
-            else:
-                dataset = load_dataset(manifest.path, mode="salvage")
-        else:
-            with open(manifest.path, "rb") as fh:
-                dataset = pickle.load(fh)
+        # Strict loads are lazy: mmap the shards, CRC-check and
+        # unpickle/deserialize only the blobs this worker's chunks
+        # actually touch (salvage loads read everything regardless).
+        dataset = load_dataset(manifest.path, mode=manifest.mode, verify="lazy")
         _WORKER_DATASETS[manifest] = dataset
     return dataset
 

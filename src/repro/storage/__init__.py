@@ -6,10 +6,10 @@ geometry is recycled through a byte-budgeted LRU cache keyed by
 ``(object, LOD)``, so spatially batched queries almost never decode the
 same representation twice (Table 2).
 
-Two on-disk layouts are supported: legacy v2 cuboid containers
-(:mod:`repro.storage.fileformat`, loaded eagerly) and v3 memory-mapped
-shard files (:mod:`repro.storage.shardfile`, loaded lazily and shared
-read-only across worker processes through the OS page cache).
+One on-disk layout is written: v3 memory-mapped shard files
+(:mod:`repro.storage.shardfile`), loaded lazily and shared read-only
+across worker processes through the OS page cache. v1/v2 cuboid
+containers from older releases (:mod:`repro.storage.fileformat`) still load.
 """
 
 from repro.storage.cache import DecodeCache, DecodedLOD, DecodedObjectProvider
@@ -18,7 +18,6 @@ from repro.storage.fileformat import (
     BlobFault,
     read_cuboid_file,
     salvage_cuboid_file,
-    write_cuboid_file,
 )
 from repro.storage.shardfile import (
     SHARD_FORMAT_VERSION,
@@ -46,7 +45,6 @@ __all__ = [
     "BlobFault",
     "read_cuboid_file",
     "salvage_cuboid_file",
-    "write_cuboid_file",
     "SHARD_FORMAT_VERSION",
     "ShardEntry",
     "ShardReader",

@@ -1,13 +1,15 @@
-"""Cuboid container files.
+"""Cuboid container files (formats v1 and v2): a load-only legacy format.
 
-One file per cuboid, holding the serialized blobs of every object that
-lives in that cuboid ("the compressed data for the objects in the same
-cuboid are stored in the same file", Section 5.3). The format is a
-magic-tagged length-prefixed concatenation so a cuboid loads with one
-sequential read into contiguous memory.
+Stores written before the v3 shard layout (:mod:`repro.storage.shardfile`)
+hold one container file per cuboid: the serialized blobs of every object
+that lives in that cuboid as a magic-tagged length-prefixed
+concatenation. Nothing in this package writes them any more — the
+readers here keep old directories loadable (strict and salvage) and let
+``repro store migrate`` convert them; the reference *writer* lives with
+the tests that build such fixtures (``tests/oracles/legacy_store.py``).
 
-Format v2 adds integrity metadata so corruption is *detected* instead of
-parsed into garbage geometry:
+Format v2 carries integrity metadata so corruption is *detected* instead
+of parsed into garbage geometry:
 
 * each index entry carries the CRC32 of its blob, and
 * the file ends with a 4-byte little-endian CRC32 of every preceding
@@ -25,21 +27,18 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.compression.varint import read_uvarint, write_uvarint
+from repro.compression.varint import read_uvarint
 from repro.core.errors import BlobChecksumError, CuboidFormatError
 
 __all__ = [
-    "write_cuboid_file",
     "read_cuboid_file",
     "salvage_cuboid_file",
     "BlobFault",
     "CuboidFormatError",
     "BlobChecksumError",
-    "CUBOID_FORMAT_VERSION",
 ]
 
 _MAGIC = b"3DPC"
-CUBOID_FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 
 
@@ -50,36 +49,6 @@ class BlobFault:
     object_id: int | None
     reason: str
     blob: bytes | None = None  # raw (corrupt) bytes, for object-level salvage
-
-
-def write_cuboid_file(
-    path, blobs: list[bytes], object_ids: list[int], version: int = CUBOID_FORMAT_VERSION
-) -> int:
-    """Write object blobs with their dataset-global ids; returns bytes written.
-
-    ``version=1`` reproduces the legacy checksum-free layout (kept for
-    back-compat tests and for reading datasets written before v2).
-    """
-    if len(blobs) != len(object_ids):
-        raise ValueError("blobs and object_ids must align")
-    if version not in _SUPPORTED_VERSIONS:
-        raise ValueError(f"unsupported cuboid format version {version}")
-    out = bytearray()
-    out += _MAGIC
-    out.append(version)
-    write_uvarint(out, len(blobs))
-    for obj_id, blob in zip(object_ids, blobs):
-        write_uvarint(out, obj_id)
-        write_uvarint(out, len(blob))
-        if version >= 2:
-            write_uvarint(out, zlib.crc32(blob))
-    for blob in blobs:
-        out += blob
-    if version >= 2:
-        out += zlib.crc32(bytes(out)).to_bytes(4, "little")
-    data = bytes(out)
-    Path(path).write_bytes(data)
-    return len(data)
 
 
 def _parse_index(data: bytes, path, version: int) -> tuple[list[int], list[int], list[int], int]:

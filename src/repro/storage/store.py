@@ -2,26 +2,26 @@
 
 A :class:`Dataset` is the unit the query engine loads: a named list of
 compressed objects, their MBBs (read straight off the compressed
-headers), and the cuboid grid that batches them. ``save_dataset`` /
-``load_dataset`` persist a dataset in one of two layouts, selected
-through the shared :func:`~repro.core.config.resolve_setting` chain
-(``REPRO_STORAGE_BACKEND``):
+headers), and the cuboid grid that batches them.
 
-* ``legacy`` — one v2 cuboid container file per non-empty cuboid
-  (:mod:`repro.storage.fileformat`), loaded eagerly;
-* ``shard`` — one v3 memory-mapped shard file per non-empty cuboid
-  (:mod:`repro.storage.shardfile`) whose index carries the planning
-  metadata (AABB, LOD ladder, per-LOD face counts). Loading is *lazy*:
-  objects come back as :class:`ShardBackedObject` proxies that answer
-  every pre-decode question from the index and materialize their blob —
-  a zero-copy ``memoryview`` over the shared mapping — only when a
-  query actually decodes them. All readers of one shard share physical
-  pages through the OS page cache, which is what lets every process
-  worker open the same dataset for ~zero private memory.
+There is one on-disk layout, the paper's uniform per-cuboid format
+(Section 5.3): one v3 memory-mapped shard file per non-empty cuboid
+(:mod:`repro.storage.shardfile`) whose index carries the planning
+metadata (AABB, LOD ladder, per-LOD face counts), plus a manifest. One
+writer produces it: :func:`save_dataset` stores serialized blobs,
+:func:`spill_dataset` exact pickles (the process backend's transport
+for datasets that never touched disk). Loading is *lazy*: objects come
+back as :class:`ShardBackedObject` proxies that answer every pre-decode
+question from the index and materialize their blob — a zero-copy
+``memoryview`` over the shared mapping — only when a query actually
+decodes them. All readers of one shard share physical pages through the
+OS page cache, which is what lets every process worker open the same
+dataset for ~zero private memory.
 
-Loading auto-detects the on-disk format (v1/v2 containers and v3
-shards all load); :func:`migrate_dataset` converts a directory between
-layouts in place, preserving blobs, ids, and the grid byte-for-byte.
+v1/v2 cuboid container directories written by older releases
+(:mod:`repro.storage.fileformat`) remain supported *input*: loading
+auto-detects them (eagerly), and :func:`migrate_dataset` rewrites one
+as a v3 store in place, preserving blobs, ids, and the grid.
 
 Loading runs in one of two modes:
 
@@ -36,7 +36,7 @@ Loading runs in one of two modes:
   :func:`~repro.compression.serialize.salvage_object_blob`), surviving
   objects are renumbered contiguously, and the whole outcome is
   reported in a structured :class:`LoadReport` — the *same* report
-  structure and per-blob CRC granularity for both layouts.
+  structure and per-blob CRC granularity for every format version.
 """
 
 from __future__ import annotations
@@ -63,11 +63,7 @@ from repro.geometry.aabb import AABB
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
 from repro.storage.cuboid import CuboidGrid
-from repro.storage.fileformat import (
-    read_cuboid_file,
-    salvage_cuboid_file,
-    write_cuboid_file,
-)
+from repro.storage.fileformat import read_cuboid_file, salvage_cuboid_file
 from repro.storage.shardfile import (
     ShardReader,
     salvage_shard_file,
@@ -87,7 +83,8 @@ __all__ = [
 
 _MANIFEST = "manifest.json"
 _MODES = ("strict", "salvage")
-_LAYOUTS = ("shard", "legacy")
+#: Shard codec -> blob decoder (``pickle`` blobs are only ever our own spills).
+_DECODERS = {"3dpr": deserialize_object, "pickle": pickle.loads}
 
 _LOG = get_logger("storage.store")
 
@@ -231,9 +228,7 @@ class ShardSet:
                 blob = bytes(view)
             finally:
                 view.release()
-        if self.codec == "pickle":
-            return pickle.loads(blob)
-        return deserialize_object(blob)
+        return _DECODERS[self.codec](blob)
 
     def close(self) -> None:
         """Close every open reader (raises if exported slices are alive)."""
@@ -335,12 +330,12 @@ class Dataset:
     load_report: LoadReport | None = field(default=None, repr=False, compare=False)
     # Directory this dataset was loaded from (set by load_dataset, None
     # for in-memory datasets). Worker processes of the process query
-    # backend reopen the dataset from here — legacy stores always in
-    # salvage mode (deterministic either way), shard stores lazily in
-    # strict mode when the parent's load was clean.
+    # backend reopen the dataset from here — shard stores lazily in
+    # strict mode when the parent's load was clean, anything else in
+    # salvage mode (deterministic either way).
     source_dir: str | None = field(default=None, repr=False, compare=False)
     # The open shard handles when this dataset was loaded from a v3
-    # store (None for legacy stores and in-memory datasets). Pickles as
+    # store (None for v1/v2 stores and in-memory datasets). Pickles as
     # a path handle; readers reopen on the far side.
     shard_source: ShardSet | None = field(
         default=None, repr=False, compare=False
@@ -435,6 +430,67 @@ def _object_meta(obj) -> tuple:
     )
 
 
+def _write_shards(directory: Path, groups, codec: str) -> tuple[dict, dict]:
+    """Write one v3 shard per ``(cuboid_id, object_ids, blobs, metas)`` group.
+
+    Returns ``(files, index_fields)``: per-file byte sizes and the
+    manifest fields that describe the shard layout.
+    """
+    files = {}
+    shards = {}
+    for cuboid_id, object_ids, blobs, metas in groups:
+        filename = f"shard_{cuboid_id:06d}.3dps"
+        files[filename] = write_shard_file(
+            directory / filename, blobs, object_ids, metas, codec=codec
+        )
+        shards[filename] = {"cuboid": cuboid_id, "objects": list(object_ids)}
+    return files, {
+        "format_version": 3,
+        "codec": codec,
+        "shards": shards,
+        "objects": {
+            str(obj_id): meta["cuboid"]
+            for _, meta in sorted(shards.items())
+            for obj_id in meta["objects"]
+        },
+    }
+
+
+def _write_store(dataset: Dataset, directory, encode, codec: str, extra: dict) -> dict:
+    """The store writer: one shard per non-empty cuboid plus the manifest.
+
+    ``encode(key, obj)`` produces one object's blob (``key`` is its
+    ``"{cuboid}:{object}"`` identity); ``extra`` is the manifest's
+    account of how blobs were produced.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    batches = dataset.grid.assign(dataset.boxes) if len(dataset) else {}
+
+    groups = (
+        (
+            cuboid_id,
+            object_ids,
+            [encode(f"{cuboid_id}:{i}", dataset.objects[i]) for i in object_ids],
+            [_object_meta(dataset.objects[i]) for i in object_ids],
+        )
+        for cuboid_id, object_ids in sorted(batches.items())
+    )
+    files, index_fields = _write_shards(directory, groups, codec)
+    manifest = {
+        "name": dataset.name,
+        "num_objects": len(dataset),
+        "grid_shape": list(dataset.grid_shape),
+        "grid_low": list(dataset.grid.bounds.low) if len(dataset) else [0.0, 0.0, 0.0],
+        "grid_high": list(dataset.grid.bounds.high) if len(dataset) else [1.0, 1.0, 1.0],
+        "files": sorted(files),
+        **extra,
+        **index_fields,
+    }
+    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
+    return {"total_bytes": sum(files.values()), "files": files}
+
+
 def save_dataset(
     dataset: Dataset,
     directory,
@@ -443,128 +499,52 @@ def save_dataset(
     fault_injector=None,
     layout: str | None = None,
 ) -> dict:
-    """Persist a dataset: one cuboid/shard file per non-empty cuboid + manifest.
+    """Persist a dataset: one shard file per non-empty cuboid + manifest.
 
-    ``layout`` picks the on-disk format (``"shard"`` or ``"legacy"``)
-    and resolves through the shared setting chain when ``None``
-    (``REPRO_STORAGE_BACKEND``, default legacy). ``fault_injector``
-    (a :class:`repro.faults.FaultInjector`) may flip bits in serialized
-    blobs before they hit disk — the deterministic corruption source the
-    chaos tests load back in salvage mode; corruption keys are
-    ``"{cuboid}:{object}"`` under either layout.
+    ``fault_injector`` (a :class:`repro.faults.FaultInjector`) may flip
+    bits in serialized blobs before they hit disk — the deterministic
+    corruption source for chaos tests that load the store back in
+    salvage mode; corruption keys are ``"{cuboid}:{object}"``.
+    ``layout`` is not a choice (v3 shards are the only layout written):
+    ``None`` and ``"shard"`` are accepted so 1.x code keeps working.
 
     Returns a summary dict with total bytes and per-file sizes.
     """
-    from repro.core.config import resolve_setting
+    if layout not in (None, "shard"):
+        raise ValueError(
+            f"layout must be None or 'shard', got {layout!r}: the legacy "
+            f"layout is load-only since 2.0 (`repro store migrate DIR` "
+            f"converts a v1/v2 directory)"
+        )
 
-    layout = resolve_setting("storage_backend", override=layout)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    batches = dataset.grid.assign(dataset.boxes) if len(dataset) else {}
-
-    files = {}
-    shards = {}
-    total = 0
-    for cuboid_id in sorted(batches):
-        object_ids = batches[cuboid_id]
-        objects = [dataset.objects[i] for i in object_ids]
-        blobs = [
-            serialize_object(obj, quant_bits=quant_bits, backend=backend)
-            for obj in objects
-        ]
+    def encode(key, obj):
+        blob = serialize_object(obj, quant_bits=quant_bits, backend=backend)
         if fault_injector is not None:
-            blobs = [
-                fault_injector.corrupt_blob(blob, key=f"{cuboid_id}:{obj_id}")
-                for obj_id, blob in zip(object_ids, blobs)
-            ]
-        if layout == "shard":
-            filename = f"shard_{cuboid_id:06d}.3dps"
-            metas = [_object_meta(obj) for obj in objects]
-            size = write_shard_file(directory / filename, blobs, object_ids, metas)
-            shards[filename] = {"cuboid": cuboid_id, "objects": list(object_ids)}
-        else:
-            filename = f"cuboid_{cuboid_id:06d}.3dpc"
-            size = write_cuboid_file(directory / filename, blobs, object_ids)
-        files[filename] = size
-        total += size
+            blob = fault_injector.corrupt_blob(blob, key=key)
+        return blob
 
-    manifest = {
-        "name": dataset.name,
-        "num_objects": len(dataset),
-        "grid_shape": list(dataset.grid_shape),
-        "grid_low": list(dataset.grid.bounds.low) if len(dataset) else [0.0, 0.0, 0.0],
-        "grid_high": list(dataset.grid.bounds.high) if len(dataset) else [1.0, 1.0, 1.0],
-        "files": sorted(files),
-        "quant_bits": quant_bits,
-        "backend": backend,
-    }
-    if layout == "shard":
-        manifest["format_version"] = 3
-        manifest["codec"] = "3dpr"
-        manifest["shards"] = shards
-        manifest["objects"] = {
-            str(obj_id): meta["cuboid"]
-            for filename, meta in sorted(shards.items())
-            for obj_id in meta["objects"]
-        }
-    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
-    return {"total_bytes": total, "files": files, "layout": layout}
+    return _write_store(
+        dataset, directory, encode, "3dpr",
+        {"quant_bits": quant_bits, "backend": backend},
+    )
 
 
 def spill_dataset(dataset: Dataset, directory) -> dict:
-    """Spill an in-memory dataset to a pickle-codec v3 shard store.
+    """Spill an in-memory dataset to a pickle-codec shard store.
 
-    The process backend's shard transport for datasets that never
-    touched disk: objects are pickled *exactly* (no re-serialization,
-    which would re-quantize positions and perturb results) into one
-    shard per cuboid, and the manifest carries ``degraded_ids`` so
-    salvage-born datasets keep their degraded marks. Workers
-    strict-load the directory lazily and unpickle only the objects
-    their chunk actually decodes.
+    The process backend's transport for datasets that never touched
+    disk: objects are pickled *exactly* (no re-serialization, which
+    would re-quantize positions and perturb results), and the manifest
+    carries ``degraded_ids`` so salvage-born datasets keep their
+    degraded marks. Workers strict-load the directory lazily and
+    unpickle only the objects their chunk actually decodes.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    batches = dataset.grid.assign(dataset.boxes) if len(dataset) else {}
-
-    files = {}
-    shards = {}
-    total = 0
-    for cuboid_id in sorted(batches):
-        object_ids = batches[cuboid_id]
-        objects = [dataset.objects[i] for i in object_ids]
-        blobs = [
-            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL) for obj in objects
-        ]
-        metas = [_object_meta(obj) for obj in objects]
-        filename = f"shard_{cuboid_id:06d}.3dps"
-        size = write_shard_file(
-            directory / filename, blobs, object_ids, metas, codec="pickle"
-        )
-        shards[filename] = {"cuboid": cuboid_id, "objects": list(object_ids)}
-        files[filename] = size
-        total += size
-
-    manifest = {
-        "format_version": 3,
-        "codec": "pickle",
-        "name": dataset.name,
-        "num_objects": len(dataset),
-        "grid_shape": list(dataset.grid_shape),
-        "grid_low": list(dataset.grid.bounds.low) if len(dataset) else [0.0, 0.0, 0.0],
-        "grid_high": list(dataset.grid.bounds.high) if len(dataset) else [1.0, 1.0, 1.0],
-        "files": sorted(files),
-        "shards": shards,
-        "objects": {
-            str(obj_id): meta["cuboid"]
-            for filename, meta in sorted(shards.items())
-            for obj_id in meta["objects"]
-        },
-        "degraded_ids": sorted(dataset.degraded_ids),
-        "quant_bits": None,
-        "backend": "pickle",
-    }
-    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
-    return {"total_bytes": total, "files": files, "layout": "shard"}
+    return _write_store(
+        dataset, directory,
+        lambda _key, obj: pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
+        "pickle",
+        {"degraded_ids": sorted(dataset.degraded_ids)},
+    )
 
 
 # -- loading -------------------------------------------------------------------
@@ -596,21 +576,20 @@ def load_dataset(directory, mode: str = "strict", verify: str = "eager") -> Data
         objects_expected=manifest["num_objects"],
         files_total=len(manifest["files"]),
     )
-    version = int(manifest.get("format_version", 2))
-    if version >= 3:
-        return _load_shard_dataset(directory, manifest, mode, verify, report)
+    shards = None
+    if int(manifest.get("format_version", 2)) >= 3:
+        shards = ShardSet(directory, codec=manifest.get("codec", "3dpr"))
 
     if mode == "strict":
-        slots: dict[int, CompressedObject] = {}
-        for filename in manifest["files"]:
-            for obj_id, blob in read_cuboid_file(directory / filename):
-                slots[obj_id] = deserialize_object(blob)
-            report.files_loaded += 1
-        objects = _check_strict_slots(slots, manifest)
-        degraded_ids: frozenset = frozenset()
-    else:
+        objects = _load_strict(directory, manifest, shards, verify, report)
+        degraded_ids = frozenset(manifest.get("degraded_ids", ()))
+    elif shards is None:
         objects, degraded_ids = _load_salvage(
             directory, manifest, report, salvage_cuboid_file, deserialize_object
+        )
+    else:
+        objects, degraded_ids = _load_salvage(
+            directory, manifest, report, salvage_shard_file, _DECODERS[shards.codec]
         )
 
     report.objects_loaded = len(objects)
@@ -623,19 +602,35 @@ def load_dataset(directory, mode: str = "strict", verify: str = "eager") -> Data
         degraded_ids=degraded_ids,
         load_report=report,
         source_dir=str(directory),
+        shard_source=shards,
     )
-    dataset._grid = _manifest_grid(manifest)
-    return dataset
-
-
-def _manifest_grid(manifest) -> CuboidGrid:
-    return CuboidGrid(
+    dataset._grid = CuboidGrid(
         AABB(tuple(manifest["grid_low"]), tuple(manifest["grid_high"])),
         tuple(manifest["grid_shape"]),
     )
+    return dataset
 
 
-def _check_strict_slots(slots, manifest) -> list:
+def _load_strict(directory, manifest, shards, verify, report) -> list:
+    """Strict read of every file: objects (lazy proxies for shards) by id."""
+    slots: dict[int, object] = {}
+    for filename in manifest["files"]:
+        if shards is None:
+            for obj_id, blob in read_cuboid_file(directory / filename):
+                slots[obj_id] = deserialize_object(blob)
+        else:
+            reader = shards.reader(filename)
+            if verify == "eager":
+                faults = reader.verify_all()
+                if faults:
+                    first = faults[0]
+                    raise BlobChecksumError(
+                        f"{directory / filename}: {first.reason} for object "
+                        f"{first.object_id}"
+                    )
+            for obj_id, entry in reader.entries.items():
+                slots[obj_id] = ShardBackedObject(shards, filename, entry)
+        report.files_loaded += 1
     if len(slots) != manifest["num_objects"]:
         raise DatasetFormatError(
             f"manifest promises {manifest['num_objects']} objects, "
@@ -651,55 +646,11 @@ def _check_strict_slots(slots, manifest) -> list:
     return [slots[i] for i in range(len(slots))]
 
 
-def _load_shard_dataset(directory, manifest, mode, verify, report) -> Dataset:
-    codec = manifest.get("codec", "3dpr")
-    shards = ShardSet(directory, codec=codec)
-    if mode == "strict":
-        slots: dict[int, object] = {}
-        for filename in manifest["files"]:
-            reader = shards.reader(filename)
-            if verify == "eager":
-                faults = reader.verify_all()
-                if faults:
-                    first = faults[0]
-                    raise BlobChecksumError(
-                        f"{directory / filename}: {first.reason} for object "
-                        f"{first.object_id}"
-                    )
-            for obj_id, entry in reader.entries.items():
-                slots[obj_id] = ShardBackedObject(shards, filename, entry)
-            report.files_loaded += 1
-        objects = _check_strict_slots(slots, manifest)
-        degraded_ids = frozenset(manifest.get("degraded_ids", ()))
-    else:
-        decode = (
-            pickle.loads if codec == "pickle" else deserialize_object
-        )
-        objects, degraded_ids = _load_salvage(
-            directory, manifest, report, salvage_shard_file, decode
-        )
-
-    report.objects_loaded = len(objects)
-    if mode == "salvage":
-        _publish_load_report(report)
-    dataset = Dataset(
-        manifest["name"],
-        objects,
-        grid_shape=tuple(manifest["grid_shape"]),
-        degraded_ids=degraded_ids,
-        load_report=report,
-        source_dir=str(directory),
-        shard_source=shards,
-    )
-    dataset._grid = _manifest_grid(manifest)
-    return dataset
-
-
 def _load_salvage(directory, manifest, report, salvage_file, decode) -> tuple:
-    """The shared salvage loop: one code path for v2 containers and v3
+    """The shared salvage loop: one code path for v1/v2 containers and v3
     shards — ``salvage_file`` returns the same ``(pairs, faults,
     container_ok)`` triple for either, so the report structure and the
-    per-blob CRC granularity are identical across layouts."""
+    per-blob CRC granularity are identical across format versions."""
     slots: dict[int, CompressedObject] = {}
     degraded_original: dict[int, tuple[str, str]] = {}
     for filename in manifest["files"]:
@@ -759,85 +710,43 @@ def _salvage_blob(slots, degraded_original, report, obj_id, blob, filename, caus
 # -- migration -----------------------------------------------------------------
 
 
-def migrate_dataset(directory, to: str = "shard") -> dict:
-    """Convert a dataset directory between layouts, in place.
+def migrate_dataset(directory) -> dict:
+    """Rewrite a v1/v2 container directory as a v3 shard store, in place.
 
-    Blobs are carried over *byte-for-byte* (shard-bound blobs are
-    deserialized once to compute the index metadata, but what lands in
-    the new files is the original bytes), object ids and the grid are
-    copied from the old manifest, and the old data files are deleted
-    only after the new files and manifest are fully written. Strict by
-    design: a corrupt store refuses to migrate (salvage it into a clean
-    save first). Returns a summary dict; ``migrated`` is False when the
-    directory is already in the requested layout.
+    Blobs are carried over *byte-for-byte* (each is deserialized once to
+    compute the index metadata, but what lands in the shard files is the
+    original bytes), object ids and the grid are copied from the old
+    manifest, and the container files are deleted only after the shards
+    and manifest are fully written. Strict by design: a corrupt store
+    refuses to migrate (salvage it into a clean save first). Returns a
+    summary dict; ``migrated`` is False when the directory already is a
+    v3 store.
     """
-    if to not in _LAYOUTS:
-        raise ValueError(f"to must be one of {_LAYOUTS}, got {to!r}")
     directory = Path(directory)
     manifest = json.loads((directory / _MANIFEST).read_text())
-    version = int(manifest.get("format_version", 2))
-    current = "shard" if version >= 3 else "legacy"
-    if current == to:
-        return {"migrated": False, "layout": to, "files": list(manifest["files"])}
-
     old_files = list(manifest["files"])
-    files = {}
-    total = 0
-    if to == "shard":
-        shards = {}
-        for filename in old_files:
-            cuboid_id = int(Path(filename).stem.split("_")[-1])
-            pairs = read_cuboid_file(directory / filename)
-            object_ids = [obj_id for obj_id, _ in pairs]
-            blobs = [blob for _, blob in pairs]
-            metas = [_object_meta(deserialize_object(blob)) for blob in blobs]
-            shard_name = f"shard_{cuboid_id:06d}.3dps"
-            size = write_shard_file(directory / shard_name, blobs, object_ids, metas)
-            shards[shard_name] = {"cuboid": cuboid_id, "objects": object_ids}
-            files[shard_name] = size
-            total += size
-        manifest["format_version"] = 3
-        manifest["codec"] = "3dpr"
-        manifest["shards"] = shards
-        manifest["objects"] = {
-            str(obj_id): meta["cuboid"]
-            for name, meta in sorted(shards.items())
-            for obj_id in meta["objects"]
-        }
-    else:
-        if manifest.get("codec", "3dpr") != "3dpr":
-            raise DatasetFormatError(
-                f"{directory}: only 3dpr-codec shard stores can migrate to "
-                f"the legacy layout (this store is "
-                f"{manifest.get('codec')!r}-coded)"
-            )
-        for filename in old_files:
-            cuboid_id = manifest["shards"][filename]["cuboid"]
-            reader = ShardReader(directory / filename)
-            try:
-                object_ids = reader.object_ids()
-                blobs = []
-                for obj_id in object_ids:
-                    view = reader.blob(obj_id)
-                    try:
-                        blobs.append(bytes(view))
-                    finally:
-                        view.release()
-            finally:
-                reader.close()
-            legacy_name = f"cuboid_{cuboid_id:06d}.3dpc"
-            size = write_cuboid_file(directory / legacy_name, blobs, object_ids)
-            files[legacy_name] = size
-            total += size
-        for key in ("format_version", "codec", "shards", "objects", "degraded_ids"):
-            manifest.pop(key, None)
+    if int(manifest.get("format_version", 2)) >= 3:
+        return {"migrated": False, "files": old_files}
 
-    manifest["files"] = sorted(files)
+    def groups():
+        for filename in old_files:
+            pairs = read_cuboid_file(directory / filename)
+            blobs = [blob for _, blob in pairs]
+            yield (
+                int(Path(filename).stem.split("_")[-1]),
+                [obj_id for obj_id, _ in pairs],
+                blobs,
+                [_object_meta(deserialize_object(blob)) for blob in blobs],
+            )
+
+    files, index_fields = _write_shards(directory, groups(), "3dpr")
+    manifest.update(index_fields, files=sorted(files))
     (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
     for filename in old_files:
         (directory / filename).unlink(missing_ok=True)
+    total = sum(files.values())
     log_event(
-        _LOG, "store_migrated", directory=str(directory), to=to,
+        _LOG, "store_migrated", directory=str(directory),
         files=len(files), total_bytes=total,
     )
-    return {"migrated": True, "layout": to, "files": files, "total_bytes": total}
+    return {"migrated": True, "files": files, "total_bytes": total}

@@ -32,6 +32,39 @@ class TestGenerate:
     def test_skips_empty_vessels(self, generated):
         assert not (generated / "vessels").exists()
 
+    def test_default_save_is_a_lazy_shard_store(self, generated):
+        import json
+
+        from repro.storage import load_dataset
+
+        manifest = json.loads((generated / "nuclei_a" / "manifest.json").read_text())
+        assert manifest["format_version"] == 3
+        dataset = load_dataset(generated / "nuclei_a")
+        assert dataset.storage == "shard"
+        assert dataset.materialized_count() == 0  # nothing decoded before a query
+
+
+class TestStoreMigrate:
+    def test_migrates_old_directories_once(self, tmp_path, capsys):
+        from repro.compression import PPVPEncoder
+        from repro.storage import Dataset, load_dataset
+        from tests.oracles.legacy_store import save_legacy_dataset
+
+        dataset = Dataset.from_polyhedra(
+            "old", [icosphere(1), icosphere(1, center=(5, 0, 0))], PPVPEncoder(max_lods=3)
+        )
+        save_legacy_dataset(dataset, tmp_path / "old")
+        assert load_dataset(tmp_path / "old").storage == "legacy"
+        assert main(["store", "migrate", str(tmp_path / "old")]) == 0
+        assert "migrated to shard" in capsys.readouterr().out
+        assert load_dataset(tmp_path / "old").storage == "shard"
+        assert main(["store", "migrate", str(tmp_path / "old")]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+
+    def test_there_is_no_way_back(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["store", "migrate", str(tmp_path), "--to", "legacy"])
+
 
 class TestCompressInspectDecode:
     def test_compress_off_and_stl(self, tmp_path, capsys):

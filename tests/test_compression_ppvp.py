@@ -14,14 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import (
-    PPVPEncoder,
-    ReplayDecoder,
-    deserialize_object,
-    serialize_object,
-)
+from repro.compression import PPVPEncoder, deserialize_object, serialize_object
 from repro.geometry import point_in_polyhedron, tri_tri_distance_batch
 from repro.mesh import icosphere, mesh_volume, validate_polyhedron
+from tests.oracles.replay_decoder import ReplayDecoder
 from tests.test_compression_classify import dented_icosphere
 
 

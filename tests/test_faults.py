@@ -23,8 +23,9 @@ from repro.core.errors import (
 from repro.faults import FaultInjector, InjectedFault
 from repro.mesh import icosphere
 from repro.parallel.tasks import TaskScheduler
-from repro.storage import Dataset, load_dataset, save_dataset
-from repro.storage.fileformat import read_cuboid_file, write_cuboid_file
+from repro.storage import Dataset, load_dataset
+from repro.storage.fileformat import read_cuboid_file
+from tests.oracles.legacy_store import save_legacy_dataset, write_cuboid_file
 
 
 class TestFaultInjector:
@@ -233,9 +234,8 @@ def tiny_dataset_dir(tmp_path):
         "tiny", spheres, PPVPEncoder(max_lods=3), grid_shape=(1, 1, 1)
     )
     directory = tmp_path / "tiny"
-    # This fixture's tests rewrite v2 container bytes directly; pin the
-    # layout so a REPRO_STORAGE_BACKEND=shard run exercises what they test.
-    save_dataset(ds, directory, layout="legacy")
+    # This fixture's tests rewrite v2 container bytes directly.
+    save_legacy_dataset(ds, directory)
     return directory
 
 
@@ -299,8 +299,8 @@ class TestSalvageEndToEnd:
         victim = min(tid for tid, sids in ref.pairs.items() if sids)
 
         directory = tmp_path / "nuclei_a"
-        # Byte-level container surgery below is v2-specific; pin the layout.
-        save_dataset(datasets["nuclei_a"], directory, layout="legacy")
+        # Byte-level container surgery below is v2-specific.
+        save_legacy_dataset(datasets["nuclei_a"], directory)
 
         manifest = json.loads((directory / "manifest.json").read_text())
         for filename in manifest["files"]:

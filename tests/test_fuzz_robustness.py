@@ -22,7 +22,9 @@ from repro.core import EngineConfig, ThreeDPro
 from repro.core.errors import BlobChecksumError, CuboidFormatError
 from repro.faults import FaultInjector
 from repro.mesh import icosphere
-from repro.storage.fileformat import read_cuboid_file, write_cuboid_file
+from repro.storage.fileformat import read_cuboid_file
+from tests.oracles.legacy_store import write_cuboid_file
+from tests.oracles.replay_decoder import ReplayDecoder
 
 ACCEPTABLE = (Exception,)  # any *raised* failure is fine; hangs/crashes are not
 
@@ -79,7 +81,6 @@ class TestSalvagedBlobDecodeEquivalence:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_salvaged_objects_slice_equals_replay(self, blob, data):
-        from repro.compression import ReplayDecoder
         from repro.compression.serialize import salvage_object_blob
 
         index = data.draw(st.integers(0, len(blob) - 1))

@@ -16,15 +16,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.compression import (
-    LODTable,
-    PPVPEncoder,
-    ReplayDecoder,
-    compile_lod_table,
-)
+from repro.compression import LODTable, PPVPEncoder, compile_lod_table
 from repro.compression.lodtable import ALIVE, _compile_sequential, _compile_vectorized
 from repro.compression.ppvp import RemovalRecord
 from repro.mesh import icosphere
+from tests.oracles.replay_decoder import ReplayDecoder
 from tests.test_compression_classify import dented_icosphere
 
 

@@ -2,9 +2,11 @@
 
 Covers the shard file format round-trip and its corruption taxonomy,
 mmap lifetime safety (no segfaults, clean errors), lazy shard-backed
-datasets, v1/v2/v3 cross-version loading, ``migrate_dataset`` identity,
-salvage-report parity with v2 containers, cuboid-aligned chunking, and
-the stale-spill sweep in the process pool.
+datasets, v1/v2/v3 cross-version loading and query answers (v1/v2
+fixtures come from ``tests/oracles/legacy_store.py`` — the package only
+writes v3), ``migrate_dataset`` identity, salvage-report parity with v2
+containers, cuboid-aligned chunking, and the process pool's spill
+transport and stale-spill sweep.
 """
 
 import os
@@ -16,12 +18,15 @@ import time
 import pytest
 
 from repro.compression import PPVPEncoder
+from repro.core import EngineConfig, ThreeDPro
 from repro.core.errors import (
     BlobChecksumError,
     DatasetFormatError,
+    EngineConfigError,
     ShardFormatError,
     ShardLifetimeError,
 )
+from repro.faults import FaultInjector
 from repro.mesh import icosphere
 from repro.storage import (
     Dataset,
@@ -33,9 +38,10 @@ from repro.storage import (
     salvage_shard_file,
     save_dataset,
     spill_dataset,
-    write_cuboid_file,
     write_shard_file,
 )
+from tests.oracles.legacy_store import save_legacy_dataset
+from tests.test_batch import PARITY_IDS, PARITY_SPECS, _comparable
 
 ENCODER = PPVPEncoder(max_lods=4)
 
@@ -187,21 +193,9 @@ class TestCrossVersionLoading:
     def _store(self, dataset, tmp_path, version):
         directory = tmp_path / f"v{version}"
         if version == 3:
-            save_dataset(dataset, directory, layout="shard")
-            return directory
-        save_dataset(dataset, directory, layout="legacy")
-        if version == 1:
-            import json
-
-            manifest = json.loads((directory / "manifest.json").read_text())
-            for filename in manifest["files"]:
-                pairs = read_cuboid_file(directory / filename)
-                write_cuboid_file(
-                    directory / filename,
-                    [blob for _, blob in pairs],
-                    [obj_id for obj_id, _ in pairs],
-                    version=1,
-                )
+            save_dataset(dataset, directory)
+        else:
+            save_legacy_dataset(dataset, directory, version=version)
         return directory
 
     @pytest.mark.parametrize("version", [1, 2, 3])
@@ -222,9 +216,112 @@ class TestCrossVersionLoading:
         )
 
 
+class TestCrossVersionAnswers:
+    """A v2 directory — loaded as is, or migrated first — answers every
+    query kind exactly as the v3 save of the same dataset does: same
+    pairs, pairs ledger and funnel, serially and on the process backend
+    (whose workers reopen a v2 directory in salvage mode)."""
+
+    FLAVORS = ("v3", "v2", "migrated")
+
+    @pytest.fixture(scope="class")
+    def stores(self, datasets, tmp_path_factory):
+        root = tmp_path_factory.mktemp("versions")
+        for name, dataset in datasets.items():
+            save_dataset(dataset, root / "v3" / name)
+            save_legacy_dataset(dataset, root / "v2" / name)
+            save_legacy_dataset(dataset, root / "migrated" / name)
+            assert migrate_dataset(root / "migrated" / name)["migrated"]
+        return root
+
+    @staticmethod
+    def _run(stores, flavor, spec, **config_kwargs):
+        engine = ThreeDPro(EngineConfig(**config_kwargs))
+        for name in sorted({spec.source, spec.target}):
+            engine.load_dataset(load_dataset(stores / flavor / name))
+        return engine.execute(spec)
+
+    def test_storage_kinds(self, stores):
+        kinds = {
+            flavor: load_dataset(stores / flavor / "nuclei_a").storage
+            for flavor in self.FLAVORS
+        }
+        assert kinds == {"v3": "shard", "v2": "legacy", "migrated": "shard"}
+
+    @pytest.mark.parametrize("spec", PARITY_SPECS, ids=PARITY_IDS)
+    def test_answers_identical(self, stores, spec, caplog):
+        reference = self._run(stores, "v3", spec, query_workers=1)
+        assert reference.pairs, "reference answered nothing"
+        for flavor in self.FLAVORS:
+            serial = self._run(stores, flavor, spec, query_workers=1)
+            assert _comparable(serial, True) == _comparable(reference, True), flavor
+            procs = self._run(
+                stores, flavor, spec, query_workers=2, query_backend="process"
+            )
+            assert _comparable(procs, False) == _comparable(reference, False), flavor
+        assert "process_backend_fallback" not in caplog.text
+
+    @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
+    def test_faulted_answers_identical(self, stores, spec, caplog):
+        def faulted(flavor, **config_kwargs):
+            injector = FaultInjector(seed=11, decode_error_rate=0.3)
+            return self._run(
+                stores, flavor, spec, fault_injector=injector, **config_kwargs
+            ), injector
+
+        reference, injector = faulted("v3", query_workers=1)
+        assert injector.counts.get("decode", 0) > 0, "no faults fired"
+        assert reference.degraded_targets
+        for flavor in self.FLAVORS:
+            for backend in (
+                {"query_workers": 1},
+                {"query_workers": 4, "query_backend": "thread"},
+                {"query_workers": 2, "query_backend": "process"},
+            ):
+                result, _ = faulted(flavor, **backend)
+                assert _comparable(result, False) == _comparable(reference, False), (
+                    flavor, backend,
+                )
+        assert "process_backend_fallback" not in caplog.text
+
+    def test_v2_store_reopens_in_salvage_mode(self, stores):
+        from repro.parallel.procpool import _manifest_for
+
+        handle = _manifest_for(load_dataset(stores / "v2" / "nuclei_a"))
+        assert (handle.path, handle.mode) == (str(stores / "v2" / "nuclei_a"), "salvage")
+        handle = _manifest_for(load_dataset(stores / "v3" / "nuclei_a"))
+        assert handle.mode == "strict"
+
+
+class TestStorageKeywordsArePinned:
+    """``layout`` / ``storage_backend`` are no longer choices: the keywords
+    survive so 1.x code constructs, but only with the one remaining value."""
+
+    @pytest.mark.parametrize("value", [None, "shard"])
+    def test_accepted(self, tmp_path, value):
+        EngineConfig(storage_backend=value)
+        save_dataset(make_dataset(2, name="two"), tmp_path / "s", layout=value)
+        assert load_dataset(tmp_path / "s").storage == "shard"
+
+    def test_legacy_is_rejected_with_the_migrate_hint(self, tmp_path):
+        with pytest.raises(EngineConfigError, match="repro store migrate"):
+            EngineConfig(storage_backend="legacy")
+        with pytest.raises(ValueError, match="repro store migrate"):
+            save_dataset(make_dataset(2, name="two"), tmp_path / "s", layout="legacy")
+        assert not (tmp_path / "s").exists()
+
+    def test_no_setting_and_no_environment_switch(self, tmp_path, monkeypatch):
+        from repro.core.config import SETTINGS
+
+        assert "storage_backend" not in SETTINGS
+        monkeypatch.setenv("REPRO_STORAGE_BACKEND", "legacy")
+        save_dataset(make_dataset(2, name="two"), tmp_path / "s")
+        assert load_dataset(tmp_path / "s").storage == "shard"
+
+
 class TestLazyShardDataset:
     def test_load_is_lazy(self, tmp_path):
-        save_dataset(make_dataset(6), tmp_path / "s", layout="shard")
+        save_dataset(make_dataset(6), tmp_path / "s")
         loaded = load_dataset(tmp_path / "s")
         assert loaded.storage == "shard"
         assert loaded.materialized_count() == 0
@@ -240,7 +337,7 @@ class TestLazyShardDataset:
         directory = tmp_path / "s"
         meshes = [icosphere(1, center=(i * 3.0, 0, 0)) for i in range(3)]
         one_cuboid = Dataset.from_polyhedra("three", meshes, ENCODER, grid_shape=(1, 1, 1))
-        save_dataset(one_cuboid, directory, layout="shard")
+        save_dataset(one_cuboid, directory)
         shard = next(directory.glob("*.3dps"))
         with ShardReader(shard) as probe:
             entry = probe.entries[1]
@@ -255,7 +352,7 @@ class TestLazyShardDataset:
             lazy.objects[1].decode(0)  # corrupt blob caught at access
 
     def test_proxy_pickles_as_real_object(self, tmp_path):
-        save_dataset(make_dataset(3, name="three"), tmp_path / "s", layout="shard")
+        save_dataset(make_dataset(3, name="three"), tmp_path / "s")
         loaded = load_dataset(tmp_path / "s")
         clone = pickle.loads(pickle.dumps(loaded.objects[2]))
         assert not isinstance(clone, ShardBackedObject)
@@ -265,7 +362,7 @@ class TestLazyShardDataset:
         import json
 
         directory = tmp_path / "s"
-        save_dataset(make_dataset(3, name="three"), directory, layout="shard")
+        save_dataset(make_dataset(3, name="three"), directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         manifest["num_objects"] += 1
         (directory / "manifest.json").write_text(json.dumps(manifest))
@@ -274,16 +371,17 @@ class TestLazyShardDataset:
 
 
 class TestMigrate:
-    def test_legacy_to_shard_identity(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_container_to_shard_identity(self, tmp_path, version):
         dataset = make_dataset(8)
         directory = tmp_path / "store"
-        save_dataset(dataset, directory, layout="legacy")
+        save_legacy_dataset(dataset, directory, version=version)
         before = {}
         for path in directory.glob("*.3dpc"):
             before.update(dict(read_cuboid_file(path)))
         grid_before = load_dataset(directory).cuboid_batches()
 
-        summary = migrate_dataset(directory, to="shard")
+        summary = migrate_dataset(directory)
         assert summary["migrated"]
         assert not list(directory.glob("*.3dpc"))
         after = {}
@@ -294,34 +392,25 @@ class TestMigrate:
                     after[obj_id] = bytes(view)
                     view.release()
         assert after == before  # same blobs, same ids
-        assert load_dataset(directory).cuboid_batches() == grid_before
+        migrated = load_dataset(directory)
+        assert migrated.storage == "shard"
+        assert migrated.cuboid_batches() == grid_before
 
-    def test_round_trip_back_to_legacy(self, tmp_path):
+    def test_migrated_store_equals_direct_save(self, tmp_path):
         dataset = make_dataset(8)
-        directory = tmp_path / "store"
-        save_dataset(dataset, directory, layout="legacy")
-        original = {}
-        for path in directory.glob("*.3dpc"):
-            original[path.name] = dict(read_cuboid_file(path))
-        migrate_dataset(directory, to="shard")
-        migrate_dataset(directory, to="legacy")
-        restored = {}
-        for path in directory.glob("*.3dpc"):
-            restored[path.name] = dict(read_cuboid_file(path))
-        assert restored == original
-        assert load_dataset(directory).storage == "legacy"
+        save_legacy_dataset(dataset, tmp_path / "old")
+        migrate_dataset(tmp_path / "old")
+        save_dataset(dataset, tmp_path / "new")
+        for path in (tmp_path / "new").iterdir():
+            assert (tmp_path / "old" / path.name).read_bytes() == path.read_bytes()
 
-    def test_migrate_is_idempotent(self, tmp_path):
+    def test_migrate_is_a_noop_on_shard_stores(self, tmp_path):
         directory = tmp_path / "store"
-        save_dataset(make_dataset(3, name="three"), directory, layout="shard")
-        summary = migrate_dataset(directory, to="shard")
+        save_dataset(make_dataset(3, name="three"), directory)
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        summary = migrate_dataset(directory)
         assert not summary["migrated"]
-
-    def test_pickle_codec_refuses_legacy(self, tmp_path):
-        directory = tmp_path / "spill"
-        spill_dataset(make_dataset(3, name="three"), directory)
-        with pytest.raises(DatasetFormatError):
-            migrate_dataset(directory, to="legacy")
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
 
 class TestSpillStore:
@@ -364,17 +453,28 @@ class TestSalvageParity:
         data[offset + 2] ^= 0xFF
         container.write_bytes(bytes(data))
 
-    def test_reports_match_across_layouts(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["byte_flip", "injector"])
+    def test_reports_match_across_layouts(self, tmp_path, damage):
         # One cuboid so object ids match filenames one-to-one.
         meshes = [icosphere(1, center=(i * 3.0, 0, 0)) for i in range(4)]
         dataset = Dataset.from_polyhedra("cells", meshes, ENCODER, grid_shape=(1, 1, 1))
         reports = {}
-        for layout in ("legacy", "shard"):
+        for layout, save in (("legacy", save_legacy_dataset), ("shard", save_dataset)):
             directory = tmp_path / layout
-            save_dataset(dataset, directory, layout=layout)
-            self._corrupt_one_blob(directory)
+            if damage == "injector":
+                # The write-time corruption hook is keyed "{cuboid}:{object}"
+                # under either writer: both stores get the same bit flips.
+                injector = FaultInjector(seed=5, blob_flip_rate=0.5)
+                save(dataset, directory, fault_injector=injector)
+                assert 0 < injector.counts["blob_flip"] < len(dataset)
+            else:
+                save(dataset, directory)
+                self._corrupt_one_blob(directory)
             with pytest.raises(Exception):
-                load_dataset(directory)  # strict refuses either layout
+                # Strict refuses either layout: at load when a checksum
+                # catches the damage, at first decode when the blob was
+                # already damaged as its checksum was taken (the injector).
+                load_dataset(directory).precompile_lod_tables()
             loaded = load_dataset(directory, mode="salvage")
             reports[layout] = (loaded, loaded.load_report)
         legacy, legacy_report = reports["legacy"]
@@ -392,6 +492,7 @@ class TestSalvageParity:
         )
         assert shard_report.id_map == legacy_report.id_map
         assert shard.degraded_ids == legacy.degraded_ids
+        assert not shard_report.ok
 
 
 class TestCuboidAlignedChunks:
@@ -415,7 +516,7 @@ class TestCuboidAlignedChunks:
         )
 
     def test_shard_chunks_respect_cuboid_boundaries(self, tmp_path):
-        save_dataset(make_dataset(24), tmp_path / "s", layout="shard")
+        save_dataset(make_dataset(24), tmp_path / "s")
         chunks, dataset = self._chunks(tmp_path / "s", chunk_size=7)
         owner = {
             tid: index
@@ -431,10 +532,78 @@ class TestCuboidAlignedChunks:
             assert cuboids == sorted(cuboids)
 
     def test_legacy_chunks_keep_equal_slices(self, tmp_path):
-        save_dataset(make_dataset(10), tmp_path / "l", layout="legacy")
+        save_legacy_dataset(make_dataset(10), tmp_path / "l")
         chunks, _ = self._chunks(tmp_path / "l", chunk_size=4)
         assert [len(c) for c in chunks] == [4, 4, 2]
         assert chunks[0] == [0, 1, 2, 3]
+
+
+class TestSpillTransport:
+    """In-memory datasets reach process workers as one shard spill each."""
+
+    SPEC = PARITY_SPECS[0]
+
+    @staticmethod
+    def _run(datasets, **config_kwargs):
+        engine = ThreeDPro(EngineConfig(**config_kwargs))
+        for dataset in datasets:
+            engine.load_dataset(dataset)
+        return engine.execute(TestSpillTransport.SPEC)
+
+    @pytest.fixture()
+    def in_memory(self, datasets):
+        """Fresh Dataset objects (no ``source_dir``) over the session's."""
+        return [
+            Dataset(name, datasets[name].objects, datasets[name].grid_shape)
+            for name in ("nuclei_a", "nuclei_b")
+        ]
+
+    @pytest.fixture()
+    def salvage_born(self, datasets, tmp_path):
+        """An in-memory dataset carrying salvage's degraded marks."""
+        injector = FaultInjector(seed=5, blob_flip_rate=0.2)
+        save_dataset(datasets["nuclei_a"], tmp_path / "a", fault_injector=injector)
+        salvaged = load_dataset(tmp_path / "a", mode="salvage")
+        assert salvaged.degraded_ids
+        target = Dataset(
+            "nuclei_a", salvaged.objects, salvaged.grid_shape,
+            degraded_ids=salvaged.degraded_ids,
+        )
+        source = Dataset(
+            "nuclei_b", datasets["nuclei_b"].objects, datasets["nuclei_b"].grid_shape
+        )
+        return [target, source]
+
+    @pytest.mark.parametrize("fixture", ["in_memory", "salvage_born"])
+    def test_one_spill_per_dataset_and_answers_match_serial(
+        self, request, fixture, caplog
+    ):
+        from pathlib import Path
+
+        from repro.parallel import procpool
+
+        pair = request.getfixturevalue(fixture)
+        assert all(ds.source_dir is None for ds in pair)
+        serial = self._run(pair, query_workers=1)
+        already = set(procpool._SPILLS)
+        runs = [
+            self._run(pair, query_workers=2, query_backend="process")
+            for _ in range(2)
+        ]
+        assert "process_backend_fallback" not in caplog.text
+        # Two queries, still exactly one spill per dataset — each a shard
+        # store directory, never a whole-dataset pickle file.
+        assert set(procpool._SPILLS) - already == {id(ds) for ds in pair}
+        spills = [Path(procpool._SPILLS[id(ds)]) for ds in pair]
+        assert all((spill / "manifest.json").is_file() for spill in spills)
+        assert all(spill.parent == Path(procpool._SPILL_DIR) for spill in spills)
+        assert not list(Path(procpool._SPILL_DIR).rglob("*.pkl"))
+        for procs in runs:
+            assert list(procs.pairs.items()) == list(serial.pairs.items())
+            assert procs.degraded_targets == serial.degraded_targets
+            assert _comparable(procs, False) == _comparable(serial, False)
+        if fixture == "salvage_born":
+            assert serial.degraded_targets
 
 
 class TestStaleSpillSweep:

@@ -15,9 +15,9 @@ from repro.storage import (
     load_dataset,
     read_cuboid_file,
     save_dataset,
-    write_cuboid_file,
 )
 from repro.storage.fileformat import CuboidFormatError
+from tests.oracles.legacy_store import write_cuboid_file
 
 
 def make_decoded(seed=0, faces=20):
