@@ -30,7 +30,7 @@ def main():
 
     config = EngineConfig(
         paradigm="fpr",
-        accel=Accel(partition=True, gpu=True),  # the paper's best NV cell
+        accel=Accel(partition=True),  # the paper's best NV cell (P+G)
         partition_parts=10,
         partition_min_faces=400,
     )

@@ -43,8 +43,6 @@ _ACCEL = {
     "none": Accel(),
     "partition": Accel(partition=True),
     "aabb": Accel(aabbtree=True),
-    "gpu": Accel(gpu=True),
-    "partition+gpu": Accel(partition=True, gpu=True),
 }
 
 

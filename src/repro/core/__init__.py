@@ -10,8 +10,9 @@ PPVP-compressed objects under either query paradigm:
   from low LODs, returning results early whenever the
   progressive-approximation properties allow (Algorithms 1-3).
 
-Acceleration methods (AABB-trees, skeleton partitioning, simulated-GPU
-batching) compose with both paradigms, as in the paper's Table 1.
+Acceleration methods (AABB-trees, skeleton partitioning) compose with
+both paradigms, as in the paper's Table 1; simulated-GPU batching is
+not a method to select but how every refinement round runs.
 """
 
 from repro.core.config import Accel, EngineConfig

@@ -43,8 +43,7 @@ __all__ = ["batched_any_intersect", "batched_min_distances"]
 
 #: Floor for early-exit sub-blocks on the distance path: below this the
 #: wave bookkeeping dominates; above it too many lanes are wasted past
-#: the threshold crossing (same trade-off as GeometryComputer's GPU
-#: early-exit block).
+#: the threshold crossing.
 _EXIT_BLOCK_FLOOR = 512
 
 

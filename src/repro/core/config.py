@@ -145,39 +145,34 @@ def resolve_setting(name: str, *, spec=None, override=None, config=None):
 class Accel:
     """Acceleration methods (paper Section 5.1).
 
-    ``aabbtree`` — per-object AABB-trees on decoded faces;
+    ``aabbtree`` — per-object AABB-trees on decoded faces, traversed
+    per pair instead of the fused wave kernels;
     ``partition`` — skeleton-based sub-object decomposition with
-    per-part boxes in the global index;
-    ``gpu`` — fused mega-batch kernel execution (simulated GPU).
+    per-part boxes in the global index.
 
-    ``partition`` and ``gpu`` compose (the paper's Partition+GPU column);
-    ``aabbtree`` is an alternative to ``gpu`` batching and to partition
-    filtering, exactly as in Table 1, so combining it with the others is
-    rejected.
+    Fused mega-batch kernels (the paper's GPU column) are not a switch:
+    every refinement round runs on them unless ``aabbtree`` replaces
+    them. ``aabbtree`` is an alternative to partition filtering, exactly
+    as in Table 1, so combining the two is rejected.
     """
 
     aabbtree: bool = False
     partition: bool = False
-    gpu: bool = False
 
     def validate(self) -> None:
-        if self.aabbtree and (self.partition or self.gpu):
+        if self.aabbtree and self.partition:
             raise EngineConfigError(
-                "AABB-tree acceleration does not combine with partition/GPU "
+                "AABB-tree acceleration does not combine with partition "
                 "(Table 1 evaluates them as alternatives)"
             )
 
     @property
     def label(self) -> str:
-        """Short label matching the paper's Fig. 10 x-axis (B/P/A/G)."""
+        """Short label matching the paper's Fig. 10 x-axis (B/P/A)."""
         if self.aabbtree:
             return "A"
-        if self.partition and self.gpu:
-            return "P+G"
         if self.partition:
             return "P"
-        if self.gpu:
-            return "G"
         return "B"
 
 
@@ -319,7 +314,7 @@ class EngineConfig:
 
     @property
     def label(self) -> str:
-        """e.g. ``FPR/P+G`` — paradigm plus acceleration, as in Table 1."""
+        """e.g. ``FPR/P`` — paradigm plus acceleration, as in Table 1."""
         return f"{self.paradigm.upper()}/{self.accel.label}"
 
     def with_paradigm(self, paradigm: str) -> "EngineConfig":

@@ -32,7 +32,7 @@ from repro.mesh.polyhedron import Polyhedron
 from repro.obs import metrics as obs_metrics
 from repro.obs.profile import ProfileReport, SamplingProfiler
 from repro.obs.trace import Tracer
-from repro.parallel.executor import Device, GeometryComputer
+from repro.parallel.executor import GeometryComputer
 from repro.parallel.tasks import TaskScheduler
 from repro.partition.partitioner import partition_faces
 from repro.storage.cache import DecodeCache, DecodedObjectProvider
@@ -75,9 +75,7 @@ class ThreeDPro:
             enabled=self.config.cache_enabled,
             metrics=self.metrics,
         )
-        device = Device.GPU if self.config.accel.gpu else Device.CPU
         self.computer = GeometryComputer(
-            device=device,
             cpu_block=self.config.cpu_block,
             gpu_block=self.config.gpu_block,
             scheduler=TaskScheduler(

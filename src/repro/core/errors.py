@@ -129,8 +129,8 @@ class DeadlineExceededError(EngineError):
     letting it escape: everything confirmed before the checkpoint is a
     sound answer under the FPR paradigm (pairs confirmed at any LOD are
     final), so the exception carries the refine layer's confirmed-so-far
-    values in ``partial`` and the ``in_target`` flag marks whether a
-    target was interrupted mid-refinement.
+    values: per target in ``partial_by_target`` from a group refinement,
+    or in ``partial`` from a single-target one.
     """
 
     def __init__(self, reason: str = "deadline", where: str = "",
@@ -144,7 +144,6 @@ class DeadlineExceededError(EngineError):
         # Confirmed-so-far matches attached by the interrupted refine
         # pass; None when the interrupt happened between targets.
         self.partial = None
-        self.in_target = False
 
     def __reduce__(self):
         return (type(self), (self.reason, self.where, self.deadline_ms))

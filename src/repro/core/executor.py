@@ -1,13 +1,18 @@
 """The shared query executor: one driver for every query kind.
 
 :class:`QueryExecutor` runs a compiled :class:`~repro.core.plan.QueryPlan`
-through the single per-target pipeline the paper's Fig. 8 describes —
-filter (global index) → progressive refine → accumulate — with the
-per-kind differences delegated to the plan's strategy. It owns the
-cross-cutting machinery the five old drivers each re-implemented: phase
-timing (`TimedPhase` keeps `QueryStats` and the span tree in lockstep),
-per-query stats snapshots/attribution, degraded-target tracking, the
-root query span, and the query metrics.
+through the single pipeline the paper's Fig. 8 describes — filter
+(global index) → progressive refine → accumulate — with the per-kind
+differences delegated to the plan's strategy. There is one target loop:
+each target list is filtered per target and refined as *one group*
+(``KindStrategy.group_refine``), whose rounds share evaluator calls
+across the group's targets; a streamed query (``QuerySpec.progress``)
+runs each target as a group of one so its frames stay target-major.
+
+The executor owns the cross-cutting machinery the five old drivers each
+re-implemented: phase timing (`TimedPhase` keeps `QueryStats` and the
+span tree in lockstep), per-query stats snapshots/attribution,
+degraded-target tracking, the root query span, and the query metrics.
 
 Inter-target parallelism (`EngineConfig.query_workers`): targets are
 split into contiguous chunks of the cuboid-ordered target list (so each
@@ -31,8 +36,8 @@ across one of two backends (`EngineConfig.query_backend`):
 Either way, chunk results are merged **in chunk order**, so ``pairs``,
 ``degraded_targets``, and every merged counter are identical to the
 serial run (the refinement layer keeps per-decode outcomes
-order-independent; see ``batch_min_distances`` and the provider's
-LOD-aware fail-fast).
+order-independent; see ``RefineContext._gather_distance_jobs`` and the
+provider's LOD-aware fail-fast).
 
 Merge semantics worth knowing: summed phase seconds are *busy* time
 across workers — under parallel execution ``compute_seconds`` can exceed
@@ -374,55 +379,42 @@ class QueryExecutor:
                 targets_unstarted=completeness.targets_unstarted,
             )
 
-    def _group_eligible(self, plan) -> bool:
-        """Whether this plan's targets refine as one group per chunk.
-
-        A multi-target group confirms pairs LOD-major; streaming queries
-        stay on the per-target loop (groups of one) so their progress
-        frames keep arriving target-major.
-        """
-        return plan.strategy.supports_group_refine and plan.spec.progress is None
-
     def _refine_targets(
         self, plan, ctx, stats, tids, pairs, degraded_targets, deadline,
         heartbeat=True, where="target_loop",
     ):
-        """Drive a target list through filter → refine → accumulate.
+        """Drive a target list through filter → group refine → accumulate.
 
         Returns ``(finished, inflight, interrupt)`` — the completeness
         inputs the serial, thread-chunk, and quarantine callers all
-        share. Group-eligible plans refine every target of the list as
-        one group; everything else walks the per-target loop.
+        share. The list refines as one group, except under a streaming
+        ``progress`` hook: a group confirms LOD-major across its targets,
+        so a streamed query runs each target as a group of one — its
+        frames stay target-major and the first arrives after one target.
         """
-        if self._group_eligible(plan):
-            return self._run_target_group(
-                plan, ctx, stats, tids, pairs, degraded_targets, deadline,
-                heartbeat=heartbeat, where=where,
-            )
+        groups = [tids] if plan.spec.progress is None else [[tid] for tid in tids]
         finished = 0
-        try:
-            for tid in tids:
-                if heartbeat and self.heartbeat is not None:
-                    self.heartbeat()
-                if deadline is not None:
-                    deadline.check(where)
-                self._run_target(plan, ctx, stats, tid, pairs, degraded_targets)
-                finished += 1
-        except DeadlineExceededError as exc:
-            return finished, (1 if exc.in_target else 0), exc
+        for group in groups:
+            done, inflight, interrupt = self._run_group(
+                plan, ctx, stats, group, pairs, degraded_targets, deadline,
+                heartbeat, where,
+            )
+            finished += done
+            if interrupt is not None:
+                return finished, inflight, interrupt
         return finished, 0, None
 
-    def _run_target_group(
+    def _run_group(
         self, plan, ctx, stats, tids, pairs, degraded_targets, deadline,
-        heartbeat=True, where="target_loop",
+        heartbeat, where,
     ):
-        """All targets of a chunk through one group refinement.
+        """One group of targets through one group refinement.
 
         Filters run per target (in target order), then the strategy's
         group refinement settles every target's candidates LOD-major
-        through shared evaluator rounds (see ``refine_*_group``). Commits
-        land in target order, so ``pairs`` insertion order — and every
-        funnel/ledger count — matches the per-target loop exactly.
+        through shared evaluator rounds (see :mod:`repro.core.refine`).
+        Commits land in target order, so ``pairs`` insertion order — and
+        every funnel/ledger count — does not depend on the grouping.
         """
         strategy = plan.strategy
         items = []
@@ -434,7 +426,6 @@ class QueryExecutor:
                     deadline.check(where)
                 if strategy.counts_targets:
                     stats.targets += 1
-                ctx.progress_target = tid
                 with TimedPhase(self.tracer, stats, "filter"):
                     candidates = strategy.filter(plan, tid)
                 n_candidates = strategy.candidate_count(candidates)
@@ -443,8 +434,7 @@ class QueryExecutor:
                 items.append((tid, candidates))
         except DeadlineExceededError as exc:
             # Interrupted while filtering: nothing refined and nothing
-            # committed, so every target of this list counts unstarted —
-            # the same shape as an interrupt at a per-target loop check.
+            # committed, so every target of this group counts unstarted.
             return 0, 0, exc
         try:
             with TimedPhase(self.tracer, stats, "compute", targets=len(items)):
@@ -453,59 +443,21 @@ class QueryExecutor:
             # Anytime semantics, per target: each target's partial is the
             # pairs it confirmed before the budget ran out (attached by
             # the group refiner), each final the moment it was confirmed.
-            exc.in_target = True
             partial = getattr(exc, "partial_by_target", {})
             touched = getattr(exc, "group_touched", set())
-            finished = getattr(exc, "group_finished", 0)
-            for tid, candidates in items:
-                if tid in touched:
-                    degraded_targets.add(tid)
-                value, count = strategy.group_value(candidates, partial.get(tid, []))
-                if value is not None:
-                    pairs[tid] = value
-                    stats.results += count
-            return finished, max(0, len(items) - finished), exc
-        for (tid, candidates), state in zip(items, states):
-            if state.touched:
+            outcomes = [(tid in touched, partial.get(tid, [])) for tid, _c in items]
+            finished, interrupt = getattr(exc, "group_finished", 0), exc
+        else:
+            outcomes = [(state.touched, state.results) for state in states]
+            finished, interrupt = len(items), None
+        for (tid, candidates), (touched, matches) in zip(items, outcomes):
+            if touched:
                 degraded_targets.add(tid)
-            value, count = strategy.group_value(candidates, state.results)
+            value, count = strategy.group_value(candidates, matches)
             if value is not None:
                 pairs[tid] = value
                 stats.results += count
-        return len(items), 0, None
-
-    def _run_target(self, plan, ctx, stats, tid, pairs, degraded_targets) -> None:
-        """One target through filter → refine → accumulate."""
-        strategy = plan.strategy
-        if strategy.counts_targets:
-            stats.targets += 1
-        ctx.progress_target = tid
-        with TimedPhase(self.tracer, stats, "filter"):
-            candidates = strategy.filter(plan, tid)
-        n_candidates = strategy.candidate_count(candidates)
-        stats.candidates += n_candidates
-        stats.funnel.candidates += n_candidates
-        ctx.touched_degraded = False
-        with TimedPhase(self.tracer, stats, "compute", **strategy.compute_attrs(tid)):
-            try:
-                value, count = strategy.refine(plan, ctx, tid, candidates)
-            except DeadlineExceededError as exc:
-                # Anytime semantics: pairs this target confirmed before
-                # the budget ran out are final (FPR never revokes a
-                # confirmation), so commit them before propagating.
-                exc.in_target = True
-                value, count = strategy.partial_value(exc)
-                if ctx.touched_degraded:
-                    degraded_targets.add(tid)
-                if value is not None:
-                    pairs[tid] = value
-                    stats.results += count
-                raise
-        if ctx.touched_degraded:
-            degraded_targets.add(tid)
-        if value is not None:
-            pairs[tid] = value
-            stats.results += count
+        return finished, len(items) - finished, interrupt
 
     def _run_process(self, plan, stats, chunks, workers, root, deadline):
         """Fan chunks across worker processes; ``None`` means fall back.

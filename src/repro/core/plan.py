@@ -14,24 +14,23 @@ The query layer is split the way a database splits it:
 
 A :class:`KindStrategy` contributes only what genuinely differs per
 query kind — which targets to iterate, how to filter one target's
-candidates, and which refinement algorithm settles them. Everything
-else (phase timing, stats, degraded tracking, fan-out across workers)
-lives once in :class:`~repro.core.executor.QueryExecutor`.
+candidates, which group refinement settles them, and how a target's
+matches become its committed value. Everything else (phase timing,
+stats, degraded tracking, fan-out across workers) lives once in
+:class:`~repro.core.executor.QueryExecutor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.errors import DeadlineExceededError, EngineConfigError, WireFormatError
+from repro.core.errors import EngineConfigError, WireFormatError
 from repro.core.jsonsafe import json_safe
 from repro.core.refine import (
     NNCandidate,
     refine_containment,
-    refine_intersection,
     refine_intersection_group,
     refine_nn,
-    refine_within,
     refine_within_group,
 )
 from repro.core.stats import QueryStats
@@ -485,7 +484,16 @@ def merge_nn_payloads(raw) -> list[NNCandidate]:
 
 
 class KindStrategy:
-    """What differs per query kind inside the shared per-target pipeline."""
+    """What differs per query kind inside the shared filter → refine →
+    accumulate pipeline.
+
+    On top of the shared :meth:`target_ids` / :meth:`target_chunks`, a
+    kind implements four methods: :meth:`filter` (one target's index
+    candidates), :meth:`candidate_count` (how many of them enter
+    refinement), :meth:`group_refine` (settle a group of targets through
+    one refinement of :mod:`repro.core.refine`) and :meth:`group_value`
+    (a target's committed value from its candidates and matches).
+    """
 
     #: whether each pipeline iteration counts into ``stats.targets``
     #: (containment's single pseudo-target historically does not).
@@ -563,9 +571,6 @@ class KindStrategy:
             chunks.append(current)
         return chunks
 
-    def compute_attrs(self, tid: int) -> dict:
-        return {"target": tid}
-
     def filter(self, plan: QueryPlan, tid: int):
         """Index-filtered candidates for one target (opaque per kind)."""
         raise NotImplementedError
@@ -573,26 +578,12 @@ class KindStrategy:
     def candidate_count(self, candidates) -> int:
         return len(candidates)
 
-    def refine(self, plan: QueryPlan, ctx, tid: int, candidates):
-        """Settle one target; returns ``(pairs_value | None, n_results)``."""
-        raise NotImplementedError
-
-    def partial_value(self, exc: DeadlineExceededError):
-        """The confirmed-so-far value of a target interrupted mid-refine.
-
-        Default: drop the in-flight target (sound, since nothing was
-        committed). Kinds whose per-LOD confirmations are final override
-        this to keep them — the anytime property of FPR.
-        """
-        return None, 0
-
-    #: whether the kind can refine many targets as one group
-    #: (``QueryExecutor._run_target_group``). Kinds that opt in provide
-    #: ``group_refine``/``group_value``.
-    supports_group_refine = False
-
     def group_refine(self, plan: QueryPlan, ctx, items):
-        """Refine ``[(tid, candidates), ...]``; returns per-target states."""
+        """Refine ``[(tid, candidates), ...]``; returns per-target states.
+
+        On a deadline interrupt the refiner attaches per-target partials
+        (``exc.partial_by_target``) before re-raising.
+        """
         raise NotImplementedError
 
     def group_value(self, candidates, matches):
@@ -601,9 +592,8 @@ class KindStrategy:
         raise NotImplementedError
 
 
-def _sorted_partial(exc: DeadlineExceededError):
-    """Sorted confirmed-so-far id matches from an interrupted refine."""
-    matches = exc.partial or []
+def _sorted_ids(matches):
+    """Sorted, de-duplicated source ids; ``None`` when there are none."""
     if not matches:
         return None, 0
     value = sorted(set(matches))
@@ -615,24 +605,11 @@ class IntersectionStrategy(KindStrategy):
         box = plan.target.dataset.objects[tid].aabb
         return merge_payloads(plan.source.rtree.query_intersecting(box))
 
-    def refine(self, plan, ctx, tid, candidates):
-        matches = refine_intersection(ctx, tid, candidates)
-        if not matches:
-            return None, 0
-        return sorted(matches), len(matches)
-
-    partial_value = staticmethod(_sorted_partial)
-
-    supports_group_refine = True
-
     def group_refine(self, plan, ctx, items):
         return refine_intersection_group(ctx, items)
 
     def group_value(self, candidates, matches):
-        if not matches:
-            return None, 0
-        value = sorted(set(matches))
-        return value, len(value)
+        return _sorted_ids(matches)
 
 
 class WithinStrategy(KindStrategy):
@@ -649,41 +626,12 @@ class WithinStrategy(KindStrategy):
         _definite, open_candidates = candidates
         return len(open_candidates)
 
-    def refine(self, plan, ctx, tid, candidates):
-        definite, open_candidates = candidates
-        # The filter's definite matches are confirmed without any
-        # refinement; the funnel books them at the query level so
-        # confirmed_total still reconciles with the result count.
-        ctx.stats.funnel.filter_confirmed += len(definite)
-        # Filter-level confirmations stream at pseudo-LOD -1, matching
-        # the funnel's filter_confirmed bucket.
-        ctx.emit_confirmed(-1, sorted(definite))
-        try:
-            refined = refine_within(ctx, tid, open_candidates, plan.spec.distance)
-        except DeadlineExceededError as exc:
-            # The filter's definite matches were confirmed before the
-            # interrupt; fold them into the partial answer.
-            exc.partial = sorted(set(definite) | set(exc.partial or ()))
-            raise
-        matches = set(definite) | set(refined)
-        if not matches:
-            return None, 0
-        return sorted(matches), len(matches)
-
-    partial_value = staticmethod(_sorted_partial)
-
-    supports_group_refine = True
-
     def group_refine(self, plan, ctx, items):
         return refine_within_group(ctx, items, plan.spec.distance)
 
     def group_value(self, candidates, matches):
         definite, _open = candidates
-        merged = set(definite) | set(matches)
-        if not merged:
-            return None, 0
-        value = sorted(merged)
-        return value, len(value)
+        return _sorted_ids([*definite, *matches])
 
 
 class KnnStrategy(KindStrategy):
@@ -702,19 +650,14 @@ class KnnStrategy(KindStrategy):
         raw = plan.source.rtree.query_nn_candidates(box, k=k_entries)
         return merge_nn_payloads(raw)
 
-    def refine(self, plan, ctx, tid, candidates):
-        nearest = refine_nn(ctx, tid, candidates, k=plan.spec.k)
-        if not nearest:
+    def group_refine(self, plan, ctx, items):
+        return refine_nn(ctx, items, k=plan.spec.k)
+
+    def group_value(self, candidates, matches):
+        # ``matches`` is the ranked top-k of (sid, distance, exact).
+        if not matches:
             return None, 0
-        # NN confirmation is by elimination: the survivors that end up
-        # in the top-k were never "settled" per LOD, so book them as
-        # query-level final confirmations for funnel reconciliation.
-        ctx.stats.funnel.confirmed_final += len(nearest)
-        matches = [(c.sid, c.maxdist, c.exact) for c in nearest]
-        # Final-selection confirmations stream at pseudo-LOD -2 (the
-        # top-k only exists once elimination finishes).
-        ctx.emit_confirmed(-2, matches)
-        return matches, len(nearest)
+        return list(matches), len(matches)
 
 
 class ContainmentStrategy(KindStrategy):
@@ -723,25 +666,25 @@ class ContainmentStrategy(KindStrategy):
     def target_ids(self, plan):
         return [0]  # the query point is the single pseudo-target
 
-    def compute_attrs(self, tid):
-        return {}
-
     def filter(self, plan, tid):
         point = plan.spec.point
         probe = AABB(point, point)
         payloads = plan.source.rtree.query_intersecting(probe)
         return sorted({obj_id for obj_id, _part in payloads})
 
-    def refine(self, plan, ctx, tid, candidates):
+    def group_refine(self, plan, ctx, items):
+        ((tid, candidates),) = items
         provider = plan.source.provider
         top = max((provider.max_lod(sid) for sid in candidates), default=0)
         lods = (
             (top,) if plan.config.paradigm == "fr" else tuple(range(top + 1))
         )
-        matches = refine_containment(ctx, plan.spec.point, candidates, lods)
-        return sorted(matches), len(matches)
+        return refine_containment(ctx, tid, plan.spec.point, candidates, lods)
 
-    partial_value = staticmethod(_sorted_partial)
+    def group_value(self, candidates, matches):
+        # The point always answers, even with no containing object.
+        value = sorted(matches)
+        return value, len(value)
 
 
 STRATEGIES = {

@@ -1,35 +1,38 @@
 """Progressive refinement: the paper's Algorithms 1, 2, and 3.
 
-Each function refines one target object against its filtered candidates
-over an ascending LOD schedule, settling (pruning) candidates as early
-as the progressive-approximation properties allow:
+Each algorithm refines a *group* of target objects against their
+filtered candidates over an ascending LOD schedule, settling (pruning)
+candidates as early as the progressive-approximation properties allow:
 
 * intersection — an intersecting face pair at any LOD settles the pair
   as a result (property 1); containment is checked at the top LOD;
 * within — a distance ≤ D at any LOD settles the pair as a result
   (property 2: low-LOD distance upper-bounds the true distance);
 * nearest neighbor — each LOD tightens every candidate's MAXDIST, and
-  candidates whose MINDIST exceeds the global MINMAXDIST are dropped;
-  the range collapses to the exact distance at the top LOD.
+  candidates whose MINDIST exceeds the target's k-th smallest MAXDIST
+  are dropped; the range collapses to the exact distance at the top LOD;
+* point containment — a point inside any LOD is inside the object; the
+  query point is the group's one target.
 
 Under the FR paradigm the same functions run with a single-entry LOD
 schedule (the top LOD), which reduces them to classical refinement.
 
-One round loop, two evaluators: intersection and within each have a
-single implementation — the group rounds of
-:func:`refine_intersection_group` / :func:`refine_within_group`. A round
-decodes every active target and its surviving candidates (*gather*),
-hands the round's face-pair jobs to one evaluator (*evaluate*), and
-applies the verdicts per target in order (*settle*). The evaluator is
-chosen from ``RefineContext.use_tree``: by default the fused wave
-kernels of :mod:`repro.core.batch` take all jobs of the round in a few
-kernel calls; with AABB-tree acceleration each job is one dual-tree
-traversal (traversals do not batch across pairs). Pair classifications
-are per-lane deterministic and ``min`` is exact, so results, funnel, and
-ledger do not depend on how targets are grouped: an executor chunk runs
-as one group, and :func:`refine_intersection` / :func:`refine_within`
-are the same rounds over a group of one (the shape streaming queries
-use, which keeps their progress frames target-major).
+One round loop, two evaluators: every algorithm has a single
+implementation — the group rounds of :func:`refine_intersection_group`,
+:func:`refine_within_group`, :func:`refine_nn` and
+:func:`refine_containment`. A round decodes every active target and its
+surviving candidates (*gather*), hands the round's face-pair jobs to one
+evaluator (*evaluate*), and applies the verdicts per target in order
+(*settle*). The evaluator is chosen from ``RefineContext.use_tree``: by
+default the fused wave kernels of :mod:`repro.core.batch` take all jobs
+of the round in a few kernel calls; with AABB-tree acceleration each job
+is one dual-tree traversal (traversals do not batch across pairs). Pair
+classifications are per-lane deterministic and ``min`` is exact, so
+results, funnel, and ledger do not depend on how targets are grouped: an
+executor chunk runs as one group, a streamed query runs each target as a
+group of one (which keeps its progress frames target-major), and
+:func:`refine_intersection` / :func:`refine_within` are the same rounds
+over a group of one under a single-target calling contract.
 
 Degraded mode: when an object's stored geometry cannot be decoded even
 at LOD 0 (see :class:`~repro.core.errors.DecodeFailureError`), each
@@ -119,8 +122,8 @@ class RefineContext:
     # no-op spans, so refinement stays uninstrumented-cost by default.
     tracer: object = DISABLED_TRACER
     # Degraded-mode bookkeeping: distinct degraded (side, id) keys seen,
-    # the per-target "this answer touched degraded geometry" flag the
-    # executor resets between targets, and the error budget (None = off).
+    # the "this answer touched degraded geometry" flag the group rounds
+    # accrue per target (_accruing_touches), and the error budget (None = off).
     # Under parallel execution every worker context shares one
     # ``degraded_keys`` set guarded by ``lock``, so the distinct-object
     # count and the budget stay global and order-independent.
@@ -361,7 +364,13 @@ class RefineContext:
         Returns ``(entries, inexact)``: per survivor either a fixed
         distance (the MBB upper bound for an undecodable candidate,
         ``inf`` for an empty partition mask) or the index of its job in
-        the shared ``jobs`` list, plus the upper-bound-only flags.
+        the shared ``jobs`` list, plus the flags marking distances that
+        are only upper bounds — the decode failed outright (the distance
+        is then the MBB-based :meth:`box_upper_bound`, still valid, so
+        threshold confirms stay sound) or was served degraded (LOD
+        fallback or salvaged geometry). A flag depends only on its own
+        decode, never on what other targets decoded earlier, which keeps
+        NN exactness identical between serial and parallel execution.
         Decodes happen here, per target in survivor order, so the
         provider's request sequence for a target does not depend on
         which other targets share the round.
@@ -383,35 +392,6 @@ class RefineContext:
                 jobs.append((dec_t, dec_s, tris_s))
         return entries, inexact
 
-    def batch_min_distances(
-        self,
-        dec_t,
-        survivors: list,
-        lod: int,
-        stop_below: float = 0.0,
-        target_id: int | None = None,
-    ) -> tuple[list[float], list[bool]]:
-        """Distances from the target to many candidates at one LOD.
-
-        Returns ``(distances, inexact)`` — the second list flags, per
-        candidate, whether its distance is only an upper bound: the
-        decode failed outright (the distance is then the MBB-based
-        :meth:`box_upper_bound` — still valid, so threshold confirms
-        stay sound) or was served degraded (LOD fallback or salvaged
-        geometry). The flag depends only on this decode, never on what
-        other targets decoded earlier, which is what keeps NN exactness
-        identical between serial and parallel execution.
-
-        One gather, one evaluate (:meth:`min_distances`, early exit per
-        candidate at ``stop_below``), one scatter.
-        """
-        jobs: list = []
-        entries, inexact = self._gather_distance_jobs(
-            dec_t, survivors, lod, target_id, jobs
-        )
-        dists = self.min_distances(jobs, lod, stop_below=stop_below)
-        return _scatter_distances(entries, dists), inexact
-
 
 def _scatter_distances(entries, dists) -> list[float]:
     """Resolve gather entries back to per-survivor distances."""
@@ -431,7 +411,7 @@ class GroupState:
     def __init__(self, tid: int, survivors):
         self.tid = tid
         self.survivors = survivors
-        self.results: list[int] = []
+        self.results: list = []  # source ids; (sid, distance, exact) for NN
         self.done = False
         self.touched = False
         self.entries = None
@@ -724,8 +704,8 @@ def refine_within_group(
 
     ``items`` is ``[(target_id, (definite, open_candidates)), ...]`` —
     the filter's split, exactly as :meth:`WithinStrategy.filter` returns
-    it. The definite matches are booked on the funnel here; the executor
-    folds them into each committed value. See
+    it. The definite matches are booked on the funnel and streamed here;
+    the executor folds them into each committed value. See
     :func:`refine_intersection_group` for the round structure and
     interrupt contract.
     """
@@ -733,8 +713,11 @@ def refine_within_group(
     for tid, (definite, open_candidates) in items:
         # The filter's definite matches are confirmed without any
         # refinement; the funnel books them at the query level so
-        # confirmed_total still reconciles with the result count.
+        # confirmed_total still reconciles with the result count, and
+        # they stream at pseudo-LOD -1, matching that bucket.
         ctx.stats.funnel.filter_confirmed += len(definite)
+        ctx.progress_target = tid
+        ctx.emit_confirmed(-1, sorted(definite))
         states.append(GroupState(tid, list(open_candidates.items())))
     try:
         _within_group_rounds(ctx, states, distance)
@@ -845,96 +828,186 @@ def _within_mbb_fallback(ctx: RefineContext, s: GroupState, lod: int, distance: 
 # -- Algorithm 3: nearest neighbor ----------------------------------------------
 
 
-def refine_nn(
-    ctx: RefineContext, target_id: int, candidates: list[NNCandidate], k: int = 1
-) -> list[NNCandidate]:
-    """The ``k`` nearest candidates with tightened ranges (Algorithm 3).
+def refine_nn(ctx: RefineContext, items, k: int = 1) -> list[GroupState]:
+    """The ``k`` nearest candidates of many targets, as one group (Algorithm 3).
 
-    Candidates enter with their MBB-based [MINDIST, MAXDIST] ranges. Each
-    LOD's measured distance replaces MAXDIST (a valid upper bound, by
-    property 2) and the global pruning bound is the k-th smallest
-    MAXDIST. At the top LOD ranges collapse and the result is exact; if
-    pruning leaves only ``k`` candidates earlier, they are returned with
-    their ranges still open (``exact=False``) — the early return that
-    gives FPR its nearest-neighbor speedups.
+    ``items`` is ``[(target_id, candidates), ...]``, each candidate an
+    :class:`NNCandidate` entering with its MBB-based [MINDIST, MAXDIST]
+    range. Each LOD's measured distance replaces MAXDIST (a valid upper
+    bound, by property 2) and a target's pruning bound is its k-th
+    smallest MAXDIST. At the top LOD ranges collapse and the result is
+    exact; a target whose pruning leaves only ``k`` candidates earlier
+    leaves the rounds with its ranges still open (``exact=False``) — the
+    early return that gives FPR its nearest-neighbor speedups.
+
+    A state finishes the moment it leaves the rounds (after the
+    ``exact_nn_distances`` pass, when that is on): its ``results`` become
+    the ``(source_id, distance, exact)`` triples of its top-k, booked as
+    final-selection confirmations and streamed at pseudo-LOD -2. See
+    :func:`refine_intersection_group` for the round structure and
+    interrupt contract; an interrupted target's partial is empty, since
+    a top-k exists only once elimination finishes.
     """
-    if not candidates:
-        return []
+    states = [
+        GroupState(tid, _mbb_prune(ctx, candidates, k)) for tid, candidates in items
+    ]
+    try:
+        _nn_group_rounds(ctx, states, k)
+        if ctx.exact_nn_distances:
+            _exact_nn_pass(ctx, states)
+            for s in states:
+                _finish_nn(ctx, s, k)
+    except DeadlineExceededError as exc:
+        _attach_group_partial(exc, states)
+        raise
+    return states
+
+
+def _mbb_prune(ctx: RefineContext, candidates, k: int) -> list[NNCandidate]:
+    """Initial prune from the MBB-based ranges alone (before any decoding)."""
     survivors = sorted(candidates, key=lambda c: c.mindist)
+    minmax = _kth_smallest((c.maxdist for c in survivors), k)
+    kept = [c for c in survivors if c.mindist <= minmax]
+    ctx.stats.funnel.mbb_pruned += len(survivors) - len(kept)
+    return kept
+
+
+def _nn_group_rounds(ctx: RefineContext, states, k: int) -> None:
     top_lod = ctx.lods[-1]
 
-    # Initial prune from the MBB-based ranges alone (before any decoding).
-    minmax = _kth_smallest((c.maxdist for c in survivors), k)
-    before = len(survivors)
-    survivors = [c for c in survivors if c.mindist <= minmax]
-    ctx.stats.funnel.mbb_pruned += before - len(survivors)
+    def leave(s: GroupState) -> None:
+        # Without the exact pass, leaving the rounds is finishing.
+        if not ctx.exact_nn_distances:
+            _finish_nn(ctx, s, k)
 
+    running = []
+    for s in states:
+        if s.survivors:
+            running.append(s)
+        else:
+            leave(s)  # no candidates: an empty top-k, nothing to decode
     for lod in ctx.lods:
-        if len(survivors) <= k and lod != top_lod:
-            # Early NN determination without decoding further LODs.
-            break
-
+        active = []
+        for s in running:
+            if len(s.survivors) <= k and lod != top_lod:
+                leave(s)  # early NN determination without decoding further LODs
+            else:
+                active.append(s)
+        if not active:
+            return
         ctx.checkpoint("nn_round")
-        with ctx.tracer.span("refine", query="nn", lod=lod,
-                             survivors=len(survivors)) as round_span:
+        with ctx.tracer.span(
+            "refine", query="nn", lod=lod,
+            survivors=sum(len(s.survivors) for s in active),
+        ) as round_span:
+            jobs: list = []
+            running = []
+            for s in active:
+                with _accruing_touches(ctx, s):
+                    try:
+                        dec_t = ctx.decode_target(s.tid, lod)
+                    except DecodeFailureError:
+                        # MBB-only: candidates keep whatever ranges are
+                        # already established; none of them can be exact.
+                        leave(s)
+                        continue
+                    ctx.ledger_evaluated(lod, len(s.survivors))
+                    s.dec_t = dec_t
+                    s.entries, s.inexact = ctx._gather_distance_jobs(
+                        dec_t, [(c.sid, c.parts) for c in s.survivors], lod, s.tid, jobs
+                    )
+                    running.append(s)
+            if running:
+                dists = ctx.min_distances(jobs, lod)
+                n_settled = 0
+                for s in running:
+                    n_settled += _settle_nn(ctx, s, dists, lod, top_lod, k)
+                round_span.set(settled=n_settled)
+    for s in running:
+        leave(s)
+
+
+def _settle_nn(
+    ctx: RefineContext, s: GroupState, dists, lod: int, top_lod: int, k: int
+) -> int:
+    """Tighten one state's ranges from the round's distances, then prune."""
+    for cand, dist, rough in zip(
+        s.survivors, _scatter_distances(s.entries, dists), s.inexact
+    ):
+        if lod == top_lod and not s.dec_t.degraded and not rough:
+            # Collapse the range to the exact distance. Do NOT keep a
+            # previously-tightened MAXDIST here: kernel summation order
+            # differs between LODs, so an earlier bound can sit an ulp
+            # *below* the exact value, leaving mindist > maxdist and
+            # pruning the true nearest neighbor away.
+            cand.maxdist = float(dist)
+            cand.mindist = float(dist)
+            cand.exact = True
+        else:
+            # A pre-top LOD, a degraded decode on either side (the
+            # measured distance is only an upper bound then), or an
+            # undecodable candidate whose "distance" is the MBB upper
+            # bound — tighten, never collapse or mark exact.
+            cand.maxdist = min(cand.maxdist, float(dist))
+    s.entries = s.inexact = s.dec_t = None
+    # Prune with the ranges this LOD just tightened, crediting the prune
+    # to this LOD (Section 4.4's "pairs pruned by refining at LOD i" —
+    # the quantity the schedule profiling feeds on).
+    minmax = _kth_smallest((c.maxdist for c in s.survivors), k)
+    kept = [c for c in s.survivors if c.mindist <= minmax]
+    pruned = len(s.survivors) - len(kept)
+    ctx.ledger_settled(lod, rejected=pruned)
+    s.survivors = kept
+    return pruned
+
+
+def _exact_nn_pass(ctx: RefineContext, states) -> None:
+    """``exact_nn_distances``: one shared top-LOD round over open ranges."""
+    top_lod = ctx.lods[-1]
+    jobs: list = []
+    gathered = []
+    for s in states:
+        pending = [c for c in s.survivors if not c.exact]
+        if not pending:
+            continue
+        with _accruing_touches(ctx, s):
             try:
-                dec_t = ctx.decode_target(target_id, lod)
+                s.dec_t = ctx.decode_target(s.tid, top_lod)
             except DecodeFailureError:
-                # MBB-only: candidates keep whatever ranges are already
-                # established; none of them can be called exact.
-                break
-            ctx.ledger_evaluated(lod, len(survivors))
-            dists, inexact = ctx.batch_min_distances(
-                dec_t, [(c.sid, c.parts) for c in survivors], lod, target_id=target_id
+                continue
+            s.entries, s.inexact = ctx._gather_distance_jobs(
+                s.dec_t, [(c.sid, c.parts) for c in pending], top_lod, s.tid, jobs
             )
-            for cand, dist, rough in zip(survivors, dists, inexact):
-                if lod == top_lod and not dec_t.degraded and not rough:
-                    # Collapse the range to the exact distance. Do NOT keep a
-                    # previously-tightened MAXDIST here: kernel summation
-                    # order differs between LODs, so an earlier bound can sit
-                    # an ulp *below* the exact value, leaving mindist >
-                    # maxdist and pruning the true nearest neighbor away.
-                    cand.maxdist = float(dist)
-                    cand.mindist = float(dist)
-                    cand.exact = True
-                else:
-                    # A pre-top LOD, a degraded decode on either side (the
-                    # measured distance is only an upper bound then), or an
-                    # undecodable candidate whose "distance" is the MBB upper
-                    # bound — tighten, never collapse or mark exact.
-                    cand.maxdist = min(cand.maxdist, float(dist))
+            gathered.append((s, pending))
+    if not gathered:
+        return
+    dists = ctx.min_distances(jobs, top_lod)
+    for s, pending in gathered:
+        for cand, dist, rough in zip(
+            pending, _scatter_distances(s.entries, dists), s.inexact
+        ):
+            if s.dec_t.degraded or rough:
+                # Undecodable or degraded candidates can never be made
+                # exact; tighten with the upper bound rather than pretend.
+                cand.maxdist = min(cand.maxdist, float(dist))
+                continue
+            cand.maxdist = cand.mindist = float(dist)
+            cand.exact = True
+        s.entries = s.inexact = s.dec_t = None
 
-            # Prune with the ranges this LOD just tightened, crediting the
-            # prune to this LOD (Section 4.4's "pairs pruned by refining at
-            # LOD i" — the quantity the schedule profiling feeds on).
-            minmax = _kth_smallest((c.maxdist for c in survivors), k)
-            kept = [c for c in survivors if c.mindist <= minmax]
-            ctx.ledger_settled(lod, rejected=len(survivors) - len(kept))
-            round_span.set(settled=len(survivors) - len(kept))
-            survivors = kept
 
-    if ctx.exact_nn_distances:
-        pending = [c for c in survivors if not c.exact]
-        if pending:
-            try:
-                dec_t = ctx.decode_target(target_id, top_lod)
-            except DecodeFailureError:
-                pending = []
-        if pending:
-            dists, inexact = ctx.batch_min_distances(
-                dec_t, [(c.sid, c.parts) for c in pending], top_lod, target_id=target_id
-            )
-            for cand, dist, rough in zip(pending, dists, inexact):
-                if dec_t.degraded or rough:
-                    # Undecodable or degraded candidates can never be made
-                    # exact; tighten with the upper bound rather than pretend.
-                    cand.maxdist = min(cand.maxdist, float(dist))
-                    continue
-                cand.maxdist = cand.mindist = float(dist)
-                cand.exact = True
+def _finish_nn(ctx: RefineContext, s: GroupState, k: int) -> None:
+    """Select a state's top-k and confirm it.
 
-    survivors.sort(key=lambda c: (c.maxdist, c.sid))
-    return survivors[:k]
+    NN confirmation is by elimination: the survivors that end up in the
+    top-k were never "settled" per LOD, so they are booked as
+    query-level final confirmations for funnel reconciliation.
+    """
+    s.survivors.sort(key=lambda c: (c.maxdist, c.sid))
+    nearest = s.survivors[:k]
+    ctx.stats.funnel.confirmed_final += len(nearest)
+    _confirm(ctx, s, -2, [(c.sid, c.maxdist, c.exact) for c in nearest])
+    s.done = True
 
 
 def _kth_smallest(values, k: int) -> float:
@@ -954,8 +1027,9 @@ def _kth_smallest(values, k: int) -> float:
 
 
 def refine_containment(
-    ctx: RefineContext, point, candidates: list[int], lods: tuple[int, ...]
-) -> list[int]:
+    ctx: RefineContext, target_id: int, point, candidates: list[int],
+    lods: tuple[int, ...],
+) -> list[GroupState]:
     """Source ids whose mesh contains ``point``, with progressive early accept.
 
     A point inside a lower-LOD mesh is inside the original (the LOD is a
@@ -964,35 +1038,35 @@ def refine_containment(
     candidate is dropped — MBB containment proves nothing about the mesh,
     so the answer stays a correct subset.
 
-    A deadline interrupt carries the confirmed-so-far ids out on the
-    exception (``exc.partial``) — inside a lower-LOD mesh means inside
-    the original, so each early accept is final.
+    The query point is the one target (``target_id``), so this is a
+    group of one under the :func:`refine_intersection_group` interrupt
+    contract: each early accept is final, so the partial is sound.
     """
-    matches: list[int] = []
+    state = GroupState(target_id, list(candidates))
     try:
-        _containment_rounds(ctx, point, candidates, lods, matches)
+        with _accruing_touches(ctx, state):
+            _containment_rounds(ctx, point, state, lods)
+        state.done = True
     except DeadlineExceededError as exc:
-        exc.partial = list(matches)
+        _attach_group_partial(exc, [state])
         raise
-    return matches
+    return [state]
 
 
 def _containment_rounds(
-    ctx: RefineContext, point, candidates: list[int], lods: tuple[int, ...],
-    matches: list[int],
+    ctx: RefineContext, point, s: GroupState, lods: tuple[int, ...]
 ) -> None:
-    survivors = list(candidates)
     for lod in lods:
-        if not survivors:
+        if not s.survivors:
             break
         ctx.checkpoint("containment_round")
         with ctx.tracer.span(
-            "refine", query="containment", lod=lod, survivors=len(survivors)
+            "refine", query="containment", lod=lod, survivors=len(s.survivors)
         ):
-            ctx.ledger_evaluated(lod, len(survivors))
+            ctx.ledger_evaluated(lod, len(s.survivors))
             probes: list = []
             entries: list[tuple[int, int]] = []
-            for sid in survivors:
+            for sid in s.survivors:
                 ctx.checkpoint("containment_pair")
                 dec = ctx._decode_source_or_none(sid, lod)
                 if dec is None:
@@ -1015,8 +1089,7 @@ def _containment_rounds(
                 lod,
                 confirmed=len(confirmed),
                 degraded=degraded,
-                rejected=len(survivors) - len(remaining) - len(confirmed) - degraded,
+                rejected=len(s.survivors) - len(remaining) - len(confirmed) - degraded,
             )
-            matches.extend(confirmed)
-            ctx.emit_confirmed(lod, confirmed)
-            survivors = remaining
+            _confirm(ctx, s, lod, confirmed)
+            s.survivors = remaining

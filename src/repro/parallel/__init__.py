@@ -3,14 +3,14 @@
 Geometric computation between two decoded polyhedra reduces to many
 independent face-pair evaluations. The paper packs those pairs into
 fixed-size tasks executed by CPU cores or GPU kernels; here the "GPU" is
-simulated by fused numpy mega-batches (one vectorized kernel invocation
-over hundreds of thousands of pairs) while the "CPU" path evaluates
-small blocks — reproducing the batched-vs-blocked performance contrast
+simulated by the fused numpy mega-batches of :mod:`repro.core.batch`
+(one vectorized kernel invocation over thousands of pairs, sized by
+``gpu_block``) while the per-pair "CPU" kernels evaluate small blocks — reproducing the batched-vs-blocked performance contrast
 inside one process. A thread-pool scheduler stands in for the resource
 manager.
 """
 
-from repro.parallel.executor import Device, GeometryComputer
+from repro.parallel.executor import GeometryComputer
 from repro.parallel.tasks import TaskScheduler, iter_pair_blocks
 
-__all__ = ["Device", "GeometryComputer", "TaskScheduler", "iter_pair_blocks"]
+__all__ = ["GeometryComputer", "TaskScheduler", "iter_pair_blocks"]

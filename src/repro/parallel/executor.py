@@ -1,25 +1,20 @@
-"""The geometry computer: device-parameterized pair evaluation.
+"""The geometry computer: face-pair kernels for one pair of face sets.
 
-Two devices are modeled:
-
-* ``Device.CPU`` — small fixed-size blocks (many kernel launches, early
-  exit between blocks), the multicore-CPU baseline of the paper;
-* ``Device.GPU`` — fused batches at the kernel-saturating size; in
-  this pure Python reproduction the "GPU" is numpy vectorization at the
-  block size that maximizes hardware throughput (amortizing per-launch
-  overhead, staying inside cache), while the CPU path deliberately pays
-  per-launch overhead on many small tasks — the same
-  batched-versus-blocked contrast that separates the paper's CUDA
-  kernels from its multicore loops.
+Two block sizes live here. ``cpu_block`` sizes the per-pair kernels
+below — small fixed-size blocks with early exit between them, the
+multicore-CPU baseline of the paper. ``gpu_block`` sizes the fused
+flushes of :mod:`repro.core.batch`, which refinement uses for every
+round: numpy vectorization at the kernel-saturating batch size across
+all of a round's pairs stands in for the paper's CUDA kernels (the same
+batched-versus-blocked contrast, inside one process).
 
 When AABB-trees are supplied the computer uses the dual-tree traversals
-instead of exhaustive pair enumeration (the paper's AABB acceleration;
-tree traversal and GPU batching are alternatives, per Table 1).
+instead of exhaustive pair enumeration (the paper's AABB acceleration,
+an alternative to fused batching per Table 1).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -30,18 +25,10 @@ from repro.index.aabbtree import TriangleAABBTree
 from repro.obs import metrics as obs_metrics
 from repro.parallel.tasks import TaskScheduler, iter_pair_blocks
 
-__all__ = ["Device", "GeometryComputer"]
+__all__ = ["GeometryComputer"]
 
 # Batch sizes span 1 .. gpu_block; powers of two keep the histogram honest.
 _BATCH_BUCKETS = (1, 8, 16, 32, 48, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
-
-
-class Device(enum.Enum):
-    """Execution style for face-pair kernels."""
-
-    CPU = "cpu"
-    GPU = "gpu"
-
 
 _CPU_BLOCK = 48
 _GPU_BLOCK = 4096
@@ -52,13 +39,11 @@ class GeometryComputer:
 
     def __init__(
         self,
-        device: Device = Device.CPU,
         cpu_block: int = _CPU_BLOCK,
         gpu_block: int = _GPU_BLOCK,
         scheduler: TaskScheduler | None = None,
         metrics: obs_metrics.MetricsRegistry | None = None,
     ):
-        self.device = device
         self.cpu_block = cpu_block
         self.gpu_block = gpu_block
         self.scheduler = scheduler or TaskScheduler(workers=1)
@@ -76,10 +61,6 @@ class GeometryComputer:
         self._m_batch_size.observe(size)
         self._m_face_pairs.inc(size)
 
-    @property
-    def block_size(self) -> int:
-        return self.gpu_block if self.device is Device.GPU else self.cpu_block
-
     # -- intersection ---------------------------------------------------------
 
     def intersects(
@@ -93,11 +74,11 @@ class GeometryComputer:
         """True when any face pair between the two sets intersects.
 
         Intersection tests are early-exit dominated (most positive pairs
-        hit within the first few dozen face pairs), so both devices use
-        the small task granularity here; saturating mega-batches would
-        only evaluate thousands of pairs past the first hit. This matches
-        the paper's Table 1, where GPU acceleration is neutral for the
-        intersection test.
+        hit within the first few dozen face pairs), so they use the small
+        task granularity; saturating mega-batches would only evaluate
+        thousands of pairs past the first hit. This matches the paper's
+        Table 1, where GPU acceleration is neutral for the intersection
+        test.
         """
         if tree_a is not None and tree_b is not None:
             return tree_a.intersects(tree_b, stats=stats)
@@ -138,15 +119,9 @@ class GeometryComputer:
             return tree_a.min_distance(
                 tree_b, stop_below=stop_below, upper_bound=upper_bound, stats=stats
             )
-        # Early-exit thresholds cap the useful batch size: work past the
-        # first qualifying pair is wasted, so the GPU device trades some
-        # batch amortization for exit granularity (512-pair tasks).
-        block = self.block_size
-        if stop_below > 0.0 and self.device is Device.GPU:
-            block = min(block, max(self.cpu_block, 512))
         best = upper_bound
         pairs_seen = 0
-        for ii, jj in iter_pair_blocks(len(tris_a), len(tris_b), block):
+        for ii, jj in iter_pair_blocks(len(tris_a), len(tris_b), self.cpu_block):
             pairs_seen += len(ii)
             self._note_batch(len(ii))
             dist = float(
@@ -161,7 +136,7 @@ class GeometryComputer:
             stats["pairs"] = stats.get("pairs", 0) + pairs_seen
         return best
 
-    # -- bulk distance over many pairs (used by the GPU-style NN batch) -------
+    # -- distance per job ------------------------------------------------------
 
     def pairwise_min_distances(
         self,
@@ -170,18 +145,13 @@ class GeometryComputer:
     ) -> list[float]:
         """Minimum distance per (tris_a, tris_b) job.
 
-        On the GPU device all jobs' pair blocks are packed together and
-        evaluated in fused batches (one kernel per mega-block); on CPU
-        each job runs its own blocked loop, optionally across the
-        scheduler's workers.
+        Each job runs its own blocked loop (:meth:`min_distance`),
+        optionally across the scheduler's workers. Each scheduler job
+        counts into its own dict and the shared caller dict is updated
+        once, serially, after all jobs complete: with workers > 1 a
+        shared-dict read-modify-write races and undercounts "pairs".
         """
-        if self.device is Device.GPU:
-            return self._fused_min_distances(jobs, stats)
 
-        # Each scheduler job counts into its own dict; the shared caller
-        # dict is updated once, serially, after all jobs complete. With
-        # workers > 1 the old shared-dict read-modify-write raced and
-        # undercounted "pairs".
         def run_job(job):
             job_stats: dict = {}
             dist = self.min_distance(job[0], job[1], stats=job_stats)
@@ -191,43 +161,3 @@ class GeometryComputer:
         if stats is not None:
             stats["pairs"] = stats.get("pairs", 0) + sum(p for _d, p in outcomes)
         return [d for d, _p in outcomes]
-
-    def _fused_min_distances(
-        self, jobs: list[tuple[np.ndarray, np.ndarray]], stats: dict | None
-    ) -> list[float]:
-        results = [math.inf] * len(jobs)
-        buffer_a: list[np.ndarray] = []
-        buffer_b: list[np.ndarray] = []
-        owners: list[int] = []
-        filled = 0
-
-        def flush():
-            nonlocal filled
-            if not buffer_a:
-                return
-            tris_a = np.concatenate(buffer_a)
-            tris_b = np.concatenate(buffer_b)
-            if stats is not None:
-                stats["pairs"] = stats.get("pairs", 0) + len(tris_a)
-            self._note_batch(len(tris_a))
-            dists = tri_tri_distance_batch(tris_a, tris_b, check_intersection=False)
-            start = 0
-            for owner, chunk in zip(owners, buffer_a):
-                segment = dists[start : start + len(chunk)]
-                results[owner] = min(results[owner], float(segment.min()))
-                start += len(chunk)
-            buffer_a.clear()
-            buffer_b.clear()
-            owners.clear()
-            filled = 0
-
-        for job_id, (tris_a, tris_b) in enumerate(jobs):
-            for ii, jj in iter_pair_blocks(len(tris_a), len(tris_b), self.gpu_block):
-                buffer_a.append(tris_a[ii])
-                buffer_b.append(tris_b[jj])
-                owners.append(job_id)
-                filled += len(ii)
-                if filled >= self.gpu_block:
-                    flush()
-        flush()
-        return results

@@ -41,3 +41,29 @@ def datasets(small_scene, encoder):
         "nuclei_b": Dataset.from_polyhedra("nuclei_b", small_scene.nuclei_b, encoder),
         "vessels": Dataset.from_polyhedra("vessels", small_scene.vessels, encoder),
     }
+
+
+@pytest.fixture(scope="session")
+def naive_knn2_vessels(small_scene):
+    """Ground truth: each ``nuclei_a`` object's 2 nearest vessels.
+
+    The exhaustive scan dominates every NN truth comparison, so it runs
+    once per session; :func:`naive_nn_vessels` is its first column.
+    """
+    from repro.baselines import NaiveEngine
+
+    return NaiveEngine(
+        small_scene.nuclei_a, small_scene.vessels, prefilter=True
+    ).knn_join(2).pairs
+
+
+@pytest.fixture(scope="session")
+def naive_nn_vessels(naive_knn2_vessels):
+    """Ground truth: each ``nuclei_a`` object's nearest vessel.
+
+    ``NaiveEngine.nn_join`` is ``knn_join(1)``'s first column under the
+    same ``(dist, sid)`` order, and a k=2 scan visits a superset of the
+    k=1 scan's sources, so the 2-NN table's first column is identical
+    (``test_engine.py::TestProbeQueries::test_nn_query`` asserts it).
+    """
+    return {tid: matches[0] for tid, matches in naive_knn2_vessels.items() if matches}

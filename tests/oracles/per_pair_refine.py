@@ -1,12 +1,14 @@
-"""Reference oracle: Algorithms 1 and 2 and point containment, one pair at a time.
+"""Reference oracle: Algorithms 1-3 and point containment, one pair at a time.
 
-These are the per-pair refinement loops the engine shipped before 2.0
-(``batched_refine=False``), kept as the reference the production round
-loop of :mod:`repro.core.refine` is compared against. Each candidate
-pair is decoded and evaluated by its own ``GeometryComputer`` call, one
-target at a time, with no gather step and no fused kernels — the
-simplest thing that implements the paper's pseudo-code, built only on
-public :class:`~repro.core.refine.RefineContext` methods,
+These are the per-target, per-pair refinement loops the engine shipped
+before 2.0 (``batched_refine=False``) and, for nearest neighbors, the
+per-target ``refine_nn`` it shipped until group NN — kept as the
+reference the production group rounds of :mod:`repro.core.refine` are
+compared against. Each candidate pair is decoded and evaluated by its
+own ``GeometryComputer`` call, one target at a time, with no gather step
+and no fused kernels — the simplest thing that implements the paper's
+pseudo-code, built only on public
+:class:`~repro.core.refine.RefineContext` methods,
 ``GeometryComputer.intersects`` / ``min_distance`` and
 ``point_in_polyhedron``.
 
@@ -23,12 +25,13 @@ from contextlib import contextmanager
 
 from repro.core import plan
 from repro.core.errors import DeadlineExceededError, DecodeFailureError
-from repro.core.refine import RefineContext
+from repro.core.refine import GroupState, _attach_group_partial, _kth_smallest
 from repro.geometry.raycast import point_in_polyhedron
 
 __all__ = [
     "refine_intersection",
     "refine_within",
+    "refine_nn",
     "refine_containment",
     "batch_min_distances",
     "installed",
@@ -86,10 +89,10 @@ def _pair_min_distance(ctx, dec_t, dec_s, sid, parts, lod, stop_below) -> float:
 
 
 def batch_min_distances(ctx, dec_t, survivors, lod, stop_below=0.0, target_id=None):
-    """Per-pair stand-in for ``RefineContext.batch_min_distances``.
+    """Distances from the target to many candidates at one LOD, per pair.
 
-    An undecodable candidate reports the MBB upper bound and is flagged
-    inexact, as is a degraded decode.
+    Returns ``(distances, inexact)``: an undecodable candidate reports
+    the MBB upper bound and is flagged inexact, as is a degraded decode.
     """
     dists: list[float] = []
     inexact: list[bool] = []
@@ -312,33 +315,160 @@ def _containment(ctx, point, candidates, lods, matches) -> None:
             survivors = remaining
 
 
+# -- Algorithm 3: nearest neighbor ---------------------------------------------------
+
+
+def refine_nn(ctx, target_id: int, candidates, k: int = 1):
+    """The ``k`` nearest candidates with tightened ranges, one target at a time."""
+    if not candidates:
+        return []
+    survivors = sorted(candidates, key=lambda c: c.mindist)
+    top_lod = ctx.lods[-1]
+
+    # Initial prune from the MBB-based ranges alone (before any decoding).
+    minmax = _kth_smallest((c.maxdist for c in survivors), k)
+    before = len(survivors)
+    survivors = [c for c in survivors if c.mindist <= minmax]
+    ctx.stats.funnel.mbb_pruned += before - len(survivors)
+
+    for lod in ctx.lods:
+        if len(survivors) <= k and lod != top_lod:
+            # Early NN determination without decoding further LODs.
+            break
+
+        ctx.checkpoint("nn_round")
+        with ctx.tracer.span("refine", query="nn", lod=lod,
+                             survivors=len(survivors)) as round_span:
+            try:
+                dec_t = ctx.decode_target(target_id, lod)
+            except DecodeFailureError:
+                # MBB-only: candidates keep whatever ranges are already
+                # established; none of them can be called exact.
+                break
+            ctx.ledger_evaluated(lod, len(survivors))
+            dists, inexact = batch_min_distances(
+                ctx, dec_t, [(c.sid, c.parts) for c in survivors], lod,
+                target_id=target_id,
+            )
+            for cand, dist, rough in zip(survivors, dists, inexact):
+                if lod == top_lod and not dec_t.degraded and not rough:
+                    # Collapse to the exact distance; never keep an
+                    # earlier bound, which may sit an ulp below it.
+                    cand.maxdist = float(dist)
+                    cand.mindist = float(dist)
+                    cand.exact = True
+                else:
+                    cand.maxdist = min(cand.maxdist, float(dist))
+
+            minmax = _kth_smallest((c.maxdist for c in survivors), k)
+            kept = [c for c in survivors if c.mindist <= minmax]
+            ctx.ledger_settled(lod, rejected=len(survivors) - len(kept))
+            round_span.set(settled=len(survivors) - len(kept))
+            survivors = kept
+
+    if ctx.exact_nn_distances:
+        pending = [c for c in survivors if not c.exact]
+        if pending:
+            try:
+                dec_t = ctx.decode_target(target_id, top_lod)
+            except DecodeFailureError:
+                pending = []
+        if pending:
+            dists, inexact = batch_min_distances(
+                ctx, dec_t, [(c.sid, c.parts) for c in pending], top_lod,
+                target_id=target_id,
+            )
+            for cand, dist, rough in zip(pending, dists, inexact):
+                if dec_t.degraded or rough:
+                    cand.maxdist = min(cand.maxdist, float(dist))
+                    continue
+                cand.maxdist = cand.mindist = float(dist)
+                cand.exact = True
+
+    survivors.sort(key=lambda c: (c.maxdist, c.sid))
+    return survivors[:k]
+
+
 # -- installation ----------------------------------------------------------------------
+#
+# One function per kind refines one target the way the per-target
+# executor loop and the strategies' ``refine`` methods did before 2.0:
+# within books and streams its filter-definite matches first, NN books
+# and streams its final top-k after elimination.
+
+
+def _intersection_target(query_plan, ctx, tid, candidates):
+    return refine_intersection(ctx, tid, candidates)
+
+
+def _within_target(query_plan, ctx, tid, candidates):
+    definite, open_candidates = candidates
+    ctx.stats.funnel.filter_confirmed += len(definite)
+    ctx.emit_confirmed(-1, sorted(definite))
+    return refine_within(ctx, tid, open_candidates, query_plan.spec.distance)
+
+
+def _nn_target(query_plan, ctx, tid, candidates):
+    nearest = refine_nn(ctx, tid, candidates, k=query_plan.spec.k)
+    ctx.stats.funnel.confirmed_final += len(nearest)
+    matches = [(c.sid, c.maxdist, c.exact) for c in nearest]
+    ctx.emit_confirmed(-2, matches)
+    return matches
+
+
+def _containment_target(query_plan, ctx, tid, candidates):
+    provider = query_plan.source.provider
+    top = max((provider.max_lod(sid) for sid in candidates), default=0)
+    lods = (top,) if query_plan.config.paradigm == "fr" else tuple(range(top + 1))
+    return refine_containment(ctx, query_plan.spec.point, candidates, lods)
+
+
+def _per_target(refine_target):
+    """A ``group_refine`` that walks its group one target at a time."""
+
+    def group_refine(self, query_plan, ctx, items):
+        states = [GroupState(tid, candidates) for tid, candidates in items]
+        try:
+            for state in states:
+                ctx.progress_target = state.tid
+                ctx.touched_degraded = False
+                try:
+                    state.results = refine_target(
+                        query_plan, ctx, state.tid, state.survivors
+                    )
+                except DeadlineExceededError as exc:
+                    state.results = list(getattr(exc, "partial", None) or ())
+                    raise
+                finally:
+                    state.touched = ctx.touched_degraded
+                state.done = True
+        except DeadlineExceededError as exc:
+            _attach_group_partial(exc, states)
+            raise
+        return states
+
+    return group_refine
 
 
 @contextmanager
 def installed():
     """Route every query kind through the oracle for the enclosed block.
 
-    The strategies' ``refine`` hooks call the names bound in
-    :mod:`repro.core.plan`, so those are swapped; group refinement is
-    switched off so the executor walks its per-target loop; and
-    ``RefineContext.batch_min_distances`` — the one evaluation step of
-    Algorithm 3 — becomes the per-pair loop too, which puts NN/kNN on
-    the oracle's kernels without copying ``refine_nn``.
+    Each strategy's ``group_refine`` becomes a per-target loop over the
+    oracle functions above, so production and reference share nothing
+    below the executor but the context's decode and ledger methods.
     """
     swaps = [
-        (plan, "refine_intersection", refine_intersection),
-        (plan, "refine_within", refine_within),
-        (plan, "refine_containment", refine_containment),
-        (plan.IntersectionStrategy, "supports_group_refine", False),
-        (plan.WithinStrategy, "supports_group_refine", False),
-        (RefineContext, "batch_min_distances", batch_min_distances),
+        (plan.IntersectionStrategy, _per_target(_intersection_target)),
+        (plan.WithinStrategy, _per_target(_within_target)),
+        (plan.KnnStrategy, _per_target(_nn_target)),
+        (plan.ContainmentStrategy, _per_target(_containment_target)),
     ]
-    originals = [(owner, name, owner.__dict__[name]) for owner, name, _new in swaps]
-    for owner, name, new in swaps:
-        setattr(owner, name, new)
+    originals = [(owner, owner.__dict__["group_refine"]) for owner, _new in swaps]
+    for owner, new in swaps:
+        owner.group_refine = new
     try:
         yield
     finally:
-        for owner, name, original in originals:
-            setattr(owner, name, original)
+        for owner, original in originals:
+            owner.group_refine = original

@@ -37,7 +37,7 @@ from repro.core.stats import QueryStats
 from repro.faults import FaultInjector
 from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
-from repro.parallel import Device, GeometryComputer
+from repro.parallel import GeometryComputer
 from tests.oracles import per_pair_refine
 
 
@@ -62,7 +62,7 @@ def _jobs(rng):
 @pytest.fixture(scope="module")
 def computer():
     # Small blocks so even the small soups above take several waves.
-    return GeometryComputer(Device.CPU, cpu_block=8, gpu_block=64)
+    return GeometryComputer(cpu_block=8, gpu_block=64)
 
 
 class TestBatchedKernels:
@@ -203,7 +203,7 @@ class TestFacesAABBMemo:
 
     def _ctx(self):
         return RefineContext(
-            computer=GeometryComputer(Device.CPU),
+            computer=GeometryComputer(),
             stats=QueryStats(),
             target_provider=None,
             source_provider=None,
@@ -339,6 +339,49 @@ PARITY_SPECS = [
 
 PARITY_IDS = [spec.normalized().label for spec in PARITY_SPECS]
 
+
+def _containment_spec(scene):
+    # Nucleus 1's centroid: confirmed at LOD 1, and seed-11 faults fire.
+    point = tuple(scene.nuclei_a[1].vertices.mean(axis=0))
+    return QuerySpec(kind="containment", source="nuclei_a", point=point)
+
+
+#: The oracle parity set, ``id -> (spec or spec-from-scene, config)``:
+#: every query kind, kNN with k above the two vessels (over every third
+#: target, which keeps the per-pair oracle affordable), and NN with the
+#: exact_nn_distances pass (over nuclei, where every target settles
+#: early without it).
+ORACLE_CASES = {
+    **{label: (spec, {}) for label, spec in zip(PARITY_IDS, PARITY_SPECS)},
+    "knn_join(k=3)": (
+        QuerySpec(kind="knn", source="nuclei_b", target="nuclei_a", k=3,
+                  target_ids=tuple(range(0, 40, 3))),
+        {},
+    ),
+    "nn_join-exact": (
+        QuerySpec(kind="nn", source="nuclei_b", target="nuclei_a"),
+        {"exact_nn_distances": True},
+    ),
+    "containment_query": (_containment_spec, {}),
+}
+
+#: Cases under seed-11 decode faults: kNN k=2 over two vessels settles
+#: without a single decode, so no fault could fire.
+FAULTED_CASES = [case for case in ORACLE_CASES if case != "knn_join(k=2)"]
+
+#: Cases whose deadline partials are compared target by target: every
+#: committed target finished (a containment partial may commit the
+#: point's confirmed-so-far subset instead).
+DEADLINE_CASES = [case for case in ORACLE_CASES if case != "containment_query"]
+
+
+@pytest.fixture
+def case(request, small_scene):
+    """``(spec, config overrides)`` of one ORACLE_CASES entry."""
+    spec, config = ORACLE_CASES[request.param]
+    return (spec(small_scene) if callable(spec) else spec), config
+
+
 BACKENDS = [
     pytest.param({"query_workers": 1}, id="serial"),
     pytest.param({"query_workers": 4, "query_backend": "thread"}, id="thread"),
@@ -353,34 +396,78 @@ def _faulted(run, *args, **kwargs):
     return result
 
 
+@pytest.fixture(scope="module")
+def oracle(datasets):
+    """The per-pair oracle's ``(result, stream frames)`` for a spec, once.
+
+    The oracle refines target by target whatever the executor's
+    grouping, so one serial run with a progress hook serves both the
+    result comparisons and the frame comparisons; runs are memoized per
+    (spec, faulted, config) because the oracle is the slow side.
+    """
+    memo = {}
+
+    def run(spec, faulted=False, **config_kwargs):
+        key = (spec, faulted, tuple(sorted(config_kwargs.items())))
+        if key not in memo:
+            frames = []
+            streamed = replace(spec, progress=lambda tid, lod, m: frames.append(
+                (tid, lod, list(m))
+            ))
+
+            def execute(**kwargs):
+                with per_pair_refine.installed():
+                    return _build(
+                        datasets, query_workers=1, **config_kwargs, **kwargs
+                    ).execute(streamed)
+
+            memo[key] = (_faulted(execute) if faulted else execute(), frames)
+        return memo[key]
+
+    return run
+
+
+def _frames(engine, spec):
+    collected = []
+    engine.execute(replace(spec, progress=lambda tid, lod, m: collected.append(
+        (tid, lod, list(m))
+    )))
+    return collected
+
+
 class TestBatchedMatchesPerPair:
-    """The tentpole property: the round loop answers as the per-pair
-    oracle does, whatever the grouping."""
+    """The tentpole property: the group rounds answer as the per-target,
+    per-pair oracle does, whatever the grouping."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("spec", PARITY_SPECS, ids=PARITY_IDS)
-    def test_clean_runs_identical(self, datasets, oracle_run, spec, backend):
-        per_pair = oracle_run(spec)
-        batched = _build(datasets, **backend).execute(spec)
+    @pytest.mark.parametrize("case", list(ORACLE_CASES), indirect=True)
+    def test_clean_runs_identical(self, datasets, oracle, case, backend):
+        spec, config = case
+        per_pair, _frames = oracle(spec, **config)
+        batched = _build(datasets, **backend, **config).execute(spec)
         with_cache = backend.get("query_workers") == 1
         assert _comparable(batched, with_cache) == _comparable(per_pair, with_cache)
         for result in (per_pair, batched):
             assert result.funnel.violations(result.stats, strict=True) == []
 
-    @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_process_backend_identical(self, datasets, oracle_run, spec):
+    @pytest.mark.parametrize("case", list(ORACLE_CASES), indirect=True)
+    def test_process_backend_identical(self, datasets, oracle, case):
+        spec, config = case
         backend = {"query_workers": 2, "query_backend": "process"}
-        per_pair = oracle_run(spec)
-        batched = _build(datasets, **backend).execute(spec)
+        per_pair, _frames = oracle(spec, **config)
+        batched = _build(datasets, **backend, **config).execute(spec)
         assert _comparable(batched, False) == _comparable(per_pair, False)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_faulted_runs_identical(self, datasets, oracle_run, spec, backend):
-        def shipped(spec, **config_kwargs):
-            return _build(datasets, **backend, **config_kwargs).execute(spec)
+    @pytest.mark.parametrize("case", FAULTED_CASES, indirect=True)
+    def test_faulted_runs_identical(self, datasets, oracle, case, backend):
+        spec, config = case
 
-        per_pair, batched = _faulted(oracle_run, spec), _faulted(shipped, spec)
+        def shipped(**fault):
+            return _build(datasets, **backend, **config, **fault).execute(spec)
+
+        per_pair, _frames = oracle(spec, faulted=True, **config)
+        batched = _faulted(shipped)
         with_cache = backend.get("query_workers") == 1
         assert _comparable(batched, with_cache) == _comparable(per_pair, with_cache)
         for result in (per_pair, batched):
@@ -393,10 +480,11 @@ class TestBatchedMatchesPerPair:
         batched = _build(datasets, query_workers=1).execute(spec)
         assert _comparable(batched, True) == _comparable(per_pair, True)
 
-    @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_deadline_partials_are_sound_subsets(self, datasets, oracle_run, spec):
-        reference = oracle_run(spec)
-        partial = _build(datasets).execute(replace(spec, deadline_ms=1))
+    @pytest.mark.parametrize("case", DEADLINE_CASES, indirect=True)
+    def test_deadline_partials_are_sound_subsets(self, datasets, oracle, case):
+        spec, config = case
+        reference, _frames = oracle(spec, **config)
+        partial = _build(datasets, **config).execute(replace(spec, deadline_ms=1))
         comp = partial.completeness
         assert comp is not None
         assert comp.targets_total == (
@@ -407,24 +495,18 @@ class TestBatchedMatchesPerPair:
             assert matches == reference.pairs[tid]
         assert partial.funnel.violations(partial.stats, strict=False) == []
 
-    @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_streamed_frames_identical(self, datasets, oracle_run, spec):
-        def streamed(run):
-            collected = []
-            run(replace(spec, progress=lambda tid, lod, m: collected.append(
-                (tid, lod, list(m))
-            )))
-            return collected
-
-        serial = _build(datasets, query_workers=1)
-        threaded = _build(datasets, query_workers=4, query_backend="thread")
-        reference = streamed(oracle_run)
+    @pytest.mark.parametrize("case", list(ORACLE_CASES), indirect=True)
+    def test_streamed_frames_identical(self, datasets, oracle, case):
+        spec, config = case
+        _result, reference = oracle(spec, **config)
         assert reference, "nothing streamed"
+        serial = _build(datasets, query_workers=1, **config)
+        threaded = _build(datasets, query_workers=4, query_backend="thread", **config)
         # Serial frames arrive target-major, round by round, exactly as
         # the oracle emits them; thread chunks interleave, so only the
         # frame set is comparable there.
-        assert streamed(serial.execute) == reference
-        assert sorted(streamed(threaded.execute)) == sorted(reference)
+        assert _frames(serial, spec) == reference
+        assert sorted(_frames(threaded, spec)) == sorted(reference)
 
 
 class TestDegradedAccountingUniform:

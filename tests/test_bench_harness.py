@@ -47,12 +47,13 @@ class TestSpecs:
         assert TESTS["WN-NV"].distance_for(workload) == 9.0
 
     def test_accel_variants_match_paper_columns(self):
-        assert set(ACCEL_VARIANTS) == {"B", "P", "A", "G", "P+G"}
+        # Fused batching (the paper's G) is always on, so it is no column.
+        assert set(ACCEL_VARIANTS) == {"B", "P", "A"}
 
     def test_paper_table_covers_all_base_cells(self):
         for test_id in TESTS:
             for paradigm in ("fr", "fpr"):
-                for accel in ("B", "P", "A", "G"):
+                for accel in ACCEL_VARIANTS:
                     assert (test_id, paradigm, accel) in PAPER_TABLE1
 
 
@@ -89,8 +90,8 @@ class TestRunner:
         assert first[-1] == max(first)
 
     def test_make_engine_with_named_accel(self, workload):
-        engine = make_engine("fpr", "P+G", workload=workload)
-        assert engine.config.label == "FPR/P+G"
+        engine = make_engine("fpr", "P", workload=workload)
+        assert engine.config.label == "FPR/P"
 
 
 class TestReporting:
@@ -138,7 +139,7 @@ class TestExport:
                     "extra_info": {
                         "test": "NN-NV",
                         "paradigm": "fpr",
-                        "accel": "P+G",
+                        "accel": "P",
                         "seconds": 0.25,
                         "face_pairs": 1234,
                         "matches": 32,
@@ -151,7 +152,7 @@ class TestExport:
         path.write_text(json.dumps(payload))
         records = load_benchmark_json(path)
         matrix = table1_matrix(records)
-        assert ("NN-NV", "fpr", "P+G") in matrix
-        assert matrix[("NN-NV", "fpr", "P+G")]["paper_seconds"] == 172.3
+        assert ("NN-NV", "fpr", "P") in matrix
+        assert matrix[("NN-NV", "fpr", "P")]["paper_seconds"] == 422.2
         text = render_table1(matrix)
-        assert "FPR/P+G" in text and "172" in text
+        assert "FPR/P" in text and "422" in text

@@ -13,12 +13,8 @@ class TestAccel:
         assert Accel().label == "B"
         assert Accel(aabbtree=True).label == "A"
         assert Accel(partition=True).label == "P"
-        assert Accel(gpu=True).label == "G"
-        assert Accel(partition=True, gpu=True).label == "P+G"
 
     def test_aabbtree_cannot_combine(self):
-        with pytest.raises(EngineConfigError):
-            EngineConfig(accel=Accel(aabbtree=True, gpu=True))
         with pytest.raises(EngineConfigError):
             EngineConfig(accel=Accel(aabbtree=True, partition=True))
 

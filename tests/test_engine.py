@@ -20,12 +20,7 @@ CONFIGS = [
     EngineConfig(paradigm="fpr"),
     EngineConfig(paradigm="fr", accel=Accel(aabbtree=True)),
     EngineConfig(paradigm="fpr", accel=Accel(aabbtree=True)),
-    EngineConfig(paradigm="fr", accel=Accel(gpu=True)),
-    EngineConfig(paradigm="fpr", accel=Accel(gpu=True)),
     EngineConfig(paradigm="fpr", accel=Accel(partition=True), partition_min_faces=200),
-    EngineConfig(
-        paradigm="fpr", accel=Accel(partition=True, gpu=True), partition_min_faces=200
-    ),
 ]
 
 CONFIG_IDS = [c.label for c in CONFIGS]
@@ -42,8 +37,8 @@ def truth_wn(small_scene):
 
 
 @pytest.fixture(scope="module")
-def truth_nn(small_scene):
-    return NaiveEngine(small_scene.nuclei_a, small_scene.vessels, prefilter=True).nn_join().pairs
+def truth_nn(naive_nn_vessels):
+    return naive_nn_vessels
 
 
 def build_engine(config, datasets):
@@ -82,10 +77,8 @@ class TestJoinCorrectness:
                 # Early-returned NN: the reported bound upper-bounds truth.
                 assert dist >= true_dist - 1e-9
 
-    def test_knn_matches_truth(self, datasets, small_scene):
-        truth = NaiveEngine(
-            small_scene.nuclei_a, small_scene.vessels, prefilter=True
-        ).knn_join(2).pairs
+    def test_knn_matches_truth(self, datasets, naive_knn2_vessels):
+        truth = naive_knn2_vessels
         engine = build_engine(EngineConfig(paradigm="fpr"), datasets)
         result = engine.knn_join("nuclei_a", "vessels", k=2)
         for tid, expected in truth.items():
@@ -97,10 +90,8 @@ class TestJoinCorrectness:
             if all(exact for _sid, _d, exact in got):
                 assert [sid for sid, _d, _e in got] == [sid for sid, _d in expected]
 
-    def test_knn_exact_under_fr_matches_truth_order(self, datasets, small_scene):
-        truth = NaiveEngine(
-            small_scene.nuclei_a, small_scene.vessels, prefilter=True
-        ).knn_join(2).pairs
+    def test_knn_exact_under_fr_matches_truth_order(self, datasets, naive_knn2_vessels):
+        truth = naive_knn2_vessels
         engine = build_engine(EngineConfig(paradigm="fr"), datasets)
         result = engine.knn_join("nuclei_a", "vessels", k=2)
         for tid, expected in truth.items():
@@ -204,13 +195,16 @@ class TestProbeQueries:
         truth = NaiveEngine([probe], small_scene.nuclei_b, prefilter=True).within_join(WITHIN_DISTANCE)
         assert sorted(hits) == truth.pairs.get(0, [])
 
-    def test_nn_query(self, datasets, small_scene):
+    def test_nn_query(self, datasets, small_scene, naive_knn2_vessels):
         engine = build_engine(EngineConfig(paradigm="fpr"), datasets)
         probe = small_scene.nuclei_a[5]
         matches = self._probe_matches(engine, "nn", "vessels", probe)
         truth = NaiveEngine([probe], small_scene.vessels, prefilter=True).nn_join()
         assert matches
         assert matches[0][0] == truth.pairs[0][0]
+        # The shared NN truth (conftest.naive_nn_vessels) is the 2-NN
+        # table's first column: the same answer nn_join gives.
+        assert truth.pairs[0] == naive_knn2_vessels[5][0]
 
     def test_probe_dataset_cleaned_up(self, datasets, small_scene):
         engine = build_engine(EngineConfig(paradigm="fpr"), datasets)

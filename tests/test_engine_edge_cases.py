@@ -115,13 +115,10 @@ class TestDeterminism:
 
 
 class TestExactNNDistances:
-    def test_forced_exact_distances_match_naive(self, small_scene, datasets):
-        from repro.baselines import NaiveEngine
+    def test_forced_exact_distances_match_naive(self, naive_nn_vessels, datasets):
         from repro.core import EngineConfig, ThreeDPro
 
-        truth = NaiveEngine(
-            small_scene.nuclei_a, small_scene.vessels, prefilter=True
-        ).nn_join().pairs
+        truth = naive_nn_vessels
         engine = ThreeDPro(EngineConfig(paradigm="fpr", exact_nn_distances=True))
         for dataset in datasets.values():
             engine.load_dataset(dataset)

@@ -1,14 +1,21 @@
-"""Tests for the geometry computer and task scheduling."""
+"""Tests for the geometry computer and task scheduling.
+
+"CPU" below is the computer's per-pair blocked kernels (``cpu_block``);
+"GPU" is the fused waves of :mod:`repro.core.batch`, which pack many
+pairs' blocks into ``gpu_block``-lane flushes — the only batched path
+refinement runs on.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.core.batch import batched_any_intersect, batched_min_distances
 from repro.geometry import tri_tri_distance_batch
 from repro.index import TriangleAABBTree
 from repro.mesh import icosphere
-from repro.parallel import Device, GeometryComputer, TaskScheduler, iter_pair_blocks
+from repro.parallel import GeometryComputer, TaskScheduler, iter_pair_blocks
 
 
 def brute_distance(tris_a, tris_b):
@@ -61,20 +68,22 @@ class TestGeometryComputer:
     def test_cpu_and_gpu_agree_on_intersection(self, spheres):
         a, b = spheres
         touching = icosphere(2, center=(1.5, 0, 0)).triangles
+        computer = GeometryComputer()
         for other, expected in ((b, False), (touching, True)):
-            cpu = GeometryComputer(Device.CPU).intersects(a, other)
-            gpu = GeometryComputer(Device.GPU).intersects(a, other)
+            cpu = computer.intersects(a, other)
+            (gpu,) = batched_any_intersect(computer, [(a, other)])
             assert cpu == gpu == expected
 
     def test_cpu_and_gpu_agree_on_distance(self, spheres):
         a, b = spheres
         expected = brute_distance(a, b)
-        assert GeometryComputer(Device.CPU).min_distance(a, b) == pytest.approx(expected)
-        assert GeometryComputer(Device.GPU).min_distance(a, b) == pytest.approx(expected)
+        computer = GeometryComputer()
+        assert computer.min_distance(a, b) == pytest.approx(expected)
+        assert batched_min_distances(computer, [(a, b)])[0] == pytest.approx(expected)
 
     def test_tree_path_agrees(self, spheres):
         a, b = spheres
-        computer = GeometryComputer(Device.CPU)
+        computer = GeometryComputer()
         tree_a, tree_b = TriangleAABBTree(a), TriangleAABBTree(b)
         assert computer.min_distance(
             a, b, tree_a=tree_a, tree_b=tree_b
@@ -83,40 +92,46 @@ class TestGeometryComputer:
 
     def test_stop_below_early_exit_counts_fewer_pairs(self, spheres):
         a, b = spheres
-        computer = GeometryComputer(Device.CPU, cpu_block=64)
+        computer = GeometryComputer(cpu_block=64)
         full_stats, early_stats = {}, {}
         computer.min_distance(a, b, stats=full_stats)
         computer.min_distance(a, b, stop_below=100.0, stats=early_stats)
         assert early_stats["pairs"] < full_stats["pairs"]
 
     def test_gpu_uses_fewer_kernel_launches_than_cpu(self, spheres):
-        # The GPU device batches at the kernel-saturating size; far fewer
+        # The fused waves flush at the kernel-saturating size; far fewer
         # launches than the CPU's small fixed tasks over the same pairs.
         a, b = spheres
-        gpu = GeometryComputer(Device.GPU)
-        cpu = GeometryComputer(Device.CPU)
-        gpu_blocks = list(iter_pair_blocks(len(a), len(b), gpu.block_size))
-        cpu_blocks = list(iter_pair_blocks(len(a), len(b), cpu.block_size))
-        assert len(gpu_blocks) * 8 <= len(cpu_blocks)
+        launches = {}
+        for name, run in (
+            ("cpu", lambda c: c.min_distance(a, b)),
+            ("gpu", lambda c: batched_min_distances(c, [(a, b)])),
+        ):
+            computer = GeometryComputer()
+            sizes = []
+            computer._note_batch = sizes.append
+            run(computer)
+            launches[name] = len(sizes)
+        assert launches["gpu"] * 8 <= launches["cpu"]
 
     def test_pairwise_min_distances_matches_loop(self, spheres):
         a, b = spheres
         c = icosphere(1, center=(-4, 0, 0)).triangles
         jobs = [(a, b), (a, c), (b, c)]
         expected = [brute_distance(x, y) for x, y in jobs]
-        for device in (Device.CPU, Device.GPU):
-            got = GeometryComputer(device).pairwise_min_distances(jobs)
-            assert got == pytest.approx(expected)
+        got = GeometryComputer().pairwise_min_distances(jobs)
+        assert got == pytest.approx(expected)
 
     def test_pairwise_empty_jobs(self):
-        assert GeometryComputer(Device.GPU).pairwise_min_distances([]) == []
+        assert GeometryComputer().pairwise_min_distances([]) == []
 
     def test_fused_batch_splits_large_jobs(self):
         # Jobs larger than the gpu block must still be exact.
         a = icosphere(2).triangles
         b = icosphere(2, center=(2.7, 0, 0)).triangles
-        small_block = GeometryComputer(Device.GPU, gpu_block=1000)
+        small_block = GeometryComputer(gpu_block=1000)
         expected = brute_distance(a, b)
+        assert batched_min_distances(small_block, [(a, b)])[0] == pytest.approx(expected)
         assert small_block.pairwise_min_distances([(a, b)])[0] == pytest.approx(expected)
         assert small_block.min_distance(a, b) == pytest.approx(expected)
 
@@ -147,7 +162,7 @@ class TestSharedStatsAccounting:
     def test_pairwise_stats_exact_with_threads(self, disjoint_jobs):
         jobs, expected = disjoint_jobs
         computer = GeometryComputer(
-            Device.CPU, cpu_block=16, scheduler=TaskScheduler(4)
+            cpu_block=16, scheduler=TaskScheduler(4)
         )
         for _ in range(5):  # hammer: one lost update fails the run
             stats: dict = {}
@@ -157,13 +172,13 @@ class TestSharedStatsAccounting:
     def test_pairwise_stats_exact_serial(self, disjoint_jobs):
         jobs, expected = disjoint_jobs
         stats: dict = {}
-        GeometryComputer(Device.CPU).pairwise_min_distances(jobs, stats=stats)
+        GeometryComputer().pairwise_min_distances(jobs, stats=stats)
         assert stats["pairs"] == expected
 
     def test_intersects_merges_once_on_hit(self):
         a = icosphere(1).triangles
         stats: dict = {}
-        computer = GeometryComputer(Device.CPU, cpu_block=8)
+        computer = GeometryComputer(cpu_block=8)
         assert computer.intersects(a, a, stats=stats)
         # early exit still reports the pairs actually evaluated
         assert 0 < stats["pairs"] <= len(a) * len(a)

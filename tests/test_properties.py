@@ -118,7 +118,6 @@ class TestEngineEquivalence:
         for config in (
             EngineConfig(paradigm="fr"),
             EngineConfig(paradigm="fpr"),
-            EngineConfig(paradigm="fpr", accel=Accel(gpu=True)),
             EngineConfig(paradigm="fpr", accel=Accel(aabbtree=True)),
         ):
             engine = ThreeDPro(config)

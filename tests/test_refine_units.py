@@ -1,5 +1,6 @@
 """Unit tests for the refinement helpers, isolated from the engine."""
 
+import collections
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from repro.compression import PPVPEncoder
 from repro.core.refine import NNCandidate, RefineContext, _kth_smallest, refine_nn
 from repro.core.stats import QueryStats
 from repro.mesh import icosphere
-from repro.parallel import Device, GeometryComputer
+from repro.parallel import GeometryComputer
 from repro.storage import DecodeCache, DecodedObjectProvider
 
 
@@ -34,13 +35,20 @@ def make_context(sources, targets):
     target_provider = DecodedObjectProvider("t", tgt_objs, cache)
     top = max(o.max_lod for o in src_objs + tgt_objs)
     ctx = RefineContext(
-        computer=GeometryComputer(Device.CPU),
+        computer=GeometryComputer(),
         stats=QueryStats(),
         target_provider=target_provider,
         source_provider=source_provider,
         lods=tuple(range(top + 1)),
     )
     return ctx
+
+
+def _nearest(ctx, candidates, k):
+    """A group of one (target 0): its state's (sid, distance, exact) top-k."""
+    (state,) = refine_nn(ctx, [(0, candidates)], k=k)
+    assert state.done
+    return state.results
 
 
 class TestRefineNNUnits:
@@ -63,21 +71,22 @@ class TestRefineNNUnits:
         ]
 
     def test_empty_candidates(self, ctx):
-        assert refine_nn(ctx, 0, [], k=1) == []
+        assert _nearest(ctx, [], k=1) == []
 
     def test_nearest_found(self, ctx):
-        out = refine_nn(ctx, 0, self._candidates(), k=1)
+        out = _nearest(ctx, self._candidates(), k=1)
         assert len(out) == 1
-        assert out[0].sid == 0
+        sid, dist, _exact = out[0]
+        assert sid == 0
         # True gap between unit spheres at distance 3 is ~1 (faceted: a
         # bit more); an early return reports a coarse-LOD upper bound,
         # which for LOD0 geometry can sit noticeably above the true gap.
-        assert 0.9 <= out[0].maxdist <= 2.5
+        assert 0.9 <= dist <= 2.5
 
     def test_hopeless_candidate_pruned_without_evaluation(self, ctx):
         stats_before = dict(ctx.stats.pairs_evaluated_by_lod)
-        out = refine_nn(ctx, 0, self._candidates(), k=1)
-        assert out[0].sid == 0
+        out = _nearest(ctx, self._candidates(), k=1)
+        assert out[0][0] == 0
         # Candidate 2 (mindist 37) must never survive past the first prune;
         # total evaluations stay small.
         total_new = sum(ctx.stats.pairs_evaluated_by_lod.values()) - sum(
@@ -86,12 +95,63 @@ class TestRefineNNUnits:
         assert total_new <= 2 * len(ctx.lods)
 
     def test_k2_returns_both_near_spheres(self, ctx):
-        out = refine_nn(ctx, 0, self._candidates(), k=2)
-        assert {c.sid for c in out} == {0, 1}
+        out = _nearest(ctx, self._candidates(), k=2)
+        assert {sid for sid, _d, _e in out} == {0, 1}
 
     def test_k_larger_than_candidates(self, ctx):
-        out = refine_nn(ctx, 0, self._candidates(), k=10)
+        out = _nearest(ctx, self._candidates(), k=10)
         assert len(out) == 3
+
+
+class TestRefineNNGroup:
+    """A group's states settle independently: one leaves the rounds early
+    (``len(survivors) <= k`` below the top LOD) while the other runs to
+    the top LOD, and each equals its own group-of-one run."""
+
+    TARGETS = [icosphere(1, center=(0, 0, 0)), icosphere(1, center=(0, 0, 20.0))]
+    SOURCES = [
+        icosphere(1, center=(3.0, 0, 0)),
+        icosphere(1, center=(5.0, 0, 0)),
+        icosphere(1, center=(40.0, 0, 0)),
+        icosphere(1, center=(0, 0, 23.0)),
+        icosphere(1, center=(0, 0, 26.0)),
+    ]
+
+    @staticmethod
+    def _items():
+        return [
+            # Target 0: loose ranges; LOD 0 prunes candidate 1, then the
+            # lone survivor settles without decoding further.
+            (0, [NNCandidate(0, 0.5, 4.0), NNCandidate(1, 2.5, 7.0),
+                 NNCandidate(2, 37.0, 45.0)]),
+            # Target 1: MINDIST 0 keeps both candidates until the top
+            # LOD collapses their ranges.
+            (1, [NNCandidate(3, 0.0, 50.0), NNCandidate(4, 0.0, 50.0)]),
+        ]
+
+    def test_states_equal_their_groups_of_one(self):
+        group_ctx = make_context(self.SOURCES, self.TARGETS)
+        states = refine_nn(group_ctx, self._items(), k=1)
+        top = group_ctx.lods[-1]
+        evaluated = collections.Counter()
+        face_pairs = collections.Counter()
+        for state, item in zip(states, self._items()):
+            ctx = make_context(self.SOURCES, self.TARGETS)
+            (alone,) = refine_nn(ctx, [item], k=1)
+            assert state.done and alone.done
+            assert state.results == alone.results
+            evaluated.update(ctx.stats.pairs_evaluated_by_lod)
+            face_pairs.update(ctx.stats.face_pairs_by_lod)
+            lods = set(ctx.stats.pairs_evaluated_by_lod)
+            if state.tid == 0:
+                assert max(lods) < top, "target 0 should settle early"
+                assert not state.results[0][2]
+            else:
+                assert top in lods, "target 1 should reach the top LOD"
+                assert state.results[0][2]
+        # Shared rounds evaluate exactly what the separate runs did.
+        assert dict(group_ctx.stats.pairs_evaluated_by_lod) == dict(evaluated)
+        assert dict(group_ctx.stats.face_pairs_by_lod) == dict(face_pairs)
 
 
 class _StubDecode:
@@ -137,7 +197,7 @@ class _StubProvider:
 
 def _stub_ctx(target_decs, source_decs):
     return RefineContext(
-        computer=GeometryComputer(Device.CPU),
+        computer=GeometryComputer(),
         stats=QueryStats(),
         target_provider=_StubProvider(target_decs),
         source_provider=_StubProvider(source_decs),
@@ -194,7 +254,7 @@ class TestWithinFallbackLedger:
             encoder.encode(icosphere(1, center=(50.0, 0, 0))),  # hopeless
         ]
         ctx = RefineContext(
-            computer=GeometryComputer(Device.CPU),
+            computer=GeometryComputer(),
             stats=QueryStats(),
             target_provider=DecodedObjectProvider(
                 "t", targets, cache,
