@@ -190,12 +190,10 @@ class EngineConfig:
     tree_leaf_size: int = 8
     cpu_block: int = 48
     gpu_block: int = 4096
-    workers: int = 1
     # Inter-target query parallelism: how many workers the QueryExecutor
-    # fans target objects across, independent of the face-pair `workers`
-    # above. None means "not set explicitly" — the engine then honors
-    # the REPRO_QUERY_WORKERS environment variable (the CI override
-    # hook) and finally defaults to 1 (serial).
+    # fans target chunks across. None means "not set explicitly" — the
+    # engine then honors the REPRO_QUERY_WORKERS environment variable
+    # (the CI override hook) and finally defaults to 1 (serial).
     query_workers: int | None = None
     # How those workers run: "thread" shares one engine across a thread
     # pool (GIL-bound — measured ~1.0x on the FPR refinement path),
@@ -239,11 +237,12 @@ class EngineConfig:
     # than this many distinct objects have degraded (decode fallback or
     # total decode failure). None disables the budget.
     max_decode_failures: int | None = None
-    # Task-level fault tolerance (see repro.parallel.tasks.TaskScheduler).
+    # Thread-backend chunk fault tolerance (retries of a failing chunk;
+    # see repro.parallel.tasks.TaskScheduler).
     task_retries: int = 2
     task_backoff_seconds: float = 0.0
     # Optional repro.faults.FaultInjector threaded into the decode
-    # provider and task scheduler for chaos testing.
+    # provider and process-backend workers for chaos testing.
     fault_injector: object = None
     # Observability (repro.obs): span tracing is off by default — when
     # disabled the engine's instrumented paths touch only the shared

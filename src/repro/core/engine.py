@@ -11,8 +11,9 @@ The engine owns (Fig. 8 of the paper):
   :class:`~repro.core.plan.QueryPlan` and hands it to the single shared
   :class:`~repro.core.executor.QueryExecutor`, which batches target
   objects cuboid by cuboid for cache locality (optionally fanning them
-  across ``query_workers`` threads) and delegates per-target work to the
-  progressive refinement of :mod:`repro.core.refine`.
+  across ``query_workers`` threads or processes) and delegates
+  per-target work to the progressive refinement of
+  :mod:`repro.core.refine`.
 
 The historical per-kind methods (``intersection_join`` …) remain as
 thin wrappers over :meth:`execute`.
@@ -33,7 +34,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.profile import ProfileReport, SamplingProfiler
 from repro.obs.trace import Tracer
 from repro.parallel.executor import GeometryComputer
-from repro.parallel.tasks import TaskScheduler
 from repro.partition.partitioner import partition_faces
 from repro.storage.cache import DecodeCache, DecodedObjectProvider
 from repro.storage.store import Dataset
@@ -78,13 +78,6 @@ class ThreeDPro:
         self.computer = GeometryComputer(
             cpu_block=self.config.cpu_block,
             gpu_block=self.config.gpu_block,
-            scheduler=TaskScheduler(
-                workers=self.config.workers,
-                max_retries=self.config.task_retries,
-                backoff_seconds=self.config.task_backoff_seconds,
-                fault_injector=self.config.fault_injector,
-                metrics=self.metrics,
-            ),
             metrics=self.metrics,
         )
         self.query_workers = self.config.resolve_query_workers()

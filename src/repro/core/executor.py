@@ -15,29 +15,36 @@ span tree in lockstep), per-query stats snapshots/attribution,
 degraded-target tracking, the root query span, and the query metrics.
 
 Inter-target parallelism (`EngineConfig.query_workers`): targets are
-split into contiguous chunks of the cuboid-ordered target list (so each
-worker keeps the decode-cache locality the serial loop has) and fanned
-across one of two backends (`EngineConfig.query_backend`):
+split into contiguous, cuboid-aligned chunks of the cuboid-ordered
+target list (``KindStrategy.target_chunks``, so each worker keeps the
+decode-cache locality the serial loop has) and fanned across one of two
+backends (`EngineConfig.query_backend`). Every chunk yields one
+:class:`~repro.parallel.procpool.ChunkOutcome`:
 
 * ``"thread"`` (default) — a :class:`~repro.parallel.tasks.TaskScheduler`
-  worker pool, inheriting its retry/backoff/serial-fallback semantics,
-  with :class:`~repro.core.errors.ErrorBudgetExceededError` marked fatal
-  so the error budget aborts the query exactly as it does serially. Each
-  worker accumulates into its own ``QueryStats`` and opens its spans
-  under the adopted root span. GIL-bound: pure-Python refinement gains
-  little wall-clock from threads.
+  thread pool runs :meth:`QueryExecutor._run_chunk`, inheriting the
+  scheduler's retry/backoff/serial-fallback semantics, with
+  :class:`~repro.core.errors.ErrorBudgetExceededError` marked fatal and
+  one lock-guarded degraded-key set across chunks, so the error budget
+  aborts the query exactly as it does serially. Each chunk accumulates
+  into its own ``QueryStats`` and opens its spans under the adopted root
+  span. GIL-bound: pure-Python refinement gains little wall-clock from
+  threads.
 * ``"process"`` — each chunk becomes a self-contained sub-query
   (``QuerySpec.target_ids``) executed by a worker *process* with its own
   engine and decode cache (:mod:`repro.parallel.procpool`); workers ship
   back pairs, stats, degraded keys, span trees, and metrics deltas.
-  Containment queries (no target dataset) and pool/transport failures
-  fall back to the thread backend.
+  Chunks the supervisor quarantines run through the same
+  :meth:`QueryExecutor._run_chunk` in-process. Containment queries (no
+  target dataset) and pool/transport failures fall back to the thread
+  backend.
 
-Either way, chunk results are merged **in chunk order**, so ``pairs``,
-``degraded_targets``, and every merged counter are identical to the
-serial run (the refinement layer keeps per-decode outcomes
-order-independent; see ``RefineContext._gather_distance_jobs`` and the
-provider's LOD-aware fail-fast).
+Either way, one merge (:meth:`QueryExecutor._merge`) folds the outcomes
+**in chunk order**, so ``pairs``, ``degraded_targets``, and every merged
+counter are identical to the serial run (the refinement layer keeps
+per-decode outcomes order-independent; see
+``RefineContext._gather_distance_jobs`` and the provider's LOD-aware
+fail-fast).
 
 Merge semantics worth knowing: summed phase seconds are *busy* time
 across workers — under parallel execution ``compute_seconds`` can exceed
@@ -65,10 +72,6 @@ from repro.parallel.tasks import TaskScheduler
 __all__ = ["QueryExecutor"]
 
 _LOG = get_logger("executor")
-
-#: Chunks per worker: small enough to amortize per-chunk overhead,
-#: large enough that a straggler chunk cannot idle the rest of the pool.
-_CHUNKS_PER_WORKER = 4
 
 
 class QueryExecutor:
@@ -146,6 +149,17 @@ class QueryExecutor:
             "repro_chunks_quarantined_total",
             "Suspect chunks retired from the pool to serial in-process execution",
         )
+        # Thread-backend chunk scheduler series, registered eagerly for
+        # the same reason; each query's TaskScheduler (see _run_parallel)
+        # gets-or-creates and increments these same series.
+        self.metrics.counter("repro_tasks_total", "Tasks submitted to the scheduler")
+        self.metrics.counter(
+            "repro_task_retries_total", "Task attempts re-run after a failure"
+        )
+        self.metrics.counter(
+            "repro_task_serial_fallbacks_total",
+            "Tasks that failed in the thread pool and were re-run serially",
+        )
         # Optional callable invoked at target-loop boundaries; the
         # process backend's workers point it at their chunk's heartbeat
         # file so the parent's hang detector sees liveness per target.
@@ -190,9 +204,6 @@ class QueryExecutor:
 
         pairs: dict = {}
         degraded_targets: set = set()
-        degraded_keys: set = set()
-        finished = 0
-        inflight = 0
         reason = None
         root = self.tracer.span(
             "query",
@@ -211,8 +222,7 @@ class QueryExecutor:
                 if interrupt is not None:
                     reason = interrupt.reason
         else:
-            chunk_size = -(-len(tids) // (workers * _CHUNKS_PER_WORKER))
-            chunks = plan.strategy.target_chunks(plan, tids, chunk_size)
+            chunks = plan.strategy.target_chunks(plan, tids, workers)
             # Containment has no target dataset to restrict by target id,
             # so it always runs on the thread backend.
             use_process = (
@@ -226,32 +236,12 @@ class QueryExecutor:
                         plan, stats, chunks, workers, root, deadline
                     )
                 if outcomes is None:
-                    thread_outcomes, degraded_keys = self._run_parallel(
+                    outcomes = self._run_parallel(
                         plan, stats, chunks, workers, root, deadline
                     )
-            # Merge in chunk order: chunks are contiguous slices of the
-            # cuboid-ordered target list, so insertion order — and with
-            # it the result, byte for byte — matches the serial loop.
-            if outcomes is not None:
-                degraded_keys, finished, inflight, reason = self._merge_process(
-                    outcomes, pairs, degraded_targets, stats, root
-                )
-            else:
-                for (
-                    chunk_pairs,
-                    chunk_degraded,
-                    chunk_stats,
-                    chunk_finished,
-                    chunk_inflight,
-                    chunk_interrupt,
-                ) in thread_outcomes:
-                    pairs.update(chunk_pairs)
-                    degraded_targets |= chunk_degraded
-                    stats.merge(chunk_stats)
-                    finished += chunk_finished
-                    inflight += chunk_inflight
-                    if chunk_interrupt is not None:
-                        reason = reason or chunk_interrupt.reason
+            degraded_keys, finished, inflight, reason = self._merge(
+                outcomes, pairs, degraded_targets, stats, root
+            )
         completeness = self._completeness(
             len(tids), finished, inflight, reason, stats, deadline
         )
@@ -379,35 +369,28 @@ class QueryExecutor:
                 targets_unstarted=completeness.targets_unstarted,
             )
 
-    def _refine_targets(
-        self, plan, ctx, stats, tids, pairs, degraded_targets, deadline,
-        heartbeat=True, where="target_loop",
-    ):
+    def _refine_targets(self, plan, ctx, stats, tids, pairs, degraded_targets, deadline):
         """Drive a target list through filter → group refine → accumulate.
 
         Returns ``(finished, inflight, interrupt)`` — the completeness
-        inputs the serial, thread-chunk, and quarantine callers all
-        share. The list refines as one group, except under a streaming
-        ``progress`` hook: a group confirms LOD-major across its targets,
-        so a streamed query runs each target as a group of one — its
-        frames stay target-major and the first arrives after one target.
+        inputs the serial path and the chunk body share. The list
+        refines as one group, except under a streaming ``progress``
+        hook: a group confirms LOD-major across its targets, so a
+        streamed query runs each target as a group of one — its frames
+        stay target-major and the first arrives after one target.
         """
         groups = [tids] if plan.spec.progress is None else [[tid] for tid in tids]
         finished = 0
         for group in groups:
             done, inflight, interrupt = self._run_group(
-                plan, ctx, stats, group, pairs, degraded_targets, deadline,
-                heartbeat, where,
+                plan, ctx, stats, group, pairs, degraded_targets, deadline
             )
             finished += done
             if interrupt is not None:
                 return finished, inflight, interrupt
         return finished, 0, None
 
-    def _run_group(
-        self, plan, ctx, stats, tids, pairs, degraded_targets, deadline,
-        heartbeat, where,
-    ):
+    def _run_group(self, plan, ctx, stats, tids, pairs, degraded_targets, deadline):
         """One group of targets through one group refinement.
 
         Filters run per target (in target order), then the strategy's
@@ -420,10 +403,10 @@ class QueryExecutor:
         items = []
         try:
             for tid in tids:
-                if heartbeat and self.heartbeat is not None:
+                if self.heartbeat is not None:
                     self.heartbeat()
                 if deadline is not None:
-                    deadline.check(where)
+                    deadline.check("target_loop")
                 if strategy.counts_targets:
                     stats.targets += 1
                 with TimedPhase(self.tracer, stats, "filter"):
@@ -486,55 +469,105 @@ class QueryExecutor:
                 traceback=exc.traceback or "",
             )
             return None
-        return [
-            self._run_chunk_local(plan, stats, outcome, root, deadline)
-            if isinstance(outcome, procpool.QuarantinedChunk)
-            else outcome
-            for outcome in outcomes
-        ]
+        for i, outcome in enumerate(outcomes):
+            if isinstance(outcome, procpool.QuarantinedChunk):
+                log_event(
+                    _LOG, "chunk_quarantine_run", level=logging.WARNING,
+                    query=stats.query, chunk=outcome.index,
+                    targets=len(outcome.targets), reason=outcome.reason,
+                )
+                outcomes[i] = self._run_chunk(
+                    plan, stats, outcome.targets, root, deadline,
+                    backend="quarantine",
+                )
+        return outcomes
 
-    def _run_chunk_local(self, plan, stats, quarantined, root, deadline):
-        """Serial in-process execution of a quarantined chunk."""
+    def _run_parallel(self, plan, stats, chunks, workers, root, deadline) -> list:
+        """Fan chunks across a thread pool; one outcome per chunk, in order.
+
+        One degraded-key set across all threads (lock-guarded): the
+        distinct degraded-object count and the error budget are per
+        *query*, not per chunk, so the budget aborts mid-query exactly
+        as it does serially. The scheduler is dedicated to this query
+        and keeps the budget error fatal (never retried).
+        """
+        degraded_keys: set = set()
+        lock = threading.Lock()
+        scheduler = TaskScheduler(
+            workers=workers,
+            max_retries=self.config.task_retries,
+            backoff_seconds=self.config.task_backoff_seconds,
+            metrics=self.metrics,
+            fatal_types=(ErrorBudgetExceededError,),
+        )
+        log_event(
+            _LOG, "parallel_query", query=stats.query, backend="thread",
+            workers=workers, chunks=len(chunks),
+            targets=sum(len(c) for c in chunks),
+        )
+        return scheduler.map(
+            lambda chunk: self._run_chunk(
+                plan, stats, chunk, root, deadline,
+                degraded_keys=degraded_keys, lock=lock,
+            ),
+            chunks,
+        )
+
+    def _run_chunk(
+        self, plan, stats, targets, root, deadline, degraded_keys=None,
+        lock=None, **span_attrs,
+    ):
+        """Run one chunk in this process; the thread and quarantine body.
+
+        The chunk refines into its own ``QueryStats`` under a ``worker``
+        span adopted by the query root. Deadline expiry is caught
+        *inside* the chunk (by :meth:`_refine_targets`), so completed
+        targets ship back as a partial outcome — it must never look like
+        a chunk failure the scheduler would retry.
+        """
         from repro.parallel.procpool import ChunkOutcome
 
-        log_event(
-            _LOG, "chunk_quarantine_run", level=logging.WARNING,
-            query=stats.query, chunk=quarantined.index,
-            targets=len(quarantined.targets), reason=quarantined.reason,
-        )
         chunk_stats = QueryStats(query=stats.query, config_label=stats.config_label)
-        ctx = self._context(plan, chunk_stats, deadline=deadline)
+        ctx = self._context(
+            plan, chunk_stats, degraded_keys=degraded_keys, lock=lock,
+            deadline=deadline,
+        )
         chunk_pairs: dict = {}
         chunk_degraded: set = set()
         with self.tracer.adopt(root):
-            with self.tracer.span(
-                "worker", targets=len(quarantined.targets), backend="quarantine"
-            ):
+            with self.tracer.span("worker", targets=len(targets), **span_attrs):
                 finished, inflight, interrupted = self._refine_targets(
-                    plan, ctx, chunk_stats, quarantined.targets, chunk_pairs,
-                    chunk_degraded, deadline, heartbeat=False,
-                    where="quarantine_loop",
+                    plan, ctx, chunk_stats, targets, chunk_pairs,
+                    chunk_degraded, deadline,
                 )
         completeness = QueryCompleteness(
             complete=interrupted is None,
             reason=interrupted.reason if interrupted is not None else "",
-            targets_total=len(quarantined.targets),
+            targets_total=len(targets),
             targets_finished=finished,
             targets_inflight=inflight,
-            targets_unstarted=max(0, len(quarantined.targets) - finished - inflight),
+            targets_unstarted=max(0, len(targets) - finished - inflight),
         )
         return ChunkOutcome(
             pairs=chunk_pairs,
             degraded_targets=chunk_degraded,
             stats=chunk_stats,
-            degraded_keys=set(ctx.degraded_keys),
+            degraded_keys=ctx.degraded_keys,
             spans=(),
             metrics_delta={},
             completeness=completeness,
         )
 
-    def _merge_process(self, outcomes, pairs, degraded_targets, stats, root) -> tuple:
-        """Merge worker-process chunk outcomes, in submission order."""
+    def _merge(self, outcomes, pairs, degraded_targets, stats, root) -> tuple:
+        """Merge chunk outcomes of either backend, in chunk order.
+
+        Chunks are contiguous slices of the cuboid-ordered target list,
+        so insertion order — and with it the result, byte for byte —
+        matches the serial loop. Thread chunks all carry the query's one
+        shared degraded-key set, so its union is that set and the budget
+        check below cannot fire for them (the shared set already
+        enforced it mid-query).
+        """
         degraded_keys: set = set()
         finished = 0
         inflight = 0
@@ -545,20 +578,16 @@ class QueryExecutor:
             stats.merge(outcome.stats)
             degraded_keys |= outcome.degraded_keys
             comp = outcome.completeness
-            if comp is not None:
-                finished += comp.targets_finished
-                inflight += comp.targets_inflight
-                if not comp.complete:
-                    reason = reason or (comp.reason or "deadline")
-            else:
-                finished += outcome.stats.targets
+            finished += comp.targets_finished
+            inflight += comp.targets_inflight
+            if not comp.complete:
+                reason = reason or (comp.reason or "deadline")
             if outcome.metrics_delta:
                 self.metrics.merge_state(outcome.metrics_delta)
-            profile = getattr(outcome, "profile", None)
-            if profile is not None and self.engine.profiler is not None:
+            if outcome.profile is not None and self.engine.profiler is not None:
                 # Per-chunk worker profile: fold into the parent's report
                 # so one flamegraph covers every process that refined.
-                self.engine.profiler.absorb(profile)
+                self.engine.profiler.absorb(outcome.profile)
             if root is not None and root.enabled:
                 for payload in outcome.spans:
                     span = Span.from_payload(
@@ -581,63 +610,12 @@ class QueryExecutor:
             )
         return degraded_keys, finished, inflight, reason
 
-    def _run_parallel(self, plan, stats, chunks, workers, root, deadline) -> tuple:
-        # One degraded-key set across all workers (guarded): the distinct
-        # degraded-object count and the error budget are per *query*, not
-        # per worker, and must not depend on chunk boundaries.
-        degraded_keys: set = set()
-        degraded_lock = threading.Lock()
-
-        def run_chunk(chunk):
-            chunk_stats = QueryStats(query=stats.query, config_label=stats.config_label)
-            ctx = self._context(
-                plan,
-                chunk_stats,
-                degraded_keys=degraded_keys,
-                lock=degraded_lock,
-                deadline=deadline,
-            )
-            chunk_pairs: dict = {}
-            chunk_degraded: set = set()
-            # Deadline expiry is caught *inside* the chunk so completed
-            # targets ship back as a partial outcome — it must never look
-            # like a task failure the scheduler would retry.
-            with self.tracer.adopt(root):
-                with self.tracer.span("worker", targets=len(chunk)):
-                    chunk_finished, chunk_inflight, interrupted = self._refine_targets(
-                        plan, ctx, chunk_stats, chunk, chunk_pairs,
-                        chunk_degraded, deadline, heartbeat=False,
-                    )
-            return (
-                chunk_pairs, chunk_degraded, chunk_stats,
-                chunk_finished, chunk_inflight, interrupted,
-            )
-
-        # A dedicated scheduler per query: it reuses the face-pair
-        # scheduler's retry/backoff/serial-fallback semantics but not its
-        # fault injector — injected task faults would re-run whole target
-        # chunks, double-counting their stats. The error budget stays
-        # fatal so it aborts the query exactly as in the serial path.
-        scheduler = TaskScheduler(
-            workers=workers,
-            max_retries=self.config.task_retries,
-            backoff_seconds=self.config.task_backoff_seconds,
-            metrics=self.metrics,
-            fatal_types=(ErrorBudgetExceededError,),
-        )
-        log_event(
-            _LOG, "parallel_query", query=stats.query, backend="thread",
-            workers=workers, chunks=len(chunks),
-            targets=sum(len(c) for c in chunks),
-        )
-        return scheduler.map(run_chunk, chunks), degraded_keys
-
     # -- shared machinery (moved verbatim from the old per-kind drivers) --------
 
     def _context(
         self, plan, stats, degraded_keys=None, lock=None, deadline=None
     ) -> RefineContext:
-        ctx = RefineContext(
+        return RefineContext(
             deadline=deadline,
             computer=self.engine.computer,
             stats=stats,
@@ -652,11 +630,9 @@ class QueryExecutor:
             tracer=self.tracer,
             progress=plan.spec.progress,
             heartbeat=self.heartbeat,
+            degraded_keys=set() if degraded_keys is None else degraded_keys,
+            lock=lock,
         )
-        if degraded_keys is not None:
-            ctx.degraded_keys = degraded_keys
-            ctx.lock = lock
-        return ctx
 
     def _new_stats(self, query: str, providers=()) -> QueryStats:
         stats = QueryStats(query=query, config_label=self.config.label)

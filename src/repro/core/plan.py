@@ -23,6 +23,7 @@ stats, degraded tracking, fan-out across workers) lives once in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 from repro.core.errors import EngineConfigError, WireFormatError
 from repro.core.jsonsafe import json_safe
@@ -60,6 +61,10 @@ _SPEC_WIRE_FIELDS = (
     "kind", "source", "target", "distance", "k", "point", "target_ids",
     "deadline_ms",
 )
+
+#: Chunks per worker: small enough to amortize per-chunk overhead,
+#: large enough that a straggler chunk cannot idle the rest of the pool.
+_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -518,43 +523,29 @@ class KindStrategy:
         keep = set(restrict)
         return [tid for tid in ordered if tid in keep]
 
-    def target_chunks(self, plan: QueryPlan, tids, chunk_size: int) -> list:
-        """Contiguous chunks of ``tids`` for scatter-gather fan-out.
+    def target_chunks(self, plan: QueryPlan, tids, workers: int) -> list:
+        """Contiguous chunks of ``tids`` for fan-out across ``workers``.
 
-        In-memory datasets (and v1/v2 container loads) get plain
-        equal-size slices — the historical shape, which chunk-keyed
-        chaos injection depends on. When the
-        target dataset is shard-backed, cuts are aligned to cuboid
-        boundaries instead (``tids`` is already in flattened-cuboid
+        Chunks hold at most ``ceil(len(tids) / (4 * workers))`` targets,
+        cut at cuboid boundaries (``tids`` is already in flattened-cuboid
         order, so boundary-aligned cuts stay contiguous and the
-        chunk-order merge is unchanged): each chunk then maps to whole
-        shards, so a process worker faults in only the shard files its
-        chunk actually owns. Cuboids larger than ``chunk_size`` are
-        split rather than ballooning one chunk.
+        chunk-order merge is unchanged). Every dataset — in memory,
+        v1/v2 or shard-backed — chunks the same way; on a shard store
+        each chunk maps to whole shards, so a process worker faults in
+        only the shard files its chunk owns. Cuboids larger than the
+        chunk size are split rather than ballooning one chunk.
         """
-        chunk_size = max(1, chunk_size)
-        target = getattr(plan, "target", None)
-        dataset = getattr(target, "dataset", None)
-        if dataset is None or getattr(dataset, "shard_source", None) is None:
-            return [
-                tids[i : i + chunk_size] for i in range(0, len(tids), chunk_size)
-            ]
+        chunk_size = max(1, -(-len(tids) // (workers * _CHUNKS_PER_WORKER)))
         # Contiguous per-cuboid runs of the (possibly restricted) tids.
         owner = {
             tid: index
-            for index, batch in enumerate(dataset.cuboid_batches())
+            for index, batch in enumerate(plan.target.dataset.cuboid_batches())
             for tid in batch
         }
-        runs: list[tuple[int | None, list[int]]] = []
-        for tid in tids:
-            cuboid = owner.get(tid)
-            if runs and runs[-1][0] == cuboid:
-                runs[-1][1].append(tid)
-            else:
-                runs.append((cuboid, [tid]))
         chunks: list[list[int]] = []
         current: list[int] = []
-        for _, run in runs:
+        for _, group in groupby(tids, key=owner.get):
+            run = list(group)
             while len(run) > chunk_size:
                 if current:
                     chunks.append(current)

@@ -2,8 +2,8 @@
 
 The chaos-testing substrate: one :class:`FaultInjector` can be handed to
 the storage layer (bit-flips in blobs as they are written), the decode
-provider (raised decoder errors), and the task scheduler (failed or
-delayed tasks). Every decision is a pure function of ``(seed, kind,
+provider (raised or delayed decoder errors), and process-backend workers
+(killed or hung chunks). Every decision is a pure function of ``(seed, kind,
 key)`` — not of call order — so a test that replays the same workload
 with the same seed injects exactly the same faults, and a fault observed
 in a failure log can be reproduced in isolation.
@@ -54,16 +54,13 @@ class FaultInjector:
     decode_error_rate: float = 0.0
     decode_delay_rate: float = 0.0
     decode_delay_seconds: float = 0.0
-    task_error_rate: float = 0.0
-    task_delay_rate: float = 0.0
-    task_delay_seconds: float = 0.0
     task_hang_rate: float = 0.0
     task_hang_seconds: float = 30.0
     worker_kill_rate: float = 0.0
     max_faults: int | None = None
     counts: dict = field(default_factory=dict)
     # Guards the counts read-modify-write: hooks fire concurrently from
-    # scheduler worker threads, and lost updates would break exact-count
+    # thread-backend query workers, and lost updates would break exact-count
     # test assertions (and the max_faults cap). Recreated on unpickle.
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
@@ -144,19 +141,6 @@ class FaultInjector:
                 f"injected decode failure: {dataset}[{obj_id}] at LOD {lod}"
             )
 
-    def before_task(self, index: int, attempt: int = 0) -> None:
-        """Maybe fail or delay a scheduled task (scheduler hook).
-
-        Keyed by ``(index, attempt)`` so retries of a failed task can
-        deterministically succeed (or keep failing, at rate 1.0).
-        """
-        if self._fire("task", self.task_error_rate, f"{index}:{attempt}"):
-            raise InjectedFault(f"injected task failure: task {index} attempt {attempt}")
-        if self.task_delay_seconds > 0 and self._fire(
-            "delay", self.task_delay_rate, f"{index}:{attempt}"
-        ):
-            time.sleep(self.task_delay_seconds)
-
     def before_chunk(self, key: str, attempt: int = 0) -> None:
         """Maybe SIGKILL or hang this worker process (procpool hook).
 
@@ -166,9 +150,8 @@ class FaultInjector:
         cleanup runs, exactly like an OOM kill — so only use it in
         sacrificial worker processes, never in the test process itself.
         ``task_hang_rate``/``task_hang_seconds`` hang the chunk here,
-        in the worker, *before* its first heartbeat — deliberately not
-        in ``before_task``, where a hang would stall the unsupervised
-        parent process itself.
+        in the worker, *before* its first heartbeat — deliberately never
+        in the parent process, which has no supervisor above it.
         """
         full_key = f"{key}:{attempt}"
         if self._fire("worker_kill", self.worker_kill_rate, full_key):

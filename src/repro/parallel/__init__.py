@@ -6,8 +6,10 @@ fixed-size tasks executed by CPU cores or GPU kernels; here the "GPU" is
 simulated by the fused numpy mega-batches of :mod:`repro.core.batch`
 (one vectorized kernel invocation over thousands of pairs, sized by
 ``gpu_block``) while the per-pair "CPU" kernels evaluate small blocks — reproducing the batched-vs-blocked performance contrast
-inside one process. A thread-pool scheduler stands in for the resource
-manager.
+inside one process. The fused waves are the task batching; the resource
+manager's fan-out is the query executor's target chunks, run by
+:class:`TaskScheduler` threads or :mod:`repro.parallel.procpool`
+processes.
 """
 
 from repro.parallel.executor import GeometryComputer

@@ -11,6 +11,9 @@ batched-versus-blocked contrast, inside one process).
 When AABB-trees are supplied the computer uses the dual-tree traversals
 instead of exhaustive pair enumeration (the paper's AABB acceleration,
 an alternative to fused batching per Table 1).
+
+Every call runs inline on the caller's thread; parallelism lives one
+level up, in the query executor's target chunks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
 from repro.index.aabbtree import TriangleAABBTree
 from repro.obs import metrics as obs_metrics
-from repro.parallel.tasks import TaskScheduler, iter_pair_blocks
+from repro.parallel.tasks import iter_pair_blocks
 
 __all__ = ["GeometryComputer"]
 
@@ -41,12 +44,10 @@ class GeometryComputer:
         self,
         cpu_block: int = _CPU_BLOCK,
         gpu_block: int = _GPU_BLOCK,
-        scheduler: TaskScheduler | None = None,
         metrics: obs_metrics.MetricsRegistry | None = None,
     ):
         self.cpu_block = cpu_block
         self.gpu_block = gpu_block
-        self.scheduler = scheduler or TaskScheduler(workers=1)
         registry = metrics if metrics is not None else obs_metrics.REGISTRY
         self._m_batch_size = registry.histogram(
             "repro_face_pair_batch_size",
@@ -82,9 +83,6 @@ class GeometryComputer:
         """
         if tree_a is not None and tree_b is not None:
             return tree_a.intersects(tree_b, stats=stats)
-        # Accumulate locally and merge once: per-block read-modify-write
-        # on a caller-shared stats dict loses updates when jobs run on
-        # scheduler threads (see pairwise_min_distances).
         pairs_seen = 0
         hit = False
         for ii, jj in iter_pair_blocks(len(tris_a), len(tris_b), self.cpu_block):
@@ -145,19 +143,7 @@ class GeometryComputer:
     ) -> list[float]:
         """Minimum distance per (tris_a, tris_b) job.
 
-        Each job runs its own blocked loop (:meth:`min_distance`),
-        optionally across the scheduler's workers. Each scheduler job
-        counts into its own dict and the shared caller dict is updated
-        once, serially, after all jobs complete: with workers > 1 a
-        shared-dict read-modify-write races and undercounts "pairs".
+        Each job runs its own blocked loop (:meth:`min_distance`), which
+        adds the pairs it evaluated to ``stats["pairs"]``.
         """
-
-        def run_job(job):
-            job_stats: dict = {}
-            dist = self.min_distance(job[0], job[1], stats=job_stats)
-            return dist, job_stats.get("pairs", 0)
-
-        outcomes = self.scheduler.map(run_job, jobs)
-        if stats is not None:
-            stats["pairs"] = stats.get("pairs", 0) + sum(p for _d, p in outcomes)
-        return [d for d, _p in outcomes]
+        return [self.min_distance(a, b, stats=stats) for a, b in jobs]

@@ -41,9 +41,9 @@ Dataset transport
 Result transport
     Each worker ships back a picklable :class:`ChunkOutcome`: pairs,
     per-chunk ``QueryStats``, degraded ``(side, object)`` keys, span
-    trees (plain dicts), and a monotonic metrics delta. The parent
-    merges outcomes in submission order — the same deterministic rule
-    as the thread backend — so results are byte-identical to serial,
+    trees (plain dicts), and a monotonic metrics delta. The thread
+    backend's chunks produce the same type, and the parent merges
+    either kind in one place, in submission order, so results are byte-identical to serial,
     fault injection included (decode faults are keyed by
     ``dataset:object:lod``, never by worker identity; only the
     ``FaultInjector.max_faults`` cap is order-sensitive, and in process
@@ -63,11 +63,12 @@ Supervision
     ``EngineConfig.worker_hang_timeout_seconds``) like a worker crash.
     On a crash or hang the pool is killed — terminated *and* joined, so
     no orphan processes outlive the query — and respawned, and the
-    unfinished chunks are resubmitted. A chunk that burns
+    unfinished chunks are resubmitted; :func:`shutdown` tears the pool
+    down the same way. A chunk that burns
     ``chunk_max_attempts`` attempts is *quarantined*: returned as a
-    :class:`QuarantinedChunk` marker the executor re-runs serially
-    in-process, so one poisoned chunk costs one slot, not the whole
-    query's process backend. ``pool_failure_threshold`` consecutive
+    :class:`QuarantinedChunk` marker the executor re-runs in-process
+    through the same chunk body as its thread backend, so one poisoned
+    chunk costs one slot, not the whole query's process backend. ``pool_failure_threshold`` consecutive
     pool failures trip a circuit breaker that quarantines everything
     still pending instead of thrashing respawns.
 """
@@ -88,7 +89,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.obs.logs import get_logger, log_event
 
@@ -206,7 +207,9 @@ class QuarantinedChunk:
 
 _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS = 0
-_POOL_LOCK = threading.Lock()
+# Reentrant: _ensure_pool and shutdown tear down through _kill_pool,
+# which takes the lock itself.
+_POOL_LOCK = threading.RLock()
 _SPILL_DIR: str | None = None
 # id(dataset) -> spill directory; entries are removed by a
 # weakref.finalize when the dataset is collected, so a recycled id can
@@ -237,8 +240,7 @@ def _ensure_pool(workers: int) -> ProcessPoolExecutor:
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
         if _POOL is None or _POOL_WORKERS < workers:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False, cancel_futures=True)
+            _kill_pool()
             _ensure_importable()
             import multiprocessing
 
@@ -252,13 +254,14 @@ def _ensure_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def shutdown() -> None:
-    """Tear down the shared pool and spill directory (atexit / tests)."""
-    global _POOL, _POOL_WORKERS, _SPILL_DIR
+    """Tear down the shared pool and spill directory (atexit / tests).
+
+    The pool's workers are terminated and reaped before this returns,
+    so no worker outlives the call.
+    """
+    global _SPILL_DIR
     with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=False, cancel_futures=True)
-            _POOL = None
-            _POOL_WORKERS = 0
+        _kill_pool()
         if _SPILL_DIR is not None:
             shutil.rmtree(_SPILL_DIR, ignore_errors=True)
             _SPILL_DIR = None
@@ -271,9 +274,10 @@ atexit.register(shutdown)
 def _kill_pool() -> None:
     """Hard-stop the shared pool: terminate workers and *reap* them.
 
-    Joining after terminate is what guarantees no orphaned processes —
-    a SIGKILLed worker left unjoined would linger as a zombie for the
-    parent's lifetime.
+    The only pool teardown: crash/hang recovery, pool growth and
+    :func:`shutdown` all come through here. Joining after terminate is
+    what guarantees no orphaned processes — a SIGKILLed worker left
+    unjoined would linger as a zombie for the parent's lifetime.
     """
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
@@ -412,8 +416,8 @@ def execute_chunks(engine, plan, chunks: list, deadline=None) -> list:
     Returns one entry per chunk **in submission order** — a
     :class:`ChunkOutcome`, or a :class:`QuarantinedChunk` marker for a
     chunk the supervisor retired (the executor runs those serially
-    in-process). The caller merges them exactly like the thread
-    backend's chunk results. Raises :class:`ProcessBackendUnavailable`
+    in-process). The caller merges them through the same merge as
+    thread-backend chunks. Raises :class:`ProcessBackendUnavailable`
     only when the pool/transport infrastructure is unusable (spill I/O,
     unpicklable payloads, pool bootstrap); worker crashes and hangs are
     handled *here* by killing + respawning the pool and retrying the

@@ -1,14 +1,17 @@
-"""Task generation and scheduling for face-pair evaluation.
+"""Pair blocks for the blocked kernels, and the query-chunk scheduler.
 
-A "task" is a contiguous block of the flattened ``n_a x n_b`` pair index
-space; block size is the device's batch granularity (paper Section 5.2:
-"geometric computations ... are grouped into small tasks with a fixed
-number of face pair evaluations").
+:func:`iter_pair_blocks` cuts the flattened ``n_a x n_b`` pair index
+space into contiguous blocks of ``cpu_block`` pairs, the granularity of
+:class:`~repro.parallel.executor.GeometryComputer`'s per-pair kernels
+(paper Section 5.2: "geometric computations ... are grouped into small
+tasks with a fixed number of face pair evaluations"). The fused waves
+of :mod:`repro.core.batch` are the batched form of those tasks.
 
-The scheduler is fault-tolerant: a task that raises is retried up to
-``max_retries`` times with optional exponential backoff, and tasks that
+:class:`TaskScheduler` runs the query executor's target chunks on the
+thread backend, fault-tolerantly: a chunk that raises is retried up to
+``max_retries`` times with optional exponential backoff, and chunks that
 fail inside the thread pool are re-run serially (a worker-thread crash
-must not take down the whole query). Only when a task exhausts its
+must not take down the whole query). Only when a chunk exhausts its
 retries does the scheduler raise
 :class:`~repro.core.errors.TaskExecutionError`.
 """
@@ -49,28 +52,22 @@ def iter_pair_blocks(
 
 
 class TaskScheduler:
-    """Optional thread-pool fan-out for independent pair blocks.
+    """Thread-pool fan-out for independent tasks (query chunks).
 
-    Stands in for the paper's CPU/GPU resource manager: tasks are
-    submitted as thunks and executed by whichever worker is free. With
-    ``workers <= 1`` everything runs inline (the default for
-    reproducible single-thread benchmarks).
+    Tasks are submitted as thunks and executed by whichever worker is
+    free. With ``workers <= 1`` everything runs inline.
 
     ``max_retries`` bounds re-execution of a failing task (0 disables
     retry); ``backoff_seconds`` is the base of an exponential backoff
-    slept between attempts. ``fault_injector`` (see :mod:`repro.faults`)
-    may synthesize failures/delays per ``(task index, attempt)`` for
-    chaos tests. ``retries`` and ``serial_fallbacks`` count what
-    actually happened.
+    slept between attempts. ``retries`` and ``serial_fallbacks`` count
+    what actually happened.
 
     ``fatal_types`` lists exception types that must propagate unwrapped
     and unretried (e.g. a query's
     :class:`~repro.core.errors.ErrorBudgetExceededError` — retrying
     cannot help, and callers match on the type).
     :class:`~repro.core.errors.DeadlineExceededError` is always treated
-    as fatal — a spent budget cannot be retried into existence — and an
-    optional ``deadline`` is checked before each task starts, so an
-    expired query stops launching new work.
+    as fatal — a spent budget cannot be retried into existence.
     """
 
     def __init__(
@@ -78,10 +75,8 @@ class TaskScheduler:
         workers: int = 1,
         max_retries: int = 2,
         backoff_seconds: float = 0.0,
-        fault_injector=None,
         metrics: obs_metrics.MetricsRegistry | None = None,
         fatal_types: tuple = (),
-        deadline=None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -92,9 +87,7 @@ class TaskScheduler:
         self.workers = workers
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
-        self.fault_injector = fault_injector
         self.fatal_types = tuple(fatal_types)
-        self.deadline = deadline
         self.retries = 0
         self.serial_fallbacks = 0
         registry = metrics if metrics is not None else obs_metrics.REGISTRY
@@ -127,10 +120,6 @@ class TaskScheduler:
                 if backoff > 0:
                     time.sleep(backoff)
             try:
-                if self.deadline is not None:
-                    self.deadline.check("task")
-                if self.fault_injector is not None:
-                    self.fault_injector.before_task(index, attempt)
                 return fn(item)
             except Exception as exc:
                 if isinstance(exc, self.fatal_types) or isinstance(
@@ -149,18 +138,15 @@ class TaskScheduler:
         if self.workers == 1 or len(items) <= 1:
             return [self._run(fn, item, i) for i, item in enumerate(items)]
 
-        def pooled(pair):
+        def pooled(item):
             """First attempt only; failures are retried serially by the caller."""
-            index, item = pair
             try:
-                if self.fault_injector is not None:
-                    self.fault_injector.before_task(index, 0)
                 return True, fn(item)
             except Exception as exc:
                 return False, exc
 
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            outcomes = list(pool.map(pooled, enumerate(items)))
+            outcomes = list(pool.map(pooled, items))
         results = []
         for index, (ok, value) in enumerate(outcomes):
             if ok:

@@ -5,8 +5,7 @@ ever emitted once it is *confirmed*, so whatever a deadline-bounded run
 has accumulated is a subset of the undeadlined run's answer — never a
 wrong pair, never a retracted pair. These tests pin that property across
 all three backends plus the bookkeeping around it (the
-``QueryResult.completeness`` record, config/env resolution, and the
-scheduler's refusal to retry an expired budget).
+``QueryResult.completeness`` record and config/env resolution).
 
 Determinism note: wall-clock deadlines stop at a timing-dependent
 checkpoint, so cross-backend tests assert the *subset property* and the
@@ -191,19 +190,6 @@ class TestResolution:
             EngineConfig(chunk_max_attempts=0)
         with pytest.raises(EngineConfigError):
             EngineConfig(pool_failure_threshold=0)
-
-
-class TestSchedulerDeadline:
-    def test_expired_budget_is_fatal_and_unretried(self):
-        from repro.parallel.tasks import TaskScheduler
-
-        clock = FakeClock()
-        deadline = Deadline(seconds=1.0, clock=clock)
-        clock.now = 2.0
-        scheduler = TaskScheduler(workers=1, max_retries=3, deadline=deadline)
-        with pytest.raises(DeadlineExceededError):
-            scheduler.map(lambda item: item, [1, 2, 3])
-        assert scheduler.retries == 0
 
 
 class TestPartialResults:

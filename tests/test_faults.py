@@ -64,11 +64,11 @@ class TestFaultInjector:
         assert FaultInjector(seed=1, blob_flip_rate=1.0).corrupt_blob(blob, key="k") == out
 
     def test_max_faults_caps_total(self):
-        inj = FaultInjector(seed=0, task_error_rate=1.0, max_faults=2)
+        inj = FaultInjector(seed=0, decode_error_rate=1.0, max_faults=2)
         fired = 0
         for i in range(10):
             try:
-                inj.before_task(i, 0)
+                inj.before_decode("ds", i, 0)
             except InjectedFault:
                 fired += 1
         assert fired == 2 and inj.total_injected == 2
@@ -78,13 +78,13 @@ class TestFaultInjector:
         # threads firing at once could lose an increment.
         import threading
 
-        inj = FaultInjector(seed=0, task_error_rate=1.0)
+        inj = FaultInjector(seed=0, decode_error_rate=1.0)
         threads, per_thread = 8, 200
 
         def worker(base):
             for i in range(per_thread):
                 with pytest.raises(InjectedFault):
-                    inj.before_task(base * per_thread + i, 0)
+                    inj.before_decode("ds", base * per_thread + i, 0)
 
         pool = [
             threading.Thread(target=worker, args=(t,)) for t in range(threads)
@@ -93,19 +93,19 @@ class TestFaultInjector:
             thread.start()
         for thread in pool:
             thread.join()
-        assert inj.counts["task"] == threads * per_thread
+        assert inj.counts["decode"] == threads * per_thread
 
     def test_concurrent_max_faults_never_overshoots(self):
         import threading
 
         cap = 50
-        inj = FaultInjector(seed=0, task_error_rate=1.0, max_faults=cap)
+        inj = FaultInjector(seed=0, decode_error_rate=1.0, max_faults=cap)
         fired = [0] * 8
 
         def worker(slot):
             for i in range(200):
                 try:
-                    inj.before_task(slot * 200 + i, 0)
+                    inj.before_decode("ds", slot * 200 + i, 0)
                 except InjectedFault:
                     fired[slot] += 1
 
@@ -145,12 +145,12 @@ class TestFaultInjector:
         assert twin.counts.get("decode_delay", 0) == fired
 
     def test_hang_only_fires_at_chunk_scope(self):
-        # Hangs are injected in before_chunk (worker processes), never
-        # before_task — an in-process task hang would stall the parent,
+        # Hangs are injected in before_chunk (worker processes), never by
+        # an in-process hook — a hang there would stall the parent,
         # which has no supervisor above it.
         inj = FaultInjector(seed=2, task_hang_rate=1.0, task_hang_seconds=0.001)
         for i in range(8):
-            inj.before_task(i, 0)
+            inj.before_decode("ds", i, 0)
         assert inj.counts.get("chunk_hang", 0) == 0
         inj.before_chunk("label:0", 0)
         assert inj.counts.get("chunk_hang", 0) == 1
@@ -172,25 +172,41 @@ class TestFaultInjector:
         assert inj.counts.get("chunk_hang", 0) == sum(first)
 
 
+def _fails_first_call_for(failing, fn):
+    """``fn`` wrapped to raise once, on the first call for each item in
+    ``failing``; every later call succeeds."""
+    failed = set()
+
+    def flaky(x):
+        if x in failing and x not in failed:
+            failed.add(x)
+            raise RuntimeError(f"transient failure for {x}")
+        return fn(x)
+
+    return flaky
+
+
 class TestSchedulerRetry:
     def test_retry_recovers_from_transient_failure(self):
-        inj = FaultInjector(seed=0, task_error_rate=1.0, max_faults=1)
-        sched = TaskScheduler(workers=1, max_retries=2, fault_injector=inj)
-        assert sched.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+        sched = TaskScheduler(workers=1, max_retries=2)
+        flaky = _fails_first_call_for({1}, lambda x: x * 2)
+        assert sched.map(flaky, [1, 2, 3]) == [2, 4, 6]
         assert sched.retries == 1
-        assert inj.counts["task"] == 1
 
     def test_retries_exhausted_raises_task_execution_error(self):
-        inj = FaultInjector(seed=0, task_error_rate=1.0)
-        sched = TaskScheduler(workers=1, max_retries=2, fault_injector=inj)
+        def always_fails(x):
+            raise RuntimeError("permanent")
+
+        sched = TaskScheduler(workers=1, max_retries=2)
         with pytest.raises(TaskExecutionError, match="after 3 attempt"):
-            sched.map(lambda x: x, [1])
+            sched.map(always_fails, [1])
 
     def test_pool_failures_fall_back_to_serial_retry(self):
-        inj = FaultInjector(seed=0, task_error_rate=1.0, max_faults=1)
-        sched = TaskScheduler(workers=2, max_retries=2, fault_injector=inj)
-        assert sched.map(lambda x: x + 1, [0, 1, 2, 3]) == [1, 2, 3, 4]
+        sched = TaskScheduler(workers=2, max_retries=2)
+        flaky = _fails_first_call_for({0}, lambda x: x + 1)
+        assert sched.map(flaky, [0, 1, 2, 3]) == [1, 2, 3, 4]
         assert sched.serial_fallbacks == 1
+        assert sched.retries == 0
 
     def test_real_exceptions_are_retried_too(self):
         calls = {"n": 0}

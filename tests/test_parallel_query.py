@@ -254,6 +254,16 @@ class TestProcessBackendObservability:
         assert result.stats.decode_seconds > 0
         assert result.stats.decoded_vertices > 0
 
+    def test_shutdown_reaps_workers(self, datasets):
+        from repro.parallel import procpool
+
+        engine = _build(datasets, query_workers=2, query_backend="process")
+        engine.intersection_join("nuclei_a", "nuclei_b")
+        assert multiprocessing.active_children(), "no pool workers to reap"
+        procpool.shutdown()
+        # No extra join: the workers are gone when shutdown() returns.
+        assert multiprocessing.active_children() == []
+
 
 class TestBackendResolution:
     def test_default_is_thread(self, monkeypatch):
@@ -286,10 +296,12 @@ class TestBackendResolution:
             EngineConfig(query_backend="fork")
 
 
-def _chunk_count(n_targets, workers):
-    """Mirror the executor's equal-size chunking for parent-side roll checks."""
-    chunk_size = -(-n_targets // (workers * 4))
-    return -(-n_targets // chunk_size)
+def _chunk_count(datasets, spec, workers):
+    """How many chunks the executor cuts ``spec``'s targets into."""
+    engine = _build(datasets)
+    plan = engine._compile(spec.normalized())
+    tids = plan.strategy.target_ids(plan)
+    return len(plan.strategy.target_chunks(plan, tids, workers))
 
 
 def _expected_first_attempt_kills(injector, label, n_chunks):
@@ -310,11 +322,10 @@ def _counter_value(registry, name):
 
 
 def _assert_no_orphans():
+    # shutdown() terminates and reaps the pool's workers itself.
     from repro.parallel import procpool
 
     procpool.shutdown()
-    for proc in multiprocessing.active_children():
-        proc.join(timeout=10)
     assert multiprocessing.active_children() == []
 
 
@@ -347,7 +358,7 @@ class TestChaosSupervision:
     def test_sigkilled_worker_recovers(self, datasets, caplog):
         serial, _ = _run(datasets, self.SPEC, workers=1)
         injector = FaultInjector(seed=CHAOS_SEED, worker_kill_rate=0.4)
-        n_chunks = _chunk_count(serial.stats.targets, workers=2)
+        n_chunks = _chunk_count(datasets, self.SPEC, workers=2)
         kills = _expected_first_attempt_kills(
             injector, self.SPEC.normalized().label, n_chunks
         )
@@ -377,7 +388,7 @@ class TestChaosSupervision:
         result, registry = self._run_chaos(datasets, injector, caplog=caplog)
         assert list(result.pairs.items()) == list(serial.pairs.items())
         assert result.complete
-        n_chunks = _chunk_count(serial.stats.targets, workers=2)
+        n_chunks = _chunk_count(datasets, self.SPEC, workers=2)
         assert _counter_value(registry, "repro_chunks_quarantined_total") == n_chunks
         assert _counter_value(registry, "repro_worker_restarts_total") == 2
         assert any(

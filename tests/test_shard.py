@@ -496,46 +496,54 @@ class TestSalvageParity:
 
 
 class TestCuboidAlignedChunks:
-    def _chunks(self, directory, chunk_size):
+    @staticmethod
+    def _chunks(dataset, workers):
+        """The executor's chunks of ``dataset``'s targets over ``workers``."""
+        from types import SimpleNamespace
+
         from repro.core.plan import STRATEGIES
 
-        class _Plan:
-            pass
-
-        class _Loaded:
-            pass
-
-        plan = _Plan()
-        loaded = _Loaded()
-        loaded.dataset = load_dataset(directory)
-        plan.target = loaded
-        tids = list(range(len(loaded.dataset)))
-        return (
-            STRATEGIES["within"].target_chunks(plan, tids, chunk_size),
-            loaded.dataset,
+        strategy = STRATEGIES["within"]
+        plan = SimpleNamespace(
+            target=SimpleNamespace(dataset=dataset),
+            spec=SimpleNamespace(target_ids=None),
         )
+        return strategy.target_chunks(plan, strategy.target_ids(plan), workers)
 
     def test_shard_chunks_respect_cuboid_boundaries(self, tmp_path):
         save_dataset(make_dataset(24), tmp_path / "s")
-        chunks, dataset = self._chunks(tmp_path / "s", chunk_size=7)
+        dataset = load_dataset(tmp_path / "s")
+        # One worker, four chunks per worker: at most 6 of 24 targets each.
+        chunks = self._chunks(dataset, workers=1)
         owner = {
             tid: index
             for index, batch in enumerate(dataset.cuboid_batches())
             for tid in batch
         }
         assert sorted(t for c in chunks for t in c) == list(range(24))
-        assert all(len(chunk) <= 7 for chunk in chunks)
+        assert all(len(chunk) <= 6 for chunk in chunks)
         for chunk in chunks:
             cuboids = [owner[t] for t in chunk]
             # A chunk never straddles a cuboid boundary mid-cuboid:
             # each cuboid appears in one contiguous stretch.
             assert cuboids == sorted(cuboids)
 
-    def test_legacy_chunks_keep_equal_slices(self, tmp_path):
-        save_legacy_dataset(make_dataset(10), tmp_path / "l")
-        chunks, _ = self._chunks(tmp_path / "l", chunk_size=4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert chunks[0] == [0, 1, 2, 3]
+    def test_memory_legacy_and_shard_datasets_chunk_alike(self, tmp_path):
+        # One chunker: however the target dataset is held, its targets
+        # are cut at the same cuboid boundaries.
+        dataset = make_dataset(10)
+        save_legacy_dataset(dataset, tmp_path / "l")
+        save_dataset(dataset, tmp_path / "s")
+        legacy = load_dataset(tmp_path / "l")
+        shard = load_dataset(tmp_path / "s")
+        assert (dataset.storage, legacy.storage, shard.storage) == (
+            "memory", "legacy", "shard"
+        )
+        for workers in (1, 2, 3):
+            expected = self._chunks(dataset, workers)
+            assert sorted(t for c in expected for t in c) == list(range(10))
+            assert self._chunks(legacy, workers) == expected
+            assert self._chunks(shard, workers) == expected
 
 
 class TestSpillTransport:
