@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Regenerate every paper artifact. Chunked so partial results survive
-# interruption; output accumulates in bench_output.txt.
-set -u
+# interruption; output accumulates in bench_output.txt. A failed target
+# does not stop the run; the script exits non-zero at the end and names
+# every target that failed.
+set -u -o pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 : > bench_output.txt
+failed=()
 for target in \
     benchmarks/bench_fig9_lod_sizes.py \
     benchmarks/bench_fig11_decimation.py \
@@ -20,5 +24,11 @@ for target in \
     benchmarks/bench_ablation_knn.py \
     benchmarks/bench_table1.py; do
   echo "=== $target ===" | tee -a bench_output.txt
-  python3 -m pytest "$target" --benchmark-only -q -s 2>&1 | tee -a bench_output.txt
+  if ! python3 -m pytest "$target" --benchmark-only -q -s 2>&1 | tee -a bench_output.txt; then
+    failed+=("$target")
+  fi
 done
+if ((${#failed[@]})); then
+  echo "FAILED (${#failed[@]}): ${failed[*]}" | tee -a bench_output.txt >&2
+  exit 1
+fi

@@ -24,6 +24,7 @@ from repro.mesh.adjacency import MeshAdjacency
 
 __all__ = [
     "patch_is_protruding",
+    "patches_protrude",
     "classify_vertex",
     "classify_vertices",
     "protruding_fraction",
@@ -45,21 +46,32 @@ def patch_is_protruding(positions: np.ndarray, vertex: int, patch_faces) -> bool
     ``patch_faces`` is the fan of index triples that re-closes the hole;
     the test is performed against their oriented (outward) normals. A
     vertex exactly on a plane contributes an invalid tetrahedron whose
-    removal has no effect, so equality counts as protruding.
+    removal has no effect, so equality counts as protruding. This is the
+    one-patch case of :func:`patches_protrude`.
     """
     patch = np.asarray(patch_faces, dtype=np.int64)
     if patch.size == 0:
         return True
-    tris = positions[patch]
-    normals = cross3(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    centroids = tris.mean(axis=1)
-    offsets = positions[vertex] - centroids
-    dots = (normals * offsets).sum(axis=1)
+    return bool(patches_protrude(positions, np.int64(vertex), patch))
+
+
+def patches_protrude(positions: np.ndarray, vertices, patches: np.ndarray) -> np.ndarray:
+    """:func:`patch_is_protruding` over a batch of patches at once.
+
+    ``patches`` is an ``(..., m, 3)`` array of fans and ``vertices``
+    (broadcast against ``patches.shape[:-2]``) the vertex each one
+    replaces; returns the ``(...)`` verdicts.
+    """
+    tris = positions[patches]  # (..., m, 3, 3)
+    normals = cross3(tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :])
+    centroids = tris.mean(axis=-2)
+    offsets = positions[vertices][..., None, :] - centroids
+    dots = (normals * offsets).sum(axis=-1)
     # Relative tolerance so the test is scale-invariant.
-    scale = np.sqrt((normals * normals).sum(axis=1)) * np.sqrt(
-        (offsets * offsets).sum(axis=1)
+    scale = np.sqrt((normals * normals).sum(axis=-1)) * np.sqrt(
+        (offsets * offsets).sum(axis=-1)
     )
-    return bool((dots >= -_REL_EPS * np.maximum(scale, 1e-300)).all())
+    return (dots >= -_REL_EPS * np.maximum(scale, 1e-300)).all(axis=-1)
 
 
 def _shrink(tris: np.ndarray, factor: float = 1e-6) -> np.ndarray:
@@ -94,31 +106,18 @@ def patch_is_embedded(
     patch = np.asarray(patch_faces, dtype=np.int64)
     if patch.size == 0:
         return True
-    patch_tris = _shrink(positions[patch])
-
-    pairs_a = []
-    pairs_b = []
-    guard = np.asarray(list(guard_faces), dtype=np.int64)
-    if guard.size:
-        guard_tris = _shrink(positions[guard])
-        n_p, n_g = len(patch_tris), len(guard_tris)
-        ii, jj = np.divmod(np.arange(n_p * n_g), n_g)
-        # Box prefilter: triangles with disjoint AABBs cannot intersect.
-        p_low, p_high = patch_tris.min(axis=1), patch_tris.max(axis=1)
-        g_low, g_high = guard_tris.min(axis=1), guard_tris.max(axis=1)
-        overlap = np.all(
-            (p_low[ii] <= g_high[jj]) & (g_low[jj] <= p_high[ii]), axis=1
-        )
-        pairs_a.append(patch_tris[ii[overlap]])
-        pairs_b.append(guard_tris[jj[overlap]])
-    if len(patch_tris) > 1:
-        iu, ju = np.triu_indices(len(patch_tris), k=1)
-        pairs_a.append(patch_tris[iu])
-        pairs_b.append(patch_tris[ju])
-    if not pairs_a:
-        return True
-    tris_a = np.concatenate(pairs_a)
-    tris_b = np.concatenate(pairs_b)
+    guard = np.asarray(list(guard_faces), dtype=np.int64).reshape(-1, 3)
+    n_p = len(patch)
+    tris = _shrink(positions[np.concatenate([patch, guard])])
+    # Box prefilter: triangles with disjoint AABBs cannot intersect.
+    low, high = tris.min(axis=1), tris.max(axis=1)
+    overlap = (
+        (low[:n_p, None] <= high[None, n_p:]) & (low[None, n_p:] <= high[:n_p, None])
+    ).all(axis=2)
+    ii, jj = np.nonzero(overlap)
+    iu, ju = np.triu_indices(n_p, k=1)
+    tris_a = tris[np.concatenate([ii, iu])]
+    tris_b = tris[np.concatenate([jj + n_p, ju])]
     hits = tri_tri_intersect_batch(tris_a, tris_b)
     if not bool(hits.any()):
         return True

@@ -39,10 +39,11 @@ from math import ceil
 
 import numpy as np
 
-from repro.compression.classify import patch_is_embedded, patch_is_protruding
+from repro.compression.classify import patch_is_embedded, patches_protrude
 from repro.compression.lodtable import LODTable, compile_lod_table
 from repro.geometry.aabb import AABB
-from repro.mesh.editable import EditableMesh, VertexPatch
+from repro.mesh.adjacency import ordered_ring
+from repro.mesh.editable import EditableMesh, VertexPatch, fan_rotations, fans_nondegenerate
 from repro.mesh.polyhedron import Polyhedron
 
 __all__ = [
@@ -51,6 +52,10 @@ __all__ = [
     "PPVPEncoder",
     "ProgressiveDecoder",
 ]
+
+#: Candidates per vectorized verdict pass; bounds its temporaries at a
+#: few MB on any mesh.
+_PASS_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -266,26 +271,11 @@ class PPVPEncoder:
         mesh = EditableMesh.from_polyhedron(polyhedron)
         aabb = polyhedron.aabb
 
-        accept = None
-        if self.protruding_only:
-
-            def accept(vertex, patch):
-                # Cheap halfspace test first; the embedding guard (which
-                # keeps the tetrahedron-cut argument geometrically valid
-                # on saddle rings) only runs for vertices that pass it.
-                if not patch_is_protruding(positions, vertex, patch):
-                    return False
-                ring_vertices = {index for face in patch for index in face}
-                guard: set = set()
-                for u in ring_vertices:
-                    guard.update(mesh.star(u))
-                return patch_is_embedded(positions, patch, guard)
-
         rounds: list[tuple[RemovalRecord, ...]] = []
         for _round_index in range(self.max_rounds):
             if mesh.num_faces <= self.min_faces:
                 break
-            removed = self._decimation_round(mesh, accept)
+            removed = self._decimation_round(mesh)
             if not removed:
                 break
             rounds.append(removed)
@@ -298,19 +288,70 @@ class PPVPEncoder:
             metadata={"aabb": aabb, "original_faces": polyhedron.num_faces},
         )
 
-    def _decimation_round(self, mesh, accept) -> tuple[RemovalRecord, ...]:
-        """One round: remove an independent set of (protruding) vertices."""
+    def _decimation_round(self, mesh: EditableMesh) -> tuple[RemovalRecord, ...]:
+        """One round: remove an independent set of (protruding) vertices.
+
+        Live vertices are swept in sorted order; each one not marked
+        irremovable is removed with the first ring rotation whose fan is
+        valid (and, for PPVP, passes the halfspace test and the embedding
+        guard), and its ring is then marked irremovable.
+
+        A removal deletes only faces that contain the removed vertex and
+        adds only faces on its ring, and the whole ring becomes
+        irremovable. So a candidate the sweep still reaches has the star,
+        the ring and the face iteration order it had when the round
+        began. Rings are therefore built once, up front, and every
+        rotation's position-only verdicts (non-degenerate fan, halfspace
+        test) come from one vectorized pass per ring length. The sweep
+        keeps only what depends on earlier removals: chord and face
+        existence on the live mesh, then the embedding guard against the
+        live neighbourhood.
+        """
+        positions = mesh.positions
+        candidates = []
+        for vertex in sorted(mesh.live_vertices):
+            star = mesh.star(vertex)
+            if 3 <= len(star) <= self.max_ring:
+                ring = ordered_ring(vertex, star)
+                if ring is not None:
+                    candidates.append((vertex, ring))
+
+        by_length: dict[int, list[int]] = {}
+        for index, (_vertex, ring) in enumerate(candidates):
+            by_length.setdefault(len(ring), []).append(index)
+        fans: list = [None] * len(candidates)
+        usable: list = [None] * len(candidates)
+        for indices in by_length.values():
+            for lo in range(0, len(indices), _PASS_ROWS):
+                chunk = indices[lo : lo + _PASS_ROWS]
+                rings = np.array([candidates[i][1] for i in chunk], dtype=np.int64)
+                chunk_fans = fan_rotations(rings)
+                ok = fans_nondegenerate(positions, chunk_fans)
+                if self.protruding_only:
+                    vertices = np.array([candidates[i][0] for i in chunk], dtype=np.int64)
+                    ok &= patches_protrude(positions, vertices[:, None], chunk_fans)
+                for row, i in enumerate(chunk):
+                    fans[i] = chunk_fans[row]
+                    usable[i] = ok[row]
+
+        accept = None
+        if self.protruding_only:
+
+            def accept(_vertex, patch):
+                # The embedding guard keeps the tetrahedron-cut argument
+                # geometrically valid on saddle rings.
+                ring_vertices = {index for face in patch for index in face}
+                guard = {face for u in ring_vertices for face in mesh.star(u)}
+                return patch_is_embedded(positions, patch, guard)
+
         irremovable: set[int] = set()
         removed: list[RemovalRecord] = []
-        for vertex in sorted(mesh.live_vertices):
+        for (vertex, ring), vertex_fans, vertex_usable in zip(candidates, fans, usable):
             if vertex in irremovable:
                 continue
             if mesh.num_faces - 2 < self.min_faces:
                 break
-            star_size = len(mesh.star(vertex))
-            if star_size < 3 or star_size > self.max_ring:
-                continue
-            patch = mesh.try_remove_vertex(vertex, accept=accept)
+            patch = mesh.remove_with_fan(vertex, ring, vertex_fans, vertex_usable, accept)
             if patch is None:
                 continue
             irremovable.update(patch.ring)

@@ -12,36 +12,56 @@ Two triangles are reported as intersecting when no axis strictly
 separates their projections, which treats touching triangles (shared
 vertex, shared edge, grazing contact) as intersecting — the closed-set
 semantics expected by spatial predicates.
+
+The verdict is an OR over axes, so the kernel runs in two stages: every
+lane is tested on the two face normals, and only the lanes no normal
+separated go on to the fifteen remaining axes (92.5% of the lanes the
+encoder's embedding guard sends on the benchmark scene stop at the
+normals). All arithmetic is on per-component planes (one array per
+coordinate, lanes innermost) with sums in a fixed order, so every
+projection is bit-identical to the reference one-stage ``np.einsum``
+kernel (``tests/oracles/sat_einsum.py``): ``(x*px + z*pz) + y*py`` is
+the order einsum sums three products over contiguous operands, and
+``(x*x + y*y) + z*z`` is that of ``.sum(axis=-1)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry._fast import cross3
-
 __all__ = ["tri_tri_intersect", "tri_tri_intersect_batch"]
 
 _AXIS_EPS = 1e-12
 
+# Planes are laid out (component, triangle, vertex, lane) with the lane
+# axis innermost. The component axis holds x, y, z, x, y so that both
+# rotations a cross product needs are plain slices: (u x v)[c] is
+# u[c + 1] * v[c + 2] - u[c + 2] * v[c + 1].
+# The vertex axis holds v0, v1, v2, v0, so edge i = v[i + 1] - v[i].
+_XYZXY = np.array([0, 1, 2, 0, 1])
+_PLANES = np.ix_(_XYZXY, [0, 1], [0, 1, 2, 0])
 
-def _projection_separates(axes, tri_a, tri_b) -> np.ndarray:
-    """For each pair, True if any of the given axes separates it.
 
-    ``axes`` has shape (n, k, 3); ``tri_a``/``tri_b`` have shape (n, 3, 3).
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product of two ``(5, ...)`` x/y/z/x/y planes -> ``(3, ...)``."""
+    return u[1:4] * v[2:5] - u[2:5] * v[1:4]
+
+
+def _separated(axes: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """True per lane when one of its ``k`` axes strictly separates it.
+
+    ``axes`` is ``(3, k, n)`` and ``verts`` ``(3, 2, 3, n)``: component
+    planes of the lanes' axes and of both triangles' vertices.
     """
-    # Project the three vertices of each triangle on each axis:
-    # (n, k, 3verts) = sum over xyz of axes (n,k,1,3) * verts (n,1,3,3)
-    proj_a = np.einsum("nkc,nvc->nkv", axes, tri_a)
-    proj_b = np.einsum("nkc,nvc->nkv", axes, tri_b)
-    min_a = proj_a.min(axis=2)
-    max_a = proj_a.max(axis=2)
-    min_b = proj_b.min(axis=2)
-    max_b = proj_b.max(axis=2)
-    # Ignore numerically-zero axes: they can never witness separation.
-    valid = (axes * axes).sum(axis=2) > _AXIS_EPS
-    separated = (max_a < min_b) | (max_b < min_a)
-    return np.any(separated & valid, axis=1)
+    prod = axes[:, :, None, None] * verts[:, None]  # (3, k, 2, 3, n)
+    proj = (prod[0] + prod[2]) + prod[1]
+    lo = np.minimum(np.minimum(proj[:, :, 0], proj[:, :, 1]), proj[:, :, 2])
+    hi = np.maximum(np.maximum(proj[:, :, 0], proj[:, :, 1]), proj[:, :, 2])
+    separated = (hi[:, 0] < lo[:, 1]) | (hi[:, 1] < lo[:, 0])  # (k, n)
+    # Numerically-zero axes can never witness separation.
+    sq = axes * axes
+    valid = (sq[0] + sq[1]) + sq[2] > _AXIS_EPS
+    return (separated & valid).any(axis=0)
 
 
 def tri_tri_intersect_batch(tri_a: np.ndarray, tri_b: np.ndarray) -> np.ndarray:
@@ -58,29 +78,26 @@ def tri_tri_intersect_batch(tri_a: np.ndarray, tri_b: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=bool)
 
-    edges_a = np.stack(
-        [tri_a[:, 1] - tri_a[:, 0], tri_a[:, 2] - tri_a[:, 1], tri_a[:, 0] - tri_a[:, 2]],
-        axis=1,
-    )  # (n, 3, 3)
-    edges_b = np.stack(
-        [tri_b[:, 1] - tri_b[:, 0], tri_b[:, 2] - tri_b[:, 1], tri_b[:, 0] - tri_b[:, 2]],
-        axis=1,
-    )
-    normal_a = cross3(edges_a[:, 0], edges_a[:, 1])[:, None, :]  # (n, 1, 3)
-    normal_b = cross3(edges_b[:, 0], edges_b[:, 1])[:, None, :]
+    # (component, triangle, vertex, lane) from (triangle, lane, vertex, component).
+    pts = np.stack([tri_a, tri_b]).transpose(3, 0, 2, 1)[_PLANES]
+    edges = pts[:, :, 1:] - pts[:, :, :3]  # (5, 2, 3, n)
+    verts = pts[:3, :, :3]
+    normals = _cross(edges[:, :, 0], edges[:, :, 1])  # (3, 2, n)
 
-    # 9 edge-edge cross products: (n, 3, 3, 3) -> (n, 9, 3)
-    cross_ab = cross3(edges_a[:, :, None, :], edges_b[:, None, :, :])
-    cross_ab = cross_ab.reshape(n, 9, 3)
-
-    # In-plane edge normals for the coplanar case.
-    inplane_a = cross3(np.broadcast_to(normal_a, edges_a.shape), edges_a)
-    inplane_b = cross3(np.broadcast_to(normal_b, edges_b.shape), edges_b)
-
-    axes = np.concatenate(
-        [normal_a, normal_b, cross_ab, inplane_a, inplane_b], axis=1
-    )  # (n, 17, 3)
-    return ~_projection_separates(axes, tri_a, tri_b)
+    # Stage 1: the two face normals, on every lane.
+    hit = ~_separated(normals, verts)
+    rest = np.flatnonzero(hit)
+    if rest.size == 0:
+        return hit
+    # Stage 2: nine edge x edge axes a_i x b_j and six in-plane normals
+    # n x e, only on the lanes no normal separated.
+    m = rest.size
+    edges, verts = edges[..., rest], verts[..., rest]
+    normals = normals[_XYZXY][..., rest]
+    cross_ab = _cross(edges[:, 0, :, None], edges[:, 1, None, :]).reshape(3, 9, m)
+    inplane = _cross(normals[:, :, None], edges).reshape(3, 6, m)
+    hit[rest] = ~_separated(np.concatenate([cross_ab, inplane], axis=1), verts)
+    return hit
 
 
 def tri_tri_intersect(tri_a, tri_b) -> bool:

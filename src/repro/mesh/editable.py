@@ -25,7 +25,7 @@ from repro.geometry._fast import cross3
 from repro.mesh.adjacency import edge_key, ordered_ring
 from repro.mesh.polyhedron import Polyhedron
 
-__all__ = ["VertexPatch", "EditableMesh"]
+__all__ = ["VertexPatch", "EditableMesh", "fan_rotations", "fans_nondegenerate"]
 
 _AREA_EPS = 1e-12
 
@@ -50,6 +50,30 @@ class VertexPatch:
 
 def _face_key(a: int, b: int, c: int) -> FaceTriple:
     return tuple(sorted((a, b, c)))  # type: ignore[return-value]
+
+
+def fan_rotations(rings: np.ndarray) -> np.ndarray:
+    """Fan patches of every rotation of every ring.
+
+    ``rings`` is a ``(c, k)`` array of ordered one-ring loops. Element
+    ``[i, r]`` of the ``(c, k, k - 2, 3)`` result is the fan that
+    re-closes ring ``i``'s hole from apex ``rings[i, r]``: faces
+    ``(loop[0], loop[j], loop[j + 1])`` for ``j = 1 .. k - 2`` of the
+    loop rotated to start at offset ``r``.
+    """
+    k = rings.shape[1]
+    apex = np.arange(k)[:, None]
+    j = np.arange(1, k - 1)[None, :]
+    corners = np.stack(np.broadcast_arrays(apex, (apex + j) % k, (apex + j + 1) % k), axis=-1)
+    return rings[:, corners]
+
+
+def fans_nondegenerate(positions: np.ndarray, fans: np.ndarray) -> np.ndarray:
+    """True per fan (``fans``: ``(..., m, 3)``) when no face has ~zero area."""
+    tris = positions[fans]
+    normals = cross3(tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :])
+    areas = np.sqrt((normals * normals).sum(axis=-1)) / 2.0
+    return ~(areas < _AREA_EPS).any(axis=-1)
 
 
 class EditableMesh:
@@ -135,19 +159,37 @@ class EditableMesh:
         Tries every ring rotation as the fan apex until one produces a
         patch that (a) keeps the mesh a closed 2-manifold, (b) has no
         degenerate triangles, and (c) satisfies the optional ``accept``
-        predicate (the PPVP codec passes the protruding-vertex test
-        here). Returns the applied :class:`VertexPatch`, or None when the
-        vertex cannot be removed under those constraints.
+        predicate. Returns the applied :class:`VertexPatch`, or None when
+        the vertex cannot be removed under those constraints.
         """
         ring = self.ring(vertex)
         if ring is None or len(ring) < 3:
             return None
-        star = tuple(self.star(vertex))
+        fans = fan_rotations(np.asarray([ring], dtype=np.int64))[0]
+        usable = fans_nondegenerate(self.positions, fans)
+        return self.remove_with_fan(vertex, ring, fans, usable, accept)
 
-        for apex_offset in range(len(ring)):
-            loop = ring[apex_offset:] + ring[:apex_offset]
-            patch = self._fan_patch(loop)
-            if patch is None:
+    def remove_with_fan(
+        self,
+        vertex: int,
+        ring: list[int],
+        fans: np.ndarray,
+        usable: np.ndarray,
+        accept: Callable[[int, tuple[FaceTriple, ...]], bool] | None = None,
+    ) -> VertexPatch | None:
+        """Remove ``vertex`` with the first usable fan that fits the mesh.
+
+        ``fans`` are the vertex's ring rotations (:func:`fan_rotations`,
+        one row) and ``usable`` their verdicts on everything that depends
+        on positions alone (:func:`fans_nondegenerate`, and the codec's
+        halfspace test). Rotations are tried in order; one is applied
+        when its chords and faces are new to the live mesh and ``accept``
+        (if given) agrees.
+        """
+        star = tuple(self.star(vertex))
+        for apex_offset in np.flatnonzero(usable).tolist():
+            patch = tuple(map(tuple, fans[apex_offset].tolist()))
+            if not self._fan_fits(patch):
                 continue
             if accept is not None and not accept(vertex, patch):
                 continue
@@ -158,30 +200,20 @@ class EditableMesh:
             return VertexPatch(vertex, tuple(ring), star, patch)
         return None
 
-    def _fan_patch(self, loop: list[int]) -> tuple[FaceTriple, ...] | None:
-        """Fan triangulation of ``loop`` from ``loop[0]``, or None if invalid."""
-        apex = loop[0]
-        k = len(loop)
-        patch = tuple((apex, loop[j], loop[j + 1]) for j in range(1, k - 1))
+    def _fan_fits(self, patch: tuple[FaceTriple, ...]) -> bool:
+        """True when a fan's chords and faces are all new to the mesh.
 
-        # Chords introduced by the fan must not already exist in the mesh
-        # (each edge of a closed mesh borders exactly two faces; the ring
-        # edges already border one outside face each).
-        for j in range(2, k - 1):
-            if self.has_edge(apex, loop[j]):
-                return None
-        # A patch face must not coincide with an existing face (e.g. the
-        # far face of a tetrahedral bump when the ring has length 3).
-        for face in patch:
-            if _face_key(*face) in self._faces:
-                return None
-        # Reject degenerate triangles.
-        tris = self.positions[np.asarray(patch, dtype=np.int64)]
-        normals = cross3(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-        areas = np.sqrt((normals * normals).sum(axis=1)) / 2.0
-        if bool((areas < _AREA_EPS).any()):
-            return None
-        return patch
+        Each edge of a closed mesh borders exactly two faces and the ring
+        edges already border one outside face each, so a chord (apex to
+        a non-adjacent ring vertex) must not exist yet; nor may a patch
+        face coincide with an existing one (e.g. the far face of a
+        tetrahedral bump when the ring has length 3).
+        """
+        apex = patch[0][0]
+        for face in patch[1:]:
+            if self.has_edge(apex, face[1]):
+                return False
+        return not any(_face_key(*face) in self._faces for face in patch)
 
     # -- vertex reinsertion (decoding direction) ----------------------------
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import PPVPEncoder
 from repro.geometry import tri_tri_intersect, tri_tri_intersect_batch
+from tests.oracles.sat_einsum import einsum_tri_tri_intersect_batch
 
 XY = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
 
@@ -120,3 +122,70 @@ def test_segment_sampling_agrees_with_sat(seed):
     if not hit:
         # SAT separation implies sampled points stay apart.
         assert dmin > -1e-12
+
+
+def _grid_batch(rng, n, plane=False):
+    """Triangles on a small integer grid (so exact contacts are common)."""
+    tris = rng.integers(-1, 3, size=(2, n, 3, 3)).astype(float)
+    if plane:
+        tris[..., 2] = 0.0
+    return tris[0], tris[1]
+
+
+class TestMatchesEinsumOracle:
+    """Verdicts equal the one-stage einsum kernel's on every lane."""
+
+    @staticmethod
+    def assert_same(tri_a, tri_b):
+        expected = einsum_tri_tri_intersect_batch(tri_a, tri_b)
+        assert np.array_equal(tri_tri_intersect_batch(tri_a, tri_b), expected)
+        return expected
+
+    @pytest.mark.parametrize("n", [0, 1, 33, 5000])
+    def test_seeded_random_batches(self, n):
+        rng = np.random.default_rng(n)
+        tri_a = rng.normal(size=(n, 3, 3))
+        tri_b = rng.normal(size=(n, 3, 3)) * rng.uniform(0.1, 3.0, size=(n, 1, 1))
+        self.assert_same(tri_a, tri_b)
+
+    def test_shared_vertices_and_edges(self):
+        rng = np.random.default_rng(5)
+        tri_a, tri_b = _grid_batch(rng, 3000)
+        tri_b[:1000, 0] = tri_a[:1000, 0]
+        tri_b[1000:2000, :2] = tri_a[1000:2000, [1, 0]]
+        expected = self.assert_same(tri_a, tri_b)
+        assert expected.any() and not expected.all()
+
+    def test_coplanar(self):
+        rng = np.random.default_rng(6)
+        tri_a, tri_b = _grid_batch(rng, 3000, plane=True)
+        expected = self.assert_same(tri_a, tri_b)
+        assert expected.any() and not expected.all()
+
+    def test_collinear_and_zero_area(self):
+        rng = np.random.default_rng(7)
+        tri_a, tri_b = _grid_batch(rng, 3000)
+        tri_a[:1000, 2] = 2 * tri_a[:1000, 1] - tri_a[:1000, 0]  # collinear
+        tri_b[1000:2000, 1] = tri_b[1000:2000, 0]  # repeated corner
+        tri_a[2000:, :] = tri_a[2000:, :1]  # a single point
+        expected = self.assert_same(tri_a, tri_b)
+        assert expected.any() and not expected.all()
+
+    def test_every_lane_of_an_encode(self, small_scene, monkeypatch):
+        import repro.geometry.tritri as tritri
+
+        lanes_a, lanes_b = [], []
+        kernel = tritri.tri_tri_intersect_batch
+
+        def recording(tri_a, tri_b):
+            lanes_a.append(np.array(tri_a))
+            lanes_b.append(np.array(tri_b))
+            return kernel(tri_a, tri_b)
+
+        monkeypatch.setattr(tritri, "tri_tri_intersect_batch", recording)
+        encoder = PPVPEncoder(max_lods=6, rounds_per_lod=2)
+        for mesh in [*small_scene.nuclei_a, *small_scene.nuclei_b, *small_scene.vessels]:
+            encoder.encode(mesh)
+        monkeypatch.undo()
+        assert len(lanes_a) > 100
+        self.assert_same(np.concatenate(lanes_a), np.concatenate(lanes_b))
