@@ -1,0 +1,232 @@
+#!/usr/bin/env python
+"""Dump everything refinement decides, for a byte-for-byte before/after diff.
+
+A refactor of the refine or executor layers that claims "results
+unchanged" proves it by running this script on the parent commit and on
+the change and diffing the two outputs::
+
+    PYTHONPATH=<parent>/src python <parent>/scripts/parity_dump.py before.txt
+    PYTHONPATH=src python scripts/parity_dump.py after.txt
+    diff before.txt after.txt
+
+The matrix is every query kind (intersection, within, NN, kNN k=3, NN
+with ``exact_nn_distances``, point containment) × backend (serial,
+thread×4, process×2) × faults (clean, ``FaultInjector(seed=11,
+decode_error_rate=0.3)``) × paradigm (fpr, fr) × acceleration (none,
+partition, aabb) over one small seeded tissue scene. Each run dumps its
+pairs, degraded targets and keys, both pair ledgers, the funnel,
+``face_pairs_by_lod``, the progress frames each group refinement emits
+and the ``refine`` span sequence (query, lod, survivors, settled) of
+each group.
+
+Parallel runs are made order-free where scheduling decides the order
+and nothing else: the funnel drops its cache and decode-volume fields
+(per-worker caches), and per-group frame and span lists are sorted.
+Process workers run in other interpreters, so their frames are not
+recorded (their spans are: workers ship span trees back).
+
+The only argument is the output path. Takes a few minutes on one core.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from itertools import product
+
+from repro.compression import PPVPEncoder
+from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
+from repro.core import plan
+from repro.datagen import make_tissue_scene
+from repro.datagen.vessels import VesselSpec
+from repro.faults import FaultInjector
+from repro.parallel import procpool
+from repro.storage import Dataset
+
+BACKENDS = {
+    "serial": {"query_workers": 1},
+    "thread4": {"query_workers": 4, "query_backend": "thread"},
+    "process2": {"query_workers": 2, "query_backend": "process"},
+}
+ACCELS = {
+    "none": Accel(),
+    "partition": Accel(partition=True),
+    "aabb": Accel(aabbtree=True),
+}
+CACHE_FIELDS = ("cache_hits", "cache_misses", "decoded_objects", "decoded_bytes")
+
+
+def build_datasets():
+    scene = make_tissue_scene(
+        n_nuclei=24, n_vessels=1, seed=7, region=70.0, nucleus_subdivisions=1,
+        vessel_spec=VesselSpec(bifurcations=2, points_per_branch=4, segments=6),
+    )
+    encoder = PPVPEncoder(max_lods=6, rounds_per_lod=2)
+    datasets = {
+        name: Dataset.from_polyhedra(name, meshes, encoder)
+        for name, meshes in (
+            ("nuclei_a", scene.nuclei_a),
+            ("nuclei_b", scene.nuclei_b),
+        )
+    }
+    point = tuple(float(v) for v in scene.nuclei_a[1].vertices.mean(axis=0))
+    return datasets, point
+
+
+def cases(point):
+    """``label -> (spec, config overrides)`` for every query kind."""
+
+    def join(kind, **params):
+        return QuerySpec(kind=kind, source="nuclei_b", target="nuclei_a", **params)
+
+    return {
+        "intersection": (join("intersection"), {}),
+        "within": (join("within", distance=1.0), {}),
+        "nn": (join("nn"), {}),
+        "knn3": (join("knn", k=3), {}),
+        "nn_exact": (join("nn"), {"exact_nn_distances": True}),
+        "containment": (QuerySpec(kind="containment", source="nuclei_a", point=point), {}),
+    }
+
+
+class FrameRecorder:
+    """Wraps every strategy's ``group_refine`` to record its frames.
+
+    The executor hands a progress hook to refinement only for streamed
+    queries, which it runs as groups of one; recording here captures
+    the frame order *within* a multi-target group as well.
+    """
+
+    def __init__(self):
+        self.groups: list[list] = []
+
+    def __enter__(self):
+        self._originals = []
+        for strategy in set(type(s) for s in plan.STRATEGIES.values()):
+            original = strategy.__dict__["group_refine"]
+            self._originals.append((strategy, original))
+            strategy.group_refine = self._wrap(original)
+        return self
+
+    def _wrap(self, original):
+        recorder = self
+
+        def group_refine(strategy, query_plan, ctx, items):
+            frames: list = []
+            recorder.groups.append(frames)
+            ctx.progress = lambda tid, lod, matches: frames.append(
+                [tid, lod, _plain(matches)]
+            )
+            try:
+                return original(strategy, query_plan, ctx, items)
+            finally:
+                ctx.progress = None
+
+        return group_refine
+
+    def __exit__(self, *exc):
+        for strategy, original in self._originals:
+            strategy.group_refine = original
+
+
+def _plain(value):
+    """JSON-stable form: tuples become lists, floats keep their repr."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))}
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, set):
+        return sorted(_plain(v) for v in value)
+    return value
+
+
+def refine_spans(tracer) -> list[list]:
+    """Per group (one ``compute`` span each), its ``refine`` span sequence."""
+    groups = []
+    for root in tracer.roots:
+        for span in root.walk():
+            if span.name != "compute":
+                continue
+            groups.append([
+                [
+                    child.attrs.get("query"), child.attrs.get("lod"),
+                    child.attrs.get("survivors"), child.attrs.get("settled", "-"),
+                ]
+                for child in span.walk()
+                if child.name == "refine"
+            ])
+    return groups
+
+
+def run_one(datasets, spec, config, parallel: bool, in_process: bool) -> dict:
+    engine = ThreeDPro(EngineConfig(tracing=True, partition_min_faces=40, **config))
+    for dataset in datasets.values():
+        engine.load_dataset(dataset)
+    recorder = FrameRecorder()
+    if in_process:
+        with recorder:
+            result = engine.execute(spec)
+    else:
+        result = engine.execute(spec)
+    funnel = result.stats.funnel.as_dict()
+    if parallel:
+        for stage in funnel.get("stages", {}).values():
+            for key in CACHE_FIELDS:
+                stage.pop(key, None)
+    frames = [_plain(group) for group in recorder.groups]
+    spans = refine_spans(engine.tracer)
+    if parallel:
+        frames = sorted(frames, key=json.dumps)
+        spans = sorted(spans, key=json.dumps)
+    stats = result.stats
+    return {
+        "pairs": _plain(list(result.pairs.items())),
+        "degraded_targets": sorted(result.degraded_targets),
+        "degraded_keys": sorted(map(list, result.degraded_keys)),
+        "degraded_objects": stats.degraded_objects,
+        "evaluated_by_lod": _plain(dict(stats.pairs_evaluated_by_lod)),
+        "pruned_by_lod": _plain(dict(stats.pairs_pruned_by_lod)),
+        "face_pairs_by_lod": _plain(dict(stats.face_pairs_by_lod)),
+        "funnel": _plain(funnel),
+        "frames": frames,
+        "refine_spans": spans,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: parity_dump.py OUTPUT", file=sys.stderr)
+        return 2
+    datasets, point = build_datasets()
+    matrix = product(
+        cases(point).items(), BACKENDS.items(), ("clean", "faulted"), ("fpr", "fr"),
+        ACCELS.items(),
+    )
+    lines = []
+    try:
+        for (label, (spec, overrides)), (backend, backend_config), faults, paradigm, (
+            accel_name, accel
+        ) in matrix:
+            config = {
+                **backend_config, **overrides, "paradigm": paradigm, "accel": accel,
+            }
+            if faults == "faulted":
+                config["fault_injector"] = FaultInjector(seed=11, decode_error_rate=0.3)
+            dump = run_one(
+                datasets, spec, config,
+                parallel=backend != "serial", in_process=backend != "process2",
+            )
+            key = f"{label} {backend} {faults} {paradigm} {accel_name}"
+            lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
+            print(key, file=sys.stderr, flush=True)
+    finally:
+        procpool.shutdown()
+    with open(argv[0], "w") as out:
+        out.write("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -187,9 +187,6 @@ class EngineConfig:
     partition_min_faces: int = 400  # only decompose complex objects
     cache_bytes: int = 256 * 1024 * 1024
     cache_enabled: bool = True
-    tree_leaf_size: int = 8
-    cpu_block: int = 48
-    gpu_block: int = 4096
     # Inter-target query parallelism: how many workers the QueryExecutor
     # fans target chunks across. None means "not set explicitly" — the
     # engine then honors the REPRO_QUERY_WORKERS environment variable
@@ -237,10 +234,6 @@ class EngineConfig:
     # than this many distinct objects have degraded (decode fallback or
     # total decode failure). None disables the budget.
     max_decode_failures: int | None = None
-    # Thread-backend chunk fault tolerance (retries of a failing chunk;
-    # see repro.parallel.tasks.TaskScheduler).
-    task_retries: int = 2
-    task_backoff_seconds: float = 0.0
     # Optional repro.faults.FaultInjector threaded into the decode
     # provider and process-backend workers for chaos testing.
     fault_injector: object = None
@@ -296,10 +289,6 @@ class EngineConfig:
             raise EngineConfigError("chunk_max_attempts must be >= 1")
         if self.pool_failure_threshold < 1:
             raise EngineConfigError("pool_failure_threshold must be >= 1")
-        if self.task_retries < 0:
-            raise EngineConfigError("task_retries must be >= 0")
-        if self.task_backoff_seconds < 0:
-            raise EngineConfigError("task_backoff_seconds must be >= 0")
         if self.profile_interval_ms <= 0:
             raise EngineConfigError("profile_interval_ms must be > 0")
         if self.lod_list is not None:

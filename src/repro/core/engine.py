@@ -75,11 +75,7 @@ class ThreeDPro:
             enabled=self.config.cache_enabled,
             metrics=self.metrics,
         )
-        self.computer = GeometryComputer(
-            cpu_block=self.config.cpu_block,
-            gpu_block=self.config.gpu_block,
-            metrics=self.metrics,
-        )
+        self.computer = GeometryComputer(metrics=self.metrics)
         self.query_workers = self.config.resolve_query_workers()
         self.query_backend = self.config.resolve_query_backend()
         self.profiler = (
@@ -99,7 +95,6 @@ class ThreeDPro:
             dataset.name,
             dataset.objects,
             self.cache,
-            tree_leaf_size=self.config.tree_leaf_size,
             fault_injector=self.config.fault_injector,
             salvaged_ids=dataset.degraded_ids,
             tracer=self.tracer,

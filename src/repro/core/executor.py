@@ -43,7 +43,7 @@ Either way, one merge (:meth:`QueryExecutor._merge`) folds the outcomes
 **in chunk order**, so ``pairs``, ``degraded_targets``, and every merged
 counter are identical to the serial run (the refinement layer keeps
 per-decode outcomes order-independent; see
-``RefineContext._gather_distance_jobs`` and the provider's LOD-aware
+``repro.core.refine._gather_face_pairs`` and the provider's LOD-aware
 fail-fast).
 
 Merge semantics worth knowing: summed phase seconds are *busy* time
@@ -495,8 +495,6 @@ class QueryExecutor:
         lock = threading.Lock()
         scheduler = TaskScheduler(
             workers=workers,
-            max_retries=self.config.task_retries,
-            backoff_seconds=self.config.task_backoff_seconds,
             metrics=self.metrics,
             fatal_types=(ErrorBudgetExceededError,),
         )

@@ -22,8 +22,10 @@ stats, degraded tracking, fan-out across workers) lives once in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
+from numbers import Integral, Real
 
 from repro.core.errors import EngineConfigError, WireFormatError
 from repro.core.jsonsafe import json_safe
@@ -65,6 +67,16 @@ _SPEC_WIRE_FIELDS = (
 #: Chunks per worker: small enough to amortize per-chunk overhead,
 #: large enough that a straggler chunk cannot idle the rest of the pool.
 _CHUNKS_PER_WORKER = 4
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (
+        isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -113,6 +125,8 @@ class QuerySpec:
                 f"unknown query kind {self.kind!r} (one of {QUERY_KINDS})"
             )
         spec = self
+        if spec.k is not None and not _is_int(spec.k):
+            raise EngineConfigError(f"k must be an integer, got {spec.k!r}")
         if spec.kind == "nn":
             if spec.k not in (None, 1):
                 raise EngineConfigError("nn queries take no k (use kind='knn')")
@@ -127,6 +141,10 @@ class QuerySpec:
         if spec.kind == "within":
             if spec.distance is None:
                 raise EngineConfigError("within queries require a distance")
+            if not _is_finite(spec.distance):
+                raise EngineConfigError(
+                    f"distance must be a finite number, got {spec.distance!r}"
+                )
             if spec.distance < 0:
                 raise EngineConfigError("distance must be >= 0")
         elif spec.distance is not None:
@@ -138,7 +156,12 @@ class QuerySpec:
                 raise EngineConfigError(
                     "containment queries take a point, not a target/probe"
                 )
-            spec = replace(spec, point=tuple(float(v) for v in spec.point))
+            point = tuple(spec.point)
+            if len(point) != 3 or not all(_is_finite(v) for v in point):
+                raise EngineConfigError(
+                    f"point must be 3 finite coordinates, got {spec.point!r}"
+                )
+            spec = replace(spec, point=tuple(float(v) for v in point))
         else:
             if spec.point is not None:
                 raise EngineConfigError(f"point does not apply to {spec.kind!r} queries")
@@ -150,6 +173,10 @@ class QuerySpec:
             if spec.kind == "containment" or spec.probe is not None:
                 raise EngineConfigError(
                     "target_ids applies only to joins over a loaded target dataset"
+                )
+            if not all(_is_int(t) for t in spec.target_ids):
+                raise EngineConfigError(
+                    f"target_ids must be integers, got {spec.target_ids!r}"
                 )
             spec = replace(spec, target_ids=tuple(int(t) for t in spec.target_ids))
         if spec.deadline_ms is not None and spec.deadline_ms < 1:

@@ -17,13 +17,17 @@ candidates as early as the progressive-approximation properties allow:
 Under the FR paradigm the same functions run with a single-entry LOD
 schedule (the top LOD), which reduces them to classical refinement.
 
-One round loop, two evaluators: every algorithm has a single
-implementation — the group rounds of :func:`refine_intersection_group`,
-:func:`refine_within_group`, :func:`refine_nn` and
-:func:`refine_containment`. A round decodes every active target and its
-surviving candidates (*gather*), hands the round's face-pair jobs to one
-evaluator (*evaluate*), and applies the verdicts per target in order
-(*settle*). The evaluator is chosen from ``RefineContext.use_tree``: by
+One round driver, two face-pair evaluators: every algorithm is the same
+loop, :func:`_refine`, over an ascending LOD schedule. A round decodes
+every active target and its surviving candidates (*gather*), hands the
+round's jobs to one evaluator call (*evaluate*), and applies the
+verdicts per target in order (*settle*). An algorithm supplies only what
+differs: its gather, its evaluator (face-pair intersection, face-pair
+distance, or ray-cast probes), its settle step, what happens when a
+target fails to decode, and — for nearest neighbor — when a target
+leaves the rounds early. Intersection's containment stage and the
+``exact_nn_distances`` pass are one more round at the top LOD. The
+face-pair evaluator is chosen from ``RefineContext.use_tree``: by
 default the fused wave kernels of :mod:`repro.core.batch` take all jobs
 of the round in a few kernel calls; with AABB-tree acceleration each job
 is one dual-tree traversal (traversals do not batch across pairs). Pair
@@ -57,8 +61,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,10 +92,10 @@ __all__ = [
 
 _ALL_PARTS = None  # candidate part sentinel: evaluate every face
 
-# Per-survivor settle codes used by the gather/settle round helpers;
-# non-negative values are indices into the round's shared job list.
-_DEGRADED = -1  # settle now, classified degraded (decode failed / empty mesh)
-_MISS = -2  # no kernel work this round (e.g. empty partition mask); survives
+# Per-survivor codes of the face-pair gather; non-negative values are
+# indices into the round's shared job list.
+_DEGRADED = -1  # undecodable (or unconfirmable empty mesh)
+_MISS = -2  # no faces to evaluate (empty mesh or partition mask)
 
 
 @dataclass
@@ -358,55 +364,15 @@ class RefineContext:
             stop_below=stop_below,
         )
 
-    def _gather_distance_jobs(self, dec_t, survivors, lod: int, target_id, jobs):
-        """Decode each survivor in order; queue its face pairs as one job.
-
-        Returns ``(entries, inexact)``: per survivor either a fixed
-        distance (the MBB upper bound for an undecodable candidate,
-        ``inf`` for an empty partition mask) or the index of its job in
-        the shared ``jobs`` list, plus the flags marking distances that
-        are only upper bounds — the decode failed outright (the distance
-        is then the MBB-based :meth:`box_upper_bound`, still valid, so
-        threshold confirms stay sound) or was served degraded (LOD
-        fallback or salvaged geometry). A flag depends only on its own
-        decode, never on what other targets decoded earlier, which keeps
-        NN exactness identical between serial and parallel execution.
-        Decodes happen here, per target in survivor order, so the
-        provider's request sequence for a target does not depend on
-        which other targets share the round.
-        """
-        entries: list[tuple[str, object]] = []
-        inexact: list[bool] = []
-        for sid, parts in survivors:
-            dec_s = self._decode_source_or_none(sid, lod)
-            if dec_s is None:
-                entries.append(("fixed", self.box_upper_bound(target_id, sid)))
-                inexact.append(True)
-                continue
-            inexact.append(bool(dec_s.degraded))
-            tris_s = self.source_faces(dec_s, sid, parts)
-            if len(tris_s) == 0:
-                entries.append(("fixed", math.inf))
-            else:
-                entries.append(("job", len(jobs)))
-                jobs.append((dec_t, dec_s, tris_s))
-        return entries, inexact
-
-
-def _scatter_distances(entries, dists) -> list[float]:
-    """Resolve gather entries back to per-survivor distances."""
-    return [
-        dists[payload] if kind == "job" else payload for kind, payload in entries
-    ]
+    def points_inside(self, probes: list, lod: int) -> list[bool]:
+        """Per ``(point, triangles)`` probe, whether the point is inside."""
+        return points_in_polyhedra(probes, checkpoint=self.batch_tick)
 
 
 class GroupState:
     """Per-target progress through one group refinement."""
 
-    __slots__ = (
-        "tid", "survivors", "results", "done", "touched",
-        "entries", "inexact", "dec_t",
-    )
+    __slots__ = ("tid", "survivors", "results", "done", "touched")
 
     def __init__(self, tid: int, survivors):
         self.tid = tid
@@ -414,9 +380,6 @@ class GroupState:
         self.results: list = []  # source ids; (sid, distance, exact) for NN
         self.done = False
         self.touched = False
-        self.entries = None
-        self.inexact = None
-        self.dec_t = None
 
 
 @contextmanager
@@ -464,6 +427,217 @@ def _group_of_one(ctx: RefineContext, target_id: int, run_group) -> list[int]:
     return state.results
 
 
+# -- the round driver ------------------------------------------------------------
+
+
+def _mark_done(s: GroupState) -> None:
+    s.done = True
+
+
+class _Kind(NamedTuple):
+    """What one algorithm plugs into the round driver (:func:`_refine`).
+
+    ``gather(s, dec_t, lod, jobs)`` queues a state's work on the round's
+    shared ``jobs`` list and returns the payload its ``settle(s, dec_t,
+    payload, verdicts, lod)`` reads back, after one ``evaluate(jobs,
+    lod)`` call answered every job of the round; ``settle`` returns how
+    many pairs it settled.
+    """
+
+    query: str  # span label and checkpoint prefix
+    gather: Callable
+    evaluate: Callable
+    settle: Callable
+    # ``(s, lod)`` when the target fails to decode; None: no target.
+    target_failed: Callable | None
+    stays: Callable = lambda s, lod: bool(s.survivors)  # refine s at lod?
+    leave: Callable = _mark_done  # s stops refining
+    finish: Callable | None = None  # after the rounds; default: leave all
+    # The span shape each kind has always had: NN calls no evaluator and
+    # reports no settled count in a round where no target decoded, and
+    # point containment never reports a settled count.
+    skip_empty: bool = False
+    count_settled: bool = True
+
+
+def _refine(ctx: RefineContext, states, lods, kind: _Kind) -> list[GroupState]:
+    """The one round loop: Algorithms 1-3 and point containment.
+
+    Rounds run LOD-major over the states still refining: a state whose
+    ``kind.stays`` fails leaves before the round (with no survivors left
+    it always does), and each round is one :func:`_round` under a
+    ``refine`` span. The states that ran the last round go to
+    ``kind.finish``. A deadline interrupt attaches per-target partials
+    (``exc.partial_by_target``) plus the touched/finished bookkeeping the
+    executor commits from.
+    """
+    try:
+        running = []
+        for s in states:
+            if s.survivors:
+                running.append(s)
+            else:
+                kind.leave(s)
+        for lod in lods:
+            active = []
+            for s in running:
+                if kind.stays(s, lod):
+                    active.append(s)
+                else:
+                    kind.leave(s)
+            running = []
+            if not active:
+                break
+            ctx.checkpoint(f"{kind.query}_round")
+            survivors = sum(len(s.survivors) for s in active)
+            with ctx.tracer.span("refine", query=kind.query, lod=lod,
+                                 survivors=survivors) as round_span:
+                running, settled = _round(ctx, active, lod, kind)
+                if settled is not None and kind.count_settled:
+                    round_span.set(settled=settled)
+        if kind.finish is not None:
+            kind.finish(running)
+        else:
+            for s in running:
+                kind.leave(s)
+    except DeadlineExceededError as exc:
+        _attach_group_partial(exc, states)
+        raise
+    return states
+
+
+def _round(ctx: RefineContext, active, lod: int, kind: _Kind, charge: bool = True):
+    """One gather → evaluate → settle round over ``active`` at ``lod``.
+
+    Gather decodes each state's target and survivors, per state in
+    order, so the provider's request sequence for a target does not
+    depend on which other targets share the round; a target that fails
+    to decode goes to ``kind.target_failed`` instead. One evaluator call
+    answers the whole round, and the verdicts settle per state in order.
+    ``charge=False`` is for follow-up rounds over pairs the schedule has
+    already charged to the ledger. Returns the gathered states and the
+    pairs they settled (None when the round evaluated nothing).
+    """
+    jobs: list = []
+    gathered = []
+    for s in active:
+        with _accruing_touches(ctx, s):
+            dec_t = None
+            if kind.target_failed is not None:
+                try:
+                    dec_t = ctx.decode_target(s.tid, lod)
+                except DecodeFailureError:
+                    kind.target_failed(s, lod)
+                    continue
+            if charge:
+                ctx.ledger_evaluated(lod, len(s.survivors))
+            gathered.append((s, dec_t, kind.gather(s, dec_t, lod, jobs)))
+    if kind.skip_empty and not gathered:
+        return [], None
+    verdicts = kind.evaluate(jobs, lod)
+    settled = 0
+    for s, dec_t, payload in gathered:
+        settled += kind.settle(s, dec_t, payload, verdicts, lod)
+    return [s for s, _dec_t, _payload in gathered], settled
+
+
+def _gather_face_pairs(
+    ctx: RefineContext, dec_t, pairs, lod: int, jobs: list, drop_empty: bool = False
+):
+    """Decode each ``(sid, parts)`` survivor in order; queue its face pairs.
+
+    Returns ``(codes, rough)``. A code is the index of the survivor's job
+    in the shared ``jobs`` list, ``_DEGRADED`` (undecodable — or, with
+    ``drop_empty``, a decodable-but-empty mesh, which can never be
+    confirmed) or ``_MISS`` (no faces to evaluate: an empty mesh or
+    partition mask). ``rough`` flags the survivors whose distance can
+    only be an upper bound: the decode failed outright or was served
+    degraded (LOD fallback or salvaged geometry). A flag depends only on
+    its own decode, never on what other targets decoded earlier, which
+    keeps NN exactness identical between serial and parallel execution.
+    """
+    codes: list[int] = []
+    rough: list[bool] = []
+    for sid, parts in pairs:
+        dec_s = ctx._decode_source_or_none(sid, lod)
+        if dec_s is None:
+            codes.append(_DEGRADED)
+            rough.append(True)
+            continue
+        rough.append(bool(dec_s.degraded))
+        if drop_empty and dec_s.num_faces == 0:
+            ctx.note_degraded("source", sid)
+            codes.append(_DEGRADED)
+            continue
+        tris_s = ctx.source_faces(dec_s, sid, parts)
+        if len(tris_s) == 0:
+            codes.append(_MISS)
+        else:
+            codes.append(len(jobs))
+            jobs.append((dec_t, dec_s, tris_s))
+    return codes, rough
+
+
+def _distances(ctx: RefineContext, tid: int, sids, codes, dists) -> list[float]:
+    """Per survivor: its job's distance, ``inf`` with no faces to measure,
+    or the MBB upper bound ("LOD -1") when it could not be decoded."""
+    return [
+        dists[code] if code >= 0
+        else math.inf if code == _MISS
+        else ctx.box_upper_bound(tid, sid)
+        for sid, code in zip(sids, codes)
+    ]
+
+
+def _gather_probes(ctx: RefineContext, sids, lod: int, probes: list, probes_for, where: str):
+    """Decode each survivor in order; queue its ray-cast probes.
+
+    ``probes_for(sid, dec_s)`` gives the survivor's ``(point, triangles)``
+    probes, or None when its geometry cannot settle it. Returns ``(sids,
+    codes)``: per survivor the range of its probes in the shared
+    ``probes`` list, or None (undecodable or unsettleable: dropped).
+    """
+    codes = []
+    for sid in sids:
+        ctx.checkpoint(where)
+        dec_s = ctx._decode_source_or_none(sid, lod)
+        found = None if dec_s is None else probes_for(sid, dec_s)
+        if found is None:
+            codes.append(None)
+            continue
+        codes.append(range(len(probes), len(probes) + len(found)))
+        probes.extend(found)
+    return sids, codes
+
+
+def _settle_probes(
+    ctx: RefineContext, s: GroupState, payload, contained, lod: int, top_lod: int
+) -> int:
+    """A survivor with any probe inside is confirmed (inside a subset is
+    inside); below ``top_lod`` the others survive, at it they are
+    rejected. Dropped survivors settle degraded."""
+    sids, codes = payload
+    remaining = []
+    confirmed = []
+    degraded = 0
+    for sid, code in zip(sids, codes):
+        if code is None:
+            degraded += 1
+        elif any(contained[i] for i in code):
+            confirmed.append(sid)
+        elif lod < top_lod:
+            remaining.append(sid)
+    ctx.ledger_settled(
+        lod,
+        confirmed=len(confirmed),
+        degraded=degraded,
+        rejected=len(sids) - len(remaining) - len(confirmed) - degraded,
+    )
+    _confirm(ctx, s, lod, confirmed)
+    s.survivors = remaining
+    return len(sids) - len(remaining)
+
+
 # -- Algorithm 1: intersection -------------------------------------------------
 
 
@@ -490,178 +664,99 @@ def refine_intersection_group(ctx: RefineContext, items) -> list[GroupState]:
     """Refine many targets' intersection candidates as one group.
 
     ``items`` is ``[(target_id, candidates), ...]`` in execution order.
-    Rounds run LOD-major: each round decodes every active target and its
-    survivors (per target, in order) and evaluates one flat job list, so
-    per-pair classifications, each target's results order, funnel, and
-    ledger do not depend on the grouping. The containment stage then
-    runs per target, with batched ray casts.
-
-    Confirmations stream through the progress hook per target and round.
-    A deadline interrupt attaches per-target partials
-    (``exc.partial_by_target``) plus the touched/finished bookkeeping
-    the executor commits from.
+    Rounds run LOD-major (see :func:`_refine`), so per-pair
+    classifications, each target's results order, funnel, and ledger do
+    not depend on the grouping. An undecodable target stops with the
+    pairs it already confirmed. The survivors of the top LOD then go
+    through the containment stage — one follow-up round of batched ray
+    casts. Confirmations stream through the progress hook per target
+    and round.
     """
-    states = [GroupState(tid, dict(candidates)) for tid, candidates in items]
-    try:
-        _intersection_group_rounds(ctx, states)
-        for s in states:
-            if s.done:
-                continue
-            with _accruing_touches(ctx, s):
-                if s.survivors:
-                    _containment_stage(ctx, s)
-                s.done = True
-    except DeadlineExceededError as exc:
-        _attach_group_partial(exc, states)
-        raise
-    return states
-
-
-def _intersection_group_rounds(ctx: RefineContext, states) -> None:
     top_lod = ctx.lods[-1]
-    for lod in ctx.lods:
-        active = []
-        for s in states:
-            if s.done:
-                continue
-            if not s.survivors:
-                s.done = True  # nothing left for the containment stage either
-                continue
-            active.append(s)
-        if not active:
-            return
-        ctx.checkpoint("intersection_round")
-        with ctx.tracer.span(
-            "refine", query="intersection", lod=lod,
-            survivors=sum(len(s.survivors) for s in active),
-        ) as round_span:
-            jobs: list = []
-            gathered = []
-            for s in active:
-                with _accruing_touches(ctx, s):
-                    try:
-                        dec_t = ctx.decode_target(s.tid, lod)
-                    except DecodeFailureError:
-                        # Keep the pairs already confirmed; no further
-                        # rounds and no containment stage for this target.
-                        s.done = True
-                        continue
-                    ctx.ledger_evaluated(lod, len(s.survivors))
-                    s.entries = _gather_intersect_entries(
-                        ctx, dec_t, s.survivors, lod, top_lod, jobs
-                    )
-                    gathered.append(s)
-            hits = ctx.any_intersect(jobs, lod)
-            n_settled = 0
-            for s in gathered:
-                n_settled += _settle_intersect_entries(ctx, s, hits, lod)
-            round_span.set(settled=n_settled)
+
+    def settle(s, _dec_t, payload, hits, lod):
+        codes, _rough = payload
+        remaining = []
+        confirmed = []
+        degraded = 0
+        for pair, code in zip(s.survivors, codes):
+            if code == _DEGRADED:
+                degraded += 1
+            elif code >= 0 and hits[code]:
+                confirmed.append(pair[0])
+            else:
+                remaining.append(pair)
+        s.survivors = remaining
+        ctx.ledger_settled(lod, confirmed=len(confirmed), degraded=degraded)
+        _confirm(ctx, s, lod, confirmed)
+        return len(confirmed) + degraded
+
+    def finish(running):
+        _round(
+            ctx, [s for s in running if s.survivors], top_lod,
+            _containment_stage(ctx, top_lod), charge=False,
+        )
+        for s in running:
+            s.done = True
+
+    return _refine(ctx, [
+        GroupState(tid, list(candidates.items())) for tid, candidates in items
+    ], ctx.lods, _Kind(
+        query="intersection",
+        gather=lambda s, dec_t, lod, jobs: _gather_face_pairs(
+            ctx, dec_t, s.survivors, lod, jobs, drop_empty=lod == top_lod
+        ),
+        evaluate=ctx.any_intersect,
+        settle=settle,
+        target_failed=lambda s, lod: _mark_done(s),
+        finish=finish,
+    ))
 
 
-def _gather_intersect_entries(
-    ctx: RefineContext, dec_t, survivors: dict, lod: int, top_lod: int, jobs: list
-) -> list[tuple[int, int]]:
-    """Decode each survivor in order; queue its face pairs as one job.
-
-    Returns per-survivor ``(sid, code)`` settle entries: a job index, or
-    ``_DEGRADED`` (undecodable candidate — or, uniformly with the
-    containment stage's accounting, a decodable-but-empty mesh at the
-    top LOD, which can never be confirmed), or ``_MISS`` (an empty
-    partition mask: no kernel work, survives the round).
-    """
-    entries: list[tuple[int, int]] = []
-    for sid, parts in survivors.items():
-        ctx.checkpoint("intersection_pair")
-        dec_s = ctx._decode_source_or_none(sid, lod)
-        if dec_s is None:
-            entries.append((sid, _DEGRADED))  # unconfirmable candidate: drop
-            continue
-        if dec_s.num_faces == 0 and lod == top_lod:
-            ctx.note_degraded("source", sid)
-            entries.append((sid, _DEGRADED))
-            continue
-        tris_s = ctx.source_faces(dec_s, sid, parts)
-        if len(tris_s) == 0:
-            entries.append((sid, _MISS))
-            continue
-        entries.append((sid, len(jobs)))
-        jobs.append((dec_t, dec_s, tris_s))
-    return entries
-
-
-def _settle_intersect_entries(ctx: RefineContext, s: GroupState, hits, lod: int) -> int:
-    """Apply one round's verdicts to a state, in survivor order."""
-    confirmed = []
-    degraded = 0
-    for sid, code in s.entries:
-        if code == _DEGRADED:
-            del s.survivors[sid]
-            degraded += 1
-        elif code != _MISS and hits[code]:
-            del s.survivors[sid]
-            confirmed.append(sid)
-    s.entries = None
-    ctx.ledger_settled(lod, confirmed=len(confirmed), degraded=degraded)
-    _confirm(ctx, s, lod, confirmed)
-    return len(confirmed) + degraded
-
-
-def _containment_stage(ctx: RefineContext, s: GroupState) -> None:
+def _containment_stage(ctx: RefineContext, top_lod: int) -> _Kind:
     """Algorithm 1 steps 8-12: no face pair intersects, but one object
-    may contain the other entirely."""
-    top_lod = ctx.lods[-1]
-    try:
-        dec_t = ctx.decode_target(s.tid, top_lod)
-    except DecodeFailureError:
-        return
-    if dec_t.num_faces == 0:
-        # Salvage loading can yield a decodable-but-empty mesh; there
-        # is no bounding box (and no probe vertex) to test, so
-        # containment is unprovable and the remaining candidates are
-        # dropped — the answer stays a correct subset.
-        ctx.note_degraded("target", s.tid)
-        ctx.ledger_settled(top_lod, degraded=len(s.survivors))
-        return
-    t_box = ctx.faces_aabb("target", s.tid, dec_t)
-    probes: list = []
-    entries: list[tuple[int, object]] = []
-    for sid in s.survivors:
-        ctx.checkpoint("intersection_containment_pair")
-        dec_s = ctx._decode_source_or_none(sid, top_lod)
-        if dec_s is None:
-            entries.append((sid, _DEGRADED))
-            continue
-        if dec_s.num_faces == 0:
-            ctx.note_degraded("source", sid)
-            entries.append((sid, _DEGRADED))
-            continue
-        s_box = ctx.faces_aabb("source", sid, dec_s)
-        wanted = []
-        # Both directions are queued when the boxes allow them: probing
-        # the second after the first already confirmed has no observable
-        # effect beyond time.
-        if _box_contains(t_box, s_box):
-            wanted.append(len(probes))
-            probes.append((dec_s.triangles[0, 0], dec_t.triangles))
-        if _box_contains(s_box, t_box):
-            wanted.append(len(probes))
-            probes.append((dec_t.triangles[0, 0], dec_s.triangles))
-        entries.append((sid, wanted))
-    contained = points_in_polyhedra(probes, checkpoint=ctx.batch_tick)
-    confirmed = []
-    degraded = 0
-    for sid, code in entries:
-        if code == _DEGRADED:
-            degraded += 1
-        elif any(contained[i] for i in code):
-            confirmed.append(sid)
-    ctx.ledger_settled(
-        top_lod,
-        confirmed=len(confirmed),
-        degraded=degraded,
-        rejected=len(s.survivors) - len(confirmed) - degraded,
+    may contain the other entirely — probe each with a vertex of the
+    other wherever the face boxes allow it."""
+
+    def gather(s, dec_t, _lod, probes):
+        sids = [sid for sid, _parts in s.survivors]
+        if dec_t.num_faces == 0:
+            # Salvage loading can yield a decodable-but-empty mesh; there
+            # is no bounding box (and no probe vertex) to test, so
+            # containment is unprovable and the survivors are dropped —
+            # the answer stays a correct subset.
+            ctx.note_degraded("target", s.tid)
+            return sids, [None] * len(sids)
+        t_box = ctx.faces_aabb("target", s.tid, dec_t)
+
+        def probes_for(sid, dec_s):
+            if dec_s.num_faces == 0:
+                ctx.note_degraded("source", sid)
+                return None
+            s_box = ctx.faces_aabb("source", sid, dec_s)
+            # Both directions are queued when the boxes allow them:
+            # probing the second after the first already confirmed has
+            # no observable effect beyond time.
+            found = []
+            if _box_contains(t_box, s_box):
+                found.append((dec_s.triangles[0, 0], dec_t.triangles))
+            if _box_contains(s_box, t_box):
+                found.append((dec_t.triangles[0, 0], dec_s.triangles))
+            return found
+
+        return _gather_probes(
+            ctx, sids, top_lod, probes, probes_for, "intersection_containment_pair"
+        )
+
+    return _Kind(
+        query="intersection_containment",
+        gather=gather,
+        evaluate=ctx.points_inside,
+        settle=lambda s, _dec_t, payload, contained, lod: _settle_probes(
+            ctx, s, payload, contained, lod, top_lod
+        ),
+        target_failed=lambda s, lod: None,  # keep the confirmed pairs
     )
-    _confirm(ctx, s, top_lod, confirmed)
 
 
 def _faces_aabb(dec) -> tuple[np.ndarray, np.ndarray]:
@@ -705,9 +800,9 @@ def refine_within_group(
     ``items`` is ``[(target_id, (definite, open_candidates)), ...]`` —
     the filter's split, exactly as :meth:`WithinStrategy.filter` returns
     it. The definite matches are booked on the funnel and streamed here;
-    the executor folds them into each committed value. See
-    :func:`refine_intersection_group` for the round structure and
-    interrupt contract.
+    the executor folds them into each committed value. An undecodable
+    target settles all its survivors from MBB upper bounds. See
+    :func:`_refine` for the round structure and interrupt contract.
     """
     states = []
     for tid, (definite, open_candidates) in items:
@@ -719,89 +814,43 @@ def refine_within_group(
         ctx.progress_target = tid
         ctx.emit_confirmed(-1, sorted(definite))
         states.append(GroupState(tid, list(open_candidates.items())))
-    try:
-        _within_group_rounds(ctx, states, distance)
-    except DeadlineExceededError as exc:
-        _attach_group_partial(exc, states)
-        raise
-    return states
-
-
-def _within_group_rounds(ctx: RefineContext, states, distance: float) -> None:
     top_lod = ctx.lods[-1]
-    for lod in ctx.lods:
-        active = []
-        for s in states:
-            if s.done:
-                continue
-            if not s.survivors:
-                s.done = True
-                continue
-            active.append(s)
-        if not active:
-            return
-        ctx.checkpoint("within_round")
-        with ctx.tracer.span(
-            "refine", query="within", lod=lod,
-            survivors=sum(len(s.survivors) for s in active),
-        ) as round_span:
-            jobs: list = []
-            gathered = []
-            for s in active:
-                with _accruing_touches(ctx, s):
-                    try:
-                        dec_t = ctx.decode_target(s.tid, lod)
-                    except DecodeFailureError:
-                        _within_mbb_fallback(ctx, s, lod, distance)
-                        continue
-                    ctx.ledger_evaluated(lod, len(s.survivors))
-                    s.dec_t = dec_t
-                    s.entries, s.inexact = ctx._gather_distance_jobs(
-                        dec_t, s.survivors, lod, s.tid, jobs
-                    )
-                    gathered.append(s)
-            dists = ctx.min_distances(jobs, lod, stop_below=distance)
-            n_settled = 0
-            for s in gathered:
-                n_settled += _classify_within(ctx, s, dists, lod, top_lod, distance)
-            round_span.set(settled=n_settled)
-    for s in states:
-        if not s.survivors:
-            s.done = True
 
-
-def _classify_within(
-    ctx: RefineContext, s: GroupState, dists, lod: int, top_lod: int, distance: float
-) -> int:
-    """Settle one state's within round from the round's measured distances.
-
-    Exact distances exclude at the top LOD; a rough distance (degraded
-    decode on either side, or MBB fallback) is only an upper bound, so
-    its exclusion is a degraded-mode drop.
-    """
-    remaining = []
-    confirmed = []
-    rejected = degraded = 0
-    target_degraded = s.dec_t.degraded
-    for (sid, parts), dist, rough in zip(
-        s.survivors, _scatter_distances(s.entries, dists), s.inexact
-    ):
-        if dist <= distance:
-            confirmed.append(sid)
-        elif lod == top_lod:
-            if rough or target_degraded:
-                degraded += 1
+    def settle(s, dec_t, payload, dists, lod):
+        # Exact distances exclude at the top LOD; a rough distance
+        # (degraded decode on either side, or MBB fallback) is only an
+        # upper bound, so its exclusion is a degraded-mode drop.
+        codes, rough = payload
+        measured = _distances(ctx, s.tid, (sid for sid, _parts in s.survivors), codes, dists)
+        remaining = []
+        confirmed = []
+        rejected = degraded = 0
+        for pair, dist, inexact in zip(s.survivors, measured, rough):
+            if dist <= distance:
+                confirmed.append(pair[0])
+            elif lod == top_lod:
+                if inexact or dec_t.degraded:
+                    degraded += 1
+                else:
+                    rejected += 1
             else:
-                rejected += 1
-        else:
-            remaining.append((sid, parts))
-    s.survivors = remaining
-    s.entries = s.inexact = s.dec_t = None
-    ctx.ledger_settled(
-        lod, confirmed=len(confirmed), rejected=rejected, degraded=degraded
-    )
-    _confirm(ctx, s, lod, confirmed)
-    return len(confirmed) + rejected + degraded
+                remaining.append(pair)
+        s.survivors = remaining
+        ctx.ledger_settled(
+            lod, confirmed=len(confirmed), rejected=rejected, degraded=degraded
+        )
+        _confirm(ctx, s, lod, confirmed)
+        return len(confirmed) + rejected + degraded
+
+    return _refine(ctx, states, ctx.lods, _Kind(
+        query="within",
+        gather=lambda s, dec_t, lod, jobs: _gather_face_pairs(
+            ctx, dec_t, s.survivors, lod, jobs
+        ),
+        evaluate=lambda jobs, lod: ctx.min_distances(jobs, lod, stop_below=distance),
+        settle=settle,
+        target_failed=lambda s, lod: _within_mbb_fallback(ctx, s, lod, distance),
+    ))
 
 
 def _within_mbb_fallback(ctx: RefineContext, s: GroupState, lod: int, distance: float) -> None:
@@ -838,29 +887,113 @@ def refine_nn(ctx: RefineContext, items, k: int = 1) -> list[GroupState]:
     smallest MAXDIST. At the top LOD ranges collapse and the result is
     exact; a target whose pruning leaves only ``k`` candidates earlier
     leaves the rounds with its ranges still open (``exact=False``) — the
-    early return that gives FPR its nearest-neighbor speedups.
+    early return that gives FPR its nearest-neighbor speedups. So does a
+    target that fails to decode: its candidates keep the ranges already
+    established.
 
     A state finishes the moment it leaves the rounds (after the
-    ``exact_nn_distances`` pass, when that is on): its ``results`` become
-    the ``(source_id, distance, exact)`` triples of its top-k, booked as
-    final-selection confirmations and streamed at pseudo-LOD -2. See
-    :func:`refine_intersection_group` for the round structure and
-    interrupt contract; an interrupted target's partial is empty, since
-    a top-k exists only once elimination finishes.
+    ``exact_nn_distances`` round, when that is on): its ``results``
+    become the ``(source_id, distance, exact)`` triples of its top-k,
+    booked as final-selection confirmations and streamed at pseudo-LOD
+    -2. See :func:`_refine` for the round structure and interrupt
+    contract; an interrupted target's partial is empty, since a top-k
+    exists only once elimination finishes.
     """
     states = [
         GroupState(tid, _mbb_prune(ctx, candidates, k)) for tid, candidates in items
     ]
-    try:
-        _nn_group_rounds(ctx, states, k)
-        if ctx.exact_nn_distances:
-            _exact_nn_pass(ctx, states)
-            for s in states:
-                _finish_nn(ctx, s, k)
-    except DeadlineExceededError as exc:
-        _attach_group_partial(exc, states)
-        raise
-    return states
+    top_lod = ctx.lods[-1]
+
+    def leave(s):
+        # Without the exact round, leaving the rounds is finishing.
+        if not ctx.exact_nn_distances:
+            _finish_nn(ctx, s, k)
+
+    def settle(s, dec_t, payload, dists, lod):
+        _tighten(ctx, s, dec_t, payload, dists, collapse=lod == top_lod)
+        # Prune with the ranges this LOD just tightened, crediting the
+        # prune to this LOD (Section 4.4's "pairs pruned by refining at
+        # LOD i" — the quantity the schedule profiling feeds on).
+        minmax = _kth_smallest((c.maxdist for c in s.survivors), k)
+        kept = [c for c in s.survivors if c.mindist <= minmax]
+        pruned = len(s.survivors) - len(kept)
+        ctx.ledger_settled(lod, rejected=pruned)
+        s.survivors = kept
+        return pruned
+
+    def finish(running):
+        if not ctx.exact_nn_distances:
+            for s in running:
+                leave(s)
+            return
+        # One more round at the top LOD over every open range; it
+        # re-measures what the schedule charged, so it is not charged.
+        _round(
+            ctx, [s for s in states if any(not c.exact for c in s.survivors)],
+            top_lod, _exact_nn_round(ctx), charge=False,
+        )
+        for s in states:
+            _finish_nn(ctx, s, k)
+
+    return _refine(ctx, states, ctx.lods, _Kind(
+        query="nn",
+        gather=lambda s, dec_t, lod, jobs: (s.survivors, *_gather_face_pairs(
+            ctx, dec_t, [(c.sid, c.parts) for c in s.survivors], lod, jobs
+        )),
+        evaluate=ctx.min_distances,
+        settle=settle,
+        target_failed=lambda s, lod: leave(s),
+        # Early NN determination without decoding further LODs.
+        stays=lambda s, lod: len(s.survivors) > k or lod == top_lod,
+        leave=leave,
+        finish=finish,
+        skip_empty=True,
+    ))
+
+
+def _exact_nn_round(ctx: RefineContext) -> _Kind:
+    """``exact_nn_distances``: measure every open range at the top LOD."""
+
+    def gather(s, dec_t, lod, jobs):
+        pending = [c for c in s.survivors if not c.exact]
+        return (pending, *_gather_face_pairs(
+            ctx, dec_t, [(c.sid, c.parts) for c in pending], lod, jobs
+        ))
+
+    return _Kind(
+        query="nn_exact",
+        gather=gather,
+        evaluate=ctx.min_distances,
+        settle=lambda s, dec_t, payload, dists, lod: _tighten(
+            ctx, s, dec_t, payload, dists, collapse=True
+        ),
+        target_failed=lambda s, lod: None,  # the ranges stay open
+        skip_empty=True,
+    )
+
+
+def _tighten(ctx: RefineContext, s: GroupState, dec_t, payload, dists, collapse: bool) -> int:
+    """Tighten each gathered candidate's range with its measured distance.
+
+    With ``collapse`` (the top LOD) an exact measurement collapses the
+    range to the distance. Do NOT keep a previously-tightened MAXDIST
+    there: kernel summation order differs between LODs, so an earlier
+    bound can sit an ulp *below* the exact value, leaving mindist >
+    maxdist and pruning the true nearest neighbor away. Anything else —
+    a pre-top LOD, a degraded decode on either side (the measured
+    distance is only an upper bound then), or an undecodable candidate
+    whose "distance" is the MBB upper bound — tightens, never collapses
+    or marks exact.
+    """
+    cands, codes, rough = payload
+    measured = _distances(ctx, s.tid, (c.sid for c in cands), codes, dists)
+    for cand, dist, inexact in zip(cands, measured, rough):
+        if collapse and not dec_t.degraded and not inexact:
+            cand.maxdist = cand.mindist = float(dist)
+            cand.exact = True
+        else:
+            cand.maxdist = min(cand.maxdist, float(dist))
+    return 0  # tightening settles no pair
 
 
 def _mbb_prune(ctx: RefineContext, candidates, k: int) -> list[NNCandidate]:
@@ -870,130 +1003,6 @@ def _mbb_prune(ctx: RefineContext, candidates, k: int) -> list[NNCandidate]:
     kept = [c for c in survivors if c.mindist <= minmax]
     ctx.stats.funnel.mbb_pruned += len(survivors) - len(kept)
     return kept
-
-
-def _nn_group_rounds(ctx: RefineContext, states, k: int) -> None:
-    top_lod = ctx.lods[-1]
-
-    def leave(s: GroupState) -> None:
-        # Without the exact pass, leaving the rounds is finishing.
-        if not ctx.exact_nn_distances:
-            _finish_nn(ctx, s, k)
-
-    running = []
-    for s in states:
-        if s.survivors:
-            running.append(s)
-        else:
-            leave(s)  # no candidates: an empty top-k, nothing to decode
-    for lod in ctx.lods:
-        active = []
-        for s in running:
-            if len(s.survivors) <= k and lod != top_lod:
-                leave(s)  # early NN determination without decoding further LODs
-            else:
-                active.append(s)
-        if not active:
-            return
-        ctx.checkpoint("nn_round")
-        with ctx.tracer.span(
-            "refine", query="nn", lod=lod,
-            survivors=sum(len(s.survivors) for s in active),
-        ) as round_span:
-            jobs: list = []
-            running = []
-            for s in active:
-                with _accruing_touches(ctx, s):
-                    try:
-                        dec_t = ctx.decode_target(s.tid, lod)
-                    except DecodeFailureError:
-                        # MBB-only: candidates keep whatever ranges are
-                        # already established; none of them can be exact.
-                        leave(s)
-                        continue
-                    ctx.ledger_evaluated(lod, len(s.survivors))
-                    s.dec_t = dec_t
-                    s.entries, s.inexact = ctx._gather_distance_jobs(
-                        dec_t, [(c.sid, c.parts) for c in s.survivors], lod, s.tid, jobs
-                    )
-                    running.append(s)
-            if running:
-                dists = ctx.min_distances(jobs, lod)
-                n_settled = 0
-                for s in running:
-                    n_settled += _settle_nn(ctx, s, dists, lod, top_lod, k)
-                round_span.set(settled=n_settled)
-    for s in running:
-        leave(s)
-
-
-def _settle_nn(
-    ctx: RefineContext, s: GroupState, dists, lod: int, top_lod: int, k: int
-) -> int:
-    """Tighten one state's ranges from the round's distances, then prune."""
-    for cand, dist, rough in zip(
-        s.survivors, _scatter_distances(s.entries, dists), s.inexact
-    ):
-        if lod == top_lod and not s.dec_t.degraded and not rough:
-            # Collapse the range to the exact distance. Do NOT keep a
-            # previously-tightened MAXDIST here: kernel summation order
-            # differs between LODs, so an earlier bound can sit an ulp
-            # *below* the exact value, leaving mindist > maxdist and
-            # pruning the true nearest neighbor away.
-            cand.maxdist = float(dist)
-            cand.mindist = float(dist)
-            cand.exact = True
-        else:
-            # A pre-top LOD, a degraded decode on either side (the
-            # measured distance is only an upper bound then), or an
-            # undecodable candidate whose "distance" is the MBB upper
-            # bound — tighten, never collapse or mark exact.
-            cand.maxdist = min(cand.maxdist, float(dist))
-    s.entries = s.inexact = s.dec_t = None
-    # Prune with the ranges this LOD just tightened, crediting the prune
-    # to this LOD (Section 4.4's "pairs pruned by refining at LOD i" —
-    # the quantity the schedule profiling feeds on).
-    minmax = _kth_smallest((c.maxdist for c in s.survivors), k)
-    kept = [c for c in s.survivors if c.mindist <= minmax]
-    pruned = len(s.survivors) - len(kept)
-    ctx.ledger_settled(lod, rejected=pruned)
-    s.survivors = kept
-    return pruned
-
-
-def _exact_nn_pass(ctx: RefineContext, states) -> None:
-    """``exact_nn_distances``: one shared top-LOD round over open ranges."""
-    top_lod = ctx.lods[-1]
-    jobs: list = []
-    gathered = []
-    for s in states:
-        pending = [c for c in s.survivors if not c.exact]
-        if not pending:
-            continue
-        with _accruing_touches(ctx, s):
-            try:
-                s.dec_t = ctx.decode_target(s.tid, top_lod)
-            except DecodeFailureError:
-                continue
-            s.entries, s.inexact = ctx._gather_distance_jobs(
-                s.dec_t, [(c.sid, c.parts) for c in pending], top_lod, s.tid, jobs
-            )
-            gathered.append((s, pending))
-    if not gathered:
-        return
-    dists = ctx.min_distances(jobs, top_lod)
-    for s, pending in gathered:
-        for cand, dist, rough in zip(
-            pending, _scatter_distances(s.entries, dists), s.inexact
-        ):
-            if s.dec_t.degraded or rough:
-                # Undecodable or degraded candidates can never be made
-                # exact; tighten with the upper bound rather than pretend.
-                cand.maxdist = min(cand.maxdist, float(dist))
-                continue
-            cand.maxdist = cand.mindist = float(dist)
-            cand.exact = True
-        s.entries = s.inexact = s.dec_t = None
 
 
 def _finish_nn(ctx: RefineContext, s: GroupState, k: int) -> None:
@@ -1038,58 +1047,21 @@ def refine_containment(
     candidate is dropped — MBB containment proves nothing about the mesh,
     so the answer stays a correct subset.
 
-    The query point is the one target (``target_id``), so this is a
-    group of one under the :func:`refine_intersection_group` interrupt
+    The query point is the one target (``target_id``) and has nothing to
+    decode, so this is a group of one under the :func:`_refine` interrupt
     contract: each early accept is final, so the partial is sound.
     """
-    state = GroupState(target_id, list(candidates))
-    try:
-        with _accruing_touches(ctx, state):
-            _containment_rounds(ctx, point, state, lods)
-        state.done = True
-    except DeadlineExceededError as exc:
-        _attach_group_partial(exc, [state])
-        raise
-    return [state]
-
-
-def _containment_rounds(
-    ctx: RefineContext, point, s: GroupState, lods: tuple[int, ...]
-) -> None:
-    for lod in lods:
-        if not s.survivors:
-            break
-        ctx.checkpoint("containment_round")
-        with ctx.tracer.span(
-            "refine", query="containment", lod=lod, survivors=len(s.survivors)
-        ):
-            ctx.ledger_evaluated(lod, len(s.survivors))
-            probes: list = []
-            entries: list[tuple[int, int]] = []
-            for sid in s.survivors:
-                ctx.checkpoint("containment_pair")
-                dec = ctx._decode_source_or_none(sid, lod)
-                if dec is None:
-                    entries.append((sid, _DEGRADED))  # unverifiable candidate: drop
-                    continue
-                entries.append((sid, len(probes)))
-                probes.append((point, dec.triangles))
-            contained = points_in_polyhedra(probes, checkpoint=ctx.batch_tick)
-            remaining = []
-            confirmed = []
-            degraded = 0
-            for sid, code in entries:
-                if code == _DEGRADED:
-                    degraded += 1
-                elif contained[code]:
-                    confirmed.append(sid)  # inside a subset => inside
-                elif lod < lods[-1]:
-                    remaining.append(sid)
-            ctx.ledger_settled(
-                lod,
-                confirmed=len(confirmed),
-                degraded=degraded,
-                rejected=len(s.survivors) - len(remaining) - len(confirmed) - degraded,
-            )
-            _confirm(ctx, s, lod, confirmed)
-            s.survivors = remaining
+    top_lod = lods[-1]
+    return _refine(ctx, [GroupState(target_id, list(candidates))], lods, _Kind(
+        query="containment",
+        gather=lambda s, _dec_t, lod, probes: _gather_probes(
+            ctx, s.survivors, lod, probes,
+            lambda sid, dec: [(point, dec.triangles)], "containment_pair",
+        ),
+        evaluate=ctx.points_inside,
+        settle=lambda s, _dec_t, payload, contained, lod: _settle_probes(
+            ctx, s, payload, contained, lod, top_lod
+        ),
+        target_failed=None,
+        count_settled=False,
+    ))

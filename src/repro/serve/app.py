@@ -186,7 +186,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message}, route)
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            raise WireFormatError(f"invalid Content-Length {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8"))

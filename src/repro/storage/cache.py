@@ -59,20 +59,18 @@ class DecodedLOD:
 
     __slots__ = (
         "positions", "faces", "_triangles", "_tree", "_groups",
-        "tree_leaf_size", "lod", "degraded", "_build_lock",
+        "lod", "degraded", "_build_lock",
     )
 
     def __init__(
         self,
         positions: np.ndarray,
         faces: np.ndarray,
-        tree_leaf_size: int = 8,
         lod: int = -1,
         degraded: bool = False,
     ):
         self.positions = positions
         self.faces = faces
-        self.tree_leaf_size = tree_leaf_size
         self.lod = lod
         self.degraded = degraded
         self._triangles: np.ndarray | None = None
@@ -98,7 +96,7 @@ class DecodedLOD:
             triangles = self.triangles  # build outside the tree check
             with self._build_lock:
                 if self._tree is None:
-                    self._tree = TriangleAABBTree(triangles, leaf_size=self.tree_leaf_size)
+                    self._tree = TriangleAABBTree(triangles)
         return self._tree
 
     def groups(self, partition) -> np.ndarray:
@@ -276,7 +274,6 @@ class DecodedObjectProvider:
         name: str,
         objects,
         cache: DecodeCache,
-        tree_leaf_size: int = 8,
         fault_injector=None,
         salvaged_ids=(),
         tracer=None,
@@ -285,7 +282,6 @@ class DecodedObjectProvider:
         self.name = name
         self.objects = objects
         self.cache = cache
-        self.tree_leaf_size = tree_leaf_size
         self.fault_injector = fault_injector
         self.salvaged_ids = frozenset(salvaged_ids)
         self.tracer = tracer
@@ -371,7 +367,6 @@ class DecodedObjectProvider:
         return DecodedLOD(
             obj.positions,
             faces,
-            tree_leaf_size=self.tree_leaf_size,
             lod=lod,
             degraded=obj_id in self.salvaged_ids,
         )

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from repro.compression import PPVPEncoder
-from repro.core.refine import NNCandidate, RefineContext, _kth_smallest, refine_nn
+from repro.core.refine import (
+    NNCandidate,
+    RefineContext,
+    _kth_smallest,
+    refine_intersection_group,
+    refine_nn,
+    refine_within_group,
+)
 from repro.core.stats import QueryStats
+from repro.faults import FaultInjector
 from repro.mesh import icosphere
 from repro.parallel import GeometryComputer
 from repro.storage import DecodeCache, DecodedObjectProvider
@@ -26,13 +34,15 @@ class TestKthSmallest:
         assert _kth_smallest([], 3) == math.inf
 
 
-def make_context(sources, targets):
+def make_context(sources, targets, target_faults=None):
     cache = DecodeCache()
     encoder = PPVPEncoder(max_lods=4)
     src_objs = [encoder.encode(m) for m in sources]
     tgt_objs = [encoder.encode(m) for m in targets]
     source_provider = DecodedObjectProvider("s", src_objs, cache)
-    target_provider = DecodedObjectProvider("t", tgt_objs, cache)
+    target_provider = DecodedObjectProvider(
+        "t", tgt_objs, cache, fault_injector=target_faults
+    )
     top = max(o.max_lod for o in src_objs + tgt_objs)
     ctx = RefineContext(
         computer=GeometryComputer(),
@@ -103,45 +113,102 @@ class TestRefineNNUnits:
         assert len(out) == 3
 
 
-class TestRefineNNGroup:
-    """A group's states settle independently: one leaves the rounds early
-    (``len(survivors) <= k`` below the top LOD) while the other runs to
-    the top LOD, and each equals its own group-of-one run."""
+class _OneTargetFaults(FaultInjector):
+    """Fails every decode of one target object, at every LOD."""
 
-    TARGETS = [icosphere(1, center=(0, 0, 0)), icosphere(1, center=(0, 0, 20.0))]
+    def __init__(self, obj_id):
+        super().__init__(decode_error_rate=1.0)
+        self.obj_id = obj_id
+
+    def before_decode(self, dataset, obj_id, lod):
+        if dataset == "t" and obj_id == self.obj_id:
+            super().before_decode(dataset, obj_id, lod)
+
+
+class TestRefineNNGroup:
+    """A group's states settle independently: each equals its own
+    group-of-one run, and the group's ledgers add up to theirs.
+
+    For NN, one target leaves the rounds early (``len(survivors) <= k``
+    below the top LOD) while another runs to the top LOD. With faults,
+    target 2 cannot be decoded at all, so each kind's target-failure
+    policy runs inside a multi-target group: intersection stops with
+    what it confirmed, within settles from MBB upper bounds, and NN
+    leaves with its ranges still open.
+    """
+
+    TARGETS = [
+        icosphere(1, center=(0, 0, 0)),
+        icosphere(1, center=(0, 0, 20.0)),
+        icosphere(1, center=(0, 0, -20.0)),
+    ]
     SOURCES = [
         icosphere(1, center=(3.0, 0, 0)),
         icosphere(1, center=(5.0, 0, 0)),
         icosphere(1, center=(40.0, 0, 0)),
         icosphere(1, center=(0, 0, 23.0)),
         icosphere(1, center=(0, 0, 26.0)),
+        icosphere(1, center=(1.0, 0, 0)),     # overlaps target 0
+        icosphere(1, center=(0, 0, 20.5)),    # overlaps target 1
+        icosphere(1, center=(0, 0, -21.0)),   # overlaps target 2
+        icosphere(1, center=(0, 0, -22.5)),   # near target 2
     ]
 
     @staticmethod
-    def _items():
-        return [
-            # Target 0: loose ranges; LOD 0 prunes candidate 1, then the
-            # lone survivor settles without decoding further.
-            (0, [NNCandidate(0, 0.5, 4.0), NNCandidate(1, 2.5, 7.0),
-                 NNCandidate(2, 37.0, 45.0)]),
-            # Target 1: MINDIST 0 keeps both candidates until the top
-            # LOD collapses their ranges.
-            (1, [NNCandidate(3, 0.0, 50.0), NNCandidate(4, 0.0, 50.0)]),
+    def _items(kind):
+        if kind == "nn":
+            return [
+                # Target 0: loose ranges; LOD 0 prunes candidate 1, then
+                # the lone survivor settles without decoding further.
+                (0, [NNCandidate(0, 0.5, 4.0), NNCandidate(1, 2.5, 7.0),
+                     NNCandidate(2, 37.0, 45.0)]),
+                # Target 1: MINDIST 0 keeps both candidates until the top
+                # LOD collapses their ranges.
+                (1, [NNCandidate(3, 0.0, 50.0), NNCandidate(4, 0.0, 50.0)]),
+                (2, [NNCandidate(7, 0.0, 50.0), NNCandidate(8, 0.0, 50.0)]),
+            ]
+        candidates = [
+            {0: None, 1: None, 2: None, 5: None},
+            {3: None, 4: None, 6: None},
+            {7: None, 8: None},
         ]
+        if kind == "within":
+            return [(tid, ((), c)) for tid, c in enumerate(candidates)]
+        return list(enumerate(candidates))
 
-    def test_states_equal_their_groups_of_one(self):
-        group_ctx = make_context(self.SOURCES, self.TARGETS)
-        states = refine_nn(group_ctx, self._items(), k=1)
+    @staticmethod
+    def _refine(kind, ctx, items):
+        if kind == "nn":
+            return refine_nn(ctx, items, k=1)
+        if kind == "within":
+            return refine_within_group(ctx, items, distance=4.5)
+        return refine_intersection_group(ctx, items)
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("kind", ["nn", "intersection", "within"])
+    def test_states_equal_their_groups_of_one(self, kind, faulted):
+        def context():
+            faults = _OneTargetFaults(2) if faulted else None
+            return make_context(self.SOURCES, self.TARGETS, target_faults=faults)
+
+        group_ctx = context()
+        states = self._refine(kind, group_ctx, self._items(kind))
         top = group_ctx.lods[-1]
-        evaluated = collections.Counter()
-        face_pairs = collections.Counter()
-        for state, item in zip(states, self._items()):
-            ctx = make_context(self.SOURCES, self.TARGETS)
-            (alone,) = refine_nn(ctx, [item], k=1)
+        ledgers = [collections.Counter() for _ in range(3)]
+        for state, item in zip(states, self._items(kind)):
+            ctx = context()
+            (alone,) = self._refine(kind, ctx, [item])
             assert state.done and alone.done
             assert state.results == alone.results
-            evaluated.update(ctx.stats.pairs_evaluated_by_lod)
-            face_pairs.update(ctx.stats.face_pairs_by_lod)
+            assert state.touched == alone.touched == (faulted and state.tid == 2)
+            for total, ledger in zip(ledgers, (
+                ctx.stats.pairs_evaluated_by_lod,
+                ctx.stats.pairs_pruned_by_lod,
+                ctx.stats.face_pairs_by_lod,
+            )):
+                total.update(ledger)
+            if kind != "nn" or state.tid == 2:
+                continue
             lods = set(ctx.stats.pairs_evaluated_by_lod)
             if state.tid == 0:
                 assert max(lods) < top, "target 0 should settle early"
@@ -149,9 +216,20 @@ class TestRefineNNGroup:
             else:
                 assert top in lods, "target 1 should reach the top LOD"
                 assert state.results[0][2]
+        if faulted:
+            # Target 2's policy: intersection and NN give up on it (NN's
+            # lone pick keeps its open MBB range), within confirms what
+            # the MBB upper bound alone proves (source 7, not source 8).
+            expected = {"intersection": [], "within": [7],
+                        "nn": [(7, 50.0, False)]}[kind]
+            assert states[2].results == expected
         # Shared rounds evaluate exactly what the separate runs did.
-        assert dict(group_ctx.stats.pairs_evaluated_by_lod) == dict(evaluated)
-        assert dict(group_ctx.stats.face_pairs_by_lod) == dict(face_pairs)
+        for total, ledger in zip(ledgers, (
+            group_ctx.stats.pairs_evaluated_by_lod,
+            group_ctx.stats.pairs_pruned_by_lod,
+            group_ctx.stats.face_pairs_by_lod,
+        )):
+            assert dict(ledger) == dict(total)
 
 
 class _StubDecode:

@@ -15,6 +15,7 @@ wire parity and error mapping go over real HTTP.
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -99,15 +100,40 @@ class TestWireParity:
             remote.execute(spec)
         assert err.value.status == 404
 
-    def test_malformed_payload_maps_400(self, served):
+    @pytest.mark.parametrize("fields,message", [
+        pytest.param({"kind": "intersection", "bogus": True}, "bogus", id="unknown-field"),
+        pytest.param({"kind": "knn", "k": 2.5}, "k must be an integer", id="fractional-k"),
+        pytest.param({"kind": "within", "distance": float("nan")}, "distance",
+                     id="nan-distance"),
+        pytest.param({"kind": "intersection", "target_ids": [1.7]}, "target_ids",
+                     id="fractional-target-id"),
+        pytest.param({"kind": "containment", "target": None, "point": [1, 2]}, "point",
+                     id="two-coordinate-point"),
+    ])
+    def test_malformed_payload_maps_400(self, served, fields, message):
         remote, _, _ = served
+        payload = {
+            "schema_version": 1, "source": "nuclei_b", "target": "nuclei_a", **fields,
+        }
         with pytest.raises(RemoteError) as err:
-            remote.execute_raw({
-                "schema_version": 1, "kind": "intersection",
-                "source": "nuclei_b", "target": "nuclei_a", "bogus": True,
-            })
+            remote.execute_raw({k: v for k, v in payload.items() if v is not None})
         assert err.value.status == 400
-        assert "bogus" in err.value.message
+        assert message in err.value.message
+
+    def test_bad_content_length_maps_400(self, served):
+        remote, _, _ = served
+        host, port = remote.base_url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: twelve\r\n\r\n"
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        status_line = response.split(b"\r\n", 1)[0]
+        assert status_line.split()[1:2] == [b"400"], response
+        assert b"Content-Length" in response
 
 
 class TestCoalescing:

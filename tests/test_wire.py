@@ -87,13 +87,26 @@ class TestSpecStrictness:
         with pytest.raises(WireFormatError, match="JSON object"):
             QuerySpec.from_wire([1, 2, 3])
 
-    def test_invalid_combination_rejected(self):
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"kind": "within", "target": "a"}, id="within-without-distance"),
+        pytest.param({"kind": "knn", "target": "a", "k": 2.5}, id="fractional-k"),
+        pytest.param({"kind": "knn", "target": "a", "k": True}, id="bool-k"),
+        pytest.param({"kind": "within", "target": "a", "distance": float("nan")},
+                     id="nan-distance"),
+        pytest.param({"kind": "within", "target": "a", "distance": float("inf")},
+                     id="infinite-distance"),
+        pytest.param({"kind": "containment", "point": [1, 2]}, id="two-coordinate-point"),
+        pytest.param({"kind": "containment", "point": ["1", 2, 3]}, id="string-coordinate"),
+        pytest.param({"kind": "containment", "point": [1, float("nan"), 3]},
+                     id="nan-coordinate"),
+        pytest.param({"kind": "intersection", "target": "a", "target_ids": [1.7]},
+                     id="fractional-target-id"),
+    ])
+    def test_invalid_combination_rejected(self, fields):
         with pytest.raises(WireFormatError, match="invalid spec"):
-            QuerySpec.from_wire({
-                "schema_version": WIRE_SCHEMA_VERSION,
-                "kind": "within", "source": "b", "target": "a",
-                # within requires a distance
-            })
+            QuerySpec.from_wire(
+                {"schema_version": WIRE_SCHEMA_VERSION, "source": "b", **fields}
+            )
 
     def test_probe_spec_not_serializable(self, small_scene):
         spec = QuerySpec(
