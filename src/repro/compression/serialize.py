@@ -9,14 +9,17 @@ also needs the data for all the LODs lower than that LOD", and the
 per-segment byte counts reproduce Fig. 9.
 
 Vertex coordinates are uniformly quantized over the object's MBB with a
-configurable bit width and bit-packed; all integer fields are varints;
-each segment is independently entropy-coded (canonical Huffman by
-default, zlib or raw also available). Quantization is the only lossy
-stage: every LOD of a deserialized object snaps to the same grid, so the
-progressive-subset property is preserved within the quantized geometry.
+configurable bit width and packed MSB-first at that width; all integer
+fields are varints. Each segment is coded independently and stores
+whichever of its raw bytes and ``zlib`` level 6 is smaller, behind a
+one-byte tag (0 raw, 2 zlib). Tag 1 is canonical Huffman, which earlier
+writers produced; it is still read, so every v1/v2 blob stays loadable.
+Quantization is the only lossy stage: every LOD of a deserialized object
+snaps to the same grid, so the progressive-subset property is preserved
+within the quantized geometry.
 
 Format v2 adds integrity metadata: every segment-table entry carries the
-CRC32 of its (entropy-coded) segment, and the blob ends with a 4-byte
+CRC32 of its (coded) segment, and the blob ends with a 4-byte
 little-endian CRC32 of all preceding bytes. Corruption is therefore
 *detected* (:class:`~repro.core.errors.BlobChecksumError`) instead of
 parsed into garbage geometry, and :func:`salvage_object_blob` can
@@ -27,14 +30,13 @@ v1 blobs (no checksums) remain readable.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.bits import BitReader, BitWriter
-from repro.compression.entropy import huffman_decode, huffman_encode
 from repro.compression.ppvp import CompressedObject, RemovalRecord
 from repro.compression.varint import read_uvarint, write_uvarint
 from repro.geometry.aabb import AABB
@@ -51,47 +53,93 @@ __all__ = [
 _MAGIC = b"3DPR"
 BLOB_FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
-_BACKENDS = {"none": 0, "huffman": 1, "zlib": 2}
-_BACKEND_NAMES = {v: k for k, v in _BACKENDS.items()}
+# Segment tags. The header's coder byte takes the same values; readers
+# only check that it is one of them.
+_RAW, _HUFFMAN, _ZLIB = 0, 1, 2
 
 
 class SerializationError(ValueError):
     """Raised on malformed input blobs."""
 
 
-def _compress(payload: bytes, backend: str) -> bytes:
-    """Entropy-code one segment, adaptively.
+def _compress(payload: bytes) -> bytes:
+    """Code one segment: the smaller of raw and zlib, behind its tag.
 
     Quantized coordinate bits are close to incompressible while the
-    connectivity varints are highly skewed, so each segment stores
-    whichever of {raw, requested backend} is smaller, tagged with a
-    one-byte backend id.
+    connectivity varints are skewed, so small segments usually stay raw.
     """
-    if backend == "none":
-        coded = payload
-    elif backend == "huffman":
-        coded = huffman_encode(payload)
-    elif backend == "zlib":
-        coded = zlib.compress(payload, level=6)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend != "none" and len(coded) < len(payload):
-        return bytes([_BACKENDS[backend]]) + coded
-    return bytes([_BACKENDS["none"]]) + payload
+    coded = zlib.compress(payload, level=6)
+    if len(coded) < len(payload):
+        return bytes([_ZLIB]) + coded
+    return bytes([_RAW]) + payload
 
 
-def _decompress(blob: bytes) -> bytes:
-    if not blob:
+def _decompress(segment: bytes) -> bytes:
+    if not segment:
         raise SerializationError("empty segment")
-    backend = _BACKEND_NAMES.get(blob[0])
-    body = blob[1:]
-    if backend == "none":
+    tag, body = segment[0], segment[1:]
+    if tag == _RAW:
         return body
-    if backend == "huffman":
-        return huffman_decode(body)
-    if backend == "zlib":
+    if tag == _ZLIB:
         return zlib.decompress(body)
-    raise SerializationError(f"unknown segment backend id {blob[0]}")
+    if tag == _HUFFMAN:
+        return _huffman_decode(body)
+    raise SerializationError(f"unknown segment tag {tag}")
+
+
+def _canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """Map symbol -> (code, length), assigned in (length, symbol) order."""
+    ordered = sorted(lengths.items(), key=lambda item: (item[1], item[0]))
+    codes: dict[int, tuple[int, int]] = {}
+    code = 0
+    prev_len = 0
+    for symbol, length in ordered:
+        code <<= length - prev_len
+        codes[symbol] = (code, length)
+        code += 1
+        prev_len = length
+    return codes
+
+
+def _huffman_decode(body: bytes) -> bytes:
+    """Read a tag-1 segment: a canonical Huffman code over bytes.
+
+    Layout: uvarint payload size, uvarint symbol count, one
+    ``(symbol, code length)`` byte pair per symbol, then the codes
+    MSB-first, zero-padded to a whole byte.
+    """
+    size, offset = read_uvarint(body, 0)
+    nsymbols, offset = read_uvarint(body, offset)
+    if offset + 2 * nsymbols > len(body):
+        raise SerializationError("truncated Huffman header")
+    lengths = {
+        body[offset + 2 * i]: body[offset + 2 * i + 1] for i in range(nsymbols)
+    }
+    offset += 2 * nsymbols
+    if size == 0:
+        return b""
+    if not lengths:
+        raise SerializationError("non-empty Huffman payload with empty code table")
+    # A code of length L is looked up as ``(1 << L) | code``: the leading
+    # 1 keeps codes of different lengths apart in one table.
+    table = {
+        (1 << length) | code: symbol
+        for symbol, (code, length) in _canonical_codes(lengths).items()
+    }
+    limit = 1 << max(lengths.values())
+    out = bytearray()
+    node = 1
+    for bit in np.unpackbits(np.frombuffer(body, np.uint8, offset=offset)).tolist():
+        node = (node << 1) | bit
+        symbol = table.get(node)
+        if symbol is not None:
+            out.append(symbol)
+            if len(out) == size:
+                return bytes(out)
+            node = 1
+        elif node >= limit:
+            raise SerializationError("corrupt Huffman stream")
+    raise SerializationError("truncated Huffman stream")
 
 
 def _quantize(points: np.ndarray, aabb: AABB, bits: int) -> np.ndarray:
@@ -110,22 +158,20 @@ def _dequantize(q: np.ndarray, aabb: AABB, bits: int) -> np.ndarray:
 
 
 def _pack_positions(quantized: np.ndarray, bits: int) -> bytes:
-    writer = BitWriter()
-    for x, y, z in quantized.tolist():
-        writer.write(x, bits)
-        writer.write(y, bits)
-        writer.write(z, bits)
-    return writer.getvalue()
+    """``bits``-wide fields, MSB-first in x, y, z order, zero-padded."""
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+    fields = (quantized.reshape(-1, 1) >> shifts) & 1
+    return np.packbits(fields.astype(np.uint8)).tobytes()
 
 
 def _unpack_positions(data: bytes, count: int, bits: int) -> np.ndarray:
-    reader = BitReader(data)
-    out = np.empty((count, 3), dtype=np.int64)
-    for i in range(count):
-        out[i, 0] = reader.read(bits)
-        out[i, 1] = reader.read(bits)
-        out[i, 2] = reader.read(bits)
-    return out
+    """Inverse of :func:`_pack_positions`; trailing bytes are ignored."""
+    nbits = 3 * count * bits
+    if nbits > 8 * len(data):
+        raise SerializationError("truncated position block")
+    flat = np.unpackbits(np.frombuffer(data, np.uint8), count=nbits)
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+    return (flat.reshape(count, 3, bits).astype(np.int64) << shifts).sum(axis=-1)
 
 
 def _build_base_segment(obj: CompressedObject, quant: np.ndarray, bits: int) -> bytes:
@@ -192,10 +238,7 @@ def _build_round_segment(
             write_uvarint(part_a, vid)
         vids.append(record.vertex)
 
-    if vids:
-        part_b = _pack_positions(quant[np.asarray(vids, dtype=np.int64)], bits)
-    else:
-        part_b = b""
+    part_b = _pack_positions(quant[np.asarray(vids, dtype=np.int64)], bits)
     out = bytearray()
     write_uvarint(out, len(part_a))
     out += part_a
@@ -237,32 +280,37 @@ def _checksum_error(message: str) -> Exception:
     return BlobChecksumError(message)
 
 
-def serialize_object(
-    obj: CompressedObject, quant_bits: int = 16, backend: str = "huffman"
-) -> bytes:
+def serialize_object(obj: CompressedObject, quant_bits: int = 16) -> bytes:
     """Serialize a :class:`CompressedObject` to a self-contained blob."""
     if not 4 <= quant_bits <= 31:
         raise ValueError("quant_bits must be in [4, 31]")
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
 
-    aabb = obj.aabb
-    quant = _quantize(obj.positions, aabb, quant_bits)
-
-    segments = [_compress(_build_base_segment(obj, quant, quant_bits), backend)]
+    quant = _quantize(obj.positions, obj.aabb, quant_bits)
+    segments = [_compress(_build_base_segment(obj, quant, quant_bits))]
     for records in obj.rounds:
-        segments.append(
-            _compress(_build_round_segment(records, quant, quant_bits), backend)
-        )
+        segments.append(_compress(_build_round_segment(records, quant, quant_bits)))
+    return _write_blob(
+        _ZLIB, quant_bits, obj.rounds_per_lod, len(obj.positions), obj.aabb, segments
+    )
 
+
+def _write_blob(
+    coder: int,
+    quant_bits: int,
+    rounds_per_lod: int,
+    num_vertices: int,
+    aabb: AABB,
+    segments: list[bytes],
+) -> bytes:
+    """Assemble a format-v2 blob around already-coded segments."""
     out = bytearray()
     out += _MAGIC
     out.append(BLOB_FORMAT_VERSION)
-    out.append(_BACKENDS[backend])
+    out.append(coder)
     out.append(quant_bits)
-    write_uvarint(out, obj.rounds_per_lod)
-    write_uvarint(out, len(obj.positions))
-    write_uvarint(out, obj.num_rounds)
+    write_uvarint(out, rounds_per_lod)
+    write_uvarint(out, num_vertices)
+    write_uvarint(out, len(segments) - 1)
     out += struct.pack("<6d", *aabb.low, *aabb.high)
     for segment in segments:
         write_uvarint(out, len(segment))
@@ -278,7 +326,7 @@ class _Header:
     """Parsed blob header plus the segment table."""
 
     version: int
-    backend: str
+    coder: int
     quant_bits: int
     rounds_per_lod: int
     num_vertices: int
@@ -291,9 +339,12 @@ class _Header:
 
 
 def _parse_header(blob: bytes, verify: bool = True) -> _Header:
+    """Parse and bounds-check the header; every failure is a SerializationError."""
     if blob[:4] != _MAGIC:
         raise SerializationError("bad magic")
-    version = blob[4]
+    if len(blob) < 7:
+        raise SerializationError("truncated header")
+    version, coder, quant_bits = blob[4], blob[5], blob[6]
     if version not in _SUPPORTED_VERSIONS:
         raise SerializationError(f"unsupported version {version}")
     body_end = len(blob)
@@ -305,34 +356,86 @@ def _parse_header(blob: bytes, verify: bool = True) -> _Header:
             if zlib.crc32(blob[:-4]) != stored:
                 raise _checksum_error("blob checksum mismatch")
         body_end = len(blob) - 4
-    backend = _BACKEND_NAMES.get(blob[5])
-    if backend is None:
-        raise SerializationError(f"unknown backend id {blob[5]}")
-    quant_bits = blob[6]
-    offset = 7
-    rounds_per_lod, offset = read_uvarint(blob, offset)
-    num_vertices, offset = read_uvarint(blob, offset)
-    num_rounds, offset = read_uvarint(blob, offset)
-    if num_rounds > body_end:
-        raise SerializationError(f"implausible round count {num_rounds}")
-    coords = struct.unpack_from("<6d", blob, offset)
-    offset += 48
-    aabb = AABB(coords[:3], coords[3:])
-    seg_lengths = []
-    seg_crcs = []
-    for _ in range(num_rounds + 1):
-        length, offset = read_uvarint(blob, offset)
-        seg_lengths.append(length)
-        crc = 0
-        if version >= 2:
-            crc, offset = read_uvarint(blob, offset)
-        seg_crcs.append(crc)
+    if coder not in (_RAW, _HUFFMAN, _ZLIB):
+        raise SerializationError(f"unknown coder id {coder}")
+    if not 4 <= quant_bits <= 31:
+        raise SerializationError(f"quant_bits {quant_bits} out of range")
+    try:
+        rounds_per_lod, offset = read_uvarint(blob, 7)
+        num_vertices, offset = read_uvarint(blob, offset)
+        num_rounds, offset = read_uvarint(blob, offset)
+        if rounds_per_lod < 1 or num_rounds > body_end:
+            raise SerializationError(
+                f"implausible rounds ({num_rounds} by {rounds_per_lod} per LOD)"
+            )
+        coords = struct.unpack_from("<6d", blob, offset)
+        offset += 48
+        seg_lengths = []
+        seg_crcs = []
+        for _ in range(num_rounds + 1):
+            length, offset = read_uvarint(blob, offset)
+            seg_lengths.append(length)
+            crc = 0
+            if version >= 2:
+                crc, offset = read_uvarint(blob, offset)
+            seg_crcs.append(crc)
+    except (EOFError, ValueError, struct.error) as exc:
+        raise SerializationError(f"malformed header: {exc}") from exc
     return _Header(
-        version, backend, quant_bits, rounds_per_lod, num_vertices, num_rounds,
-        aabb, seg_lengths, seg_crcs, offset, body_end,
+        version, coder, quant_bits, rounds_per_lod, num_vertices, num_rounds,
+        AABB(coords[:3], coords[3:]), seg_lengths, seg_crcs, offset, body_end,
     )
 
 
+def _reports_malformed_bytes(parse):
+    """Surface any parser exception on malformed bytes as SerializationError."""
+
+    @functools.wraps(parse)
+    def guarded(blob: bytes):
+        from repro.core.errors import BlobChecksumError
+
+        try:
+            return parse(blob)
+        except (SerializationError, BlobChecksumError):
+            raise
+        except Exception as exc:
+            raise SerializationError(f"malformed blob: {exc!r}") from exc
+
+    return guarded
+
+
+def _segments(blob: bytes, head: _Header) -> list[bytes]:
+    """The coded segments in table order; the table must cover the body."""
+    end = head.offset + sum(head.seg_lengths)
+    if end != head.body_end:
+        raise SerializationError(
+            f"segment table ends at byte {end}, body at {head.body_end}"
+        )
+    segments = []
+    offset = head.offset
+    for length in head.seg_lengths:
+        segments.append(blob[offset : offset + length])
+        offset += length
+    return segments
+
+
+def _assemble(head: _Header, base: tuple, rounds: list[tuple], **metadata) -> CompressedObject:
+    """Build the object from a parsed base segment and parsed round segments."""
+    base_ids, base_faces, base_quant = base
+    quant_table = np.zeros((head.num_vertices, 3), dtype=np.int64)
+    quant_table[np.asarray(base_ids, dtype=np.int64)] = base_quant
+    for _records, vids, round_quant in rounds:
+        quant_table[np.asarray(vids, dtype=np.int64)] = round_quant
+    return CompressedObject(
+        positions=_dequantize(quant_table, head.aabb, head.quant_bits),
+        base_faces=base_faces,
+        rounds=tuple(records for records, _vids, _quant in rounds),
+        rounds_per_lod=head.rounds_per_lod,
+        metadata={"aabb": head.aabb, "quant_bits": head.quant_bits, **metadata},
+    )
+
+
+@_reports_malformed_bytes
 def deserialize_object(blob: bytes) -> CompressedObject:
     """Rebuild a :class:`CompressedObject` (positions snapped to the grid).
 
@@ -343,47 +446,16 @@ def deserialize_object(blob: bytes) -> CompressedObject:
     checksum-free v1 layout) surface as :class:`SerializationError`,
     never as a raw parser exception.
     """
-    from repro.core.errors import BlobChecksumError
-
-    try:
-        return _deserialize(blob)
-    except (SerializationError, BlobChecksumError):
-        raise
-    except Exception as exc:
-        raise SerializationError(f"malformed blob: {exc!r}") from exc
-
-
-def _deserialize(blob: bytes) -> CompressedObject:
     head = _parse_header(blob)
-    offset = head.offset
-    segments = []
-    for length in head.seg_lengths:
-        segments.append(_decompress(blob[offset : offset + length]))
-        offset += length
-    if offset != head.body_end:
-        raise SerializationError(f"{head.body_end - offset} trailing bytes")
-
-    quant_table = np.zeros((head.num_vertices, 3), dtype=np.int64)
-    base_ids, base_faces, base_quant = _parse_base_segment(segments[0], head.quant_bits)
-    quant_table[np.asarray(base_ids, dtype=np.int64)] = base_quant
-
-    rounds: list[tuple[RemovalRecord, ...]] = []
-    for segment in segments[1:]:
-        records, vids, round_quant = _parse_round_segment(segment, head.quant_bits)
-        if vids:
-            quant_table[np.asarray(vids, dtype=np.int64)] = round_quant
-        rounds.append(records)
-
-    positions = _dequantize(quant_table, head.aabb, head.quant_bits)
-    return CompressedObject(
-        positions=positions,
-        base_faces=base_faces,
-        rounds=tuple(rounds),
-        rounds_per_lod=head.rounds_per_lod,
-        metadata={"aabb": head.aabb, "quant_bits": head.quant_bits},
+    base, *rounds = _segments(blob, head)
+    return _assemble(
+        head,
+        _parse_base_segment(_decompress(base), head.quant_bits),
+        [_parse_round_segment(_decompress(s), head.quant_bits) for s in rounds],
     )
 
 
+@_reports_malformed_bytes
 def salvage_object_blob(blob: bytes) -> tuple[CompressedObject, int]:
     """Best-effort partial deserialize of a corrupted blob.
 
@@ -412,8 +484,7 @@ def salvage_object_blob(blob: bytes) -> tuple[CompressedObject, int]:
 
     if raw_segments[0] is None:
         raise SerializationError("base segment unrecoverable")
-    base_payload = _decompress(raw_segments[0])
-    base_ids, base_faces, base_quant = _parse_base_segment(base_payload, head.quant_bits)
+    base = _parse_base_segment(_decompress(raw_segments[0]), head.quant_bits)
 
     # Longest valid suffix of rounds: scan from the last round backwards.
     parsed: list[tuple] = []
@@ -426,28 +497,7 @@ def salvage_object_blob(blob: bytes) -> tuple[CompressedObject, int]:
             break
     parsed.reverse()
     dropped = head.num_rounds - len(parsed)
-
-    quant_table = np.zeros((head.num_vertices, 3), dtype=np.int64)
-    quant_table[np.asarray(base_ids, dtype=np.int64)] = base_quant
-    rounds: list[tuple[RemovalRecord, ...]] = []
-    for records, vids, round_quant in parsed:
-        if vids:
-            quant_table[np.asarray(vids, dtype=np.int64)] = round_quant
-        rounds.append(records)
-
-    positions = _dequantize(quant_table, head.aabb, head.quant_bits)
-    obj = CompressedObject(
-        positions=positions,
-        base_faces=base_faces,
-        rounds=tuple(rounds),
-        rounds_per_lod=head.rounds_per_lod,
-        metadata={
-            "aabb": head.aabb,
-            "quant_bits": head.quant_bits,
-            "salvaged_rounds_dropped": dropped,
-        },
-    )
-    return obj, dropped
+    return _assemble(head, base, parsed, salvaged_rounds_dropped=dropped), dropped
 
 
 def extract_lod_prefix(blob: bytes, lod: int) -> bytes:
@@ -461,37 +511,19 @@ def extract_lod_prefix(blob: bytes, lod: int) -> bytes:
     more segments arrive by re-extracting at a higher LOD.
     """
     head = _parse_header(blob)
+    segments = _segments(blob, head)
 
     max_lod = -(-head.num_rounds // head.rounds_per_lod)
     if not 0 <= lod <= max_lod:
         raise ValueError(f"lod must be in [0, {max_lod}], got {lod}")
     keep_rounds = min(head.num_rounds, lod * head.rounds_per_lod)
-
-    segments = []
-    cursor = head.offset
-    for length in head.seg_lengths:
-        segments.append(blob[cursor : cursor + length])
-        cursor += length
     # Segment 0 is the base; rounds are stored in encode order, and the
     # decoder consumes them from the back, so keep the LAST ``keep_rounds``.
     kept = [segments[0]] + segments[1 + (head.num_rounds - keep_rounds) :]
-
-    out = bytearray()
-    out += _MAGIC
-    out.append(BLOB_FORMAT_VERSION)
-    out.append(_BACKENDS[head.backend])
-    out.append(head.quant_bits)
-    write_uvarint(out, head.rounds_per_lod)
-    write_uvarint(out, head.num_vertices)
-    write_uvarint(out, keep_rounds)
-    out += struct.pack("<6d", *head.aabb.low, *head.aabb.high)
-    for segment in kept:
-        write_uvarint(out, len(segment))
-        write_uvarint(out, zlib.crc32(segment))
-    for segment in kept:
-        out += segment
-    out += zlib.crc32(bytes(out)).to_bytes(4, "little")
-    return bytes(out)
+    return _write_blob(
+        head.coder, head.quant_bits, head.rounds_per_lod, head.num_vertices,
+        head.aabb, kept,
+    )
 
 
 def serialized_segment_sizes(blob: bytes) -> dict:

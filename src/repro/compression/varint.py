@@ -1,15 +1,8 @@
-"""LEB128 variable-length integers with zigzag signed coding."""
+"""Unsigned LEB128 variable-length integers."""
 
 from __future__ import annotations
 
-__all__ = [
-    "write_uvarint",
-    "read_uvarint",
-    "write_svarint",
-    "read_svarint",
-    "zigzag_encode",
-    "zigzag_decode",
-]
+__all__ = ["write_uvarint", "read_uvarint"]
 
 
 def write_uvarint(out: bytearray, value: int) -> None:
@@ -41,21 +34,3 @@ def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
         if shift > 70:
             raise ValueError("varint too long")
-
-
-def zigzag_encode(value: int) -> int:
-    return (value << 1) if value >= 0 else (((-value) << 1) - 1)
-
-
-def zigzag_decode(value: int) -> int:
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
-
-
-def write_svarint(out: bytearray, value: int) -> None:
-    """Append a zigzag-coded signed varint."""
-    write_uvarint(out, (value << 1) if value >= 0 else (((-value) << 1) - 1))
-
-
-def read_svarint(data: bytes, offset: int) -> tuple[int, int]:
-    raw, offset = read_uvarint(data, offset)
-    return zigzag_decode(raw), offset

@@ -495,7 +495,6 @@ def save_dataset(
     dataset: Dataset,
     directory,
     quant_bits: int = 16,
-    backend: str = "huffman",
     fault_injector=None,
     layout: str | None = None,
 ) -> dict:
@@ -518,14 +517,14 @@ def save_dataset(
         )
 
     def encode(key, obj):
-        blob = serialize_object(obj, quant_bits=quant_bits, backend=backend)
+        blob = serialize_object(obj, quant_bits=quant_bits)
         if fault_injector is not None:
             blob = fault_injector.corrupt_blob(blob, key=key)
         return blob
 
     return _write_store(
         dataset, directory, encode, "3dpr",
-        {"quant_bits": quant_bits, "backend": backend},
+        {"quant_bits": quant_bits},
     )
 
 

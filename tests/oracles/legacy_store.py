@@ -58,7 +58,6 @@ def save_legacy_dataset(
     dataset,
     directory,
     quant_bits: int = 16,
-    backend: str = "huffman",
     fault_injector=None,
     version: int = 2,
 ) -> dict:
@@ -77,7 +76,7 @@ def save_legacy_dataset(
     for cuboid_id in sorted(batches):
         object_ids = batches[cuboid_id]
         blobs = [
-            serialize_object(dataset.objects[i], quant_bits=quant_bits, backend=backend)
+            serialize_object(dataset.objects[i], quant_bits=quant_bits)
             for i in object_ids
         ]
         if fault_injector is not None:
@@ -98,7 +97,6 @@ def save_legacy_dataset(
         "grid_high": list(dataset.grid.bounds.high) if len(dataset) else [1.0, 1.0, 1.0],
         "files": sorted(files),
         "quant_bits": quant_bits,
-        "backend": backend,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return {"total_bytes": sum(files.values()), "files": files}

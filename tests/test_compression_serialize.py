@@ -1,4 +1,6 @@
-"""Tests for varints, bit streams, Huffman coding, and object serialization."""
+"""Tests for varints, position packing, segment coding, and object serialization."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +13,27 @@ from repro.compression import (
     serialize_object,
     serialized_segment_sizes,
 )
-from repro.compression.bits import BitReader, BitWriter
-from repro.compression.entropy import huffman_decode, huffman_encode
-from repro.compression.serialize import SerializationError
-from repro.compression.varint import (
-    read_svarint,
-    read_uvarint,
-    write_svarint,
-    write_uvarint,
+from repro.compression import serialize
+from repro.compression.serialize import (
+    SerializationError,
+    _decompress,
+    _huffman_decode,
+    _pack_positions,
+    _parse_header,
+    _segments,
+    _unpack_positions,
 )
+from repro.compression.varint import read_uvarint, write_uvarint
 from repro.mesh import icosphere, validate_polyhedron
+from repro.storage import Dataset, save_dataset
+from tests.oracles.huffman import huffman_encode
 from tests.test_compression_classify import dented_icosphere
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _segment_tags(blob: bytes) -> list[int]:
+    return [segment[0] for segment in _segments(blob, _parse_header(blob))]
 
 
 class TestVarint:
@@ -32,13 +44,6 @@ class TestVarint:
         decoded, offset = read_uvarint(bytes(buf), 0)
         assert decoded == value
         assert offset == len(buf)
-
-    @given(st.integers(-(2**62), 2**62))
-    def test_svarint_roundtrip(self, value):
-        buf = bytearray()
-        write_svarint(buf, value)
-        decoded, offset = read_svarint(bytes(buf), 0)
-        assert decoded == value
 
     def test_negative_uvarint_rejected(self):
         with pytest.raises(ValueError):
@@ -55,44 +60,80 @@ class TestVarint:
 
 
 class TestBits:
-    @given(st.lists(st.tuples(st.integers(0, 2**20 - 1), st.integers(1, 20)), max_size=50))
-    def test_roundtrip_mixed_widths(self, items):
-        writer = BitWriter()
-        for value, width in items:
-            writer.write(value & ((1 << width) - 1), width)
-        reader = BitReader(writer.getvalue())
-        for value, width in items:
-            assert reader.read(width) == value & ((1 << width) - 1)
+    """Quantized positions: fixed-width fields, MSB-first, zero-padded."""
 
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            BitWriter().write(4, 2)
+    def test_roundtrip_mixed_widths(self):
+        assert _pack_positions(np.array([[1, 2, 3]]), 4) == b"\x12\x30"
+        rng = np.random.default_rng(0)
+        for bits in range(4, 32):
+            for count in (0, 1, 7, 500):
+                quantized = rng.integers(0, 1 << bits, size=(count, 3))
+                packed = _pack_positions(quantized, bits)
+                assert len(packed) == -(-3 * count * bits // 8)
+                unpacked = _unpack_positions(packed, count, bits)
+                assert np.array_equal(unpacked, quantized), (bits, count)
 
     def test_read_past_end(self):
-        reader = BitReader(b"\xff")
-        reader.read(8)
-        with pytest.raises(EOFError):
-            reader.read(1)
+        packed = _pack_positions(np.array([[1, 2, 3], [4, 5, 6]]), 16)
+        with pytest.raises(SerializationError):
+            _unpack_positions(packed[:-1], 2, 16)
 
 
 class TestHuffman:
+    """The tag-1 segment reader, fed by the reference encoder."""
+
     @given(st.binary(max_size=4096))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, data):
-        assert huffman_decode(huffman_encode(data)) == data
+        assert _huffman_decode(huffman_encode(data)) == data
 
     def test_empty(self):
-        assert huffman_decode(huffman_encode(b"")) == b""
+        assert _huffman_decode(huffman_encode(b"")) == b""
 
     def test_single_symbol(self):
         data = b"a" * 1000
         blob = huffman_encode(data)
-        assert huffman_decode(blob) == data
+        assert _huffman_decode(blob) == data
         assert len(blob) < len(data) / 4
 
     def test_compresses_skewed_data(self):
         data = b"abcd" * 10 + b"a" * 5000
         assert len(huffman_encode(data)) < len(data)
+
+    def test_truncated_stream_rejected(self):
+        blob = huffman_encode(bytes(range(256)) * 4)
+        with pytest.raises(SerializationError):
+            _huffman_decode(blob[:-1])
+        with pytest.raises(SerializationError):
+            _huffman_decode(blob[:5])
+
+
+class TestGoldenBlobs:
+    """Blobs written before zlib-or-raw became the only segment coder.
+
+    ``icosphere3_q6_huffman.3dpr`` is ``PPVPEncoder(max_lods=4)`` over
+    ``icosphere(3)`` at 6 bits with Huffman-coded segments;
+    ``dented_icosphere_q16.3dpr`` is the dented fixture below at 16 bits.
+    Both must load to the object today's writer produces for the same
+    encode, which pins the position bit layout and the tag-1 reader.
+    """
+
+    @pytest.mark.parametrize("name, mesh, bits", [
+        ("icosphere3_q6_huffman", lambda: icosphere(3), 6),
+        ("dented_icosphere_q16", lambda: dented_icosphere(subdivisions=2)[0], 16),
+    ], ids=["icosphere3_q6_huffman", "dented_icosphere_q16"])
+    def test_old_blob_loads_identically(self, name, mesh, bits):
+        old = (GOLDEN / f"{name}.3dpr").read_bytes()
+        if "huffman" in name:
+            assert 1 in _segment_tags(old), "golden blob has no Huffman segment"
+        current = deserialize_object(
+            serialize_object(PPVPEncoder(max_lods=4).encode(mesh()), quant_bits=bits)
+        )
+        loaded = deserialize_object(old)
+        assert np.array_equal(loaded.positions, current.positions)
+        assert np.array_equal(loaded.base_faces, current.base_faces)
+        assert loaded.rounds == current.rounds
+        assert loaded.rounds_per_lod == current.rounds_per_lod
 
 
 class TestObjectSerialization:
@@ -101,9 +142,17 @@ class TestObjectSerialization:
         mesh, _ = dented_icosphere(subdivisions=2)
         return PPVPEncoder(max_lods=4).encode(mesh)
 
-    @pytest.mark.parametrize("backend", ["none", "huffman", "zlib"])
-    def test_roundtrip_structure(self, compressed, backend):
-        blob = serialize_object(compressed, quant_bits=16, backend=backend)
+    CODERS = {
+        "none": lambda payload: b"\x00" + payload,
+        "huffman": lambda payload: b"\x01" + huffman_encode(payload),
+        "zlib": serialize._compress,
+    }
+
+    @pytest.mark.parametrize("coder", sorted(CODERS))
+    def test_roundtrip_structure(self, compressed, coder, monkeypatch):
+        # Every segment tag the reader accepts, in a whole object.
+        monkeypatch.setattr(serialize, "_compress", self.CODERS[coder])
+        blob = serialize_object(compressed, quant_bits=16)
         restored = deserialize_object(blob)
         assert restored.num_rounds == compressed.num_rounds
         assert restored.rounds_per_lod == compressed.rounds_per_lod
@@ -132,18 +181,22 @@ class TestObjectSerialization:
         assert len(small) < len(large)
 
     def test_entropy_coding_never_hurts(self, compressed):
-        # Segment coding is adaptive: huffman is kept only when smaller.
-        raw = serialize_object(compressed, backend="none")
-        packed = serialize_object(compressed, backend="huffman")
-        assert len(packed) <= len(raw)
+        # Segment coding is adaptive: zlib is kept only when smaller.
+        blob = serialize_object(compressed)
+        for segment in _segments(blob, _parse_header(blob)):
+            assert segment[0] in (0, 2)
+            assert len(segment) <= 1 + len(_decompress(segment))
 
     def test_entropy_coding_wins_on_low_entropy_payload(self):
         # A large mesh with coarse quantization produces segments big and
-        # skewed enough for Huffman to strictly beat the raw layout.
+        # skewed enough for zlib to strictly beat the raw layout.
         big = PPVPEncoder(max_lods=4).encode(icosphere(3))
-        raw = serialize_object(big, quant_bits=6, backend="none")
-        packed = serialize_object(big, quant_bits=6, backend="huffman")
-        assert len(packed) < len(raw)
+        blob = serialize_object(big, quant_bits=6)
+        segments = _segments(blob, _parse_header(blob))
+        assert 2 in _segment_tags(blob)
+        coded = sum(len(segment) for segment in segments)
+        raw = sum(1 + len(_decompress(segment)) for segment in segments)
+        assert coded < raw
 
     def test_segment_sizes_sum_to_total(self, compressed):
         blob = serialize_object(compressed)
@@ -173,6 +226,9 @@ class TestObjectSerialization:
         with pytest.raises(ValueError):
             serialize_object(compressed, quant_bits=40)
 
-    def test_unknown_backend_rejected(self, compressed):
-        with pytest.raises(ValueError):
-            serialize_object(compressed, backend="lzma")
+    def test_unknown_backend_rejected(self, compressed, tmp_path):
+        # There is one segment coder; the old ``backend=`` knob is gone.
+        with pytest.raises(TypeError):
+            serialize_object(compressed, backend="zlib")
+        with pytest.raises(TypeError):
+            save_dataset(Dataset("d", [compressed]), tmp_path, backend="zlib")

@@ -13,11 +13,16 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.compression import PPVPEncoder, deserialize_object, serialize_object
-from repro.compression.serialize import SerializationError
+from repro.compression.serialize import (
+    SerializationError,
+    extract_lod_prefix,
+    salvage_object_blob,
+    serialized_segment_sizes,
+)
 from repro.core import EngineConfig, ThreeDPro
 from repro.core.errors import BlobChecksumError, CuboidFormatError
 from repro.faults import FaultInjector
@@ -31,6 +36,14 @@ ACCEPTABLE = (Exception,)  # any *raised* failure is fine; hangs/crashes are not
 # What a detected v2 integrity violation is allowed to look like.
 BLOB_INTEGRITY = (SerializationError, BlobChecksumError)
 CONTAINER_INTEGRITY = (CuboidFormatError, BlobChecksumError)
+
+# Every public function that parses a blob's bytes.
+BLOB_PARSERS = {
+    "deserialize_object": deserialize_object,
+    "salvage_object_blob": salvage_object_blob,
+    "serialized_segment_sizes": serialized_segment_sizes,
+    "extract_lod_prefix": lambda data: extract_lod_prefix(data, 1),
+}
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +72,33 @@ class TestBlobCorruption:
     def test_truncation_raises(self, blob, seed):
         rng = np.random.default_rng(seed)
         cut = int(rng.integers(1, len(blob)))
-        with pytest.raises(BLOB_INTEGRITY):
-            deserialize_object(blob[:cut])
+        for name, parse in BLOB_PARSERS.items():
+            if name == "salvage_object_blob":
+                # Salvage may keep the base, never the round the cut went
+                # through.
+                try:
+                    _, dropped = parse(blob[:cut])
+                except BLOB_INTEGRITY:
+                    continue
+                assert dropped >= 1
+            else:
+                with pytest.raises(BLOB_INTEGRITY):
+                    parse(blob[:cut])
 
     @settings(max_examples=30, deadline=None)
-    @given(st.binary(min_size=0, max_size=200))
+    @given(
+        st.binary(min_size=0, max_size=200)
+        | st.tuples(st.sampled_from([b"\x01", b"\x02"]), st.binary(max_size=200)).map(
+            lambda parts: b"3DPR" + parts[0] + parts[1]
+        )
+    )
+    @example(b"3DPR\x01\x02")
     def test_garbage_rejected(self, junk):
-        with pytest.raises(BLOB_INTEGRITY):
-            deserialize_object(junk)
+        # Junk behind a valid magic and version byte reaches the header
+        # parser of every entry point.
+        for parse in BLOB_PARSERS.values():
+            with pytest.raises(BLOB_INTEGRITY):
+                parse(junk)
 
 
 class TestSalvagedBlobDecodeEquivalence:
