@@ -24,6 +24,20 @@ what keeps ``face_pairs_by_lod`` identical between the serial run and
 any chunked parallel run (thread or process backend), where the same
 jobs are batched in different groupings.
 
+Lanes are screened before the exact kernel, and the screen costs faces,
+not lanes. Each call builds per-face tables once (:class:`_FaceTables`):
+every distinct face set's AABB corners and first vertices, stacked; a
+target's face set is shared by all of its jobs and tabled once. The
+buffers hold face-row index pairs rather than copied triangles. A flush
+takes each lane's AABB-gap lower bound and first-vertex upper bound from
+those tables and gathers ``(n, 3, 3)`` triangles only for the lanes that
+pass. On the within path (``stop_below > 0``) the screen also drops
+every lane whose lower bound exceeds the query distance (plus a pad for
+the kernel's rounding); such a lane can never settle its job, so within
+verdicts are unchanged while a job that does not settle reports some
+value above the distance rather than its exact minimum. Every screen is
+a pure function of the lane, its job and its own sub-block.
+
 ``checkpoint`` (when given) runs after every flush; the refine layer
 points it at the deadline check + worker heartbeat, which is the batched
 path's cooperative-cancellation granularity.
@@ -46,32 +60,82 @@ __all__ = ["batched_any_intersect", "batched_min_distances"]
 #: the threshold crossing.
 _EXIT_BLOCK_FLOOR = 512
 
+#: Pad on the within cap, times a job's largest coordinate magnitude.
+#: The exact kernel's rounding can place a lane's distance an ulp or so
+#: of that magnitude below its box gap (measured: at most 3.9e-17 of
+#: it); 2**-40 covers that by four orders of magnitude.
+_CAP_PAD = 2.0 ** -40
 
-def _lane_box_gap_sq(tris_a: np.ndarray, tris_b: np.ndarray) -> np.ndarray:
+
+class _FaceTables:
+    """Per-face screening tables for every face set of one call's jobs.
+
+    Each distinct face set is stacked once, by identity: a target's
+    ``dec_t.triangles`` is shared by all of its jobs, so its table is
+    built once per call. ``lo`` / ``hi`` are the faces' AABB corners and
+    ``v0`` their first vertices, all ``(F, 3)``; ``tris`` holds the
+    triangles themselves, gathered only for lanes that pass a screen.
+    ``offsets[job]`` maps a job's local face indices on its two sides to
+    stacked rows.
+    """
+
+    def __init__(self, jobs):
+        index: dict[int, int] = {}
+        self.sets: list[np.ndarray] = []
+        self.job_sets: list[tuple[int, int]] = []
+        for pair in jobs:
+            for tris in pair:
+                if id(tris) not in index:
+                    index[id(tris)] = len(self.sets)
+                    self.sets.append(tris)
+            self.job_sets.append((index[id(pair[0])], index[id(pair[1])]))
+        first = np.cumsum([0] + [len(tris) for tris in self.sets])
+        self.offsets = [(first[a], first[b]) for a, b in self.job_sets]
+        filled = [tris for tris in self.sets if len(tris)]
+        self.tris = np.concatenate(filled) if filled else np.zeros((0, 3, 3))
+        v0, v1, v2 = self.tris[:, 0], self.tris[:, 1], self.tris[:, 2]
+        self.lo = np.minimum(np.minimum(v0, v1), v2)
+        self.hi = np.maximum(np.maximum(v0, v1), v2)
+        self.v0 = np.ascontiguousarray(v0)
+
+    def caps(self, distance: float) -> np.ndarray:
+        """Per job, the within cap: ``distance`` plus the rounding pad."""
+        magnitude = [float(np.abs(tris).max()) if len(tris) else 0.0 for tris in self.sets]
+        return np.array([
+            distance + _CAP_PAD * max(magnitude[a], magnitude[b])
+            for a, b in self.job_sets
+        ])
+
+
+def _lane_gap_sq(faces: _FaceTables, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """Squared AABB gap per lane — an exact lower bound on lane distance."""
-    lo_a = tris_a.min(axis=1)
-    hi_a = tris_a.max(axis=1)
-    lo_b = tris_b.min(axis=1)
-    hi_b = tris_b.max(axis=1)
-    gap = np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
-    return (gap * gap).sum(axis=1)
+    gap = np.maximum(
+        faces.lo.take(ia, axis=0) - faces.hi.take(ib, axis=0),
+        faces.lo.take(ib, axis=0) - faces.hi.take(ia, axis=0),
+    )
+    np.maximum(gap, 0.0, out=gap)
+    gap *= gap
+    return gap[:, 0] + gap[:, 1] + gap[:, 2]
 
 
-def _screened_intersect(tris_a, tris_b, starts) -> np.ndarray:
-    """SAT tests only on lanes whose triangle AABBs overlap.
+def _screened_intersect(faces: _FaceTables, ia, ib, starts, cap=None) -> np.ndarray:
+    """SAT tests only on lanes whose face AABBs overlap.
 
     Disjoint boxes cannot hold intersecting triangles, so screening is
     exact; the screen is a pure per-lane function, so verdicts never
-    depend on batch composition.
+    depend on batch composition. Triangles are gathered only for the
+    lanes that pass. Intersection has no cap; ``cap`` is always None.
     """
-    overlap = _lane_box_gap_sq(tris_a, tris_b) <= 0.0
-    out = np.zeros(len(tris_a), dtype=bool)
+    overlap = _lane_gap_sq(faces, ia, ib) <= 0.0
+    out = np.zeros(len(ia), dtype=bool)
     if overlap.any():
-        out[overlap] = tri_tri_intersect_batch(tris_a[overlap], tris_b[overlap])
+        out[overlap] = tri_tri_intersect_batch(
+            faces.tris.take(ia[overlap], axis=0), faces.tris.take(ib[overlap], axis=0)
+        )
     return out
 
 
-def _screened_distance(tris_a, tris_b, starts) -> np.ndarray:
+def _screened_distance(faces: _FaceTables, ia, ib, starts, cap=None) -> np.ndarray:
     """Exact distances only on lanes that can decide their segment's min.
 
     Per lane, the AABB gap lower-bounds the true distance and the
@@ -80,28 +144,38 @@ def _screened_distance(tris_a, tris_b, starts) -> np.ndarray:
     segment minimum (the minimizing lane's lower bound never does), so
     it is reported as ``inf`` — the ``minimum.reduceat`` downstream is
     unchanged, and every segment keeps at least the lane that decides
-    it. Bounds and cap are pure functions of the lane and its own
-    sub-block, so screening never depends on batch composition.
+    it. ``cap`` (per segment, within only) also drops every lane whose
+    lower bound exceeds it: such a lane's kernel distance exceeds the
+    query distance, so it can never settle its job. Bounds and caps are
+    pure functions of the lane, its job and its own sub-block, so
+    screening never depends on batch composition.
     """
-    lb_sq = _lane_box_gap_sq(tris_a, tris_b)
-    delta = tris_a[:, 0] - tris_b[:, 0]
-    ub_sq = (delta * delta).sum(axis=1)
+    lb_sq = _lane_gap_sq(faces, ia, ib)
+    delta = faces.v0.take(ia, axis=0) - faces.v0.take(ib, axis=0)
+    delta *= delta
+    ub_sq = delta[:, 0] + delta[:, 1] + delta[:, 2]
     seg_ub = np.minimum.reduceat(ub_sq, starts)
-    lengths = np.diff(np.append(starts, len(tris_a)))
+    lengths = np.diff(np.append(starts, len(ia)))
     keep = lb_sq <= np.repeat(seg_ub, lengths)
-    out = np.full(len(tris_a), np.inf)
+    if cap is not None:
+        keep &= np.sqrt(lb_sq) <= np.repeat(cap, lengths)
+    out = np.full(len(ia), np.inf)
     if keep.any():
         out[keep] = tri_tri_distance_batch(
-            tris_a[keep], tris_b[keep], check_intersection=False
+            faces.tris.take(ia[keep], axis=0), faces.tris.take(ib[keep], axis=0),
+            check_intersection=False,
         )
     return out
 
 
 def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
-               settled, stats, checkpoint):
+               settled, stats, checkpoint, cap_at=None):
     """Drive all jobs to their settle points through fused flushes.
 
-    ``kernel(tris_a, tris_b)`` evaluates one concatenated flush;
+    Sub-blocks are buffered as stacked face-row index pairs;
+    ``kernel(faces, ia, ib, starts, cap)`` screens and evaluates one
+    concatenated flush (``cap`` holds each sub-block's job cap when
+    ``cap_at`` — within's query distance — is given, else None);
     ``reduce_segments(values, starts)`` collapses it to one value per
     contributed sub-block; ``fold(acc, value)`` merges a sub-block's
     value into its owner's accumulator (seeded with ``init``); and
@@ -109,6 +183,8 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
     further sub-blocks.
     """
     results = [init] * len(jobs)
+    faces = _FaceTables(jobs)
+    job_caps = None if cap_at is None else faces.caps(cap_at)
     capacity = max(1, computer.gpu_block)
     iters = [
         iter_pair_blocks(len(tris_a), len(tris_b), block)
@@ -124,14 +200,15 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
         nonlocal filled, pairs_seen
         if not buf_a:
             return
-        tris_a = np.concatenate(buf_a)
-        tris_b = np.concatenate(buf_b)
-        pairs_seen += len(tris_a)
-        computer._note_batch(len(tris_a))
+        ia = np.concatenate(buf_a)
+        ib = np.concatenate(buf_b)
+        pairs_seen += len(ia)
+        computer._note_batch(len(ia))
         lengths = [len(chunk) for chunk in buf_a]
         starts = np.zeros(len(lengths), dtype=np.intp)
         np.cumsum(lengths[:-1], out=starts[1:])
-        values = kernel(tris_a, tris_b, starts)
+        cap = None if job_caps is None else job_caps[owners]
+        values = kernel(faces, ia, ib, starts, cap)
         segments = reduce_segments(values, starts)
         for owner, value in zip(owners, segments):
             results[owner] = fold(results[owner], value)
@@ -150,9 +227,9 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
             if step is None:
                 continue  # cross product exhausted; result is final
             ii, jj = step
-            tris_a, tris_b = jobs[job_id]
-            buf_a.append(tris_a[ii])
-            buf_b.append(tris_b[jj])
+            row_a, row_b = faces.offsets[job_id]
+            buf_a.append(ii + row_a)
+            buf_b.append(jj + row_b)
             owners.append(job_id)
             filled += len(ii)
             alive.append(job_id)
@@ -198,18 +275,26 @@ def batched_min_distances(
 ) -> list[float]:
     """Per job, the minimum face-pair distance between its two sets.
 
-    Equivalent to ``[computer.min_distance(a, b, stop_below=...) for a, b
-    in jobs]`` up to early exit: a job stops contributing sub-blocks once
-    its running minimum is ``<= stop_below`` (within's threshold settles
-    the pair; 0.0 still exits on contact), so non-settling jobs get exact
-    minima and settling jobs get a value provably at or under the
-    threshold. ``min`` is exact and order-independent in floating point,
-    so batch composition never changes a reported distance.
+    With ``stop_below == 0.0`` (NN, kNN, FR) this equals ``[computer.
+    min_distance(a, b) for a, b in jobs]``: every value is the job's
+    exact minimum (a job still stops at contact, 0.0). With
+    ``stop_below > 0.0`` (within's query distance) the call answers only
+    ``value <= stop_below``. A job stops contributing sub-blocks once its
+    running minimum is at or under the threshold, and reports a value
+    that is: a realized face-pair distance at or under it (the job
+    settled); or some value above it, possibly ``inf``, when it does not
+    settle — lanes whose AABB gap already exceeds the threshold are never
+    sent to the exact kernel, so such a job's reported value need not be
+    its exact minimum. ``min`` is exact and order-independent in floating
+    point and every screen is a per-lane function, so batch composition
+    never changes a reported value.
     """
     if stop_below > 0.0:
         block = min(computer.gpu_block, max(computer.cpu_block, _EXIT_BLOCK_FLOOR))
+        cap_at = stop_below
     else:
         block = computer.gpu_block
+        cap_at = None
     return _run_waves(
         computer,
         jobs,
@@ -221,4 +306,5 @@ def batched_min_distances(
         settled=lambda acc: acc <= stop_below,
         stats=stats,
         checkpoint=checkpoint,
+        cap_at=cap_at,
     )

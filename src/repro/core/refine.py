@@ -358,7 +358,11 @@ class RefineContext:
         )
 
     def min_distances(self, jobs: list, lod: int, stop_below: float = 0.0) -> list[float]:
-        """Per job, the minimum face-pair distance (early exit at ``stop_below``)."""
+        """Per job, the minimum face-pair distance (early exit at ``stop_below``).
+
+        With ``stop_below > 0`` only ``value <= stop_below`` is answered:
+        a job that does not settle reports some value above it.
+        """
         return self._evaluate(
             jobs, lod, self.computer.min_distance, batch.batched_min_distances,
             stop_below=stop_below,

@@ -25,7 +25,8 @@ import pytest
 
 from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
 from repro.core.batch import (
-    _lane_box_gap_sq,
+    _FaceTables,
+    _lane_gap_sq,
     _screened_distance,
     _screened_intersect,
     batched_any_intersect,
@@ -100,8 +101,9 @@ class TestBatchedKernels:
                 assert value <= threshold
                 assert value >= exact
             else:
-                # Non-settling jobs exhaust their cross product: exact.
-                assert value == exact
+                # Non-settling jobs only report that they do not settle:
+                # lanes capped at the threshold may leave them at inf.
+                assert value > threshold
 
     def test_stats_count_every_buffered_pair(self, computer):
         rng = np.random.default_rng(6)
@@ -123,45 +125,206 @@ class TestBatchedKernels:
         assert batched_min_distances(computer, []) == []
 
 
+def _lanes(jobs):
+    """Face tables for ``jobs`` and their flattened one-to-one lanes:
+    face ``i`` of a job's first set against face ``i`` of its second."""
+    faces = _FaceTables(jobs)
+    ia, ib, starts, filled = [], [], [], 0
+    for (tris_a, _tris_b), (row_a, row_b) in zip(jobs, faces.offsets):
+        starts.append(filled)
+        ia.append(np.arange(len(tris_a)) + row_a)
+        ib.append(np.arange(len(tris_a)) + row_b)
+        filled += len(tris_a)
+    return faces, np.concatenate(ia), np.concatenate(ib), np.asarray(starts, dtype=np.intp)
+
+
 class TestLaneScreening:
     """Screening must be invisible: same verdicts, same segment minima."""
 
     def _buffer(self, rng):
-        chunks_a, chunks_b, starts, filled = [], [], [], 0
-        for n, off in [(6, 0.1), (9, 4.0), (3, 0.0), (12, 30.0)]:
-            starts.append(filled)
-            chunks_a.append(_soup(rng, n, (0, 0, 0)))
-            chunks_b.append(_soup(rng, n, (off, 0, 0)))
-            filled += n
-        return (
-            np.concatenate(chunks_a),
-            np.concatenate(chunks_b),
-            np.asarray(starts, dtype=np.intp),
-        )
+        jobs = [
+            (_soup(rng, n, (0, 0, 0)), _soup(rng, n, (off, 0, 0)))
+            for n, off in [(6, 0.1), (9, 4.0), (3, 0.0), (12, 30.0)]
+        ]
+        faces, ia, ib, starts = _lanes(jobs)
+        return faces, ia, ib, starts, faces.tris[ia], faces.tris[ib]
 
     def test_gap_lower_bounds_every_lane(self):
         rng = np.random.default_rng(8)
-        tris_a, tris_b, _ = self._buffer(rng)
+        faces, ia, ib, _, tris_a, tris_b = self._buffer(rng)
         exact = tri_tri_distance_batch(tris_a, tris_b)
-        lb = np.sqrt(_lane_box_gap_sq(tris_a, tris_b))
+        lb = np.sqrt(_lane_gap_sq(faces, ia, ib))
         assert (lb <= exact + 1e-12).all()
 
     def test_screened_intersect_matches_unscreened(self):
         rng = np.random.default_rng(9)
-        tris_a, tris_b, starts = self._buffer(rng)
-        screened = _screened_intersect(tris_a, tris_b, starts)
+        faces, ia, ib, starts, tris_a, tris_b = self._buffer(rng)
+        screened = _screened_intersect(faces, ia, ib, starts)
         assert np.array_equal(screened, tri_tri_intersect_batch(tris_a, tris_b))
 
     def test_screened_distance_preserves_segment_minima(self):
         rng = np.random.default_rng(10)
-        tris_a, tris_b, starts = self._buffer(rng)
+        faces, ia, ib, starts, tris_a, tris_b = self._buffer(rng)
         screened = np.minimum.reduceat(
-            _screened_distance(tris_a, tris_b, starts), starts
+            _screened_distance(faces, ia, ib, starts), starts
         )
         exact = np.minimum.reduceat(
             tri_tri_distance_batch(tris_a, tris_b, check_intersection=False), starts
         )
         assert np.array_equal(screened, exact)
+
+    def test_shared_face_set_is_tabled_once(self):
+        rng = np.random.default_rng(12)
+        target = _soup(rng, 5, (0, 0, 0))
+        sources = [_soup(rng, 4, (3, 0, 0)), _soup(rng, 6, (0, 3, 0))]
+        faces = _FaceTables([(target, tris) for tris in sources])
+        assert len(faces.tris) == 5 + 4 + 6
+        assert [row_a for row_a, _ in faces.offsets] == [0, 0]
+        assert np.array_equal(faces.lo[:5], target.min(axis=1))
+        assert np.array_equal(faces.hi[:5], target.max(axis=1))
+        assert np.array_equal(faces.v0[:5], target[:, 0])
+
+
+def _axis_separated(rng, n, offset):
+    """n lanes of random triangles near ``offset`` whose boxes are
+    separated by random gaps (some tiny), in three kinds of lane:
+
+    * separated along one random axis, in general position;
+    * one shadow lying flat in two planes across the separating axis,
+      so the lane's distance is exactly its one-axis box gap;
+    * separated along two or three axes, with the closest points at
+      facing box corners, so the distance is exactly the box gap's norm
+      and rounds differently from its square — where a threshold
+      compared in squared space flips.
+    """
+    tris_a = offset + rng.uniform(0.0, 1.0, size=(n, 3, 3))
+    tris_b = offset + rng.uniform(0.0, 1.0, size=(n, 3, 3))
+    axis = rng.integers(0, 3, size=n)
+    lanes = np.arange(n)
+    flat = lanes[1::3]
+    tris_b[flat] = tris_a[flat]
+    tris_a[flat, :, axis[flat]] = tris_a[flat, :, axis[flat]].max(axis=1)[:, None]
+    tris_b[flat, :, axis[flat]] = tris_b[flat, :, axis[flat]].min(axis=1)[:, None]
+    gap = 10.0 ** rng.uniform(-9, 0, size=n)
+    shift = tris_a[lanes, :, axis].max(axis=1) - tris_b[lanes, :, axis].min(axis=1) + gap
+    tris_b[lanes, :, axis] += shift[:, None]
+
+    corner = lanes[2::3]
+    tip = offset + rng.uniform(0.0, 1.0, size=(len(corner), 3))
+    gaps = 10.0 ** rng.uniform(-9, 0, size=(len(corner), 3))
+    gaps[::2, rng.integers(0, 3)] = 0.0
+    facing = tip + gaps
+    tris_a[corner] = tip[:, None] - rng.uniform(0.0, 1.0, size=(len(corner), 3, 3))
+    tris_b[corner] = facing[:, None] + rng.uniform(0.0, 1.0, size=(len(corner), 3, 3))
+    tris_a[corner, 0] = tip
+    tris_b[corner, 0] = facing
+    return tris_a, tris_b
+
+
+def _grid_touching():
+    """Integer-grid lanes: shared vertex, shared edge, unit-gap parallel
+    faces, a diagonal box gap of sqrt(2), and a unit corner-to-corner
+    gap."""
+    base = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0]], dtype=float)
+    lanes = [
+        (base, np.array([[2, 0, 0], [4, 0, 1], [3, 2, 2]], dtype=float)),  # vertex
+        (base, np.array([[2, 0, 0], [0, 2, 0], [2, 2, 3]], dtype=float)),  # edge
+        (base, base + [0, 0, 1]),                                          # unit gap
+        (base, np.array([[3, 3, 0], [5, 3, 0], [3, 5, 0]], dtype=float)),  # diagonal
+        (base, np.array([[2, 0, 1], [3, 0, 1], [2, 1, 1]], dtype=float)),  # corner
+    ]
+    return np.stack([a for a, _ in lanes]), np.stack([b for _, b in lanes])
+
+
+def _coplanar(rng, n):
+    """n lanes of triangles in one plane z = 7, overlapping or apart."""
+    tris_a = rng.uniform(0.0, 1.0, size=(n, 3, 3))
+    tris_b = rng.uniform(0.0, 1.0, size=(n, 3, 3))
+    tris_b[:, :, 0] += rng.uniform(-0.5, 2.0, size=(n, 1))
+    tris_a[:, :, 2] = 7.0
+    tris_b[:, :, 2] = 7.0
+    return tris_a, tris_b
+
+
+class TestWithinCap:
+    """With ``stop_below > 0`` lanes whose box gap exceeds the query
+    distance are never evaluated; no within verdict may change, even
+    when the distance equals a lane's own kernel output."""
+
+    @staticmethod
+    def _unscreened(jobs):
+        """Per job, the minimum over its whole cross product."""
+        out = []
+        for a, b in jobs:
+            lanes_a = np.repeat(a, len(b), axis=0)
+            lanes_b = np.tile(b, (len(a), 1, 1))
+            out.append(
+                tri_tri_distance_batch(lanes_a, lanes_b, check_intersection=False).min()
+            )
+        return out
+
+    @staticmethod
+    def _verdicts_match(computer, jobs, reference, distance):
+        got = batched_min_distances(computer, jobs, stop_below=distance)
+        assert [v <= distance for v in got] == [r <= distance for r in reference]
+
+    def _straddle(self, computer, tris_a, tris_b, picks):
+        """One-lane jobs, and multi-lane jobs of four lanes each, with
+        the query distance set to picked lanes' own kernel outputs."""
+        exact = tri_tri_distance_batch(tris_a, tris_b, check_intersection=False)
+        single = [(a[None], b[None]) for a, b in zip(tris_a, tris_b)]
+        grouped = [(tris_a[i:i + 4], tris_b[i:i + 4]) for i in range(0, len(tris_a), 4)]
+        cases = [(jobs, self._unscreened(jobs)) for jobs in (single, grouped)]
+        for lane in picks:
+            distance = float(exact[lane])
+            if distance <= 0.0:
+                continue
+            for jobs, reference in cases:
+                self._verdicts_match(computer, jobs, reference, distance)
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0, 1000.0])
+    def test_axis_separated_lanes_at_their_own_distance(self, computer, offset):
+        rng = np.random.default_rng(13)
+        tris_a, tris_b = _axis_separated(rng, 400, offset)
+        self._straddle(computer, tris_a, tris_b, picks=range(0, 400, 5))
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0, 1000.0])
+    def test_cap_keeps_every_lane_at_its_own_distance(self, offset):
+        # The screen itself: capped at its own kernel output, every lane
+        # survives. This is the per-lane property the verdicts rest on.
+        rng = np.random.default_rng(14)
+        tris_a, tris_b = _axis_separated(rng, 20000, offset)
+        faces, ia, ib, starts = _lanes([(tris_a, tris_b)])
+        exact = tri_tri_distance_batch(tris_a, tris_b, check_intersection=False)
+        pad = faces.caps(0.0)[0]
+        assert (np.sqrt(_lane_gap_sq(faces, ia, ib)) <= exact + pad).all()
+        assert (_lane_gap_sq(faces, ia, ib) > 0.0).all()
+
+    def test_integer_grid_touching_lanes(self, computer):
+        tris_a, tris_b = _grid_touching()
+        exact = tri_tri_distance_batch(tris_a, tris_b, check_intersection=False)
+        assert exact[:2].tolist() == [0.0, 0.0]
+        self._straddle(computer, tris_a, tris_b, picks=range(len(tris_a)))
+        jobs = [(a[None], b[None]) for a, b in zip(tris_a, tris_b)]
+        reference = self._unscreened(jobs)
+        for distance in (1e-300, 0.5, 1.0, math.sqrt(2.0)):
+            self._verdicts_match(computer, jobs, reference, distance)
+
+    def test_coplanar_lanes(self, computer):
+        rng = np.random.default_rng(15)
+        tris_a, tris_b = _coplanar(rng, 200)
+        self._straddle(computer, tris_a, tris_b, picks=range(0, 200, 10))
+
+    def test_non_settling_jobs_report_above_the_distance(self, computer):
+        rng = np.random.default_rng(16)
+        jobs = _jobs(rng)
+        exhaustive = batched_min_distances(computer, jobs)
+        distance = 1.0
+        capped = batched_min_distances(computer, jobs, stop_below=distance)
+        for exact, value in zip(exhaustive, capped):
+            assert (value <= distance) == (exact <= distance)
+        # The far-apart job's every lane is capped: nothing is evaluated.
+        assert exhaustive[1] > distance and capped[1] == math.inf
 
 
 class TestKthSmallestProperties:
