@@ -30,8 +30,8 @@ the checked-in golden set:
 
 The numbers are the order ``main()`` runs the checks in.
 
-The join respects ``REPRO_QUERY_WORKERS`` / ``REPRO_QUERY_BACKEND``, so
-CI also runs this gate under the process query backend.
+The join respects ``REPRO_QUERY_WORKERS``, so CI also runs this gate
+with four worker processes.
 
 Usage: ``PYTHONPATH=src python scripts/check_observability.py``
 """

@@ -11,7 +11,7 @@ the change and diffing the two outputs::
 
 The matrix is every query kind (intersection, within, NN, kNN k=3, NN
 with ``exact_nn_distances``, point containment) × backend (serial,
-thread×4, process×2) × faults (clean, ``FaultInjector(seed=11,
+process×2) × faults (clean, ``FaultInjector(seed=11,
 decode_error_rate=0.3)``) × paradigm (fpr, fr) × acceleration (none,
 partition, aabb) over one small seeded tissue scene. Each run dumps its
 pairs, degraded targets and keys, both pair ledgers, the funnel,
@@ -45,7 +45,6 @@ from repro.storage import Dataset
 
 BACKENDS = {
     "serial": {"query_workers": 1},
-    "thread4": {"query_workers": 4, "query_backend": "thread"},
     "process2": {"query_workers": 2, "query_backend": "process"},
 }
 ACCELS = {
@@ -160,16 +159,16 @@ def refine_spans(tracer) -> list[list]:
     return groups
 
 
-def run_one(datasets, spec, config, parallel: bool, in_process: bool) -> dict:
+def run_one(datasets, spec, config, parallel: bool) -> dict:
     engine = ThreeDPro(EngineConfig(tracing=True, partition_min_faces=40, **config))
     for dataset in datasets.values():
         engine.load_dataset(dataset)
     recorder = FrameRecorder()
-    if in_process:
+    if parallel:
+        result = engine.execute(spec)
+    else:
         with recorder:
             result = engine.execute(spec)
-    else:
-        result = engine.execute(spec)
     funnel = result.stats.funnel.as_dict()
     if parallel:
         for stage in funnel.get("stages", {}).values():
@@ -214,10 +213,7 @@ def main(argv: list[str]) -> int:
             }
             if faults == "faulted":
                 config["fault_injector"] = FaultInjector(seed=11, decode_error_rate=0.3)
-            dump = run_one(
-                datasets, spec, config,
-                parallel=backend != "serial", in_process=backend != "process2",
-            )
+            dump = run_one(datasets, spec, config, parallel=backend != "serial")
             key = f"{label} {backend} {faults} {paradigm} {accel_name}"
             lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
             print(key, file=sys.stderr, flush=True)

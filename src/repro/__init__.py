@@ -8,7 +8,7 @@ is organized bottom-up:
 * :mod:`repro.compression` — PPVP progressive codec and serialization;
 * :mod:`repro.index` — global R-tree and per-object AABB-trees;
 * :mod:`repro.partition` — skeleton-based object decomposition;
-* :mod:`repro.parallel` — per-pair face kernels, task and process pools;
+* :mod:`repro.parallel` — per-pair face kernels and the worker-process pool;
 * :mod:`repro.storage` — cuboid store and the LRU decode cache;
 * :mod:`repro.core` — the 3DPro engine (FR and FPR spatial joins);
 * :mod:`repro.obs` — span tracing, metrics registry, structured logs;

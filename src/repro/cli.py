@@ -102,11 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--paradigm", choices=["fr", "fpr"], default="fpr")
     qry.add_argument("--accel", choices=sorted(_ACCEL), default="none")
     qry.add_argument("--query-workers", type=int, default=None,
-                     help="threads fanning query targets (default: "
+                     help="worker processes fanning query targets (default: "
                           "REPRO_QUERY_WORKERS env or serial)")
-    qry.add_argument("--query-backend", choices=["thread", "process"], default=None,
-                     help="parallel backend for --query-workers > 1 (default: "
-                          "REPRO_QUERY_BACKEND env or thread)")
     qry.add_argument("--deadline-ms", type=int, default=None,
                      help="wall-clock budget; on expiry the query returns the "
                           "pairs confirmed so far as a sound partial result "
@@ -137,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--paradigm", choices=["fr", "fpr"], default="fpr")
     srv.add_argument("--accel", choices=sorted(_ACCEL), default="none")
     srv.add_argument("--query-workers", type=int, default=None,
-                     help="threads fanning query targets (default: "
+                     help="worker processes fanning query targets (default: "
                           "REPRO_QUERY_WORKERS env or serial)")
-    srv.add_argument("--query-backend", choices=["thread", "process"], default=None)
     srv.add_argument("--deadline-ms", type=int, default=None,
                      help="server-wide default wall-clock budget per query "
                           "(a spec-level deadline_ms overrides it)")
@@ -164,11 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--paradigm", choices=["fr", "fpr"], default="fpr")
     obs.add_argument("--accel", choices=sorted(_ACCEL), default="none")
     obs.add_argument("--query-workers", type=int, default=None,
-                     help="threads fanning query targets (default: "
+                     help="worker processes fanning query targets (default: "
                           "REPRO_QUERY_WORKERS env or serial)")
-    obs.add_argument("--query-backend", choices=["thread", "process"], default=None,
-                     help="parallel backend for --query-workers > 1 (default: "
-                          "REPRO_QUERY_BACKEND env or thread)")
     obs.add_argument("--deadline-ms", type=int, default=None,
                      help="wall-clock budget; on expiry the query returns the "
                           "pairs confirmed so far as a sound partial result "
@@ -329,7 +322,6 @@ def _make_engine(args) -> tuple[ThreeDPro, str, str]:
     engine = ThreeDPro(EngineConfig(paradigm=getattr(args, "paradigm", "fpr"),
                                     accel=_ACCEL[getattr(args, "accel", "none")],
                                     query_workers=getattr(args, "query_workers", None),
-                                    query_backend=getattr(args, "query_backend", None),
                                     deadline_ms=getattr(args, "deadline_ms", None)))
     salvage = getattr(args, "salvage", False)
     target = _load_dataset_cli(args.target, salvage)
@@ -419,7 +411,6 @@ def _cmd_serve(args) -> int:
         paradigm=args.paradigm,
         accel=_ACCEL[args.accel],
         query_workers=args.query_workers,
-        query_backend=args.query_backend,
         deadline_ms=args.deadline_ms,
     ))
     for path in args.datasets:
@@ -492,7 +483,6 @@ def _cmd_obs(args) -> int:
                 tracing=True,
                 metrics=metrics,
                 query_workers=args.query_workers,
-                query_backend=args.query_backend,
                 deadline_ms=args.deadline_ms,
                 profiling=profiling,
                 profile_interval_ms=args.profile_interval_ms,

@@ -29,7 +29,6 @@ from repro.core.errors import (
     EngineError,
     ErrorBudgetExceededError,
     StorageError,
-    TaskExecutionError,
 )
 from repro.core.lod_select import LODProfile, choose_lod_list, profile_pruning
 from repro.core.plan import QueryCompleteness
@@ -55,7 +54,6 @@ __all__ = [
     "DatasetFormatError",
     "DecodeFailureError",
     "ErrorBudgetExceededError",
-    "TaskExecutionError",
     "LODProfile",
     "choose_lod_list",
     "profile_pruning",

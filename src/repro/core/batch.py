@@ -12,7 +12,7 @@ the saturating batch size, and per-job results are folded back out with
 Early exit is per job, via a wave discipline chosen for determinism:
 
 * sub-blocks of a job's cross product are enumerated in the same fixed
-  row-major order :func:`~repro.parallel.tasks.iter_pair_blocks` always
+  row-major order :func:`~repro.parallel.executor.iter_pair_blocks` always
   used;
 * each *wave* takes at most one sub-block from every unsettled job;
 * every wave ends with a flush, and a job's settle state is re-checked
@@ -21,8 +21,8 @@ Early exit is per job, via a wave discipline chosen for determinism:
 A job therefore evaluates exactly ``ceil`` of its own settle point in
 sub-blocks, **independent of which other jobs share the batch**. That is
 what keeps ``face_pairs_by_lod`` identical between the serial run and
-any chunked parallel run (thread or process backend), where the same
-jobs are batched in different groupings.
+any chunked process-backend run, where the same jobs are batched in
+different groupings.
 
 Lanes are screened before the exact kernel, and the screen costs faces,
 not lanes. Each call builds per-face tables once (:class:`_FaceTables`):
@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
-from repro.parallel.tasks import iter_pair_blocks
+from repro.parallel.executor import iter_pair_blocks
 
 __all__ = ["batched_any_intersect", "batched_min_distances"]
 

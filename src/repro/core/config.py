@@ -77,15 +77,6 @@ class Setting:
         return self.parse(self.env, raw) if self.parse is not str else raw
 
 
-def _parse_backend(env_name: str, raw: str) -> str:
-    value = raw.lower()
-    if value not in ("thread", "process"):
-        raise EngineConfigError(
-            f"{env_name} must be 'thread' or 'process', got {raw!r}"
-        )
-    return value
-
-
 #: Every setting that resolves through the shared precedence chain.
 SETTINGS: dict[str, Setting] = {
     s.name: s
@@ -94,8 +85,6 @@ SETTINGS: dict[str, Setting] = {
             "query_workers", "REPRO_QUERY_WORKERS", 1,
             parse=_parse_int, check=_check_min("query_workers", 1),
         ),
-        Setting("query_backend", "REPRO_QUERY_BACKEND", "thread",
-                parse=_parse_backend),
         Setting(
             "deadline_ms", "REPRO_DEADLINE_MS", None,
             parse=_parse_int, check=_check_min("deadline_ms", 1),
@@ -187,17 +176,19 @@ class EngineConfig:
     partition_min_faces: int = 400  # only decompose complex objects
     cache_bytes: int = 256 * 1024 * 1024
     cache_enabled: bool = True
-    # Inter-target query parallelism: how many workers the QueryExecutor
-    # fans target chunks across. None means "not set explicitly" — the
-    # engine then honors the REPRO_QUERY_WORKERS environment variable
-    # (the CI override hook) and finally defaults to 1 (serial).
+    # Inter-target query parallelism: how many worker processes the
+    # QueryExecutor fans cuboid-ordered target chunks across
+    # (repro.parallel.procpool), each opening the dataset from the
+    # on-disk store with its own DecodeCache; 1 runs serially in this
+    # process. None means "not set explicitly" — the engine then honors
+    # the REPRO_QUERY_WORKERS environment variable (the CI override
+    # hook) and finally defaults to 1 (serial).
     query_workers: int | None = None
-    # How those workers run: "thread" shares one engine across a thread
-    # pool (GIL-bound — measured ~1.0x on the FPR refinement path),
-    # "process" fans the same cuboid-ordered chunks across worker
-    # processes (repro.parallel.procpool), each opening the dataset from
-    # the on-disk store with its own DecodeCache. None defers to the
-    # REPRO_QUERY_BACKEND environment variable, then "thread".
+    # Not a setting: more than one worker always means processes. The
+    # keyword is still accepted, as None, "process" or "thread", so
+    # configurations written for the removed thread backend keep
+    # constructing; it selects nothing, and "thread" with an explicit
+    # query_workers > 1 is rejected.
     query_backend: str | None = None
     # Not a setting: refinement has one round loop (repro.core.refine).
     # The keyword is still accepted, as None or True, so configurations
@@ -265,6 +256,12 @@ class EngineConfig:
                 f"query_backend must be None, 'thread', or 'process', "
                 f"got {self.query_backend!r}"
             )
+        if self.query_backend == "thread" and (self.query_workers or 1) > 1:
+            raise EngineConfigError(
+                f"query_backend='thread' with query_workers="
+                f"{self.query_workers}: the thread backend was removed; "
+                f"query_workers > 1 always runs worker processes"
+            )
         if self.storage_backend not in (None, "shard"):
             raise EngineConfigError(
                 f"storage_backend must be None or 'shard', got "
@@ -315,7 +312,3 @@ class EngineConfig:
     def resolve_deadline_ms(self) -> int | None:
         """The effective per-query wall-clock budget in milliseconds."""
         return resolve_setting("deadline_ms", config=self)
-
-    def resolve_query_backend(self) -> str:
-        """The effective parallel backend: ``"thread"`` or ``"process"``."""
-        return resolve_setting("query_backend", config=self)

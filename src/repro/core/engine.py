@@ -11,7 +11,7 @@ The engine owns (Fig. 8 of the paper):
   :class:`~repro.core.plan.QueryPlan` and hands it to the single shared
   :class:`~repro.core.executor.QueryExecutor`, which batches target
   objects cuboid by cuboid for cache locality (optionally fanning them
-  across ``query_workers`` threads or processes) and delegates
+  across ``query_workers`` worker processes) and delegates
   per-target work to the progressive refinement of
   :mod:`repro.core.refine`.
 
@@ -77,7 +77,6 @@ class ThreeDPro:
         )
         self.computer = GeometryComputer(metrics=self.metrics)
         self.query_workers = self.config.resolve_query_workers()
-        self.query_backend = self.config.resolve_query_backend()
         self.profiler = (
             SamplingProfiler(interval_seconds=self.config.profile_interval_ms / 1000.0)
             if self.config.profiling

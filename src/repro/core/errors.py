@@ -21,7 +21,6 @@ __all__ = [
     "DecodeFailureError",
     "DeadlineExceededError",
     "ErrorBudgetExceededError",
-    "TaskExecutionError",
     "WireFormatError",
 ]
 
@@ -147,7 +146,3 @@ class DeadlineExceededError(EngineError):
 
     def __reduce__(self):
         return (type(self), (self.reason, self.where, self.deadline_ms))
-
-
-class TaskExecutionError(EngineError):
-    """A scheduled task failed every attempt (including the serial fallback)."""

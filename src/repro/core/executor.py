@@ -14,37 +14,26 @@ re-implemented: phase timing (`TimedPhase` keeps `QueryStats` and the
 span tree in lockstep), per-query stats snapshots/attribution,
 degraded-target tracking, the root query span, and the query metrics.
 
-Inter-target parallelism (`EngineConfig.query_workers`): targets are
+A query runs one of two ways. With one worker it runs serially, in
+this process. With ``EngineConfig.query_workers > 1`` the targets are
 split into contiguous, cuboid-aligned chunks of the cuboid-ordered
 target list (``KindStrategy.target_chunks``, so each worker keeps the
-decode-cache locality the serial loop has) and fanned across one of two
-backends (`EngineConfig.query_backend`). Every chunk yields one
-:class:`~repro.parallel.procpool.ChunkOutcome`:
+decode-cache locality the serial loop has), and each chunk becomes a
+self-contained sub-query (``QuerySpec.target_ids``) executed by a worker
+*process* with its own engine and decode cache
+(:mod:`repro.parallel.procpool`). Workers ship back one
+:class:`~repro.parallel.procpool.ChunkOutcome` per chunk: pairs, stats,
+degraded keys, span trees, and metrics deltas. Chunks the supervisor
+quarantines run in-process through :meth:`QueryExecutor._run_chunk`.
+When the pool or the transport is unavailable, the whole query runs
+serially instead. Containment has one pseudo-target, so it is always
+serial.
 
-* ``"thread"`` (default) — a :class:`~repro.parallel.tasks.TaskScheduler`
-  thread pool runs :meth:`QueryExecutor._run_chunk`, inheriting the
-  scheduler's retry/backoff/serial-fallback semantics, with
-  :class:`~repro.core.errors.ErrorBudgetExceededError` marked fatal and
-  one lock-guarded degraded-key set across chunks, so the error budget
-  aborts the query exactly as it does serially. Each chunk accumulates
-  into its own ``QueryStats`` and opens its spans under the adopted root
-  span. GIL-bound: pure-Python refinement gains little wall-clock from
-  threads.
-* ``"process"`` — each chunk becomes a self-contained sub-query
-  (``QuerySpec.target_ids``) executed by a worker *process* with its own
-  engine and decode cache (:mod:`repro.parallel.procpool`); workers ship
-  back pairs, stats, degraded keys, span trees, and metrics deltas.
-  Chunks the supervisor quarantines run through the same
-  :meth:`QueryExecutor._run_chunk` in-process. Containment queries (no
-  target dataset) and pool/transport failures fall back to the thread
-  backend.
-
-Either way, one merge (:meth:`QueryExecutor._merge`) folds the outcomes
-**in chunk order**, so ``pairs``, ``degraded_targets``, and every merged
-counter are identical to the serial run (the refinement layer keeps
-per-decode outcomes order-independent; see
-``repro.core.refine._gather_face_pairs`` and the provider's LOD-aware
-fail-fast).
+One merge (:meth:`QueryExecutor._merge`) folds the outcomes **in chunk
+order**, so ``pairs``, ``degraded_targets``, and every merged counter
+are identical to the serial run (the refinement layer keeps per-decode
+outcomes order-independent; see ``repro.core.refine._gather_face_pairs``
+and the provider's LOD-aware fail-fast).
 
 Merge semantics worth knowing: summed phase seconds are *busy* time
 across workers — under parallel execution ``compute_seconds`` can exceed
@@ -54,7 +43,6 @@ across workers — under parallel execution ``compute_seconds`` can exceed
 from __future__ import annotations
 
 import logging
-import threading
 import time
 
 from repro.core.config import resolve_setting
@@ -67,7 +55,6 @@ from repro.obs.funnel import PAIR_STAGES
 from repro.obs.logs import get_logger, log_event
 from repro.obs.profile import phase_scope
 from repro.obs.trace import Span, TimedPhase
-from repro.parallel.tasks import TaskScheduler
 
 __all__ = ["QueryExecutor"]
 
@@ -149,17 +136,6 @@ class QueryExecutor:
             "repro_chunks_quarantined_total",
             "Suspect chunks retired from the pool to serial in-process execution",
         )
-        # Thread-backend chunk scheduler series, registered eagerly for
-        # the same reason; each query's TaskScheduler (see _run_parallel)
-        # gets-or-creates and increments these same series.
-        self.metrics.counter("repro_tasks_total", "Tasks submitted to the scheduler")
-        self.metrics.counter(
-            "repro_task_retries_total", "Task attempts re-run after a failure"
-        )
-        self.metrics.counter(
-            "repro_task_serial_fallbacks_total",
-            "Tasks that failed in the thread pool and were re-run serially",
-        )
         # Optional callable invoked at target-loop boundaries; the
         # process backend's workers point it at their chunk's heartbeat
         # file so the parent's hang detector sees liveness per target.
@@ -212,33 +188,19 @@ class QueryExecutor:
             target=plan.span_target,
             source=plan.source.name,
         )
-        if workers == 1:
-            ctx = self._context(plan, stats, deadline=deadline)
-            degraded_keys = ctx.degraded_keys
-            with root:
+        outcomes = None
+        with root:
+            if workers > 1:
+                outcomes = self._run_process(plan, stats, tids, workers, deadline)
+            if outcomes is None:
+                ctx = self._context(plan, stats, deadline)
+                degraded_keys = ctx.degraded_keys
                 finished, inflight, interrupt = self._refine_targets(
                     plan, ctx, stats, tids, pairs, degraded_targets, deadline
                 )
                 if interrupt is not None:
                     reason = interrupt.reason
-        else:
-            chunks = plan.strategy.target_chunks(plan, tids, workers)
-            # Containment has no target dataset to restrict by target id,
-            # so it always runs on the thread backend.
-            use_process = (
-                self.engine.query_backend == "process"
-                and plan.spec.kind != "containment"
-            )
-            outcomes = None
-            with root:
-                if use_process:
-                    outcomes = self._run_process(
-                        plan, stats, chunks, workers, root, deadline
-                    )
-                if outcomes is None:
-                    outcomes = self._run_parallel(
-                        plan, stats, chunks, workers, root, deadline
-                    )
+        if outcomes is not None:
             degraded_keys, finished, inflight, reason = self._merge(
                 outcomes, pairs, degraded_targets, stats, root
             )
@@ -442,17 +404,18 @@ class QueryExecutor:
                 stats.results += count
         return finished, len(items) - finished, interrupt
 
-    def _run_process(self, plan, stats, chunks, workers, root, deadline):
-        """Fan chunks across worker processes; ``None`` means fall back.
+    def _run_process(self, plan, stats, tids, workers, deadline):
+        """Fan target chunks across worker processes; ``None`` means run serially.
 
         Chunks the supervisor quarantined (crash/hang suspects that
         exhausted their pool attempts) come back as
         :class:`~repro.parallel.procpool.QuarantinedChunk` markers and
         are re-run serially in-process here, inside the root span, so
-        the query still completes without a whole-query thread fallback.
+        the query still completes without a whole-query serial fallback.
         """
         from repro.parallel import procpool
 
+        chunks = plan.strategy.target_chunks(plan, tids, workers)
         log_event(
             _LOG, "parallel_query", query=stats.query, backend="process",
             workers=workers, chunks=len(chunks),
@@ -476,68 +439,29 @@ class QueryExecutor:
                     query=stats.query, chunk=outcome.index,
                     targets=len(outcome.targets), reason=outcome.reason,
                 )
-                outcomes[i] = self._run_chunk(
-                    plan, stats, outcome.targets, root, deadline,
-                    backend="quarantine",
-                )
+                outcomes[i] = self._run_chunk(plan, stats, outcome.targets, deadline)
         return outcomes
 
-    def _run_parallel(self, plan, stats, chunks, workers, root, deadline) -> list:
-        """Fan chunks across a thread pool; one outcome per chunk, in order.
-
-        One degraded-key set across all threads (lock-guarded): the
-        distinct degraded-object count and the error budget are per
-        *query*, not per chunk, so the budget aborts mid-query exactly
-        as it does serially. The scheduler is dedicated to this query
-        and keeps the budget error fatal (never retried).
-        """
-        degraded_keys: set = set()
-        lock = threading.Lock()
-        scheduler = TaskScheduler(
-            workers=workers,
-            metrics=self.metrics,
-            fatal_types=(ErrorBudgetExceededError,),
-        )
-        log_event(
-            _LOG, "parallel_query", query=stats.query, backend="thread",
-            workers=workers, chunks=len(chunks),
-            targets=sum(len(c) for c in chunks),
-        )
-        return scheduler.map(
-            lambda chunk: self._run_chunk(
-                plan, stats, chunk, root, deadline,
-                degraded_keys=degraded_keys, lock=lock,
-            ),
-            chunks,
-        )
-
-    def _run_chunk(
-        self, plan, stats, targets, root, deadline, degraded_keys=None,
-        lock=None, **span_attrs,
-    ):
-        """Run one chunk in this process; the thread and quarantine body.
+    def _run_chunk(self, plan, stats, targets, deadline):
+        """Run one quarantined chunk in this process.
 
         The chunk refines into its own ``QueryStats`` under a ``worker``
-        span adopted by the query root. Deadline expiry is caught
-        *inside* the chunk (by :meth:`_refine_targets`), so completed
-        targets ship back as a partial outcome — it must never look like
-        a chunk failure the scheduler would retry.
+        span beneath the query root, which is open on this thread.
+        Deadline expiry is caught *inside* the chunk (by
+        :meth:`_refine_targets`), so completed targets come back as a
+        partial outcome, exactly like a worker's.
         """
         from repro.parallel.procpool import ChunkOutcome
 
         chunk_stats = QueryStats(query=stats.query, config_label=stats.config_label)
-        ctx = self._context(
-            plan, chunk_stats, degraded_keys=degraded_keys, lock=lock,
-            deadline=deadline,
-        )
+        ctx = self._context(plan, chunk_stats, deadline)
         chunk_pairs: dict = {}
         chunk_degraded: set = set()
-        with self.tracer.adopt(root):
-            with self.tracer.span("worker", targets=len(targets), **span_attrs):
-                finished, inflight, interrupted = self._refine_targets(
-                    plan, ctx, chunk_stats, targets, chunk_pairs,
-                    chunk_degraded, deadline,
-                )
+        with self.tracer.span("worker", targets=len(targets), backend="quarantine"):
+            finished, inflight, interrupted = self._refine_targets(
+                plan, ctx, chunk_stats, targets, chunk_pairs,
+                chunk_degraded, deadline,
+            )
         completeness = QueryCompleteness(
             complete=interrupted is None,
             reason=interrupted.reason if interrupted is not None else "",
@@ -557,14 +481,11 @@ class QueryExecutor:
         )
 
     def _merge(self, outcomes, pairs, degraded_targets, stats, root) -> tuple:
-        """Merge chunk outcomes of either backend, in chunk order.
+        """Merge worker and quarantined chunk outcomes, in chunk order.
 
         Chunks are contiguous slices of the cuboid-ordered target list,
         so insertion order — and with it the result, byte for byte —
-        matches the serial loop. Thread chunks all carry the query's one
-        shared degraded-key set, so its union is that set and the budget
-        check below cannot fire for them (the shared set already
-        enforced it mid-query).
+        matches the serial loop.
         """
         degraded_keys: set = set()
         finished = 0
@@ -610,9 +531,7 @@ class QueryExecutor:
 
     # -- shared machinery (moved verbatim from the old per-kind drivers) --------
 
-    def _context(
-        self, plan, stats, degraded_keys=None, lock=None, deadline=None
-    ) -> RefineContext:
+    def _context(self, plan, stats, deadline) -> RefineContext:
         return RefineContext(
             deadline=deadline,
             computer=self.engine.computer,
@@ -628,8 +547,6 @@ class QueryExecutor:
             tracer=self.tracer,
             progress=plan.spec.progress,
             heartbeat=self.heartbeat,
-            degraded_keys=set() if degraded_keys is None else degraded_keys,
-            lock=lock,
         )
 
     def _new_stats(self, query: str, providers=()) -> QueryStats:
@@ -653,8 +570,8 @@ class QueryExecutor:
         # the process backend the merged worker chunk stats already carry
         # their engines' decode time / failures / vertices, and this
         # engine's own providers contribute nothing (the filter phase is
-        # index-only). Serial and thread runs are unchanged — their
-        # pre-merge values for these fields are zero.
+        # index-only). Serial runs are unchanged — their pre-merge values
+        # for these fields are zero.
         decode = sum(p.decode_seconds for p in providers) - stats.decode_seconds_base
         stats.decode_seconds += decode
         stats.compute_seconds = max(0.0, stats.compute_seconds - decode)

@@ -130,12 +130,10 @@ class RefineContext:
     # Degraded-mode bookkeeping: distinct degraded (side, id) keys seen,
     # the "this answer touched degraded geometry" flag the group rounds
     # accrue per target (_accruing_touches), and the error budget (None = off).
-    # Under parallel execution every worker context shares one
-    # ``degraded_keys`` set guarded by ``lock``, so the distinct-object
-    # count and the budget stay global and order-independent.
+    # Contexts are per-chunk; the executor re-derives the distinct count
+    # and the budget from the union of every chunk's keys.
     max_decode_failures: int | None = None
     degraded_keys: set = field(default_factory=set)
-    lock: object = None
     touched_degraded: bool = False
     # Optional repro.core.deadline.Deadline; refinement checks it at
     # every round and candidate batch (None keeps checkpoints free).
@@ -222,13 +220,6 @@ class RefineContext:
         """
         self.touched_degraded = True
         key = (side, obj_id)
-        if self.lock is not None:
-            with self.lock:
-                self._note_degraded_key(key)
-        else:
-            self._note_degraded_key(key)
-
-    def _note_degraded_key(self, key) -> None:
         if key not in self.degraded_keys:
             self.degraded_keys.add(key)
             self.stats.degraded_objects += 1

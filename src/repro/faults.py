@@ -60,8 +60,9 @@ class FaultInjector:
     max_faults: int | None = None
     counts: dict = field(default_factory=dict)
     # Guards the counts read-modify-write: hooks fire concurrently from
-    # thread-backend query workers, and lost updates would break exact-count
-    # test assertions (and the max_faults cap). Recreated on unpickle.
+    # the query server's request threads over one engine, and lost updates
+    # would break exact-count test assertions (and the max_faults cap).
+    # Recreated on unpickle.
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )

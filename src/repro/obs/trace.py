@@ -33,7 +33,6 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 
 from repro.obs.profile import pop_phase, push_phase
 
@@ -207,27 +206,6 @@ class Tracer:
         """The innermost open span on this thread, if any."""
         stack = getattr(self._tls, "stack", None)
         return stack[-1] if stack else None
-
-    @contextmanager
-    def adopt(self, span):
-        """Make ``span`` this thread's innermost open span for a block.
-
-        Span nesting is per-thread, so work fanned out to a pool would
-        otherwise surface as orphan roots. A worker that adopts the
-        query's root span attaches its own spans underneath it instead.
-        Adoption only borrows the span: on exit it is popped without
-        being re-attached (the owning thread closes it for real).
-        """
-        if not self.enabled or span is None or not getattr(span, "enabled", False):
-            yield
-            return
-        self._push(span)
-        try:
-            yield
-        finally:
-            stack = getattr(self._tls, "stack", None)
-            if stack and stack[-1] is span:
-                stack.pop()
 
     def _push(self, span: Span) -> None:
         stack = getattr(self._tls, "stack", None)

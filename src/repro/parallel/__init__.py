@@ -5,14 +5,13 @@ independent face-pair evaluations. The paper packs those pairs into
 fixed-size tasks executed by CPU cores or GPU kernels; here the "GPU" is
 simulated by the fused numpy mega-batches of :mod:`repro.core.batch`
 (one vectorized kernel invocation over thousands of pairs, sized by
-``gpu_block``) while the per-pair "CPU" kernels evaluate small blocks — reproducing the batched-vs-blocked performance contrast
-inside one process. The fused waves are the task batching; the resource
-manager's fan-out is the query executor's target chunks, run by
-:class:`TaskScheduler` threads or :mod:`repro.parallel.procpool`
-processes.
+``gpu_block``) while the per-pair "CPU" kernels evaluate small blocks
+(:func:`iter_pair_blocks`) — reproducing the batched-vs-blocked
+performance contrast inside one process. The fused waves are the task
+batching; the resource manager's fan-out is the query executor's target
+chunks, run by :mod:`repro.parallel.procpool` worker processes.
 """
 
-from repro.parallel.executor import GeometryComputer
-from repro.parallel.tasks import TaskScheduler, iter_pair_blocks
+from repro.parallel.executor import GeometryComputer, iter_pair_blocks
 
-__all__ = ["GeometryComputer", "TaskScheduler", "iter_pair_blocks"]
+__all__ = ["GeometryComputer", "iter_pair_blocks"]

@@ -19,6 +19,7 @@ level up, in the query executor's target chunks.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -26,15 +27,34 @@ from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
 from repro.index.aabbtree import TriangleAABBTree
 from repro.obs import metrics as obs_metrics
-from repro.parallel.tasks import iter_pair_blocks
 
-__all__ = ["GeometryComputer"]
+__all__ = ["GeometryComputer", "iter_pair_blocks"]
 
 # Batch sizes span 1 .. gpu_block; powers of two keep the histogram honest.
 _BATCH_BUCKETS = (1, 8, 16, 32, 48, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 _CPU_BLOCK = 48
 _GPU_BLOCK = 4096
+
+
+def iter_pair_blocks(
+    n_a: int, n_b: int, block: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (ii, jj) index arrays covering the n_a x n_b pair space.
+
+    The flattened pair index space is cut into contiguous blocks of
+    ``block`` pairs — the paper's small tasks "with a fixed number of
+    face pair evaluations" (Section 5.2). Pairs are enumerated row-major
+    (all of face 0's pairs first), so an early exit after the first
+    blocks has touched whole faces of the first operand — the locality
+    the decode cache likes.
+    """
+    if block < 1:
+        raise ValueError("block must be >= 1")
+    total = n_a * n_b
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total))
+        yield flat // n_b, flat % n_b
 
 
 class GeometryComputer:

@@ -1,12 +1,12 @@
 """Process-backed query execution: real multi-core fan-out for joins.
 
-PR 3's thread backend parallelized the query executor above the GIL —
-and its own benchmark honestly measured ~1.0x, because FPR refinement is
-pure-Python-bound. This module is the other half of that architecture:
-the executor's contiguous, cuboid-ordered target chunks become
-self-contained sub-queries (``QuerySpec.target_ids``) fanned across a
-pool of **worker processes**, each owning a full engine — its own
-``DecodeCache``, decoders, R-tree, and metrics registry.
+FPR refinement is pure-Python-bound, so threads sharing one interpreter
+gain nothing from extra cores. This module is the engine's only
+parallel backend: the executor's contiguous, cuboid-ordered target
+chunks become self-contained sub-queries (``QuerySpec.target_ids``)
+fanned across a pool of **worker processes**, each owning a full
+engine — its own ``DecodeCache``, decoders, R-tree, and metrics
+registry.
 
 Dataset transport
     Every dataset reaches a worker as a store path: what crosses the
@@ -41,10 +41,10 @@ Dataset transport
 Result transport
     Each worker ships back a picklable :class:`ChunkOutcome`: pairs,
     per-chunk ``QueryStats``, degraded ``(side, object)`` keys, span
-    trees (plain dicts), and a monotonic metrics delta. The thread
-    backend's chunks produce the same type, and the parent merges
-    either kind in one place, in submission order, so results are byte-identical to serial,
-    fault injection included (decode faults are keyed by
+    trees (plain dicts), and a monotonic metrics delta. Quarantined
+    chunks run in-process produce the same type, and the parent merges
+    both in one place, in submission order, so results are
+    byte-identical to serial, fault injection included (decode faults are keyed by
     ``dataset:object:lod``, never by worker identity; only the
     ``FaultInjector.max_faults`` cap is order-sensitive, and in process
     mode it bounds each worker separately).
@@ -66,11 +66,11 @@ Supervision
     unfinished chunks are resubmitted; :func:`shutdown` tears the pool
     down the same way. A chunk that burns
     ``chunk_max_attempts`` attempts is *quarantined*: returned as a
-    :class:`QuarantinedChunk` marker the executor re-runs in-process
-    through the same chunk body as its thread backend, so one poisoned
-    chunk costs one slot, not the whole query's process backend. ``pool_failure_threshold`` consecutive
-    pool failures trip a circuit breaker that quarantines everything
-    still pending instead of thrashing respawns.
+    :class:`QuarantinedChunk` marker the executor re-runs in-process,
+    so one poisoned chunk costs one slot, not the whole query's process
+    backend. ``pool_failure_threshold`` consecutive pool failures trip a
+    circuit breaker that quarantines everything still pending instead
+    of thrashing respawns.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ _MAX_WORKER_ENGINES = 4
 class ProcessBackendUnavailable(RuntimeError):
     """Pool or transport infrastructure failed (not a query error).
 
-    The executor catches this and falls back to the thread backend; real
+    The executor catches this and runs the query serially; real
     query failures (``EngineError`` subclasses raised inside a worker)
     propagate unchanged. ``traceback`` carries the formatted cause so
     the fallback log line can say exactly why.
@@ -387,8 +387,8 @@ def _manifest_for(dataset) -> DatasetManifest:
 def _worker_config(config):
     """The parent config sanitized for shipping to a worker.
 
-    Workers always run their chunk serially on the thread backend (so a
-    worker can never recursively spawn processes), with a private
+    Workers always run their chunk serially (so a worker can never
+    recursively spawn processes), with a private
     metrics registry created on the far side. The fault injector ships
     with its fired-counts cleared: decisions are pure functions of
     ``(seed, kind, key)``, so workers re-derive exactly the parent's
@@ -402,7 +402,6 @@ def _worker_config(config):
         metrics=None,
         fault_injector=injector,
         query_workers=1,
-        query_backend="thread",
         # The worker's budget is the parent's *remaining* wall clock,
         # re-stamped onto each chunk's spec at submission; a config- or
         # env-level deadline must not start a fresh full budget per chunk.
@@ -416,12 +415,11 @@ def execute_chunks(engine, plan, chunks: list, deadline=None) -> list:
     Returns one entry per chunk **in submission order** — a
     :class:`ChunkOutcome`, or a :class:`QuarantinedChunk` marker for a
     chunk the supervisor retired (the executor runs those serially
-    in-process). The caller merges them through the same merge as
-    thread-backend chunks. Raises :class:`ProcessBackendUnavailable`
-    only when the pool/transport infrastructure is unusable (spill I/O,
-    unpicklable payloads, pool bootstrap); worker crashes and hangs are
-    handled *here* by killing + respawning the pool and retrying the
-    affected chunks. Worker-side query errors (``EngineError``)
+    in-process). The caller merges both through one merge. Raises
+    :class:`ProcessBackendUnavailable` only when the pool/transport
+    infrastructure is unusable (spill I/O, unpicklable payloads, pool
+    bootstrap); worker crashes and hangs are handled *here* by killing +
+    respawning the pool and retrying the affected chunks. Worker-side query errors (``EngineError``)
     propagate as themselves.
     """
     from repro.core.errors import EngineError

@@ -42,9 +42,8 @@ class FrameEmitter:
     """Serialize frames to a byte sink, tracking what was already sent.
 
     ``write`` receives one encoded NDJSON line per frame. The emitter is
-    the thread-safety boundary: the thread backend confirms pairs from
-    several worker threads at once, and the lock serializes whole lines
-    so frames never interleave mid-line.
+    the thread-safety boundary: the lock serializes whole lines so
+    frames never interleave mid-line, whichever thread confirms them.
     """
 
     def __init__(self, write):

@@ -51,7 +51,7 @@ class DecodedLOD:
     or an object only partially recovered by salvage loading.
 
     The derived structures are built at most once: cache entries are
-    shared across query workers, and the lazy builds used to run
+    shared across concurrent queries, and the lazy builds used to run
     unlocked, so concurrent threads could each build (and race to
     publish) the same AABB-tree. A per-entry lock now guards each build;
     reads stay lock-free once the attribute is published.

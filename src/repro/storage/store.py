@@ -196,10 +196,11 @@ class ShardSet:
 
     Readers are opened on demand and cached; materialization (blob →
     :class:`CompressedObject`) is serialized by one lock so concurrent
-    thread-backend chunks deserialize each object at most once. The
-    blob's ``memoryview`` is released as soon as the bytes are copied
-    out, so no long-lived reference ever pins the mapping (readers stay
-    closeable) and decoded geometry owns its own memory.
+    queries (the query server's request threads) deserialize each object
+    at most once. The blob's ``memoryview`` is released as soon as the
+    bytes are copied out, so no long-lived reference ever pins the
+    mapping (readers stay closeable) and decoded geometry owns its own
+    memory.
 
     Pickling ships only the directory path and codec — the far side
     reopens its own readers (and its own mmaps) lazily.

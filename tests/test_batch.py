@@ -465,7 +465,7 @@ def _comparable(result, with_cache):
 
     Cache counters are deterministic only single-worker: chunk-to-worker
     assignment (and with it cross-chunk cache reuse) is scheduling-
-    dependent under thread/process fan-out, the same exclusion
+    dependent under process fan-out, the same exclusion
     ``test_parallel_query._comparable_counters`` makes.
     """
     funnel = result.stats.funnel.as_dict()
@@ -547,15 +547,21 @@ def case(request, small_scene):
 
 BACKENDS = [
     pytest.param({"query_workers": 1}, id="serial"),
-    pytest.param({"query_workers": 4, "query_backend": "thread"}, id="thread"),
+    pytest.param({"query_workers": 2, "query_backend": "process"}, id="process"),
 ]
 
 
 def _faulted(run, *args, **kwargs):
-    """``run`` under a fresh seed-11 decode-fault injector that must fire."""
+    """``run`` under a fresh seed-11 decode-fault injector that must fire.
+
+    Process workers fire their own copies of the injector, so the
+    parent's counts stay 0 there; the decode failures the workers' stats
+    ship back are the evidence instead.
+    """
     injector = FaultInjector(seed=11, decode_error_rate=0.3)
     result = run(*args, fault_injector=injector, **kwargs)
-    assert injector.counts.get("decode", 0) > 0, "no faults fired"
+    fired = injector.counts.get("decode", 0) or result.stats.decode_failures
+    assert fired > 0, "no faults fired"
     return result
 
 
@@ -664,12 +670,10 @@ class TestBatchedMatchesPerPair:
         _result, reference = oracle(spec, **config)
         assert reference, "nothing streamed"
         serial = _build(datasets, query_workers=1, **config)
-        threaded = _build(datasets, query_workers=4, query_backend="thread", **config)
         # Serial frames arrive target-major, round by round, exactly as
-        # the oracle emits them; thread chunks interleave, so only the
-        # frame set is comparable there.
+        # the oracle emits them. Process workers send no frames; the
+        # serve layer's catch-up flush covers them (tests/test_serve.py).
         assert _frames(serial, spec) == reference
-        assert sorted(_frames(threaded, spec)) == sorted(reference)
 
 
 class TestDegradedAccountingUniform:

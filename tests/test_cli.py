@@ -145,6 +145,19 @@ class TestQueryAndProfile:
                 ["query", str(generated / "nuclei_a"), str(generated / "nuclei_b"), "--query", "within"]
             )
 
+    def test_query_backend_flag_is_gone(self, generated, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "query",
+                    str(generated / "nuclei_a"),
+                    str(generated / "nuclei_b"),
+                    "--query-backend", "process",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --query-backend" in capsys.readouterr().err
+
     def test_within_query(self, generated, capsys):
         code = main(
             [

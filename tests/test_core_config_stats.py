@@ -190,17 +190,8 @@ class TestResolveSetting:
         with pytest.raises(EngineConfigError, match="query_workers"):
             resolve_setting("query_workers")
 
-    def test_invalid_backend_env_rejected(self, monkeypatch):
-        from repro.core.config import resolve_setting
-
-        monkeypatch.setenv("REPRO_QUERY_BACKEND", "fork")
-        with pytest.raises(EngineConfigError, match="REPRO_QUERY_BACKEND"):
-            resolve_setting("query_backend")
-
     def test_engine_config_wrappers_route_through_resolver(self, monkeypatch):
         monkeypatch.setenv("REPRO_QUERY_WORKERS", "3")
-        monkeypatch.setenv("REPRO_QUERY_BACKEND", "process")
         config = EngineConfig()
         assert config.resolve_query_workers() == 3
-        assert config.resolve_query_backend() == "process"
         assert EngineConfig(query_workers=2).resolve_query_workers() == 2

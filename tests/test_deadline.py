@@ -67,11 +67,10 @@ class CountingToken:
 
 
 def _build(datasets, **config_kwargs):
-    # Pin the execution shape: these tests pick their backend per case,
-    # so a REPRO_QUERY_BACKEND/REPRO_QUERY_WORKERS environment (the CI
-    # chaos matrix) must not silently rewire the "serial" engines.
+    # Pin the execution shape: these tests pick their worker count per
+    # case, so a REPRO_QUERY_WORKERS environment (the CI chaos matrix)
+    # must not silently rewire the "serial" engines.
     config_kwargs.setdefault("query_workers", 1)
-    config_kwargs.setdefault("query_backend", "thread")
     engine = ThreeDPro(EngineConfig(paradigm="fpr", **config_kwargs))
     for dataset in datasets.values():
         engine.load_dataset(dataset)
@@ -235,15 +234,6 @@ class TestPartialResults:
         assert comp.targets_unstarted == comp.targets_total
 
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
-    def test_thread_partial_is_sound_subset(self, datasets, spec):
-        serial = _build(datasets)
-        full = serial.execute(spec)
-        engine = _build(datasets, query_workers=4)
-        partial = engine.execute(replace(spec, cancellation=CountingToken(10)))
-        _assert_sound_subset(partial, full)
-        _assert_completeness_arithmetic(partial)
-
-    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_process_partial_is_sound_subset(self, datasets, spec):
         serial = _build(datasets)
         full = serial.execute(spec)
@@ -253,9 +243,7 @@ class TestPartialResults:
         _assert_completeness_arithmetic(partial)
         assert partial.completeness.deadline_ms == 1
 
-    @pytest.mark.parametrize("workers,backend", [
-        (1, None), (4, "thread"), (2, "process"),
-    ])
+    @pytest.mark.parametrize("workers,backend", [(1, None), (2, "process")])
     def test_generous_deadline_is_invisible(self, datasets, workers, backend):
         kwargs = {"query_workers": workers}
         if backend is not None:

@@ -141,7 +141,8 @@ class TestParadigmBehaviour:
         assert accounted <= stats.total_seconds * engine.query_workers + 1e-6
 
     def test_cache_hits_accumulate_across_queries(self, datasets):
-        engine = build_engine(EngineConfig(paradigm="fpr"), datasets)
+        # The parent's decode cache is what this counts: run in-process.
+        engine = build_engine(EngineConfig(paradigm="fpr", query_workers=1), datasets)
         first = engine.within_join("nuclei_a", "nuclei_b", WITHIN_DISTANCE).stats
         second = engine.within_join("nuclei_a", "nuclei_b", WITHIN_DISTANCE).stats
         assert second.cache_hits > first.cache_hits or second.cache_misses == 0

@@ -1,10 +1,10 @@
-"""Fault tolerance: injector determinism, retries, budgets, salvage.
+"""Fault tolerance: injector determinism, budgets, salvage.
 
-Covers the chaos-harness substrate (`repro.faults`), the scheduler's
-retry/serial-fallback ladder, the engine's decode error budget, v1
-container back-compat, sparse-id recovery, and the end-to-end salvage
-acceptance scenario: corrupt one blob on disk, load in salvage mode,
-and get a degraded-but-correct-subset join out of it.
+Covers the chaos-harness substrate (`repro.faults`), the engine's
+decode error budget, v1 container back-compat, sparse-id recovery, and
+the end-to-end salvage acceptance scenario: corrupt one blob on disk,
+load in salvage mode, and get a degraded-but-correct-subset join out of
+it.
 """
 
 import json
@@ -18,11 +18,9 @@ from repro.core.errors import (
     CuboidFormatError,
     DatasetFormatError,
     ErrorBudgetExceededError,
-    TaskExecutionError,
 )
 from repro.faults import FaultInjector, InjectedFault
 from repro.mesh import icosphere
-from repro.parallel.tasks import TaskScheduler
 from repro.storage import Dataset, load_dataset
 from repro.storage.fileformat import read_cuboid_file
 from tests.oracles.legacy_store import save_legacy_dataset, write_cuboid_file
@@ -170,56 +168,6 @@ class TestFaultInjector:
         for i in range(16):
             inj.before_chunk(f"c:{i}", 0)
         assert inj.counts.get("chunk_hang", 0) == sum(first)
-
-
-def _fails_first_call_for(failing, fn):
-    """``fn`` wrapped to raise once, on the first call for each item in
-    ``failing``; every later call succeeds."""
-    failed = set()
-
-    def flaky(x):
-        if x in failing and x not in failed:
-            failed.add(x)
-            raise RuntimeError(f"transient failure for {x}")
-        return fn(x)
-
-    return flaky
-
-
-class TestSchedulerRetry:
-    def test_retry_recovers_from_transient_failure(self):
-        sched = TaskScheduler(workers=1, max_retries=2)
-        flaky = _fails_first_call_for({1}, lambda x: x * 2)
-        assert sched.map(flaky, [1, 2, 3]) == [2, 4, 6]
-        assert sched.retries == 1
-
-    def test_retries_exhausted_raises_task_execution_error(self):
-        def always_fails(x):
-            raise RuntimeError("permanent")
-
-        sched = TaskScheduler(workers=1, max_retries=2)
-        with pytest.raises(TaskExecutionError, match="after 3 attempt"):
-            sched.map(always_fails, [1])
-
-    def test_pool_failures_fall_back_to_serial_retry(self):
-        sched = TaskScheduler(workers=2, max_retries=2)
-        flaky = _fails_first_call_for({0}, lambda x: x + 1)
-        assert sched.map(flaky, [0, 1, 2, 3]) == [1, 2, 3, 4]
-        assert sched.serial_fallbacks == 1
-        assert sched.retries == 0
-
-    def test_real_exceptions_are_retried_too(self):
-        calls = {"n": 0}
-
-        def flaky(x):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient")
-            return x
-
-        sched = TaskScheduler(workers=1, max_retries=1)
-        assert sched.map(flaky, [7]) == [7]
-        assert sched.retries == 1
 
 
 class TestErrorBudget:

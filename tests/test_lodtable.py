@@ -231,9 +231,9 @@ class TestPickle:
 
 class TestDecodedLODRace:
     def test_tree_builds_once_under_four_workers(self, sphere_obj, monkeypatch):
-        """Regression: the lazy tree build used to run unlocked, so
-        ``query_workers=4`` thread-backend workers sharing one cache
-        entry could each build the AABB-tree."""
+        """Regression: the lazy tree build used to run unlocked, so four
+        threads sharing one cache entry (concurrent queries over one
+        engine) could each build the AABB-tree."""
         import time as _time
 
         import repro.storage.cache as cache_mod

@@ -495,7 +495,7 @@ class TestEngineTracing:
         for series in (
             "repro_cache_hits_total",
             "repro_decode_failures_total",
-            "repro_task_retries_total",
+            "repro_worker_restarts_total",
         ):
             assert series in text
 

@@ -1,4 +1,4 @@
-"""Tests for the geometry computer, pair blocks and the chunk scheduler.
+"""Tests for the geometry computer and its pair blocks.
 
 "CPU" below is the computer's per-pair blocked kernels (``cpu_block``);
 "GPU" is the fused waves of :mod:`repro.core.batch`, which pack many
@@ -13,7 +13,7 @@ from repro.core.batch import batched_any_intersect, batched_min_distances
 from repro.geometry import tri_tri_distance_batch
 from repro.index import TriangleAABBTree
 from repro.mesh import icosphere
-from repro.parallel import GeometryComputer, TaskScheduler, iter_pair_blocks
+from repro.parallel import GeometryComputer, iter_pair_blocks
 
 
 def brute_distance(tris_a, tris_b):
@@ -39,21 +39,6 @@ class TestPairBlocks:
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):
             list(iter_pair_blocks(2, 2, 0))
-
-
-class TestScheduler:
-    def test_inline_map(self):
-        assert TaskScheduler(1).map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_threaded_map_same_results(self):
-        items = list(range(50))
-        inline = TaskScheduler(1).map(lambda x: x * x, items)
-        threaded = TaskScheduler(4).map(lambda x: x * x, items)
-        assert inline == threaded
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            TaskScheduler(0)
 
 
 class TestGeometryComputer:

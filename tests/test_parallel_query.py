@@ -1,13 +1,14 @@
 """Inter-target parallel execution is an invisible optimization.
 
-The property: for every query kind, running with ``query_workers=4``
-produces byte-identical pairs (including dict insertion order),
-identical degraded-target sets, and identical merged per-LOD counters
-to the serial run — with and without injected decode faults. The chaos
-suite at the bottom extends the property to supervised process workers:
-SIGKILLed and hung workers are detected, the pool is respawned, and the
-query still answers correctly (fully, or as a sound partial with a
-``completeness`` record) — never by silently falling back to threads.
+The property: for every query kind, running with ``query_workers`` > 1
+(worker processes) produces byte-identical pairs (including dict
+insertion order), identical degraded-target sets, and identical merged
+per-LOD counters to the serial run — with and without injected decode
+faults. The chaos suite at the bottom extends the property to
+supervised workers: SIGKILLed and hung workers are detected, the pool
+is respawned, and the query still answers correctly (fully, or as a
+sound partial with a ``completeness`` record) — never by silently
+falling back to a serial run.
 """
 
 import multiprocessing
@@ -79,10 +80,12 @@ def _comparable_counters(stats):
 
 
 class TestParallelMatchesSerial:
+    """Two workers; TestProcessBackendMatchesSerial below runs four."""
+
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_clean_run_identical(self, datasets, spec):
         serial, _ = _run(datasets, spec, workers=1)
-        parallel, _ = _run(datasets, spec, workers=4)
+        parallel, _ = _run(datasets, spec, workers=2)
         assert list(parallel.pairs.items()) == list(serial.pairs.items())
         assert parallel.degraded_targets == serial.degraded_targets
         assert _comparable_counters(parallel.stats) == _comparable_counters(
@@ -92,7 +95,7 @@ class TestParallelMatchesSerial:
     @pytest.mark.parametrize("spec", FAULT_SPECS, ids=FAULT_SPEC_IDS)
     def test_faulted_run_identical(self, datasets, spec):
         serial, serial_inj = _run(datasets, spec, workers=1, injector_seed=11)
-        parallel, parallel_inj = _run(datasets, spec, workers=4, injector_seed=11)
+        parallel, _ = _run(datasets, spec, workers=2, injector_seed=11)
         assert serial_inj.counts.get("decode", 0) > 0, "no faults fired"
         assert list(parallel.pairs.items()) == list(serial.pairs.items())
         assert parallel.degraded_targets == serial.degraded_targets
@@ -109,9 +112,14 @@ class TestParallelMatchesSerial:
         assert parallel.matches == serial.matches
 
     def test_more_workers_than_targets(self, datasets):
-        spec = QuerySpec(kind="intersection", source="nuclei_b", target="nuclei_a")
+        # Workers spawn on demand, one per chunk at most: three targets
+        # under four workers start three interpreters, not one per worker.
+        spec = QuerySpec(
+            kind="intersection", source="nuclei_b", target="nuclei_a",
+            target_ids=(0, 1, 2),
+        )
         serial, _ = _run(datasets, spec, workers=1)
-        wide, _ = _run(datasets, spec, workers=64)
+        wide, _ = _run(datasets, spec, workers=4)
         assert list(wide.pairs.items()) == list(serial.pairs.items())
 
 
@@ -145,7 +153,7 @@ class TestParallelObservability:
 
 
 class TestProcessBackendMatchesSerial:
-    """serial == thread == process, for every kind, clean and faulted.
+    """serial == process, for every kind, clean and faulted.
 
     Worker processes re-derive decode faults from the injector key
     (``seed|dataset:obj:lod``), so fault injection is preserved across
@@ -157,15 +165,13 @@ class TestProcessBackendMatchesSerial:
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_clean_run_identical(self, datasets, spec):
         serial, _ = _run(datasets, spec, workers=1)
-        threads, _ = _run(datasets, spec, workers=4, backend="thread")
         procs, _ = _run(datasets, spec, workers=4, backend="process")
-        for parallel in (threads, procs):
-            assert list(parallel.pairs.items()) == list(serial.pairs.items())
-            assert parallel.degraded_targets == serial.degraded_targets
-            assert parallel.degraded_keys == serial.degraded_keys
-            assert _comparable_counters(parallel.stats) == _comparable_counters(
-                serial.stats
-            )
+        assert list(procs.pairs.items()) == list(serial.pairs.items())
+        assert procs.degraded_targets == serial.degraded_targets
+        assert procs.degraded_keys == serial.degraded_keys
+        assert _comparable_counters(procs.stats) == _comparable_counters(
+            serial.stats
+        )
 
     @pytest.mark.parametrize("spec", FAULT_SPECS, ids=FAULT_SPEC_IDS)
     def test_faulted_run_identical(self, datasets, spec):
@@ -196,15 +202,55 @@ class TestProcessBackendMatchesSerial:
         with pytest.raises(ErrorBudgetExceededError):
             engine.execute(FAULT_SPECS[0])
 
-    def test_containment_runs_on_thread_backend(self, datasets, small_scene):
-        # No target dataset to chunk by id: containment silently uses
-        # the thread path even when the process backend is configured.
+    def test_containment_runs_serially(self, datasets, small_scene, caplog):
+        # Containment has one pseudo-target, so any worker count clamps
+        # to one: no pool, no worker spans, the serial answer.
+        import logging
+
         point = tuple(small_scene.nuclei_a[0].vertices.mean(axis=0))
         spec = QuerySpec(kind="containment", source="nuclei_a", point=point)
         serial, _ = _run(datasets, spec, workers=1)
-        procs, _ = _run(datasets, spec, workers=4, backend="process")
+        engine = _build(
+            datasets, query_workers=4, query_backend="process", tracing=True
+        )
+        with caplog.at_level(logging.INFO, logger="repro"):
+            procs = engine.execute(spec)
         assert procs.pairs == serial.pairs
         assert procs.matches == serial.matches
+        [root] = engine.tracer.roots
+        assert all(child.name != "worker" for child in root.children)
+        assert not any(
+            record.getMessage() == "parallel_query" for record in caplog.records
+        )
+
+    def test_unavailable_pool_runs_serially(self, datasets, monkeypatch, caplog):
+        # A pool or transport failure reruns the whole query through the
+        # serial body: every count, the funnel included, is the serial one.
+        import logging
+
+        from repro.parallel import procpool
+
+        def unavailable(*args, **kwargs):
+            raise procpool.ProcessBackendUnavailable("no pool")
+
+        spec = FAULT_SPECS[1]
+        serial, _ = _run(datasets, spec, workers=1, injector_seed=11)
+        monkeypatch.setattr(procpool, "execute_chunks", unavailable)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            fallback, _ = _run(
+                datasets, spec, workers=4, injector_seed=11, backend="process"
+            )
+        assert serial.degraded_targets, "no faults fired"
+        assert list(fallback.pairs.items()) == list(serial.pairs.items())
+        assert fallback.degraded_targets == serial.degraded_targets
+        assert fallback.stats.funnel.as_dict() == serial.stats.funnel.as_dict()
+        assert dict(fallback.stats.face_pairs_by_lod) == dict(
+            serial.stats.face_pairs_by_lod
+        )
+        assert any(
+            record.getMessage() == "process_backend_fallback"
+            for record in caplog.records
+        )
 
     def test_probe_query_identical(self, datasets, small_scene):
         probe = small_scene.nuclei_a[0]
@@ -266,34 +312,32 @@ class TestProcessBackendObservability:
 
 
 class TestBackendResolution:
-    def test_default_is_thread(self, monkeypatch):
-        from repro.core import EngineConfig
-
-        monkeypatch.delenv("REPRO_QUERY_BACKEND", raising=False)
-        assert EngineConfig().resolve_query_backend() == "thread"
-
-    def test_env_fallback(self, monkeypatch):
-        from repro.core import EngineConfig
-
-        monkeypatch.setenv("REPRO_QUERY_BACKEND", "process")
-        assert EngineConfig().resolve_query_backend() == "process"
-        # explicit config wins over the environment
-        assert EngineConfig(query_backend="thread").resolve_query_backend() == "thread"
-
-    def test_env_validation(self, monkeypatch):
-        from repro.core import EngineConfig
-        from repro.core.errors import EngineConfigError
-
-        monkeypatch.setenv("REPRO_QUERY_BACKEND", "fork")
-        with pytest.raises(EngineConfigError):
-            EngineConfig().resolve_query_backend()
-
     def test_config_validation(self):
         from repro.core import EngineConfig
         from repro.core.errors import EngineConfigError
 
         with pytest.raises(EngineConfigError):
             EngineConfig(query_backend="fork")
+
+    def test_thread_with_workers_rejected(self):
+        from repro.core.errors import EngineConfigError
+
+        with pytest.raises(EngineConfigError, match="thread backend was removed"):
+            EngineConfig(query_backend="thread", query_workers=4)
+
+    @pytest.mark.parametrize("workers", [1, None])
+    def test_thread_keyword_still_constructs(self, workers):
+        config = EngineConfig(query_backend="thread", query_workers=workers)
+        assert config.query_backend == "thread"
+        assert EngineConfig(query_backend="process", query_workers=4)
+
+    def test_no_setting_and_no_environment_switch(self, monkeypatch):
+        from repro.core.config import SETTINGS
+
+        assert "query_backend" not in SETTINGS
+        monkeypatch.setenv("REPRO_QUERY_BACKEND", "fork")
+        monkeypatch.setenv("REPRO_QUERY_WORKERS", "4")
+        assert ThreeDPro(EngineConfig()).query_workers == 4
 
 
 def _chunk_count(datasets, spec, workers):
@@ -364,13 +408,13 @@ class TestChaosSupervision:
         )
         result, registry = self._run_chaos(datasets, injector, caplog=caplog)
         # The answer is correct and complete — retries and quarantine
-        # absorbed the crashes without a whole-query thread fallback.
+        # absorbed the crashes without a whole-query serial fallback.
         assert list(result.pairs.items()) == list(serial.pairs.items())
         assert result.complete
         assert not any(
             record.getMessage() == "process_backend_fallback"
             for record in caplog.records
-        ), "supervision must not fall back to the thread backend"
+        ), "supervision must not fall back to a serial run"
         if kills:
             assert _counter_value(registry, "repro_worker_restarts_total") >= 1
             assert any(

@@ -196,6 +196,14 @@ class TestSingleObjectForms:
 
 
 class TestCacheEviction:
+    @pytest.fixture
+    def engine(self, datasets):
+        # The parent's decode cache is what these inspect: run in-process.
+        engine = ThreeDPro(EngineConfig(paradigm="fpr", query_workers=1))
+        for dataset in datasets.values():
+            engine.load_dataset(dataset)
+        return engine
+
     def test_evict_dataset_removes_entries(self, engine):
         engine.intersection_join("nuclei_a", "nuclei_b")
         assert any(key[0] == "nuclei_b" for key in engine.cache._entries)

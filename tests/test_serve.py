@@ -41,8 +41,13 @@ def _engine(datasets, **config_kwargs):
 
 @pytest.fixture(scope="module")
 def served(datasets):
-    """One HTTP server over the shared datasets, plus a local twin engine."""
-    engine = _engine(datasets)
+    """One HTTP server over the shared datasets, plus a local twin engine.
+
+    The server refines in-process whatever ``REPRO_QUERY_WORKERS`` says:
+    its live-hook stream test needs that. Process-backend serving is
+    covered by TestProcessBackendStreaming and ``scripts/serve_smoke.py``.
+    """
+    engine = _engine(datasets, query_workers=1)
     server = make_server(engine, port=0, max_inflight=4, max_queue=8)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -184,14 +189,15 @@ class TestCoalescing:
 
     def test_coalesced_pair_costs_one_decode_fanout(self, datasets):
         """Decode-cache misses for a coalesced pair == one cold run's misses."""
-        solo = _engine(datasets)
+        # The parent's decode cache is what this counts: run in-process.
+        solo = _engine(datasets, query_workers=1)
         spec = QuerySpec(kind="within", source="nuclei_b", target="nuclei_a",
                          distance=2.0)
         solo.execute(spec)
         solo_misses = solo.cache.misses
         assert solo_misses > 0
 
-        engine = _engine(datasets)
+        engine = _engine(datasets, query_workers=1)
         service = QueryService(engine, max_inflight=4, max_queue=8)
         payload = spec.to_wire()
         started = threading.Event()
@@ -344,8 +350,8 @@ class TestStreamingUnits:
         assert len(chunks) == before
 
     def test_stream_with_live_hook_has_no_catchup_frames(self, served):
-        """Thread/serial backends emit everything live; lod=null only
-        appears for backends that strip the in-process hook."""
+        """Serial refinement emits everything live; lod=null only
+        appears when process workers strip the in-process hook."""
         remote, _, _ = served
         spec = QuerySpec(kind="within", source="nuclei_b", target="nuclei_a",
                          distance=2.0)

@@ -275,7 +275,6 @@ class TestCrossVersionAnswers:
         for flavor in self.FLAVORS:
             for backend in (
                 {"query_workers": 1},
-                {"query_workers": 4, "query_backend": "thread"},
                 {"query_workers": 2, "query_backend": "process"},
             ):
                 result, _ = faulted(flavor, **backend)
