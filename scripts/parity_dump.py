@@ -15,28 +15,33 @@ process×2) × faults (clean, ``FaultInjector(seed=11,
 decode_error_rate=0.3)``) × paradigm (fpr, fr) × acceleration (none,
 partition, aabb) over one small seeded tissue scene. Each run dumps its
 pairs, degraded targets and keys, both pair ledgers, the funnel,
-``face_pairs_by_lod``, the progress frames each group refinement emits
-and the ``refine`` span sequence (query, lod, survivors, settled) of
-each group.
+``face_pairs_by_lod``, the progress frames each group refinement emits,
+the ``refine`` span sequence (query, lod, survivors, settled) of each
+group, and a hash of every value vector
+``repro.core.batch.batched_min_distances`` returns with
+``stop_below == 0`` — the exact minima NN ranges and kNN bounds are
+tightened from, which the pairs alone show only at the top k.
 
 Parallel runs are made order-free where scheduling decides the order
 and nothing else: the funnel drops its cache and decode-volume fields
 (per-worker caches), and per-group frame and span lists are sorted.
-Process workers run in other interpreters, so their frames are not
-recorded (their spans are: workers ship span trees back).
+Process workers run in other interpreters, so their frames and value
+vectors are not recorded (their spans are: workers ship span trees
+back).
 
 The only argument is the output path. Takes a few minutes on one core.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from itertools import product
 
 from repro.compression import PPVPEncoder
 from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
-from repro.core import plan
+from repro.core import batch, plan
 from repro.datagen import make_tissue_scene
 from repro.datagen.vessels import VesselSpec
 from repro.faults import FaultInjector
@@ -128,6 +133,40 @@ class FrameRecorder:
             strategy.group_refine = original
 
 
+class ValueRecorder:
+    """Hashes every value vector ``batched_min_distances`` returns with
+    ``stop_below == 0``, in call order (``float.hex``, so bit-exact).
+
+    The refine layer looks the function up on :mod:`repro.core.batch`
+    at call time, so patching the module attribute sees every call made
+    in this interpreter.
+    """
+
+    def __init__(self):
+        self.calls = 0
+        self.digest = hashlib.sha256()
+
+    def __enter__(self):
+        self._original = original = batch.batched_min_distances
+
+        def recorded(computer, jobs, stop_below=0.0, **kwargs):
+            values = original(computer, jobs, stop_below=stop_below, **kwargs)
+            if stop_below == 0.0:
+                self.calls += 1
+                self.digest.update(" ".join(float(v).hex() for v in values).encode())
+                self.digest.update(b"\n")
+            return values
+
+        batch.batched_min_distances = recorded
+        return self
+
+    def __exit__(self, *exc):
+        batch.batched_min_distances = self._original
+
+    def as_dict(self) -> dict:
+        return {"calls": self.calls, "sha256": self.digest.hexdigest()}
+
+
 def _plain(value):
     """JSON-stable form: tuples become lists, floats keep their repr."""
     if isinstance(value, (list, tuple)):
@@ -164,11 +203,12 @@ def run_one(datasets, spec, config, parallel: bool) -> dict:
     for dataset in datasets.values():
         engine.load_dataset(dataset)
     recorder = FrameRecorder()
-    if parallel:
-        result = engine.execute(spec)
-    else:
-        with recorder:
+    with ValueRecorder() as values:
+        if parallel:
             result = engine.execute(spec)
+        else:
+            with recorder:
+                result = engine.execute(spec)
     funnel = result.stats.funnel.as_dict()
     if parallel:
         for stage in funnel.get("stages", {}).values():
@@ -191,6 +231,7 @@ def run_one(datasets, spec, config, parallel: bool) -> dict:
         "funnel": _plain(funnel),
         "frames": frames,
         "refine_spans": spans,
+        "min_distance_values": values.as_dict(),
     }
 
 

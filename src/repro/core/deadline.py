@@ -19,8 +19,10 @@ between the request thread and the query (``QuerySpec.cancellation``)
 and call :meth:`CancellationToken.cancel` from anywhere — the query
 unwinds at its next checkpoint with ``reason="cancelled"``. Tokens are
 in-process objects (they hold no cross-process plumbing); the process
-backend instead re-buds each worker's remaining wall-clock budget at
-chunk submission time.
+backend re-budgets each worker's remaining wall-clock budget at chunk
+submission time, and its supervisor polls the token itself — once it
+fires, the pool is killed and every pending chunk reruns in the parent,
+where the token stops it at its first checkpoint.
 """
 
 from __future__ import annotations

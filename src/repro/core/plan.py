@@ -109,7 +109,8 @@ class QuerySpec:
     # Optional repro.core.deadline.CancellationToken; cancelling it
     # unwinds the query at its next checkpoint with a partial result.
     # In-process only: the process backend strips it from worker specs
-    # (workers get a re-budgeted deadline_ms instead).
+    # (workers get a re-budgeted deadline_ms instead) and its supervisor
+    # polls it, rerunning pending chunks in the parent once it fires.
     cancellation: object = None
     # Optional progressive-results callback ``(target_id, lod, matches)``
     # invoked as refinement confirms pairs (the serve layer's streaming

@@ -129,6 +129,10 @@ _PER_QUERY_SERIES = (
     "repro_funnel_decode_failures_total",
 )
 
+#: Seconds between reads of a query's cancellation token while its
+#: chunks run in the pool.
+_CANCEL_POLL = 0.05
+
 #: Worker-side engine cache size. Engines are keyed by (config, dataset
 #: manifests); a handful covers a test session's distinct configurations
 #: while bounding worker memory.
@@ -200,7 +204,7 @@ class QuarantinedChunk:
 
     index: int
     targets: tuple
-    reason: str  # "attempts_exhausted" | "circuit_breaker"
+    reason: str  # "attempts_exhausted" | "circuit_breaker" | "cancelled"
 
 
 # -- parent side ---------------------------------------------------------------
@@ -448,9 +452,13 @@ def _chunk_spec(plan, chunk, deadline):
     """The chunk's restricted spec, deadline re-budgeted at submit time.
 
     Tokens hold no cross-process plumbing, so ``cancellation`` is
-    stripped; the worker gets the parent's *remaining* milliseconds
-    instead (floored at 1ms — an already-expired budget still yields a
-    well-formed empty partial from the worker's first checkpoint).
+    stripped: the parent's supervision loop polls the token instead and,
+    once it fires, kills the pool and quarantines every pending chunk
+    with reason ``"cancelled"`` — their parent-side bodies see the token
+    at their first checkpoint. The worker gets the parent's *remaining*
+    milliseconds (floored at 1ms — an already-expired budget still
+    yields a well-formed empty partial from the worker's first
+    checkpoint).
     ``progress`` callbacks are in-process-only for the same reason —
     consumers needing per-LOD streaming under this backend rely on the
     serve layer's catch-up flush after the merged result lands.
@@ -477,7 +485,13 @@ def _heartbeat_age(path: str) -> float | None:
 
 
 def _supervise(engine, plan, chunks, deadline, config, manifests, engine_key):
-    """Submit, watch, retry, quarantine: the chunk supervision loop."""
+    """Submit, watch, retry, quarantine: the chunk supervision loop.
+
+    With a cancellation token on the query, ``wait`` times out at least
+    every :data:`_CANCEL_POLL` seconds to read it; once it fires the loop
+    submits nothing more, kills the pool and quarantines every pending
+    chunk with reason ``"cancelled"``.
+    """
     from repro.core.errors import EngineError
 
     executor = engine.executor
@@ -491,6 +505,7 @@ def _supervise(engine, plan, chunks, deadline, config, manifests, engine_key):
     pending = set(range(len(chunks)))
     heartbeats: dict[int, str] = {}
     pool_failures = 0
+    watch_token = deadline is not None and deadline.token is not None
 
     def quarantine(index: int, reason: str) -> None:
         outcomes[index] = QuarantinedChunk(
@@ -523,7 +538,14 @@ def _supervise(engine, plan, chunks, deadline, config, manifests, engine_key):
             pass
         _kill_pool()
 
+    def cancel_pending() -> None:
+        for index in sorted(pending):
+            quarantine(index, "cancelled")
+
     while pending:
+        if watch_token and deadline.cancelled:
+            cancel_pending()
+            break
         # Retire chunks out of attempts, or everything once the breaker
         # trips — resubmitting to a pool that keeps dying only burns time.
         if pool_failures >= breaker:
@@ -564,6 +586,8 @@ def _supervise(engine, plan, chunks, deadline, config, manifests, engine_key):
             continue
 
         poll = None if hang_timeout is None else max(0.05, hang_timeout / 4.0)
+        if watch_token:
+            poll = _CANCEL_POLL if poll is None else min(poll, _CANCEL_POLL)
         outstanding = set(futures)
         broken = False
         while outstanding and not broken:
@@ -593,6 +617,10 @@ def _supervise(engine, plan, chunks, deadline, config, manifests, engine_key):
                     outcomes[index] = outcome
                     pending.discard(index)
             if broken or not outstanding:
+                break
+            if watch_token and deadline.cancelled:
+                _kill_pool()
+                cancel_pending()
                 break
             if hang_timeout is not None:
                 hung = [

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
+from repro.core import batch as batch_module
 from repro.core.batch import (
     _FaceTables,
     _lane_gap_sq,
@@ -325,6 +326,177 @@ class TestWithinCap:
             assert (value <= distance) == (exact <= distance)
         # The far-apart job's every lane is capped: nothing is evaluated.
         assert exhaustive[1] > distance and capped[1] == math.inf
+
+
+def _tied_corners(rng, jobs, n, offset):
+    """Jobs of ``n`` corner-facing lanes that share one gap vector.
+
+    Within a job, face ``k`` of each side faces its partner across the
+    same nominal gap (first vertices at the facing corners, so the
+    distance is exactly the box gap's norm); the partners sit 3 units
+    apart along y. The lanes' distances differ only by rounding, so
+    the realized first-vertex distance ``U`` found for one of them is
+    within an ulp or two of every other lane's distance — where a cap
+    at ``U`` without the pad drops the lane the kernel places lowest.
+    """
+    out = []
+    for _ in range(jobs):
+        gap = 10.0 ** rng.uniform(-9, 0, size=3)
+        gap[rng.integers(0, 3)] = 0.0
+        tips = offset + rng.uniform(0.0, 1.0, size=(n, 3)) + np.arange(n)[:, None] * [0.0, 3.0, 0.0]
+        facing = tips + gap
+        tris_a = tips[:, None] - rng.uniform(0.0, 1.0, size=(n, 3, 3))
+        tris_b = facing[:, None] + rng.uniform(0.0, 1.0, size=(n, 3, 3))
+        tris_a[:, 0] = tips
+        tris_b[:, 0] = facing
+        out.append((tris_a, tris_b))
+    return out
+
+
+class TestFacePrescreen:
+    """Faces are screened against the other set's box before their lanes
+    reach the buffers. With ``stop_below == 0`` every value stays the
+    job's exact minimum, within and intersection verdicts are unchanged,
+    and the lanes counted before screening (``stats["pairs"]``, each
+    flush's ``_note_batch`` and checkpoint) are those of an unscreened
+    run."""
+
+    @staticmethod
+    def _unscreened_min(jobs):
+        out = []
+        for a, b in jobs:
+            if len(a) == 0 or len(b) == 0:
+                out.append(math.inf)
+                continue
+            lanes_a = np.repeat(a, len(b), axis=0)
+            lanes_b = np.tile(b, (len(a), 1, 1))
+            out.append(float(
+                tri_tri_distance_batch(lanes_a, lanes_b, check_intersection=False).min()
+            ))
+        return out
+
+    @staticmethod
+    def _scenes(offset):
+        """Seeded soups plus the corner-facing, flat-shadow, coplanar and
+        integer-grid lanes ``TestWithinCap`` builds, grouped into
+        multi-face jobs, all shifted by ``offset``. Most jobs span more
+        than one 64-lane sub-block, so their faces are screened; the
+        rest run the lane screen alone."""
+        rng = np.random.default_rng(17)
+        jobs = [(a + offset, b + offset) for a, b in _jobs(rng)]
+        jobs += [
+            (_soup(rng, n, (offset, offset, 0)), _soup(rng, m, (offset + dx, offset, dz)))
+            for n, m, dx, dz in [(30, 40, 3.0, 0.0), (25, 25, 0.5, 2.5), (50, 8, 6.0, 1.0)]
+        ]
+        separated_a, separated_b = _axis_separated(rng, 240, offset)
+        coplanar_a, coplanar_b = _coplanar(rng, 60)
+        grid_a, grid_b = _grid_touching()
+        for tris_a, tris_b, width in [
+            (separated_a, separated_b, 6),
+            (separated_a, separated_b, 12),
+            (coplanar_a + offset, coplanar_b + offset, 10),
+            (grid_a + offset, grid_b + offset, 1),
+        ]:
+            jobs += [
+                (tris_a[i:i + width], tris_b[i:i + width])
+                for i in range(0, len(tris_a), width)
+            ]
+        jobs += _tied_corners(rng, 60, 6, offset) + _tied_corners(rng, 60, 9, offset)
+        return jobs
+
+    @staticmethod
+    def _unmasked(monkeypatch):
+        """Switch the face screen (and NN's lane cap) off: the old path."""
+        monkeypatch.setattr(
+            _FaceTables, "face_masks",
+            lambda self, caps: tuple(np.ones(len(rows), dtype=bool) for rows, _ in self.rows),
+        )
+        monkeypatch.setattr(
+            _FaceTables, "nearest_caps", lambda self: np.full(len(self.side_a), np.inf)
+        )
+
+    @staticmethod
+    def _accounted(computer, run):
+        """``run(stats, checkpoint)``'s result, pairs, flush sizes, ticks."""
+        sizes, ticks, stats = [], [], {}
+        original = computer._note_batch
+        computer._note_batch = lambda size: (sizes.append(size), original(size))
+        try:
+            result = run(stats, lambda: ticks.append(1))
+        finally:
+            del computer._note_batch
+        return result, stats["pairs"], sizes, len(ticks)
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0, 1000.0])
+    def test_nearest_values_are_exact(self, computer, offset):
+        jobs = self._scenes(offset)
+        got = batched_min_distances(computer, jobs)
+        assert got == self._unscreened_min(jobs)
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0, 1000.0])
+    def test_within_and_intersection_verdicts_unchanged(self, computer, offset):
+        jobs = self._scenes(offset)
+        reference = self._unscreened_min(jobs)
+        for distance in (1e-9, 0.05, 0.5, 2.0):
+            got = batched_min_distances(computer, jobs, stop_below=distance)
+            assert [v <= distance for v in got] == [r <= distance for r in reference]
+        expected = [
+            bool(tri_tri_intersect_batch(
+                np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1))
+            ).any()) if len(a) and len(b) else False
+            for a, b in jobs
+        ]
+        assert batched_any_intersect(computer, jobs) == expected
+
+    def test_accounting_matches_the_unscreened_run(self, computer, monkeypatch):
+        jobs = self._scenes(0.0)
+        runs = {
+            "nn": lambda stats, tick: batched_min_distances(
+                computer, jobs, stats=stats, checkpoint=tick),
+            "within": lambda stats, tick: [
+                v <= 0.5 for v in batched_min_distances(
+                    computer, jobs, stop_below=0.5, stats=stats, checkpoint=tick)
+            ],
+            "intersection": lambda stats, tick: batched_any_intersect(
+                computer, jobs, stats=stats, checkpoint=tick),
+        }
+        screened = {name: self._accounted(computer, run) for name, run in runs.items()}
+        self._unmasked(monkeypatch)
+        for name, run in runs.items():
+            assert screened[name] == self._accounted(computer, run), name
+
+    def test_faces_are_dropped_before_the_kernel(self, computer, monkeypatch):
+        rng = np.random.default_rng(18)
+        jobs = [(_soup(rng, 40, (0, 0, 0)), _soup(rng, 40, (6, 0, 0))) for _ in range(4)]
+        lanes = []
+        original = batch_module.tri_tri_distance_batch
+
+        def counting(tris_a, tris_b, **kwargs):
+            lanes.append(len(tris_a))
+            return original(tris_a, tris_b, **kwargs)
+
+        monkeypatch.setattr(batch_module, "tri_tri_distance_batch", counting)
+        screened = batched_min_distances(computer, jobs)
+        kernel_lanes = sum(lanes)
+        lanes.clear()
+        self._unmasked(monkeypatch)
+        assert batched_min_distances(computer, jobs) == screened
+        assert kernel_lanes < sum(lanes)
+
+    def test_shared_target_is_tabled_once(self):
+        rng = np.random.default_rng(19)
+        target = _soup(rng, 9, (0, 0, 0))
+        sources = [_soup(rng, 4 + i, (3 * i, 0, 0)) for i in range(12)]
+        faces = _FaceTables([(target, tris) for tris in sources], block=1)
+        assert len(faces.tris) == 9 + sum(len(tris) for tris in sources)
+        assert [row_a for row_a, _ in faces.offsets] == [0] * 12
+        set_lo, set_hi = faces.set_boxes
+        assert np.array_equal(set_lo[0], target.min(axis=(0, 1)))
+        assert np.array_equal(set_hi[0], target.max(axis=(0, 1)))
+        # Each job still gets its own mask over the shared rows.
+        keep_a, keep_b = faces.face_masks(faces.nearest_caps())
+        assert len(keep_a) == 12 * 9
+        assert len(keep_b) == sum(len(tris) for tris in sources)
 
 
 class TestKthSmallestProperties:

@@ -233,6 +233,39 @@ class TestPartialResults:
         assert comp.targets_finished == 0
         assert comp.targets_unstarted == comp.targets_total
 
+    def test_process_cancel_returns_partial(self, datasets):
+        # The supervisor reads the token: a cancelled query quarantines
+        # its pending chunks, whose parent-side runs stop at their first
+        # checkpoint — the serial path's partial shape.
+        full = _build(datasets).execute(SPECS[0])
+        token = CancellationToken()
+        token.cancel()
+        engine = _build(datasets, query_workers=2)
+        result = engine.execute(replace(SPECS[0], cancellation=token))
+        _assert_sound_subset(result, full)
+        _assert_completeness_arithmetic(result)
+        comp = result.completeness
+        assert not comp.complete
+        assert comp.reason == "cancelled"
+        assert result.pairs == {}
+        assert comp.targets_finished == 0
+
+    def test_process_cancel_in_flight_is_sound_subset(self, datasets):
+        spec = SPECS[3]
+        full = _build(datasets).execute(spec)
+        token = CancellationToken()
+        engine = _build(datasets, query_workers=2)
+        timer = threading.Timer(0.2, token.cancel)
+        timer.start()
+        try:
+            result = engine.execute(replace(spec, cancellation=token))
+        finally:
+            timer.cancel()
+        _assert_sound_subset(result, full)
+        _assert_completeness_arithmetic(result)
+        if not result.complete:
+            assert result.completeness.reason == "cancelled"
+
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_process_partial_is_sound_subset(self, datasets, spec):
         serial = _build(datasets)
