@@ -14,19 +14,22 @@ the checked-in golden set:
 4. with tracing disabled the engine hands out only the shared no-op span
    and a join is not substantially slower than the traced run (overhead
    smoke check — generous bound, this is not a benchmark);
-5. a fault-injected join keeps the pairs ledger consistent: per LOD,
-   pairs pruned never exceed pairs evaluated, and every confirmed result
-   was evaluated somewhere — including MBB-fallback confirmations;
+5. a fault-injected join keeps the pairs ledger (``pairs_*_by_lod``,
+   read-only views of the funnel) consistent: per LOD, pairs pruned
+   never exceed pairs evaluated, and every confirmed result was
+   evaluated somewhere — including MBB-fallback confirmations;
 6. a deadline-bounded join reports a ``completeness`` record whose
    arithmetic adds up, whose pairs are a sound subset of the undeadlined
    answer, and whose partiality agrees with the root span attributes and
    the ``repro_deadline_exceeded_total`` counter;
-7. the refinement funnel reconciles with the pairs ledger and the query
-   stats on every query kind — stages are monotonic (settled never
-   exceeds evaluated, the confirmed/rejected/degraded split sums to
-   settled), per-LOD evaluated/settled equal the ledger exactly, and the
-   funnel's total confirmations equal ``stats.results`` — including on a
-   fault-injected run and under the active query backend.
+7. the refinement funnel reconciles with the query stats on every query
+   kind — stages are monotonic (settled never exceeds evaluated, the
+   confirmed/rejected/degraded split sums to settled), candidates match,
+   and the funnel's total confirmations equal ``stats.results`` —
+   including on a fault-injected run and under the active query backend;
+   and two queries run at once on two threads of one serial engine
+   (cache off) each report exactly their own cache traffic: each
+   result's ``cache_hits`` / ``cache_misses`` equal its funnel's.
 
 The numbers are the order ``main()`` runs the checks in.
 
@@ -297,6 +300,63 @@ def check_funnel(datasets) -> None:
     )
     degraded = sum(s.degraded for s in result.funnel.stages.values())
     check(degraded > 0, f"faulted join books degraded settlements ({degraded})")
+    check_concurrent_accounts(datasets)
+
+
+def check_concurrent_accounts(datasets) -> None:
+    """Two queries sharing one serial engine keep separate accounts."""
+    import threading
+
+    from repro.core.plan import QuerySpec
+
+    engine = ThreeDPro(
+        EngineConfig(metrics=MetricsRegistry(), query_workers=1, cache_enabled=False)
+    )
+    for dataset in datasets.values():
+        engine.load_dataset(dataset)
+    # Both decode, so each would see the other's misses if its account
+    # were read off engine-wide counters.
+    specs = [
+        QuerySpec(kind="nn", source="nuclei_a", target="vessels"),
+        QuerySpec(kind="within", source="vessels", target="nuclei_a", distance=40.0),
+    ]
+    results = {}
+    start = threading.Barrier(len(specs), timeout=60)
+
+    def run(spec) -> None:
+        start.wait()
+        results[spec.kind] = engine.execute(spec)
+
+    threads = [threading.Thread(target=run, args=(spec,)) for spec in specs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    check(
+        not any(thread.is_alive() for thread in threads),
+        "concurrent queries finished",
+    )
+    for spec in specs:
+        result = results.get(spec.kind)
+        if result is None:
+            check(False, f"concurrent {spec.kind}: query raised")
+            continue
+        stats, stages = result.stats, result.funnel.stages.values()
+        own = (
+            sum(stage.cache_hits for stage in stages),
+            sum(stage.cache_misses for stage in stages),
+        )
+        check(
+            (stats.cache_hits, stats.cache_misses) == own,
+            f"concurrent {spec.kind}: cache hits/misses "
+            f"{(stats.cache_hits, stats.cache_misses)} == its funnel's {own}",
+        )
+        violations = result.funnel.violations(stats, strict=True)
+        check(
+            not violations,
+            f"concurrent {spec.kind}: funnel reconciles"
+            + ("" if not violations else f" -- {violations}"),
+        )
 
 
 def main() -> int:
@@ -313,7 +373,7 @@ def main() -> int:
         ("degraded-run pairs ledger", lambda: check_pairs_ledger(datasets)),
         ("deadline-bounded partial result consistency",
          lambda: check_partial_completeness(datasets, result)),
-        ("refinement funnel vs pairs ledger / query stats",
+        ("refinement funnel vs query stats, concurrent accounts",
          lambda: check_funnel(datasets)),
     ]
     for number, (title, run) in enumerate(checks, start=1):

@@ -147,10 +147,6 @@ class ThreeDPro:
     def dataset_names(self) -> list[str]:
         return sorted(self._datasets)
 
-    def dataset_provider(self, name: str) -> DecodedObjectProvider:
-        """The decode provider behind a loaded dataset (counter inspection)."""
-        return self._get(name).provider
-
     # -- profiling ---------------------------------------------------------------
 
     def take_profile(self) -> ProfileReport | None:

@@ -11,8 +11,9 @@ runs each target as a group of one so its frames stay target-major.
 
 The executor owns the cross-cutting machinery the five old drivers each
 re-implemented: phase timing (`TimedPhase` keeps `QueryStats` and the
-span tree in lockstep), per-query stats snapshots/attribution,
-degraded-target tracking, the root query span, and the query metrics.
+span tree in lockstep, and the decode recorded inside the compute phase
+is booked as decode), degraded-target tracking, the root query span, and
+the query metrics.
 
 A query runs one of two ways. With one worker it runs serially, in
 this process. With ``EngineConfig.query_workers > 1`` the targets are
@@ -145,10 +146,6 @@ class QueryExecutor:
     def tracer(self):
         return self.engine.tracer
 
-    @property
-    def cache(self):
-        return self.engine.cache
-
     # -- driving ---------------------------------------------------------------
 
     def run(self, plan: QueryPlan) -> QueryResult:
@@ -171,8 +168,7 @@ class QueryExecutor:
             profiler.stop()
 
     def _run(self, plan: QueryPlan) -> QueryResult:
-        providers = plan.providers
-        stats = self._new_stats(plan.label, providers)
+        stats = QueryStats(query=plan.label, config_label=self.config.label)
         started = time.perf_counter()
         tids = plan.strategy.target_ids(plan)
         workers = min(self.engine.query_workers, max(1, len(tids)))
@@ -207,7 +203,7 @@ class QueryExecutor:
         completeness = self._completeness(
             len(tids), finished, inflight, reason, stats, deadline
         )
-        self._finish_stats(stats, started, providers, root)
+        self._finish_stats(stats, started, root)
         self._emit_attribution(plan, stats, completeness, root)
         if not completeness.complete:
             self._note_partial(stats, completeness, root)
@@ -381,6 +377,7 @@ class QueryExecutor:
             # Interrupted while filtering: nothing refined and nothing
             # committed, so every target of this group counts unstarted.
             return 0, 0, exc
+        decode_before = stats.decode_seconds
         try:
             with TimedPhase(self.tracer, stats, "compute", targets=len(items)):
                 states = strategy.group_refine(plan, ctx, items)
@@ -395,6 +392,10 @@ class QueryExecutor:
         else:
             outcomes = [(state.touched, state.results) for state in states]
             finished, interrupt = len(items), None
+        finally:
+            # Cache-miss decodes ran inside the compute phase; Fig. 10
+            # books them as decode, so compute keeps only the rest.
+            stats.compute_seconds -= stats.decode_seconds - decode_before
         for (tid, candidates), (touched, matches) in zip(items, outcomes):
             if touched:
                 degraded_targets.add(tid)
@@ -549,35 +550,12 @@ class QueryExecutor:
             heartbeat=self.heartbeat,
         )
 
-    def _new_stats(self, query: str, providers=()) -> QueryStats:
-        stats = QueryStats(query=query, config_label=self.config.label)
-        stats.cache_hits = -self.cache.hits
-        stats.cache_misses = -self.cache.misses
-        stats.decode_seconds_base = sum(p.decode_seconds for p in providers)
-        stats.decode_failures_base = sum(p.decode_failures for p in providers)
-        return stats
-
-    def _finish_stats(self, stats: QueryStats, started: float, providers, root=None) -> None:
+    def _finish_stats(self, stats: QueryStats, started: float, root=None) -> None:
         # When tracing, the root span's wall clock IS total_seconds — the
         # stats summary is populated from the trace, never in parallel.
         wall = getattr(root, "wall_seconds", None) if root is not None else None
         stats.total_seconds = (
             wall if wall is not None else time.perf_counter() - started
-        )
-        stats.cache_hits += self.cache.hits
-        stats.cache_misses += self.cache.misses
-        # Accumulate (not overwrite) this engine's provider deltas: under
-        # the process backend the merged worker chunk stats already carry
-        # their engines' decode time / failures / vertices, and this
-        # engine's own providers contribute nothing (the filter phase is
-        # index-only). Serial runs are unchanged — their pre-merge values
-        # for these fields are zero.
-        decode = sum(p.decode_seconds for p in providers) - stats.decode_seconds_base
-        stats.decode_seconds += decode
-        stats.compute_seconds = max(0.0, stats.compute_seconds - decode)
-        stats.decoded_vertices += sum(p.decoded_vertices for p in providers)
-        stats.decode_failures += (
-            sum(p.decode_failures for p in providers) - stats.decode_failures_base
         )
         if root is not None and root.enabled:
             root.set(

@@ -470,12 +470,6 @@ class QueryPlan:
     def label(self) -> str:
         return self.spec.label
 
-    @property
-    def providers(self) -> tuple:
-        if self.spec.kind == "containment":
-            return (self.source.provider,)
-        return (self.target.provider, self.source.provider)
-
 
 # -- candidate-merging helpers (shared by the filter strategies) ---------------
 

@@ -180,13 +180,12 @@ class RefineContext:
             self.heartbeat()
         self.checkpoint("refine_batch")
 
-    # -- pairs ledger + funnel (single-writer, agree by construction) -----------
+    # -- the pairs ledger (the funnel's per-LOD stages) --------------------------
 
     def ledger_evaluated(self, lod: int, n: int) -> None:
-        """Charge ``n`` pairs as refined at ``lod`` (ledger + funnel)."""
+        """Charge ``n`` pairs as refined at ``lod``."""
         if not n:
             return
-        self.stats.pairs_evaluated_by_lod[lod] += n
         self.stats.funnel.stage(lod).evaluated += n
 
     def ledger_settled(
@@ -196,14 +195,12 @@ class RefineContext:
 
         ``confirmed`` became results, ``rejected`` are definite
         non-results, ``degraded`` were settled (dropped or confirmed via
-        an upper bound) on degraded geometry. The sum lands on
-        ``pairs_pruned_by_lod`` and the split on the funnel stage, so the
-        two can never drift apart.
+        an upper bound) on degraded geometry. The sum is the stage's
+        ``settled`` (read back as ``stats.pairs_pruned_by_lod``).
         """
         settled = confirmed + rejected + degraded
         if not settled:
             return
-        self.stats.pairs_pruned_by_lod[lod] += settled
         stage = self.stats.funnel.stage(lod)
         stage.settled += settled
         stage.confirmed += confirmed
@@ -250,7 +247,7 @@ class RefineContext:
                 obj_id,
                 min(lod, self.target_provider.max_lod(obj_id)),
                 deadline=self.deadline,
-                funnel=self.stats.funnel,
+                stats=self.stats,
             )
         except DecodeFailureError:
             self.note_degraded("target", obj_id)
@@ -265,7 +262,7 @@ class RefineContext:
                 obj_id,
                 min(lod, self.source_provider.max_lod(obj_id)),
                 deadline=self.deadline,
-                funnel=self.stats.funnel,
+                stats=self.stats,
             )
         except DecodeFailureError:
             self.note_degraded("source", obj_id)

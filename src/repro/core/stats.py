@@ -7,6 +7,14 @@ material of the paper's evaluation artifacts:
 * object pairs evaluated and pruned per LOD (Fig. 12 and the Section 4.4
   LOD-selection rule),
 * face-pair kernel counts and cache hit/miss counters (Table 2).
+
+One query, one account: the decode provider records each call's cache
+traffic, decode time, failures and decoded vertices on the stats of the
+query that made it, and the per-LOD pair ledger lives only in the
+:class:`~repro.obs.funnel.QueryFunnel` — ``pairs_evaluated_by_lod``,
+``pairs_pruned_by_lod``, ``cache_hits`` and ``cache_misses`` are
+read-only views of it. Every other field is a plain total, so chunk
+stats merge as sums.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.core.jsonsafe import json_safe
 from repro.obs.funnel import QueryFunnel
@@ -22,11 +31,11 @@ from repro.obs.funnel import QueryFunnel
 __all__ = ["QueryStats"]
 
 #: Scalar fields that round-trip through ``as_dict``/``from_dict``
-#: unchanged (the per-LOD ledgers and the funnel are handled apart).
+#: unchanged (``face_pairs_by_lod`` and the funnel are handled apart).
 _SCALAR_FIELDS = (
     "total_seconds", "filter_seconds", "decode_seconds", "compute_seconds",
     "targets", "candidates", "results", "decoded_vertices",
-    "cache_hits", "cache_misses", "degraded_objects", "decode_failures",
+    "degraded_objects", "decode_failures",
 )
 
 
@@ -46,17 +55,12 @@ class QueryStats:
     candidates: int = 0
     results: int = 0
 
-    # Object-pair flow per LOD (Fig. 12): evaluated[l] pairs were refined
-    # at LOD l; pruned[l] of them were settled (result or discard) there.
-    pairs_evaluated_by_lod: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    pairs_pruned_by_lod: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-
     # Face-pair kernel work, per LOD.
     face_pairs_by_lod: dict[int, int] = field(default_factory=lambda: defaultdict(int))
 
+    # Records reinserted by this query's cache-miss decodes, each
+    # charged from the base mesh to the served LOD.
     decoded_vertices: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     # Degraded-mode accounting: distinct objects whose geometry was
     # served below the requested fidelity (LOD fallback, salvage, or
@@ -64,15 +68,9 @@ class QueryStats:
     degraded_objects: int = 0
     decode_failures: int = 0
 
-    # Snapshots of the providers' cumulative decode time / failure count
-    # taken when the query starts; the engine uses them to attribute the
-    # per-query deltas.
-    decode_seconds_base: float = 0.0
-    decode_failures_base: int = 0
-
-    # Refinement-funnel telemetry: per-LOD evaluated/settled splits and
-    # decode traffic, written through RefineContext's ledger_* helpers so
-    # it agrees with the pairs ledger above by construction.
+    # Refinement funnel: the one per-LOD pair ledger (written through
+    # RefineContext's ledger_* helpers) plus the decode traffic the
+    # provider charges to each requested LOD.
     funnel: QueryFunnel = field(default_factory=QueryFunnel)
 
     @contextmanager
@@ -90,6 +88,33 @@ class QueryStats:
     @property
     def face_pairs_total(self) -> int:
         return sum(self.face_pairs_by_lod.values())
+
+    # -- read-only views of the funnel ---------------------------------------
+
+    @property
+    def pairs_evaluated_by_lod(self) -> MappingProxyType:
+        """Pairs refined per LOD (Fig. 12): the funnel's ``evaluated``."""
+        return self._stage_view("evaluated")
+
+    @property
+    def pairs_pruned_by_lod(self) -> MappingProxyType:
+        """Pairs settled (result or discard) per LOD: the funnel's ``settled``."""
+        return self._stage_view("settled")
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(stage.cache_hits for stage in self.funnel.stages.values())
+
+    @property
+    def cache_misses(self) -> int:
+        return sum(stage.cache_misses for stage in self.funnel.stages.values())
+
+    def _stage_view(self, name: str) -> MappingProxyType:
+        return MappingProxyType({
+            lod: getattr(stage, name)
+            for lod, stage in sorted(self.funnel.stages.items())
+            if getattr(stage, name)
+        })
 
     @property
     def other_seconds(self) -> float:
@@ -119,14 +144,8 @@ class QueryStats:
         self.candidates += other.candidates
         self.results += other.results
         self.decoded_vertices += other.decoded_vertices
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
         self.degraded_objects += other.degraded_objects
         self.decode_failures += other.decode_failures
-        for lod, count in other.pairs_evaluated_by_lod.items():
-            self.pairs_evaluated_by_lod[lod] += count
-        for lod, count in other.pairs_pruned_by_lod.items():
-            self.pairs_pruned_by_lod[lod] += count
         for lod, count in other.face_pairs_by_lod.items():
             self.face_pairs_by_lod[lod] += count
         self.funnel.merge(other.funnel)
@@ -162,11 +181,12 @@ class QueryStats:
     def from_dict(cls, payload: dict) -> "QueryStats":
         """Rebuild stats from :meth:`as_dict` output (the wire round trip).
 
-        Accepts per-LOD ledger keys as ints or decimal strings — JSON
-        stringifies object keys — and restores the funnel, so the
-        ledger/funnel conservation invariants survive a serialize →
+        Accepts ``face_pairs_by_lod`` keys as ints or decimal strings —
+        JSON stringifies object keys — and restores the funnel, so the
+        funnel's conservation invariants survive a serialize →
         deserialize cycle. Derived fields (``other_seconds``,
-        ``face_pairs_total``) are recomputed, not stored.
+        ``face_pairs_total``, and the funnel views: the pair ledgers and
+        cache counters) are recomputed, not stored.
         """
         stats = cls(
             query=payload.get("query", ""),
@@ -175,14 +195,8 @@ class QueryStats:
         for name in _SCALAR_FIELDS:
             if name in payload:
                 setattr(stats, name, payload[name])
-        for attr, key in (
-            ("pairs_evaluated_by_lod", "pairs_evaluated_by_lod"),
-            ("pairs_pruned_by_lod", "pairs_pruned_by_lod"),
-            ("face_pairs_by_lod", "face_pairs_by_lod"),
-        ):
-            ledger = getattr(stats, attr)
-            for lod, count in payload.get(key, {}).items():
-                ledger[int(lod)] += count
+        for lod, count in payload.get("face_pairs_by_lod", {}).items():
+            stats.face_pairs_by_lod[int(lod)] += count
         if "funnel" in payload:
             stats.funnel = QueryFunnel.from_dict(payload["funnel"])
         return stats

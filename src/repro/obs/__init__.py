@@ -14,8 +14,8 @@ The legs of the telemetry the paper's evaluation implies:
   unless a handler is configured.
 * :mod:`repro.obs.funnel` — per-query, per-LOD refinement-funnel
   records (candidates → pruned → decoded → evaluated →
-  confirmed/rejected/degraded), kept consistent with the pairs ledger
-  by construction.
+  confirmed/rejected/degraded) — the query's one pairs ledger, of which
+  ``QueryStats.pairs_*_by_lod`` are read-only views.
 * :mod:`repro.obs.profile` — an opt-in sampling profiler
   (``EngineConfig(profiling=True)``) bucketing stacks by pipeline
   phase, with collapsed-stack flamegraph export.

@@ -325,7 +325,14 @@ class SamplingProfiler:
                 phase = stack[-1]
             except IndexError:  # popped between the check and the read
                 continue
-            batch.append((phase, _format_stack(frame)))
+            try:
+                labels = _format_stack(frame)
+            except AttributeError:
+                # Another thread's frame chain can be torn down while it
+                # is walked (f_back no longer a frame); drop this sample
+                # and keep the sampler alive.
+                continue
+            batch.append((phase, labels))
         del frames
         if batch:
             with self._lock:

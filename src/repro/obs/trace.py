@@ -337,9 +337,9 @@ def phase_totals(spans) -> dict[str, float]:
     Sums wall time per phase name across ``spans`` (an iterable of root
     :class:`Span` objects, or a :class:`Tracer`). ``decode`` spans nested
     under a ``compute`` span are *subtracted* from the compute total —
-    the same attribution :meth:`ThreeDPro._finish_stats` applies — so
-    the returned ``filter`` / ``decode`` / ``compute`` values match the
-    corresponding ``QueryStats`` fields.
+    the same attribution ``QueryExecutor._run_group`` applies where it
+    times the compute phase — so the returned ``filter`` / ``decode`` /
+    ``compute`` values match the corresponding ``QueryStats`` fields.
     """
     if isinstance(spans, Tracer):
         spans = spans.roots

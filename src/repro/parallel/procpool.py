@@ -704,11 +704,6 @@ def _run_chunk(task: ChunkTask) -> ChunkOutcome:
     tracer = engine.tracer
     if tracer.enabled:
         tracer.clear()
-    providers = [
-        engine.dataset_provider(name)
-        for name in sorted({task.spec.source, task.spec.target})
-    ]
-    vertices_before = sum(p.decoded_vertices for p in providers)
     metrics_before = engine.metrics.export_state()
 
     engine.executor.heartbeat = heartbeat
@@ -717,16 +712,10 @@ def _run_chunk(task: ChunkTask) -> ChunkOutcome:
     finally:
         engine.executor.heartbeat = None
 
-    stats = result.stats
-    # Provider vertex counters are lifetime-valued and this engine is
-    # cached across chunks; ship the per-chunk delta.
-    stats.decoded_vertices = (
-        sum(p.decoded_vertices for p in providers) - vertices_before
-    )
     return ChunkOutcome(
         pairs=result.pairs,
         degraded_targets=result.degraded_targets,
-        stats=stats,
+        stats=result.stats,
         degraded_keys=set(result.degraded_keys),
         spans=[root.to_dict() for root in tracer.roots] if tracer.enabled else [],
         metrics_delta=diff_states(

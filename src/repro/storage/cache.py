@@ -3,15 +3,19 @@
 The cache is LRU over a byte budget, keyed by ``(dataset, object id,
 LOD)``; each entry is a :class:`DecodedLOD` — the face snapshot of one
 object at one LOD plus lazily-built derived structures (corner triangle
-array, AABB-tree, partition grouping). The provider owns the progressive
-decoders: a cache miss advances the object's decoder cursor (or restarts
-it when a lower LOD is requested after eviction). Since decoders slice
-the object's compiled :class:`~repro.compression.lodtable.LODTable` —
-built once per object, timed by the ``decode_table_build`` span /
-``repro_decode_table_build_seconds`` histogram — a restart no longer
-replays removal records from the base mesh: every materialization is an
-array slice (``decode_slice`` span / ``repro_decode_slice_seconds``),
-so the old eviction-restart penalty is gone.
+array, AABB-tree, partition grouping). A cache miss builds a fresh
+decoder over the object's compiled
+:class:`~repro.compression.lodtable.LODTable` — built once per object,
+timed by the ``decode_table_build`` span /
+``repro_decode_table_build_seconds`` histogram — so advancing to any
+LOD is O(1) bookkeeping and every materialization is an array slice
+(``decode_slice`` span / ``repro_decode_slice_seconds``).
+
+The provider call that does the work also accounts for it: each
+:meth:`DecodedObjectProvider.get` records its cache hit or miss, decode
+time, failures, and decoded volume on the
+:class:`~repro.core.stats.QueryStats` of the query that asked, so
+concurrent queries over one engine never see each other's traffic.
 
 Decoding is also where corruption surfaces at query time, so the
 provider implements the first rungs of the degradation ladder: a decoder
@@ -33,6 +37,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.errors import DecodeFailureError
+from repro.core.stats import QueryStats
 from repro.index.aabbtree import TriangleAABBTree
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
@@ -124,12 +129,12 @@ class DecodeCache:
     the configuration used by the paper's Table 2 "without cache" rows.
 
     Counter semantics: ``hits``, ``misses``, ``evictions``, and
-    ``evicted_bytes`` are *lifetime* monotonic counters — neither
-    :meth:`purge_dataset` nor :meth:`clear` touches them (the engine
-    snapshots them around each query, so resetting mid-flight would
-    corrupt per-query attribution). Use :meth:`reset_counters` between
-    independent measurement runs. The same numbers are mirrored into the
-    metrics registry (``repro_cache_*`` series, Table 2's raw material).
+    ``evicted_bytes`` are engine-wide *lifetime* counters — neither
+    :meth:`purge_dataset` nor :meth:`clear` touches them. Use
+    :meth:`reset_counters` between independent measurement runs. The
+    same numbers are mirrored into the metrics registry
+    (``repro_cache_*`` series); per-query traffic is recorded by the
+    provider on each query's own stats, not derived from these.
     """
 
     def __init__(
@@ -257,16 +262,20 @@ class DecodeCache:
 class DecodedObjectProvider:
     """Serves decoded LODs for one dataset, through the cache.
 
-    Decode wall-time is accumulated into ``decode_seconds`` so the engine
-    can attribute it separately from geometry computation (Fig. 10).
+    Every :meth:`get` accounts for itself on the ``QueryStats`` it is
+    handed: the cache hit or miss and the decoded objects/bytes on the
+    funnel stage of the requested LOD, and ``decode_seconds``,
+    ``decode_failures`` (attempts that raised) and ``decoded_vertices``
+    on the stats — so one query's numbers are its own however many
+    queries share the engine. The registry instruments
+    (``repro_decode_*``) stay engine-wide.
 
     ``fault_injector`` (see :mod:`repro.faults`) may force decode
     failures; ``salvaged_ids`` marks objects whose stored geometry was
     only partially recovered, so their decodes are flagged degraded.
     Failure bookkeeping: ``degraded_ids`` maps objects to the fallback
-    LOD they last served, ``failed_ids`` holds objects that failed at
-    every LOD (subsequent ``get`` calls fail fast), and
-    ``decode_failures`` counts individual decode attempts that raised.
+    LOD they last served and ``failed_ids`` holds objects that failed at
+    every LOD (subsequent ``get`` calls fail fast).
     """
 
     def __init__(
@@ -285,14 +294,12 @@ class DecodedObjectProvider:
         self.fault_injector = fault_injector
         self.salvaged_ids = frozenset(salvaged_ids)
         self.tracer = tracer
-        self._decoders: dict[int, object] = {}
-        # Serializes decodes: progressive decoders are stateful (they
-        # advance round by round), so two query workers decoding the
-        # same dataset must not interleave. Cache hits stay cheap — the
-        # critical section for a hit is one locked dict lookup.
+        # Serializes the miss path: the fail-fast bookkeeping below is
+        # read and updated across a whole fallback ladder, so two
+        # queries decoding the same dataset must not interleave. Cache
+        # hits stay cheap — the critical section for a hit is one
+        # locked dict lookup.
         self._lock = threading.RLock()
-        self.decode_seconds = 0.0
-        self.decoded_vertices = 0
         self.degraded_ids: dict[int, int] = {}
         self.failed_ids: dict[int, str] = {}
         # Highest requested LOD whose whole fallback ladder failed, per
@@ -303,7 +310,6 @@ class DecodedObjectProvider:
         # (object, lod) under a deterministic fault injector, so results
         # cannot depend on which target happened to decode first.
         self._failed_lod: dict[int, int] = {}
-        self.decode_failures = 0
         registry = metrics if metrics is not None else obs_metrics.REGISTRY
         # Handles on the per-decode-call instruments (see DecodeCache).
         self._m_decode_seconds = registry.histogram(
@@ -328,7 +334,7 @@ class DecodedObjectProvider:
             "Wall time materializing LOD face slices from compiled tables",
         ).handle()
 
-    def _decode_at(self, obj_id: int, lod: int) -> DecodedLOD:
+    def _decode_at(self, obj_id: int, lod: int, stats: QueryStats) -> DecodedLOD:
         """One decode attempt at exactly ``lod``; may raise."""
         if self.fault_injector is not None:
             self.fault_injector.before_decode(self.name, obj_id, lod)
@@ -346,16 +352,12 @@ class DecodedObjectProvider:
                     "decode_table_build", elapsed,
                     dataset=self.name, object=obj_id, rows=table.num_rows,
                 )
-        decoder = self._decoders.get(obj_id)
-        if decoder is None or decoder.current_lod > lod:
-            decoder = obj.decoder()
-        before = decoder.vertices_reinserted
-        decoder.advance_to(lod)
-        # Commit the decoder only after a successful advance: a failed
-        # advance may leave it mid-round, poisoning later requests.
-        self._decoders[obj_id] = decoder
-        self.decoded_vertices += decoder.vertices_reinserted - before
-        self._m_decoded_vertices.inc(decoder.vertices_reinserted - before)
+        decoder = obj.decoder()
+        # Records reinserted from the base mesh to reach ``lod``: a pure
+        # function of (object, served LOD).
+        added = decoder.advance_to(lod)
+        stats.decoded_vertices += added
+        self._m_decoded_vertices.inc(added)
         start = time.perf_counter()
         faces = decoder.face_array()
         elapsed = time.perf_counter() - start
@@ -371,7 +373,9 @@ class DecodedObjectProvider:
             degraded=obj_id in self.salvaged_ids,
         )
 
-    def get(self, obj_id: int, lod: int, deadline=None, funnel=None) -> DecodedLOD:
+    def get(
+        self, obj_id: int, lod: int, deadline=None, stats: QueryStats | None = None
+    ) -> DecodedLOD:
         """Decode ``obj_id`` at ``lod``, degrading to a lower LOD on failure.
 
         Raises :class:`DecodeFailureError` when no LOD decodes at all.
@@ -379,25 +383,26 @@ class DecodedObjectProvider:
         checked before every decode attempt — serving a cached entry
         never raises, but an expired budget refuses to start new decode
         work (:class:`~repro.core.errors.DeadlineExceededError`).
-        ``funnel`` (a :class:`~repro.obs.funnel.QueryFunnel`) receives
-        this request's decode traffic, charged to the requested ``lod``.
+        ``stats`` (the asking query's
+        :class:`~repro.core.stats.QueryStats`) receives this request's
+        traffic; its funnel side is charged to the requested ``lod``.
         Thread-safe: the whole miss path is serialized per provider.
         """
+        if stats is None:
+            stats = QueryStats()  # unaccounted direct use
         with self._lock:
-            return self._get_locked(obj_id, lod, deadline, funnel)
+            return self._get_locked(obj_id, lod, deadline, stats)
 
-    def _get_locked(self, obj_id: int, lod: int, deadline=None, funnel=None) -> DecodedLOD:
+    def _get_locked(self, obj_id: int, lod: int, deadline, stats: QueryStats) -> DecodedLOD:
         key = (self.name, obj_id, lod)
+        stage = stats.funnel.stage(lod)
         cached = self.cache.get(key)
         if cached is not None:
-            if funnel is not None:
-                funnel.stage(lod).cache_hits += 1
+            stage.cache_hits += 1
             return cached
-        if funnel is not None:
-            funnel.stage(lod).cache_misses += 1
+        stage.cache_misses += 1
         if lod <= self._failed_lod.get(obj_id, -1):
-            if funnel is not None:
-                funnel.stage(lod).decode_failures += 1
+            stage.decode_failures += 1
             raise DecodeFailureError(self.name, obj_id, self.failed_ids[obj_id])
 
         start = time.perf_counter()
@@ -410,11 +415,10 @@ class DecodedObjectProvider:
                 if deadline is not None:
                     deadline.check("decode")
                 try:
-                    decoded = self._decode_at(obj_id, attempt_lod)
+                    decoded = self._decode_at(obj_id, attempt_lod, stats)
                 except Exception as exc:
-                    self.decode_failures += 1
+                    stats.decode_failures += 1
                     self._m_decode_failures.inc()
-                    self._decoders.pop(obj_id, None)
                     last_error = exc
                     log_event(
                         _LOG, "decode_failure", level=logging.WARNING,
@@ -432,16 +436,13 @@ class DecodedObjectProvider:
                         requested_lod=lod, served_lod=attempt_lod,
                     )
                 self.cache.put(key, decoded)
-                if funnel is not None:
-                    stage = funnel.stage(lod)
-                    stage.decoded_objects += 1
-                    stage.decoded_bytes += decoded.nbytes
+                stage.decoded_objects += 1
+                stage.decoded_bytes += decoded.nbytes
                 return decoded
             reason = repr(last_error) if last_error is not None else "unknown"
             self.failed_ids[obj_id] = reason
             self._failed_lod[obj_id] = max(self._failed_lod.get(obj_id, -1), lod)
-            if funnel is not None:
-                funnel.stage(lod).decode_failures += 1
+            stage.decode_failures += 1
             log_event(
                 _LOG, "decode_exhausted", level=logging.ERROR,
                 dataset=self.name, object=obj_id, requested_lod=lod, reason=reason,
@@ -450,19 +451,15 @@ class DecodedObjectProvider:
         finally:
             pop_phase()
             elapsed = time.perf_counter() - start
-            self.decode_seconds += elapsed
+            stats.decode_seconds += elapsed
             self._m_decode_seconds.observe(elapsed)
             tracer = self.tracer
             if tracer is not None and tracer.enabled:
-                # Record the *same* elapsed number the engine attributes
-                # to decode_seconds, so trace and stats cannot disagree.
+                # Record the *same* elapsed number charged to the query's
+                # decode_seconds, so trace and stats cannot disagree.
                 tracer.record(
                     "decode", elapsed, dataset=self.name, object=obj_id, lod=lod
                 )
 
     def max_lod(self, obj_id: int) -> int:
         return self.objects[obj_id].max_lod
-
-    def reset_decoders(self) -> None:
-        """Drop decoder states (used between benchmark repetitions)."""
-        self._decoders.clear()

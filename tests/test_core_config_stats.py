@@ -66,8 +66,8 @@ class TestQueryStats:
 
     def test_pruned_fraction(self):
         stats = QueryStats()
-        stats.pairs_evaluated_by_lod[0] = 10
-        stats.pairs_pruned_by_lod[0] = 4
+        stats.funnel.stage(0).evaluated = 10
+        stats.funnel.stage(0).settled = 4
         assert stats.pruned_fraction(0) == pytest.approx(0.4)
         assert stats.pruned_fraction(3) == 0.0
 
@@ -77,9 +77,9 @@ class TestQueryStats:
 
     def test_merge(self):
         a = QueryStats(targets=2, results=1, total_seconds=1.0)
-        a.pairs_evaluated_by_lod[0] = 5
+        a.funnel.stage(0).evaluated = 5
         b = QueryStats(targets=3, results=4, total_seconds=0.5)
-        b.pairs_evaluated_by_lod[0] = 7
+        b.funnel.stage(0).evaluated = 7
         b.face_pairs_by_lod[2] = 100
         a.merge(b)
         assert a.targets == 5
@@ -90,13 +90,13 @@ class TestQueryStats:
 
     def test_merge_preserves_per_lod_dicts(self):
         a = QueryStats()
-        a.pairs_evaluated_by_lod[0] = 3
-        a.pairs_pruned_by_lod[0] = 1
+        a.funnel.stage(0).evaluated = 3
+        a.funnel.stage(0).settled = 1
         a.face_pairs_by_lod[0] = 10
         b = QueryStats()
-        b.pairs_evaluated_by_lod[0] = 2
-        b.pairs_evaluated_by_lod[2] = 4
-        b.pairs_pruned_by_lod[2] = 4
+        b.funnel.stage(0).evaluated = 2
+        b.funnel.stage(2).evaluated = 4
+        b.funnel.stage(2).settled = 4
         b.face_pairs_by_lod[2] = 50
         a.merge(b)
         assert dict(a.pairs_evaluated_by_lod) == {0: 5, 2: 4}

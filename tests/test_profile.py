@@ -4,11 +4,13 @@ import pickle
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import EngineConfig, ThreeDPro
 from repro.core.errors import EngineConfigError
+from repro.obs import profile as profile_module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     ProfileReport,
@@ -169,6 +171,23 @@ class TestSamplingProfiler:
         first = profiler.take()
         assert first.total_samples == 2
         assert profiler.take().total_samples == 0
+
+    def test_torn_frame_chain_drops_one_sample(self, monkeypatch):
+        """A frame chain torn down mid-walk (``f_back`` no longer a
+        frame) costs that one sample, never the sampler thread."""
+        tid = -4242  # no real thread has this id
+        monkeypatch.setitem(profile_module._STACKS, tid, ["compute"])
+        code = _busy.__code__
+        torn = SimpleNamespace(f_code=code, f_back=7)
+        whole = SimpleNamespace(f_code=code, f_back=None)
+        chains = iter([{tid: torn}, {tid: whole}])
+        monkeypatch.setattr(profile_module.sys, "_current_frames", lambda: next(chains))
+        profiler = SamplingProfiler()
+        profiler._sample(me=0)  # must not raise
+        assert profiler.report.total_samples == 0
+        profiler._sample(me=0)
+        report = profiler.take()
+        assert report.samples == {("compute", ("test_profile._busy",)): 1}
 
     def test_switch_interval_restored(self):
         before = sys.getswitchinterval()

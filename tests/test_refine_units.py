@@ -269,7 +269,7 @@ class _StubProvider:
     def max_lod(self, obj_id):
         return 0
 
-    def get(self, obj_id, lod, deadline=None, funnel=None):
+    def get(self, obj_id, lod, deadline=None, stats=None):
         return self._decs[obj_id]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compression import PPVPEncoder
+from repro.core.stats import QueryStats
 from repro.geometry import AABB
 from repro.mesh import icosphere
 from repro.storage import (
@@ -101,10 +102,26 @@ class TestProvider:
         assert provider.cache.hits == 1
 
     def test_forward_decoding_reuses_decoder(self, provider):
-        provider.get(1, 0)
-        before = provider.decoded_vertices
-        provider.get(1, provider.max_lod(1))
-        assert provider.decoded_vertices > before
+        """Each miss charges the records from the base mesh to the served
+        LOD to the asking query; nothing carries over between calls."""
+        obj, top = provider.objects[1], provider.max_lod(1)
+        full = obj.lod_table.records_through_step(obj.rounds_reinserted_at(top))
+        assert full > 0
+        low, high = QueryStats(), QueryStats()
+        provider.get(1, 0, stats=low)
+        provider.get(1, top, stats=high)
+        assert low.decoded_vertices == 0
+        assert high.decoded_vertices == full
+        assert (high.cache_hits, high.cache_misses) == (0, 1)
+        assert high.funnel.stage(top).decoded_objects == 1
+        assert high.decode_seconds > 0
+        hit = QueryStats()
+        provider.get(1, top, stats=hit)
+        assert (hit.cache_hits, hit.cache_misses, hit.decoded_vertices) == (1, 0, 0)
+        provider.cache.clear()
+        again = QueryStats()
+        provider.get(1, top, stats=again)
+        assert again.decoded_vertices == full
 
     def test_backward_request_restarts_decoder(self, provider):
         top = provider.max_lod(2)

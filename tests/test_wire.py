@@ -183,8 +183,8 @@ class TestJsonSafeBoundary:
         stats.results = np.int64(7)
         stats.decoded_vertices = np.int32(123)
         stats.total_seconds = np.float64(0.25)
-        stats.pairs_evaluated_by_lod[np.int64(2)] = np.int64(5)
-        stats.pairs_pruned_by_lod[np.int64(2)] = np.int64(3)
+        stats.funnel.stage(np.int64(2)).evaluated = np.int64(5)
+        stats.funnel.stage(np.int64(2)).settled = np.int64(3)
         stats.funnel.candidates = np.int64(9)
         stats.funnel.stage(np.int64(1)).confirmed = np.int64(2)
         payload = stats.as_dict()
