@@ -26,8 +26,11 @@ the checked-in golden set:
    kind — stages are monotonic (settled never exceeds evaluated, the
    confirmed/rejected/degraded split sums to settled), candidates match,
    and the funnel's total confirmations equal ``stats.results`` —
-   including on a fault-injected run and under the active query backend;
-   and two queries run at once on two threads of one serial engine
+   including on a fault-injected run and under the active query backend.
+   The kinds run over a second nuclei set of the same scene, so every
+   kind refines pairs (``evaluated > 0``) and within, NN and kNN
+   evaluate at two or more LODs: a funnel that settles everything at
+   the filter reconciles trivially. Two queries run at once on two threads of one serial engine
    (cache off) each report exactly their own cache traffic: each
    result's ``cache_hits`` / ``cache_misses`` equal its funnel's.
 
@@ -73,8 +76,11 @@ def check(ok: bool, what: str) -> None:
         _FAILURES.append(what)
 
 
-def build_datasets() -> dict[str, Dataset]:
-    scene = make_tissue_scene(
+ENCODER = PPVPEncoder(max_lods=6, rounds_per_lod=2)
+
+
+def build_scene():
+    return make_tissue_scene(
         n_nuclei=24,
         n_vessels=1,
         seed=11,
@@ -82,10 +88,12 @@ def build_datasets() -> dict[str, Dataset]:
         nucleus_subdivisions=1,
         vessel_spec=VesselSpec(bifurcations=2, points_per_branch=4, segments=6),
     )
-    encoder = PPVPEncoder(max_lods=6, rounds_per_lod=2)
+
+
+def build_datasets(scene) -> dict[str, Dataset]:
     return {
-        "nuclei_a": Dataset.from_polyhedra("nuclei_a", scene.nuclei_a, encoder),
-        "vessels": Dataset.from_polyhedra("vessels", scene.vessels, encoder),
+        "nuclei_a": Dataset.from_polyhedra("nuclei_a", scene.nuclei_a, ENCODER),
+        "vessels": Dataset.from_polyhedra("vessels", scene.vessels, ENCODER),
     }
 
 
@@ -256,21 +264,24 @@ def check_partial_completeness(datasets, reference) -> None:
         )
 
 
-def check_funnel(datasets) -> None:
+def check_funnel(datasets, scene) -> None:
     from repro.core.plan import QuerySpec
     from repro.faults import FaultInjector
 
     engine = ThreeDPro(EngineConfig(metrics=MetricsRegistry()))
     for dataset in datasets.values():
         engine.load_dataset(dataset)
+    engine.load_dataset(Dataset.from_polyhedra("nuclei_b", scene.nuclei_b, ENCODER))
+    centroid = tuple(float(c) for c in scene.nuclei_a[1].vertices.mean(axis=0))
+    # (spec, least number of LODs that must evaluate pairs)
     specs = [
-        QuerySpec(kind="intersection", source="vessels", target="nuclei_a"),
-        QuerySpec(kind="within", source="vessels", target="nuclei_a", distance=40.0),
-        QuerySpec(kind="nn", source="vessels", target="nuclei_a"),
-        QuerySpec(kind="knn", source="vessels", target="nuclei_a", k=2),
-        QuerySpec(kind="containment", source="nuclei_a", point=(0.0, 0.0, 0.0)),
+        (QuerySpec(kind="intersection", source="nuclei_b", target="nuclei_a"), 1),
+        (QuerySpec(kind="within", source="nuclei_b", target="nuclei_a", distance=5.0), 2),
+        (QuerySpec(kind="nn", source="nuclei_b", target="nuclei_a"), 2),
+        (QuerySpec(kind="knn", source="nuclei_b", target="nuclei_a", k=2), 2),
+        (QuerySpec(kind="containment", source="nuclei_a", point=centroid), 1),
     ]
-    for spec in specs:
+    for spec, min_lods in specs:
         result = engine.execute(spec)
         funnel = result.funnel
         violations = funnel.violations(result.stats, strict=True)
@@ -279,6 +290,15 @@ def check_funnel(datasets) -> None:
             f"{spec.kind}: funnel reconciles "
             f"({funnel.summary()})"
             + ("" if not violations else f" -- {violations}"),
+        )
+        evaluated = {
+            lod: stage.evaluated
+            for lod, stage in sorted(funnel.stages.items())
+            if stage.evaluated
+        }
+        check(
+            len(evaluated) >= min_lods,
+            f"{spec.kind}: pairs evaluated at >= {min_lods} LOD(s) {evaluated}",
         )
     # The reconciliation must hold when decodes fail and refinement
     # degrades to MBB fallbacks — the historical ledger-drop scenario.
@@ -361,7 +381,8 @@ def check_concurrent_accounts(datasets) -> None:
 
 def main() -> int:
     print("building datasets...")
-    datasets = build_datasets()
+    scene = build_scene()
+    datasets = build_datasets(scene)
     engine, result, traced_seconds = run_join(datasets, tracing=True)
     checks = [
         ("trace phase totals vs QueryStats",
@@ -374,7 +395,7 @@ def main() -> int:
         ("deadline-bounded partial result consistency",
          lambda: check_partial_completeness(datasets, result)),
         ("refinement funnel vs query stats, concurrent accounts",
-         lambda: check_funnel(datasets)),
+         lambda: check_funnel(datasets, scene)),
     ]
     for number, (title, run) in enumerate(checks, start=1):
         print(f"[{number}/{len(checks)}] {title}")

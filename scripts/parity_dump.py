@@ -13,7 +13,7 @@ The matrix is every query kind (intersection, within, NN, kNN k=3, NN
 with ``exact_nn_distances``, point containment) × backend (serial,
 process×2) × faults (clean, ``FaultInjector(seed=11,
 decode_error_rate=0.3)``) × paradigm (fpr, fr) × acceleration (none,
-partition, aabb) over one small seeded tissue scene. Each run dumps its
+partition) over one small seeded tissue scene. Each run dumps its
 pairs, degraded targets and keys, both pair ledgers, the funnel,
 ``face_pairs_by_lod``, the progress frames each group refinement emits,
 the ``refine`` span sequence (query, lod, survivors, settled) of each
@@ -55,7 +55,6 @@ BACKENDS = {
 ACCELS = {
     "none": Accel(),
     "partition": Accel(partition=True),
-    "aabb": Accel(aabbtree=True),
 }
 CACHE_FIELDS = ("cache_hits", "cache_misses", "decoded_objects", "decoded_bytes")
 

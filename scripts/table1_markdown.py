@@ -24,7 +24,7 @@ def main(path="bench_output.txt"):
             cells[(test, paradigm, accel)] = (float(seconds), int(pairs), paper)
 
     tests = ["INT-NN", "WN-NN", "WN-NV", "NN-NN", "NN-NV"]
-    accels = ["B", "P", "A"]
+    accels = ["B", "P"]
     print("| Test | Accel | FR s (ours) | FPR s (ours) | FR s (paper) | FPR s (paper) | FPR speedup (ours / paper) |")
     print("|---|---|---|---|---|---|---|")
     for test in tests:

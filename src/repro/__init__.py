@@ -6,7 +6,7 @@ is organized bottom-up:
 * :mod:`repro.geometry` — AABB/triangle kernels (batched numpy);
 * :mod:`repro.mesh` — closed triangle meshes, editing, primitives;
 * :mod:`repro.compression` — PPVP progressive codec and serialization;
-* :mod:`repro.index` — global R-tree and per-object AABB-trees;
+* :mod:`repro.index` — the global R-tree over object MBBs;
 * :mod:`repro.partition` — skeleton-based object decomposition;
 * :mod:`repro.parallel` — per-pair face kernels and the worker-process pool;
 * :mod:`repro.storage` — cuboid store and the LRU decode cache;

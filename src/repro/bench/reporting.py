@@ -65,36 +65,27 @@ def speedup(baseline: float, improved: float) -> float:
 
 # Table 1 of the paper (seconds), for shape comparison in EXPERIMENTS.md.
 # Keyed by (test_id, paradigm, accel-label); N/A cells omitted, and so
-# are the GPU columns (G, P+G), which have no switch in this engine.
+# are the GPU columns (G, P+G), which have no switch in this engine, and
+# the AABB-tree column (A), whose evaluator is now a test oracle.
 PAPER_TABLE1 = {
     ("INT-NN", "fr", "B"): 356.0,
     ("INT-NN", "fr", "P"): 335.7,
-    ("INT-NN", "fr", "A"): 338.2,
     ("INT-NN", "fpr", "B"): 84.8,
     ("INT-NN", "fpr", "P"): 86.4,
-    ("INT-NN", "fpr", "A"): 82.7,
     ("WN-NN", "fr", "B"): 2253.7,
     ("WN-NN", "fr", "P"): 2249.0,
-    ("WN-NN", "fr", "A"): 480.2,
     ("WN-NN", "fpr", "B"): 108.2,
     ("WN-NN", "fpr", "P"): 108.5,
-    ("WN-NN", "fpr", "A"): 74.7,
     ("WN-NV", "fr", "B"): 25056.8,
     ("WN-NV", "fr", "P"): 645.1,
-    ("WN-NV", "fr", "A"): 11197.3,
     ("WN-NV", "fpr", "B"): 8458.8,
     ("WN-NV", "fpr", "P"): 1116.1,
-    ("WN-NV", "fpr", "A"): 19147.3,
     ("NN-NN", "fr", "B"): 2264.0,
     ("NN-NN", "fr", "P"): 2268.9,
-    ("NN-NN", "fr", "A"): 516.9,
     ("NN-NN", "fpr", "B"): 893.8,
     ("NN-NN", "fpr", "P"): 893.1,
-    ("NN-NN", "fpr", "A"): 306.6,
     ("NN-NV", "fr", "B"): 151630.0,
     ("NN-NV", "fr", "P"): 1649.8,
-    ("NN-NV", "fr", "A"): 108799.9,
     ("NN-NV", "fpr", "B"): 24968.1,
     ("NN-NV", "fpr", "P"): 422.2,
-    ("NN-NV", "fpr", "A"): 21025.6,
 }

@@ -44,11 +44,10 @@ TESTS = {
 }
 
 # The acceleration columns of Table 1 this engine can switch (labels
-# match Fig. 10's B/P/A); fused batching, the paper's G, is always on.
+# match Fig. 10's B/P); fused batching, the paper's G, is always on.
 ACCEL_VARIANTS = {
     "B": Accel(),
     "P": Accel(partition=True),
-    "A": Accel(aabbtree=True),
 }
 
 

@@ -42,7 +42,6 @@ __all__ = ["main", "build_parser"]
 _ACCEL = {
     "none": Accel(),
     "partition": Accel(partition=True),
-    "aabb": Accel(aabbtree=True),
 }
 
 

@@ -10,9 +10,10 @@ PPVP-compressed objects under either query paradigm:
   from low LODs, returning results early whenever the
   progressive-approximation properties allow (Algorithms 1-3).
 
-Acceleration methods (AABB-trees, skeleton partitioning) compose with
-both paradigms, as in the paper's Table 1; simulated-GPU batching is
-not a method to select but how every refinement round runs.
+Skeleton partitioning composes with both paradigms, as in the paper's
+Table 1; simulated-GPU batching is not a method to select but how every
+refinement round runs, which is also why the paper's per-object
+AABB-trees are not offered (they lost to it on every query).
 """
 
 from repro.core.config import Accel, EngineConfig

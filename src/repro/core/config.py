@@ -134,35 +134,22 @@ def resolve_setting(name: str, *, spec=None, override=None, config=None):
 class Accel:
     """Acceleration methods (paper Section 5.1).
 
-    ``aabbtree`` — per-object AABB-trees on decoded faces, traversed
-    per pair instead of the fused wave kernels;
     ``partition`` — skeleton-based sub-object decomposition with
     per-part boxes in the global index.
 
     Fused mega-batch kernels (the paper's GPU column) are not a switch:
-    every refinement round runs on them unless ``aabbtree`` replaces
-    them. ``aabbtree`` is an alternative to partition filtering, exactly
-    as in Table 1, so combining the two is rejected.
+    every refinement round runs on them. The paper's per-object
+    AABB-trees (Table 1's ``A`` column) are not offered: they lost to
+    the fused waves on every measured cell and survive only as a test
+    oracle (EXPERIMENTS.md, "AABB-tree evaluator").
     """
 
-    aabbtree: bool = False
     partition: bool = False
-
-    def validate(self) -> None:
-        if self.aabbtree and self.partition:
-            raise EngineConfigError(
-                "AABB-tree acceleration does not combine with partition "
-                "(Table 1 evaluates them as alternatives)"
-            )
 
     @property
     def label(self) -> str:
-        """Short label matching the paper's Fig. 10 x-axis (B/P/A)."""
-        if self.aabbtree:
-            return "A"
-        if self.partition:
-            return "P"
-        return "B"
+        """Short label matching the paper's Fig. 10 x-axis (B/P)."""
+        return "P" if self.partition else "B"
 
 
 @dataclass(frozen=True)
@@ -295,7 +282,6 @@ class EngineConfig:
                 raise EngineConfigError("lod_list must be strictly ascending")
             if any(lod < 0 for lod in self.lod_list):
                 raise EngineConfigError("lod_list entries must be >= 0")
-        self.accel.validate()
 
     @property
     def label(self) -> str:

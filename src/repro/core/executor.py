@@ -542,7 +542,6 @@ class QueryExecutor:
             target_partitions=plan.target.partitions,
             source_partitions=plan.source.partitions,
             lods=plan.lods,
-            use_tree=self.config.accel.aabbtree,
             exact_nn_distances=self.config.exact_nn_distances,
             max_decode_failures=self.config.max_decode_failures,
             tracer=self.tracer,

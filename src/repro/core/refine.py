@@ -17,20 +17,18 @@ candidates as early as the progressive-approximation properties allow:
 Under the FR paradigm the same functions run with a single-entry LOD
 schedule (the top LOD), which reduces them to classical refinement.
 
-One round driver, two face-pair evaluators: every algorithm is the same
-loop, :func:`_refine`, over an ascending LOD schedule. A round decodes
-every active target and its surviving candidates (*gather*), hands the
-round's jobs to one evaluator call (*evaluate*), and applies the
-verdicts per target in order (*settle*). An algorithm supplies only what
-differs: its gather, its evaluator (face-pair intersection, face-pair
-distance, or ray-cast probes), its settle step, what happens when a
-target fails to decode, and — for nearest neighbor — when a target
-leaves the rounds early. Intersection's containment stage and the
-``exact_nn_distances`` pass are one more round at the top LOD. The
-face-pair evaluator is chosen from ``RefineContext.use_tree``: by
-default the fused wave kernels of :mod:`repro.core.batch` take all jobs
-of the round in a few kernel calls; with AABB-tree acceleration each job
-is one dual-tree traversal (traversals do not batch across pairs). Pair
+One round driver: every algorithm is the same loop, :func:`_refine`,
+over an ascending LOD schedule. A round decodes every active target and
+its surviving candidates (*gather*), hands the round's jobs to one
+evaluator call (*evaluate*), and applies the verdicts per target in
+order (*settle*). An algorithm supplies only what differs: its gather,
+its evaluator (face-pair intersection, face-pair distance, or ray-cast
+probes), its settle step, what happens when a target fails to decode,
+and — for nearest neighbor — when a target leaves the rounds early.
+Intersection's containment stage and the ``exact_nn_distances`` pass are
+one more round at the top LOD. Both face-pair evaluators (intersection
+and distance) are the fused wave kernels of :mod:`repro.core.batch`,
+which take all jobs of the round in a few kernel calls. Pair
 classifications are per-lane deterministic and ``min`` is exact, so
 results, funnel, and ledger do not depend on how targets are grouped: an
 executor chunk runs as one group, a streamed query runs each target as a
@@ -120,9 +118,6 @@ class RefineContext:
     target_partitions: dict = field(default_factory=dict)
     source_partitions: dict = field(default_factory=dict)
     lods: tuple[int, ...] = ()
-    # Round evaluator: per-job dual AABB-tree traversals instead of the
-    # fused wave kernels (Accel.aabbtree).
-    use_tree: bool = False
     exact_nn_distances: bool = False
     # Span tracer (repro.obs.trace); the disabled singleton hands out
     # no-op spans, so refinement stays uninstrumented-cost by default.
@@ -146,8 +141,8 @@ class RefineContext:
     progress: object = None
     progress_target: object = None
     # Optional worker-liveness callable (process-backend heartbeat),
-    # invoked alongside the deadline check at every batch flush (every
-    # traversal, under use_tree) so hang detection keeps that granularity.
+    # invoked alongside the deadline check at every batch flush so hang
+    # detection keeps that granularity.
     heartbeat: object = None
     # Memoized per-(side, object, served-LOD) face AABBs for the
     # intersection containment stage, with hit/miss counters the cache
@@ -310,40 +305,23 @@ class RefineContext:
 
     # -- round evaluators --------------------------------------------------------
 
-    def _evaluate(self, jobs: list, lod: int, traverse, waves, **kernel_args) -> list:
-        """One result per ``(dec_t, dec_s, tris_s)`` job of a round.
+    def _evaluate(self, jobs: list, lod: int, waves, **kernel_args) -> list:
+        """One result per ``(tris_t, tris_s)`` job of a round.
 
-        The default evaluator hands every job to ``waves`` — the fused
-        kernels of :mod:`repro.core.batch` — at once; under ``use_tree``
-        each job is one ``traverse`` of the two decodes' AABB-trees,
-        ticking between traversals as the waves tick between flushes.
+        Every job goes to ``waves`` — the fused kernels of
+        :mod:`repro.core.batch` — at once, ticking between flushes.
         """
         kernel_stats: dict = {}
-        if self.use_tree:
-            out = []
-            for dec_t, dec_s, _tris_s in jobs:
-                out.append(
-                    traverse(
-                        dec_t.triangles, dec_s.triangles,
-                        tree_a=dec_t.tree, tree_b=dec_s.tree,
-                        stats=kernel_stats, **kernel_args,
-                    )
-                )
-                self.batch_tick()
-        else:
-            out = waves(
-                self.computer,
-                [(dec_t.triangles, tris_s) for dec_t, _dec_s, tris_s in jobs],
-                stats=kernel_stats, checkpoint=self.batch_tick, **kernel_args,
-            )
+        out = waves(
+            self.computer, jobs,
+            stats=kernel_stats, checkpoint=self.batch_tick, **kernel_args,
+        )
         self.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
         return out
 
     def any_intersect(self, jobs: list, lod: int) -> list[bool]:
         """Per job, whether any face pair between the two sides intersects."""
-        return self._evaluate(
-            jobs, lod, self.computer.intersects, batch.batched_any_intersect
-        )
+        return self._evaluate(jobs, lod, batch.batched_any_intersect)
 
     def min_distances(self, jobs: list, lod: int, stop_below: float = 0.0) -> list[float]:
         """Per job, the minimum face-pair distance (early exit at ``stop_below``).
@@ -352,8 +330,7 @@ class RefineContext:
         a job that does not settle reports some value above it.
         """
         return self._evaluate(
-            jobs, lod, self.computer.min_distance, batch.batched_min_distances,
-            stop_below=stop_below,
+            jobs, lod, batch.batched_min_distances, stop_below=stop_below
         )
 
     def points_inside(self, probes: list, lod: int) -> list[bool]:
@@ -566,7 +543,7 @@ def _gather_face_pairs(
             codes.append(_MISS)
         else:
             codes.append(len(jobs))
-            jobs.append((dec_t, dec_s, tris_s))
+            jobs.append((dec_t.triangles, tris_s))
     return codes, rough
 
 

@@ -6,11 +6,9 @@ multicore-CPU baseline of the paper. ``gpu_block`` sizes the fused
 flushes of :mod:`repro.core.batch`, which refinement uses for every
 round: numpy vectorization at the kernel-saturating batch size across
 all of a round's pairs stands in for the paper's CUDA kernels (the same
-batched-versus-blocked contrast, inside one process).
-
-When AABB-trees are supplied the computer uses the dual-tree traversals
-instead of exhaustive pair enumeration (the paper's AABB acceleration,
-an alternative to fused batching per Table 1).
+batched-versus-blocked contrast, inside one process). The blocked
+per-pair methods have no production caller; the per-pair test oracle
+and the benchmark's layer tracing use them.
 
 Every call runs inline on the caller's thread; parallelism lives one
 level up, in the query executor's target chunks.
@@ -25,7 +23,6 @@ import numpy as np
 
 from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
-from repro.index.aabbtree import TriangleAABBTree
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["GeometryComputer", "iter_pair_blocks"]
@@ -71,7 +68,7 @@ class GeometryComputer:
         registry = metrics if metrics is not None else obs_metrics.REGISTRY
         self._m_batch_size = registry.histogram(
             "repro_face_pair_batch_size",
-            "Face pairs per kernel launch (batched paths; tree traversals excluded)",
+            "Face pairs per kernel launch",
             buckets=_BATCH_BUCKETS,
         )
         self._m_face_pairs = registry.counter(
@@ -88,8 +85,6 @@ class GeometryComputer:
         self,
         tris_a: np.ndarray,
         tris_b: np.ndarray,
-        tree_a: TriangleAABBTree | None = None,
-        tree_b: TriangleAABBTree | None = None,
         stats: dict | None = None,
     ) -> bool:
         """True when any face pair between the two sets intersects.
@@ -101,8 +96,6 @@ class GeometryComputer:
         Table 1, where GPU acceleration is neutral for the intersection
         test.
         """
-        if tree_a is not None and tree_b is not None:
-            return tree_a.intersects(tree_b, stats=stats)
         pairs_seen = 0
         hit = False
         for ii, jj in iter_pair_blocks(len(tris_a), len(tris_b), self.cpu_block):
@@ -121,23 +114,15 @@ class GeometryComputer:
         self,
         tris_a: np.ndarray,
         tris_b: np.ndarray,
-        tree_a: TriangleAABBTree | None = None,
-        tree_b: TriangleAABBTree | None = None,
         stop_below: float = 0.0,
-        upper_bound: float = math.inf,
         stats: dict | None = None,
     ) -> float:
         """Minimum face-pair distance between the two sets.
 
         ``stop_below`` allows early return once the result is known to
-        clear a threshold (within queries); ``upper_bound`` seeds
-        branch-and-bound pruning when trees are used.
+        clear a threshold (within queries).
         """
-        if tree_a is not None and tree_b is not None:
-            return tree_a.min_distance(
-                tree_b, stop_below=stop_below, upper_bound=upper_bound, stats=stats
-            )
-        best = upper_bound
+        best = math.inf
         pairs_seen = 0
         for ii, jj in iter_pair_blocks(len(tris_a), len(tris_b), self.cpu_block):
             pairs_seen += len(ii)

@@ -3,7 +3,7 @@
 The cache is LRU over a byte budget, keyed by ``(dataset, object id,
 LOD)``; each entry is a :class:`DecodedLOD` — the face snapshot of one
 object at one LOD plus lazily-built derived structures (corner triangle
-array, AABB-tree, partition grouping). A cache miss builds a fresh
+array, partition grouping). A cache miss builds a fresh
 decoder over the object's compiled
 :class:`~repro.compression.lodtable.LODTable` — built once per object,
 timed by the ``decode_table_build`` span /
@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.errors import DecodeFailureError
 from repro.core.stats import QueryStats
-from repro.index.aabbtree import TriangleAABBTree
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
 from repro.obs.profile import pop_phase, push_phase
@@ -58,12 +57,12 @@ class DecodedLOD:
     The derived structures are built at most once: cache entries are
     shared across concurrent queries, and the lazy builds used to run
     unlocked, so concurrent threads could each build (and race to
-    publish) the same AABB-tree. A per-entry lock now guards each build;
+    publish) the same structure. A per-entry lock now guards each build;
     reads stay lock-free once the attribute is published.
     """
 
     __slots__ = (
-        "positions", "faces", "_triangles", "_tree", "_groups",
+        "positions", "faces", "_triangles", "_groups",
         "lod", "degraded", "_build_lock",
     )
 
@@ -79,7 +78,6 @@ class DecodedLOD:
         self.lod = lod
         self.degraded = degraded
         self._triangles: np.ndarray | None = None
-        self._tree: TriangleAABBTree | None = None
         self._groups: np.ndarray | None = None
         self._build_lock = threading.Lock()
 
@@ -94,15 +92,6 @@ class DecodedLOD:
                 if self._triangles is None:
                     self._triangles = self.positions[self.faces]
         return self._triangles
-
-    @property
-    def tree(self) -> TriangleAABBTree:
-        if self._tree is None:
-            triangles = self.triangles  # build outside the tree check
-            with self._build_lock:
-                if self._tree is None:
-                    self._tree = TriangleAABBTree(triangles)
-        return self._tree
 
     def groups(self, partition) -> np.ndarray:
         """Sub-object index per face under ``partition`` (memoized)."""

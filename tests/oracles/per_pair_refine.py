@@ -15,7 +15,12 @@ pseudo-code, built only on public
 :func:`installed` swaps the oracle into the query strategies of
 :mod:`repro.core.plan` for the duration of a ``with`` block. The swap
 is in-process only: it cannot reach spawned worker processes, so oracle
-runs are serial (``query_workers=1``).
+runs are serial (``query_workers=1``). ``installed(tree=True)`` runs
+each pair kernel as one dual-tree traversal over an AABB-tree
+(:class:`~tests.oracles.aabbtree.TriangleAABBTree`) of each whole
+decode instead of a blocked loop — the paper's AABB-tree acceleration,
+a second algorithm to check the waves against. Trees index whole
+objects, so tree mode is not combined with partition acceleration.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.core import plan
 from repro.core.errors import DeadlineExceededError, DecodeFailureError
 from repro.core.refine import GroupState, _attach_group_partial, _kth_smallest
 from repro.geometry.raycast import point_in_polyhedron
+from tests.oracles.aabbtree import TriangleAABBTree
 
 __all__ = [
     "refine_intersection",
@@ -50,39 +56,43 @@ def _with_partial(results: list[int], run) -> list[int]:
 
 # -- pair kernels ------------------------------------------------------------------
 
+# Tree mode: ``id(dec) -> (dec, tree)`` while ``installed(tree=True)`` is
+# active, else None. Holding the decode keeps its id from being reused.
+_trees: dict | None = None
+
+
+def _tree(dec) -> TriangleAABBTree:
+    entry = _trees.get(id(dec))
+    if entry is None:
+        entry = _trees[id(dec)] = (dec, TriangleAABBTree(dec.triangles))
+    return entry[1]
+
 
 def _pair_intersects(ctx, dec_t, dec_s, sid, parts, lod) -> bool:
     kernel_stats: dict = {}
-    if ctx.use_tree:
-        hit = ctx.computer.intersects(
-            dec_t.triangles, dec_s.triangles,
-            tree_a=dec_t.tree, tree_b=dec_s.tree, stats=kernel_stats,
-        )
+    tris_s = ctx.source_faces(dec_s, sid, parts)
+    if not (len(tris_s) and dec_t.num_faces):
+        hit = False
+    elif _trees is not None:
+        hit = _tree(dec_t).intersects(_tree(dec_s), stats=kernel_stats)
     else:
-        tris_s = ctx.source_faces(dec_s, sid, parts)
-        hit = bool(len(tris_s)) and ctx.computer.intersects(
-            dec_t.triangles, tris_s, stats=kernel_stats
-        )
+        hit = ctx.computer.intersects(dec_t.triangles, tris_s, stats=kernel_stats)
     ctx.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
     return hit
 
 
 def _pair_min_distance(ctx, dec_t, dec_s, sid, parts, lod, stop_below) -> float:
     kernel_stats: dict = {}
-    if ctx.use_tree:
-        dist = ctx.computer.min_distance(
-            dec_t.triangles, dec_s.triangles,
-            tree_a=dec_t.tree, tree_b=dec_s.tree,
-            stop_below=stop_below, stats=kernel_stats,
+    tris_s = ctx.source_faces(dec_s, sid, parts)
+    if not (len(tris_s) and dec_t.num_faces):
+        dist = math.inf
+    elif _trees is not None:
+        dist = _tree(dec_t).min_distance(
+            _tree(dec_s), stop_below=stop_below, stats=kernel_stats
         )
     else:
-        tris_s = ctx.source_faces(dec_s, sid, parts)
-        dist = (
-            ctx.computer.min_distance(
-                dec_t.triangles, tris_s, stop_below=stop_below, stats=kernel_stats
-            )
-            if len(tris_s)
-            else math.inf
+        dist = ctx.computer.min_distance(
+            dec_t.triangles, tris_s, stop_below=stop_below, stats=kernel_stats
         )
     ctx.stats.face_pairs_by_lod[lod] += kernel_stats.get("pairs", 0)
     return dist
@@ -451,13 +461,15 @@ def _per_target(refine_target):
 
 
 @contextmanager
-def installed():
+def installed(tree: bool = False):
     """Route every query kind through the oracle for the enclosed block.
 
     Each strategy's ``group_refine`` becomes a per-target loop over the
     oracle functions above, so production and reference share nothing
     below the executor but the context's decode and ledger methods.
+    ``tree`` selects the AABB-tree pair kernels.
     """
+    global _trees
     swaps = [
         (plan.IntersectionStrategy, _per_target(_intersection_target)),
         (plan.WithinStrategy, _per_target(_within_target)),
@@ -467,8 +479,10 @@ def installed():
     originals = [(owner, owner.__dict__["group_refine"]) for owner, _new in swaps]
     for owner, new in swaps:
         owner.group_refine = new
+    _trees = {} if tree else None
     try:
         yield
     finally:
+        _trees = None
         for owner, original in originals:
             owner.group_refine = original

@@ -10,8 +10,9 @@ Two layers of properties:
   to the per-pair reference oracle (``tests/oracles/per_pair_refine``,
   run on a serial engine) on every query kind, across backends, under
   injected decode faults, under deadlines (sound subsets), and through
-  the streaming progress hook; and the AABB-tree evaluator must settle
-  every pair exactly where the default evaluator does.
+  the streaming progress hook; and the per-pair oracle's AABB-tree mode
+  (``tests/oracles/aabbtree``, a different algorithm from the waves)
+  must settle every pair exactly where the shipped rounds do.
 
 Satellites ride along: the ``_kth_smallest`` heap rewrite, the memoized
 containment-stage AABBs, and uniform degraded accounting.
@@ -23,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
+from repro.core import EngineConfig, QuerySpec, ThreeDPro
 from repro.core import batch as batch_module
 from repro.core.batch import (
     _FaceTables,
@@ -623,10 +624,11 @@ def _build(datasets, **config_kwargs):
 def oracle_run(datasets):
     """Run a spec on a serial engine that refines through the per-pair
     reference oracle (the swap cannot reach spawned workers, so parallel
-    runs of the shipped code are compared with this serial run)."""
+    runs of the shipped code are compared with this serial run);
+    ``tree=True`` selects the oracle's AABB-tree pair kernels."""
 
-    def run(spec, **config_kwargs):
-        with per_pair_refine.installed():
+    def run(spec, tree=False, **config_kwargs):
+        with per_pair_refine.installed(tree=tree):
             return _build(datasets, query_workers=1, **config_kwargs).execute(spec)
 
     return run
@@ -744,12 +746,13 @@ def oracle(datasets):
     The oracle refines target by target whatever the executor's
     grouping, so one serial run with a progress hook serves both the
     result comparisons and the frame comparisons; runs are memoized per
-    (spec, faulted, config) because the oracle is the slow side.
+    (spec, faulted, tree, config) because the oracle is the slow side.
+    ``tree=True`` selects the oracle's AABB-tree pair kernels.
     """
     memo = {}
 
-    def run(spec, faulted=False, **config_kwargs):
-        key = (spec, faulted, tuple(sorted(config_kwargs.items())))
+    def run(spec, faulted=False, tree=False, **config_kwargs):
+        key = (spec, faulted, tree, tuple(sorted(config_kwargs.items())))
         if key not in memo:
             frames = []
             streamed = replace(spec, progress=lambda tid, lod, m: frames.append(
@@ -757,7 +760,7 @@ def oracle(datasets):
             ))
 
             def execute(**kwargs):
-                with per_pair_refine.installed():
+                with per_pair_refine.installed(tree=tree):
                     return _build(
                         datasets, query_workers=1, **config_kwargs, **kwargs
                     ).execute(streamed)
@@ -876,52 +879,53 @@ class TestDegradedAccountingUniform:
 
 
 class TestTreeEvaluatorMatchesBase:
-    """``Accel(aabbtree=True)`` is the second evaluator behind the same
-    rounds: dual-tree traversals per job instead of fused waves. It must
-    settle every pair at the LOD, and in the way, the default does
-    (``_comparable``: pairs, pairs ledger, funnel — not face-lane counts)."""
-
-    TREE = Accel(aabbtree=True)
+    """The AABB-tree oracle (``per_pair_refine.installed(tree=True)``:
+    one dual-tree traversal per pair, the paper's Section 5.1 index) is
+    a different algorithm from the fused waves. The shipped rounds must
+    settle every pair at the LOD, and in the way, the traversals do
+    (``_comparable``: pairs, pairs ledger, funnel — not face-lane
+    counts)."""
 
     @pytest.mark.parametrize("backend", [
         pytest.param({"query_workers": 1}, id="serial"),
         pytest.param({"query_workers": 4}, id="workers4"),
     ])
     @pytest.mark.parametrize("spec", PARITY_SPECS[:2], ids=PARITY_IDS[:2])
-    def test_settlement_identical(self, datasets, spec, backend):
+    def test_settlement_identical(self, datasets, oracle, spec, backend):
+        tree, _stream = oracle(spec, tree=True)
         base = _build(datasets, **backend).execute(spec)
-        tree = _build(datasets, accel=self.TREE, **backend).execute(spec)
         with_cache = backend["query_workers"] == 1
-        assert _comparable(tree, with_cache) == _comparable(base, with_cache)
+        assert _comparable(base, with_cache) == _comparable(tree, with_cache)
         assert tree.funnel.violations(tree.stats, strict=True) == []
 
     @pytest.mark.parametrize("spec", PARITY_SPECS[2:], ids=PARITY_IDS[2:])
-    def test_nearest_neighbors_identical(self, datasets, spec):
+    def test_nearest_neighbors_identical(self, datasets, oracle, spec):
         # Distances may differ in the last ulp (the traversal visits face
         # pairs in another order than the waves), so compare who matched.
         def neighbors(result):
             return {tid: [sid for sid, _d, _x in m] for tid, m in result.pairs.items()}
 
-        base = _build(datasets).execute(spec)
-        tree = _build(datasets, accel=self.TREE).execute(spec)
-        assert neighbors(tree) == neighbors(base)
+        tree, _stream = oracle(spec, tree=True)
+        for backend in ({"query_workers": 1}, {"query_workers": 4}):
+            base = _build(datasets, **backend).execute(spec)
+            assert neighbors(base) == neighbors(tree)
 
-    def test_faulted_settlement_identical(self, datasets):
+    def test_faulted_settlement_identical(self, datasets, oracle):
         def run(spec, **config_kwargs):
             return _build(datasets, query_workers=1, **config_kwargs).execute(spec)
 
         spec = PARITY_SPECS[0]
         base = _faulted(run, spec)
-        tree = _faulted(run, spec, accel=self.TREE)
-        assert _comparable(tree, True) == _comparable(base, True)
+        tree, _stream = oracle(spec, faulted=True, tree=True)
+        assert _comparable(base, True) == _comparable(tree, True)
 
-    def test_tree_matches_the_tree_oracle(self, oracle_run, datasets):
-        # The route change itself: before 2.0 the tree ran on the
-        # per-pair loop the oracle preserves.
+    def test_tree_matches_the_tree_oracle(self, oracle, datasets):
+        # Streamed frames: serial groups of one confirm each pair in the
+        # same round, in the same order, as the traversals do.
         for spec in PARITY_SPECS[:2]:
-            per_pair = oracle_run(spec, accel=self.TREE)
-            rounds = _build(datasets, query_workers=1, accel=self.TREE).execute(spec)
-            assert _comparable(rounds, True) == _comparable(per_pair, True)
+            _tree, reference = oracle(spec, tree=True)
+            assert reference, "nothing streamed"
+            assert _frames(_build(datasets, query_workers=1), spec) == reference
 
 
 class TestBatchedRefineKeywordIsPinned:

@@ -133,11 +133,24 @@ class TestQueryAndProfile:
                 str(generated / "nuclei_b"),
                 "--query", "intersection",
                 "--paradigm", "fr",
-                "--accel", "aabb",
+                "--accel", "partition",
             ]
         )
         assert code == 0
         assert "intersection_join" in capsys.readouterr().out
+
+    def test_accel_aabb_is_gone(self, generated, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "query",
+                    str(generated / "nuclei_a"),
+                    str(generated / "nuclei_b"),
+                    "--accel", "aabb",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'aabb'" in capsys.readouterr().err
 
     def test_within_requires_distance(self, generated):
         with pytest.raises(SystemExit):

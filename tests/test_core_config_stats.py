@@ -11,12 +11,12 @@ from repro.core.errors import EngineConfigError
 class TestAccel:
     def test_labels(self):
         assert Accel().label == "B"
-        assert Accel(aabbtree=True).label == "A"
         assert Accel(partition=True).label == "P"
 
-    def test_aabbtree_cannot_combine(self):
-        with pytest.raises(EngineConfigError):
-            EngineConfig(accel=Accel(aabbtree=True, partition=True))
+    def test_aabbtree_is_gone(self):
+        # The AABB-tree evaluator is a test oracle now, not a switch.
+        with pytest.raises(TypeError):
+            Accel(aabbtree=True)
 
 
 class TestEngineConfig:

@@ -2,8 +2,13 @@
 
 The naive engine (exhaustive full-resolution evaluation, with provably
 safe MBB skipping) defines correct answers; every paradigm/acceleration
-cell of the paper's Table 1 must return exactly the same joins.
+cell of the paper's Table 1 must return exactly the same joins. The
+AABB-tree cells (``A``) run the per-pair oracle's tree mode
+(``tests/oracles/per_pair_refine.py``), which checks that oracle
+against ground truth too; the swap is in-process, so they run serially.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -12,18 +17,25 @@ from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
 from repro.core.errors import DatasetNotLoadedError, EngineConfigError
 from repro.mesh import icosphere
 from repro.storage import Dataset
+from tests.oracles import per_pair_refine
 
 WITHIN_DISTANCE = 1.0
 
+# (config, tree): ``tree`` refines through the AABB-tree oracle.
 CONFIGS = [
-    EngineConfig(paradigm="fr"),
-    EngineConfig(paradigm="fpr"),
-    EngineConfig(paradigm="fr", accel=Accel(aabbtree=True)),
-    EngineConfig(paradigm="fpr", accel=Accel(aabbtree=True)),
-    EngineConfig(paradigm="fpr", accel=Accel(partition=True), partition_min_faces=200),
+    pytest.param(EngineConfig(paradigm="fr"), False, id="FR/B"),
+    pytest.param(EngineConfig(paradigm="fpr"), False, id="FPR/B"),
+    pytest.param(EngineConfig(paradigm="fr", query_workers=1), True, id="FR/A"),
+    pytest.param(EngineConfig(paradigm="fpr", query_workers=1), True, id="FPR/A"),
+    pytest.param(
+        EngineConfig(paradigm="fpr", accel=Accel(partition=True), partition_min_faces=200),
+        False, id="FPR/P",
+    ),
 ]
 
-CONFIG_IDS = [c.label for c in CONFIGS]
+
+def refining(tree):
+    return per_pair_refine.installed(tree=True) if tree else nullcontext()
 
 
 @pytest.fixture(scope="module")
@@ -49,22 +61,25 @@ def build_engine(config, datasets):
 
 
 class TestJoinCorrectness:
-    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_intersection_join_matches_truth(self, config, datasets, truth_int):
+    @pytest.mark.parametrize("config,tree", CONFIGS)
+    def test_intersection_join_matches_truth(self, config, tree, datasets, truth_int):
         engine = build_engine(config, datasets)
-        result = engine.intersection_join("nuclei_a", "nuclei_b")
+        with refining(tree):
+            result = engine.intersection_join("nuclei_a", "nuclei_b")
         assert result.pairs == truth_int
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_within_join_matches_truth(self, config, datasets, truth_wn):
+    @pytest.mark.parametrize("config,tree", CONFIGS)
+    def test_within_join_matches_truth(self, config, tree, datasets, truth_wn):
         engine = build_engine(config, datasets)
-        result = engine.within_join("nuclei_a", "nuclei_b", WITHIN_DISTANCE)
+        with refining(tree):
+            result = engine.within_join("nuclei_a", "nuclei_b", WITHIN_DISTANCE)
         assert result.pairs == truth_wn
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_nn_join_matches_truth(self, config, datasets, truth_nn):
+    @pytest.mark.parametrize("config,tree", CONFIGS)
+    def test_nn_join_matches_truth(self, config, tree, datasets, truth_nn):
         engine = build_engine(config, datasets)
-        result = engine.nn_join("nuclei_a", "vessels")
+        with refining(tree):
+            result = engine.nn_join("nuclei_a", "vessels")
         assert set(result.pairs) == set(truth_nn)
         for tid, (true_sid, true_dist) in truth_nn.items():
             matches = result.pairs[tid]

@@ -1,4 +1,4 @@
-"""Tests for the per-object AABB-tree (intra-geometry index)."""
+"""Tests for the per-object AABB-tree oracle (``tests/oracles/aabbtree.py``)."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import tri_tri_distance_batch, tri_tri_intersect_batch
-from repro.index import TriangleAABBTree
 from repro.mesh import box_mesh, icosphere
+from tests.oracles.aabbtree import TriangleAABBTree
 
 
 def brute_force_distance(tris_a, tris_b):

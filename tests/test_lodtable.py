@@ -230,32 +230,32 @@ class TestPickle:
 
 
 class TestDecodedLODRace:
-    def test_tree_builds_once_under_four_workers(self, sphere_obj, monkeypatch):
-        """Regression: the lazy tree build used to run unlocked, so four
-        threads sharing one cache entry (concurrent queries over one
-        engine) could each build the AABB-tree."""
+    def test_groups_build_once_under_four_workers(self, sphere_obj):
+        """Regression: the lazy derived-structure builds used to run
+        unlocked, so four threads sharing one cache entry (concurrent
+        queries over one engine) could each build the same structure."""
         import time as _time
 
         import repro.storage.cache as cache_mod
 
-        real_tree = cache_mod.TriangleAABBTree
         builds = []
 
-        def counting_tree(triangles, leaf_size=8):
-            builds.append(threading.get_ident())
-            _time.sleep(0.02)  # widen the race window
-            return real_tree(triangles, leaf_size=leaf_size)
+        class CountingPartition:
+            def group_faces(self, triangles):
+                builds.append(threading.get_ident())
+                _time.sleep(0.02)  # widen the race window
+                return np.zeros(len(triangles), dtype=np.int64)
 
-        monkeypatch.setattr(cache_mod, "TriangleAABBTree", counting_tree)
+        partition = CountingPartition()
         decoded = cache_mod.DecodedLOD(
             sphere_obj.positions, sphere_obj.lod_table.faces_at_step(0)
         )
         barrier = threading.Barrier(4)
-        trees = []
+        groups = []
 
         def worker():
             barrier.wait()
-            trees.append(decoded.tree)
+            groups.append(decoded.groups(partition))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for thread in threads:
@@ -263,7 +263,7 @@ class TestDecodedLODRace:
         for thread in threads:
             thread.join()
         assert len(builds) == 1
-        assert all(tree is trees[0] for tree in trees)
+        assert all(g is groups[0] for g in groups)
 
     def test_triangles_and_groups_build_once(self, sphere_obj):
         import repro.storage.cache as cache_mod

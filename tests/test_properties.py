@@ -5,8 +5,12 @@ the properties everything else rests on:
 
 * PPVP LODs are subsets (volume-monotone, distance upper-bounding);
 * serialization round-trips structure exactly at every LOD;
-* the engine returns identical answers across paradigms and devices.
+* the engine returns identical answers across paradigms, and the same
+  answers as the AABB-tree oracle.
 """
+
+from contextlib import nullcontext
+
 
 import numpy as np
 import pytest
@@ -14,11 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compression import PPVPEncoder, deserialize_object, serialize_object
-from repro.core import Accel, EngineConfig, ThreeDPro
+from repro.core import EngineConfig, ThreeDPro
 from repro.datagen import make_nucleus
 from repro.geometry import tri_tri_distance_batch
 from repro.mesh import mesh_volume, validate_polyhedron
 from repro.storage import Dataset
+from tests.oracles import per_pair_refine
 
 SLOW = settings(
     max_examples=12,
@@ -115,23 +120,26 @@ class TestEngineEquivalence:
         s_set = Dataset("s", [encoder.encode(m) for m in sources])
 
         answers = []
-        for config in (
-            EngineConfig(paradigm="fr"),
-            EngineConfig(paradigm="fpr"),
-            EngineConfig(paradigm="fpr", accel=Accel(aabbtree=True)),
+        # The last leg refines through the AABB-tree oracle, in-process.
+        for config, refining in (
+            (EngineConfig(paradigm="fr"), nullcontext()),
+            (EngineConfig(paradigm="fpr"), nullcontext()),
+            (EngineConfig(paradigm="fpr", query_workers=1),
+             per_pair_refine.installed(tree=True)),
         ):
             engine = ThreeDPro(config)
             engine.load_dataset(t_set)
             engine.load_dataset(s_set)
-            answers.append(
-                (
-                    engine.intersection_join("t", "s").pairs,
-                    engine.within_join("t", "s", 1.0).pairs,
-                    {
-                        tid: matches[0][0]
-                        for tid, matches in engine.nn_join("t", "s").pairs.items()
-                    },
+            with refining:
+                answers.append(
+                    (
+                        engine.intersection_join("t", "s").pairs,
+                        engine.within_join("t", "s", 1.0).pairs,
+                        {
+                            tid: matches[0][0]
+                            for tid, matches in engine.nn_join("t", "s").pairs.items()
+                        },
+                    )
                 )
-            )
         for other in answers[1:]:
             assert other == answers[0]

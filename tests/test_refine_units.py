@@ -238,7 +238,6 @@ class _StubDecode:
     def __init__(self, triangles):
         self.triangles = np.asarray(triangles, dtype=float).reshape(-1, 3, 3)
         self.degraded = False
-        self.tree = None
 
     @property
     def num_faces(self):

@@ -34,10 +34,15 @@ class TestDecodedLOD:
         assert dec._triangles is None
         assert dec.triangles.shape == (20, 3, 3)
 
-    def test_lazy_tree(self):
+    def test_lazy_groups(self):
+        class OnePart:
+            def group_faces(self, triangles):
+                return np.zeros(len(triangles), dtype=np.int64)
+
         dec = make_decoded()
-        assert dec._tree is None
-        assert dec.tree.num_nodes >= 1
+        assert dec._groups is None
+        assert dec.groups(OnePart()).shape == (20,)
+        assert dec._groups is not None
 
     def test_nbytes_grows_with_materialization(self):
         dec = make_decoded()
