@@ -2,16 +2,17 @@
 
 The paper's motivating workload (Section 2.4): for every nucleus in a
 tissue block, find the nearest blood vessel and all vessels within a
-radius — with vessels partitioned into sub-objects (skeleton-based,
-Section 5.1) so the engine refines only the branch segments that can
-matter.
+radius. Every vessel of at least ``partition_min_faces`` faces is
+partitioned into sub-objects (skeleton-based, Section 5.1) on its first
+use as a join source, so the engine refines only the branch segments
+that can matter.
 
 Run with:  python examples/pathology_join.py
 """
 
 import statistics
 
-from repro import Accel, EngineConfig, ThreeDPro
+from repro import EngineConfig, ThreeDPro
 from repro.datagen import make_tissue_scene
 from repro.datagen.vessels import VesselSpec
 
@@ -28,12 +29,9 @@ def main():
     )
     print(f"  {scene.summary}")
 
-    config = EngineConfig(
-        paradigm="fpr",
-        accel=Accel(partition=True),  # the paper's best NV cell (P+G)
-        partition_parts=10,
-        partition_min_faces=400,
-    )
+    # The defaults are the paper's best NV cell (P+G): FPR, partitioned
+    # vessels, fused face-pair waves.
+    config = EngineConfig(paradigm="fpr")
     engine = ThreeDPro(config)
     engine.load_polyhedra("nuclei", scene.nuclei_a)
     engine.load_polyhedra("vessels", scene.vessels)

@@ -45,12 +45,17 @@ Usage: ``PYTHONPATH=src python scripts/check_observability.py``
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+#: The faulted within joins keep the 420-face vessel whole. Partitioned
+#: (the default at 400 faces), its sub-object boxes confirm all 24
+#: targets at the filter, so nothing would decode, fail or degrade.
+UNPARTITIONED = math.inf
 
 from repro.compression import PPVPEncoder  # noqa: E402
 from repro.core import EngineConfig, ThreeDPro  # noqa: E402
@@ -189,6 +194,7 @@ def check_pairs_ledger(datasets) -> None:
         EngineConfig(
             metrics=MetricsRegistry(),
             fault_injector=FaultInjector(seed=11, decode_error_rate=0.9),
+            partition_min_faces=UNPARTITIONED,
         )
     )
     for dataset in datasets.values():
@@ -306,6 +312,7 @@ def check_funnel(datasets, scene) -> None:
         EngineConfig(
             metrics=MetricsRegistry(),
             fault_injector=FaultInjector(seed=11, decode_error_rate=0.9),
+            partition_min_faces=UNPARTITIONED,
         )
     )
     for dataset in datasets.values():

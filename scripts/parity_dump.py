@@ -12,12 +12,13 @@ the change and diffing the two outputs::
 The matrix is every query kind (intersection, within, NN, kNN k=3, NN
 with ``exact_nn_distances``, point containment) × backend (serial,
 process×2) × faults (clean, ``FaultInjector(seed=11,
-decode_error_rate=0.3)``) × paradigm (fpr, fr) × acceleration (none,
-partition) over one small seeded tissue scene. Each run dumps its
-pairs, degraded targets and keys, both pair ledgers, the funnel,
-``face_pairs_by_lod``, the progress frames each group refinement emits,
-the ``refine`` span sequence (query, lod, survivors, settled) of each
-group, and a hash of every value vector
+decode_error_rate=0.3)``) × paradigm (fpr, fr) × ``partition_min_faces``
+(the default, which partitions none of the scene's nuclei, and 40,
+which partitions all of them) over one small seeded tissue scene. Each
+run dumps its pairs, degraded targets and keys, both pair ledgers, the
+funnel, ``face_pairs_by_lod``, the progress frames each group
+refinement emits, the ``refine`` span sequence (query, lod, survivors,
+settled) of each group, and a hash of every value vector
 ``repro.core.batch.batched_min_distances`` returns with
 ``stop_below == 0`` — the exact minima NN ranges and kNN bounds are
 tightened from, which the pairs alone show only at the top k.
@@ -40,7 +41,7 @@ import sys
 from itertools import product
 
 from repro.compression import PPVPEncoder
-from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
+from repro.core import EngineConfig, QuerySpec, ThreeDPro
 from repro.core import batch, plan
 from repro.datagen import make_tissue_scene
 from repro.datagen.vessels import VesselSpec
@@ -52,10 +53,19 @@ BACKENDS = {
     "serial": {"query_workers": 1},
     "process2": {"query_workers": 2, "query_backend": "process"},
 }
-ACCELS = {
-    "none": Accel(),
-    "partition": Accel(partition=True),
+MIN_FACES = {
+    "default": {},
+    "40": {"partition_min_faces": 40},
 }
+try:
+    # Before partitioning was decided by object size alone it was
+    # switched on by ``Accel(partition=True)``: set it on such a tree so
+    # that both sides of a comparison partition the same objects.
+    from repro.core import Accel
+except ImportError:
+    pass
+else:
+    MIN_FACES["40"]["accel"] = Accel(partition=True)
 CACHE_FIELDS = ("cache_hits", "cache_misses", "decoded_objects", "decoded_bytes")
 
 
@@ -198,7 +208,7 @@ def refine_spans(tracer) -> list[list]:
 
 
 def run_one(datasets, spec, config, parallel: bool) -> dict:
-    engine = ThreeDPro(EngineConfig(tracing=True, partition_min_faces=40, **config))
+    engine = ThreeDPro(EngineConfig(tracing=True, **config))
     for dataset in datasets.values():
         engine.load_dataset(dataset)
     recorder = FrameRecorder()
@@ -241,20 +251,20 @@ def main(argv: list[str]) -> int:
     datasets, point = build_datasets()
     matrix = product(
         cases(point).items(), BACKENDS.items(), ("clean", "faulted"), ("fpr", "fr"),
-        ACCELS.items(),
+        MIN_FACES.items(),
     )
     lines = []
     try:
         for (label, (spec, overrides)), (backend, backend_config), faults, paradigm, (
-            accel_name, accel
+            min_faces, partitioning
         ) in matrix:
             config = {
-                **backend_config, **overrides, "paradigm": paradigm, "accel": accel,
+                **backend_config, **overrides, **partitioning, "paradigm": paradigm,
             }
             if faults == "faulted":
                 config["fault_injector"] = FaultInjector(seed=11, decode_error_rate=0.3)
             dump = run_one(datasets, spec, config, parallel=backend != "serial")
-            key = f"{label} {backend} {faults} {paradigm} {accel_name}"
+            key = f"{label} {backend} {faults} {paradigm} min_faces={min_faces}"
             lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
             print(key, file=sys.stderr, flush=True)
     finally:

@@ -30,7 +30,6 @@ Quickstart::
 
 from repro.compression import PPVPEncoder
 from repro.core import (
-    Accel,
     EngineConfig,
     JoinResult,
     QueryResult,
@@ -47,7 +46,6 @@ __version__ = "2.0.0"
 
 __all__ = [
     "PPVPEncoder",
-    "Accel",
     "EngineConfig",
     "JoinResult",
     "QueryResult",

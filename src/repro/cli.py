@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.compression.ppvp import PPVPEncoder
 from repro.compression.serialize import serialized_segment_sizes, serialize_object
-from repro.core.config import Accel, EngineConfig
+from repro.core.config import EngineConfig
 from repro.core.engine import ThreeDPro
 from repro.core.errors import StorageError
 from repro.core.lod_select import choose_lod_list, profile_pruning
@@ -38,11 +38,6 @@ from repro.core.plan import QuerySpec
 from repro.storage.store import Dataset, load_dataset, migrate_dataset, save_dataset
 
 __all__ = ["main", "build_parser"]
-
-_ACCEL = {
-    "none": Accel(),
-    "partition": Accel(partition=True),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--distance", type=float, default=None, help="within threshold")
     qry.add_argument("-k", type=int, default=2, help="neighbors for knn")
     qry.add_argument("--paradigm", choices=["fr", "fpr"], default="fpr")
-    qry.add_argument("--accel", choices=sorted(_ACCEL), default="none")
     qry.add_argument("--query-workers", type=int, default=None,
                      help="worker processes fanning query targets (default: "
                           "REPRO_QUERY_WORKERS env or serial)")
@@ -131,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="requests allowed to wait for a slot before 429 "
                           "(default: REPRO_SERVE_MAX_QUEUE env or 16)")
     srv.add_argument("--paradigm", choices=["fr", "fpr"], default="fpr")
-    srv.add_argument("--accel", choices=sorted(_ACCEL), default="none")
     srv.add_argument("--query-workers", type=int, default=None,
                      help="worker processes fanning query targets (default: "
                           "REPRO_QUERY_WORKERS env or serial)")
@@ -157,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--distance", type=float, default=None, help="within threshold")
     obs.add_argument("-k", type=int, default=2, help="neighbors for knn")
     obs.add_argument("--paradigm", choices=["fr", "fpr"], default="fpr")
-    obs.add_argument("--accel", choices=sorted(_ACCEL), default="none")
     obs.add_argument("--query-workers", type=int, default=None,
                      help="worker processes fanning query targets (default: "
                           "REPRO_QUERY_WORKERS env or serial)")
@@ -319,7 +311,6 @@ def _cmd_decode(args) -> int:
 
 def _make_engine(args) -> tuple[ThreeDPro, str, str]:
     engine = ThreeDPro(EngineConfig(paradigm=getattr(args, "paradigm", "fpr"),
-                                    accel=_ACCEL[getattr(args, "accel", "none")],
                                     query_workers=getattr(args, "query_workers", None),
                                     deadline_ms=getattr(args, "deadline_ms", None)))
     salvage = getattr(args, "salvage", False)
@@ -408,7 +399,6 @@ def _cmd_serve(args) -> int:
 
     engine = ThreeDPro(EngineConfig(
         paradigm=args.paradigm,
-        accel=_ACCEL[args.accel],
         query_workers=args.query_workers,
         deadline_ms=args.deadline_ms,
     ))
@@ -478,7 +468,6 @@ def _cmd_obs(args) -> int:
         engine = ThreeDPro(
             EngineConfig(
                 paradigm=args.paradigm,
-                accel=_ACCEL[args.accel],
                 tracing=True,
                 metrics=metrics,
                 query_workers=args.query_workers,

@@ -10,13 +10,15 @@ PPVP-compressed objects under either query paradigm:
   from low LODs, returning results early whenever the
   progressive-approximation properties allow (Algorithms 1-3).
 
-Skeleton partitioning composes with both paradigms, as in the paper's
-Table 1; simulated-GPU batching is not a method to select but how every
-refinement round runs, which is also why the paper's per-object
-AABB-trees are not offered (they lost to it on every query).
+Neither of the paper's Table 1 accelerations is a switch. Skeleton
+partitioning applies, under both paradigms, to every source object of
+at least ``EngineConfig.partition_min_faces`` top-LOD faces;
+simulated-GPU batching is how every refinement round runs, which is
+also why the paper's per-object AABB-trees are not offered (they lost
+to it on every query).
 """
 
-from repro.core.config import Accel, EngineConfig
+from repro.core.config import EngineConfig
 from repro.core.deadline import CancellationToken, Deadline
 from repro.core.engine import JoinResult, QueryResult, QuerySpec, ThreeDPro
 from repro.core.errors import (
@@ -36,7 +38,6 @@ from repro.core.plan import QueryCompleteness
 from repro.core.stats import QueryStats
 
 __all__ = [
-    "Accel",
     "CancellationToken",
     "Deadline",
     "DeadlineExceededError",

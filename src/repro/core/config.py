@@ -1,8 +1,12 @@
 """Engine configuration.
 
 One :class:`EngineConfig` captures a full experimental cell of the
-paper's Table 1: the query paradigm (FR or FPR) plus the acceleration
-methods applied. ``Accel`` mirrors the table's columns.
+paper's Table 1: the query paradigm (FR or FPR). The table's
+acceleration columns are not switches: every refinement round runs on
+the fused face-pair waves (the paper's GPU column), and every object
+with at least ``partition_min_faces`` top-LOD faces is partitioned into
+sub-objects (its ``P`` column; a threshold above every object's face
+count gives the ``B`` column).
 
 Runtime-tunable settings resolve through one shared precedence chain
 (:func:`resolve_setting`), documented once here and used by the engine,
@@ -27,11 +31,11 @@ falling back to the default.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.errors import EngineConfigError
 
-__all__ = ["Accel", "EngineConfig", "SETTINGS", "resolve_setting"]
+__all__ = ["EngineConfig", "SETTINGS", "resolve_setting"]
 
 
 def _parse_int(env_name: str, raw: str) -> int:
@@ -131,36 +135,16 @@ def resolve_setting(name: str, *, spec=None, override=None, config=None):
 
 
 @dataclass(frozen=True)
-class Accel:
-    """Acceleration methods (paper Section 5.1).
-
-    ``partition`` — skeleton-based sub-object decomposition with
-    per-part boxes in the global index.
-
-    Fused mega-batch kernels (the paper's GPU column) are not a switch:
-    every refinement round runs on them. The paper's per-object
-    AABB-trees (Table 1's ``A`` column) are not offered: they lost to
-    the fused waves on every measured cell and survive only as a test
-    oracle (EXPERIMENTS.md, "AABB-tree evaluator").
-    """
-
-    partition: bool = False
-
-    @property
-    def label(self) -> str:
-        """Short label matching the paper's Fig. 10 x-axis (B/P)."""
-        return "P" if self.partition else "B"
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     """Complete engine configuration (one Table 1 cell)."""
 
     paradigm: str = "fpr"  # "fr" | "fpr"
-    accel: Accel = field(default_factory=Accel)
     lod_list: tuple[int, ...] | None = None  # None: all LODs (fpr) / top (fr)
-    partition_parts: int = 8
-    partition_min_faces: int = 400  # only decompose complex objects
+    # Skeleton partitioning (paper Section 5.1): a source object whose
+    # top LOD has at least this many faces is indexed by sub-object
+    # boxes and refined part by part; smaller objects are indexed whole
+    # (math.inf partitions nothing).
+    partition_min_faces: int = 400
     cache_bytes: int = 256 * 1024 * 1024
     cache_enabled: bool = True
     # Inter-target query parallelism: how many worker processes the
@@ -232,8 +216,6 @@ class EngineConfig:
     def __post_init__(self):
         if self.paradigm not in ("fr", "fpr"):
             raise EngineConfigError(f"paradigm must be 'fr' or 'fpr', got {self.paradigm!r}")
-        if self.partition_parts < 1:
-            raise EngineConfigError("partition_parts must be >= 1")
         if self.max_decode_failures is not None and self.max_decode_failures < 0:
             raise EngineConfigError("max_decode_failures must be None or >= 0")
         if self.query_workers is not None and self.query_workers < 1:
@@ -285,8 +267,8 @@ class EngineConfig:
 
     @property
     def label(self) -> str:
-        """e.g. ``FPR/P`` — paradigm plus acceleration, as in Table 1."""
-        return f"{self.paradigm.upper()}/{self.accel.label}"
+        """The paradigm as Table 1 names it: ``FR`` or ``FPR``."""
+        return self.paradigm.upper()
 
     def with_paradigm(self, paradigm: str) -> "EngineConfig":
         return replace(self, paradigm=paradigm)

@@ -2,8 +2,11 @@
 
 The engine owns (Fig. 8 of the paper):
 
-* a **global index** — one R-tree per loaded dataset over object MBBs
-  (or sub-object boxes when partition acceleration is on);
+* a **global index** — one R-tree per dataset used as a source, over
+  object MBBs, or sub-object boxes for objects of at least
+  ``partition_min_faces`` top-LOD faces; built on the dataset's first
+  use as a source, so a dataset that is only a target is never decoded
+  for indexing;
 * an **object decoder** behind a shared LRU decode cache;
 * a **geometry computer** — the batched face-pair kernel executor;
 * the **query processor** — :meth:`ThreeDPro.execute` compiles a
@@ -21,6 +24,7 @@ thin wrappers over :meth:`execute`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 from repro.compression.ppvp import PPVPEncoder
@@ -46,17 +50,60 @@ JoinResult = QueryResult
 
 
 class _LoadedDataset:
-    """Engine-side state for one dataset."""
+    """Engine-side state for one dataset: its decode provider, and the
+    source index built on first use."""
 
-    def __init__(self, dataset: Dataset, provider: DecodedObjectProvider, rtree: RTree, partitions: dict):
+    def __init__(self, dataset: Dataset, provider: DecodedObjectProvider, min_faces: int):
         self.dataset = dataset
         self.provider = provider
-        self.rtree = rtree
-        self.partitions = partitions
+        self._min_faces = min_faces
+        self._index = None
+        self._lock = threading.Lock()
 
     @property
     def name(self) -> str:
         return self.dataset.name
+
+    def index(self) -> tuple[RTree, dict]:
+        """``(rtree, partitions)`` over this dataset, built once.
+
+        Objects with at least ``min_faces`` top-LOD faces are decoded
+        at full resolution and indexed by their sub-object boxes
+        (``partitions`` maps their ids to the :class:`ObjectPartition`);
+        every other object is indexed by its MBB, without a decode.
+        """
+        index = self._index
+        if index is None:
+            with self._lock:
+                if self._index is None:
+                    self._index = self._build_index()
+                index = self._index
+        return index
+
+    def _build_index(self) -> tuple[RTree, dict]:
+        partitions: dict[int, object] = {}
+        entries: list[RTreeEntry] = []
+        for obj_id, obj in enumerate(self.dataset.objects):
+            partition = self._partition(obj)
+            if partition is None:
+                entries.append(RTreeEntry(obj.aabb, (obj_id, None)))
+                continue
+            partitions[obj_id] = partition
+            entries.extend(
+                RTreeEntry(sub.aabb, (obj_id, sub.index))
+                for sub in partition.sub_objects
+            )
+        return RTree(entries), partitions
+
+    def _partition(self, obj):
+        if obj.face_count_at_lod(obj.max_lod) < self._min_faces:
+            return None
+        try:
+            return partition_faces(obj.decode(obj.max_lod))
+        except Exception:
+            # Undecodable (e.g. salvage-recovered) object: index its
+            # whole MBB instead of sub-object boxes.
+            return None
 
 
 class ThreeDPro:
@@ -89,7 +136,8 @@ class ThreeDPro:
     # -- loading ---------------------------------------------------------------
 
     def load_dataset(self, dataset: Dataset) -> None:
-        """Register a dataset: build its provider, partitions, and R-tree."""
+        """Register a dataset and its decode provider (see
+        :meth:`_LoadedDataset.index` for when it is indexed)."""
         provider = DecodedObjectProvider(
             dataset.name,
             dataset.objects,
@@ -99,30 +147,8 @@ class ThreeDPro:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        partitions: dict[int, object] = {}
-        entries: list[RTreeEntry] = []
-        for obj_id, obj in enumerate(dataset.objects):
-            if (
-                self.config.accel.partition
-                and obj.face_count_at_lod(obj.max_lod) >= self.config.partition_min_faces
-            ):
-                try:
-                    full = obj.decode(obj.max_lod)
-                    partition = partition_faces(full, self.config.partition_parts)
-                except Exception:
-                    # Undecodable (e.g. salvage-recovered) object: index
-                    # its whole MBB instead of sub-object boxes.
-                    entries.append(RTreeEntry(obj.aabb, (obj_id, None)))
-                    continue
-                partitions[obj_id] = partition
-                entries.extend(
-                    RTreeEntry(sub.aabb, (obj_id, sub.index))
-                    for sub in partition.sub_objects
-                )
-            else:
-                entries.append(RTreeEntry(obj.aabb, (obj_id, None)))
         self._datasets[dataset.name] = _LoadedDataset(
-            dataset, provider, RTree(entries), partitions
+            dataset, provider, self.config.partition_min_faces
         )
 
     def load_polyhedra(

@@ -533,14 +533,14 @@ class QueryExecutor:
     # -- shared machinery (moved verbatim from the old per-kind drivers) --------
 
     def _context(self, plan, stats, deadline) -> RefineContext:
+        _rtree, source_partitions = plan.source.index()
         return RefineContext(
             deadline=deadline,
             computer=self.engine.computer,
             stats=stats,
             target_provider=plan.target.provider,
             source_provider=plan.source.provider,
-            target_partitions=plan.target.partitions,
-            source_partitions=plan.source.partitions,
+            source_partitions=source_partitions,
             lods=plan.lods,
             exact_nn_distances=self.config.exact_nn_distances,
             max_decode_failures=self.config.max_decode_failures,

@@ -38,6 +38,7 @@ from repro.core.refine import (
 )
 from repro.core.stats import QueryStats
 from repro.geometry.aabb import AABB
+from repro.partition.partitioner import PARTS
 
 __all__ = [
     "QuerySpec",
@@ -616,7 +617,7 @@ def _sorted_ids(matches):
 class IntersectionStrategy(KindStrategy):
     def filter(self, plan, tid):
         box = plan.target.dataset.objects[tid].aabb
-        return merge_payloads(plan.source.rtree.query_intersecting(box))
+        return merge_payloads(plan.source.index()[0].query_intersecting(box))
 
     def group_refine(self, plan, ctx, items):
         return refine_intersection_group(ctx, items)
@@ -628,7 +629,7 @@ class IntersectionStrategy(KindStrategy):
 class WithinStrategy(KindStrategy):
     def filter(self, plan, tid):
         box = plan.target.dataset.objects[tid].aabb
-        found = plan.source.rtree.query_within(box, plan.spec.distance)
+        found = plan.source.index()[0].query_within(box, plan.spec.distance)
         definite = merge_payloads(found.definite)
         candidates = merge_payloads(
             p for p in found.candidates if p[0] not in definite
@@ -655,12 +656,11 @@ class KnnStrategy(KindStrategy):
         # bound: an object whose every part has MINDIST above the
         # smallest part MAXDIST is farther than the nearest object, and
         # the part realizing an object's distance always survives. For
-        # k > 1, k objects may own up to k * partition_parts of the
-        # smallest part ranges, so keep that many.
-        k_entries = k if k == 1 else k * (
-            plan.config.partition_parts if plan.source.partitions else 1
-        )
-        raw = plan.source.rtree.query_nn_candidates(box, k=k_entries)
+        # k > 1, k objects may own up to k * PARTS of the smallest part
+        # ranges, so keep that many.
+        rtree, partitions = plan.source.index()
+        k_entries = k if k == 1 else k * (PARTS if partitions else 1)
+        raw = rtree.query_nn_candidates(box, k=k_entries)
         return merge_nn_payloads(raw)
 
     def group_refine(self, plan, ctx, items):
@@ -682,7 +682,7 @@ class ContainmentStrategy(KindStrategy):
     def filter(self, plan, tid):
         point = plan.spec.point
         probe = AABB(point, point)
-        payloads = plan.source.rtree.query_intersecting(probe)
+        payloads = plan.source.index()[0].query_intersecting(probe)
         return sorted({obj_id for obj_id, _part in payloads})
 
     def group_refine(self, plan, ctx, items):

@@ -115,7 +115,6 @@ class RefineContext:
     stats: object  # QueryStats
     target_provider: object  # DecodedObjectProvider
     source_provider: object
-    target_partitions: dict = field(default_factory=dict)
     source_partitions: dict = field(default_factory=dict)
     lods: tuple[int, ...] = ()
     exact_nn_distances: bool = False

@@ -104,11 +104,17 @@ def closest_point_on_triangle_batch(points: np.ndarray, tris: np.ndarray) -> np.
     return closest
 
 
+def _point_triangle_sqdist_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    closest = closest_point_on_triangle_batch(points, tris)
+    diff = points - closest
+    return _dot(diff, diff)
+
+
 def point_triangle_distance_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Distance from ``points[i]`` to triangle ``tris[i]``."""
-    closest = closest_point_on_triangle_batch(points, tris)
-    diff = np.asarray(points, dtype=np.float64) - closest
-    return np.sqrt(_dot(diff, diff))
+    return np.sqrt(
+        _point_triangle_sqdist_batch(np.asarray(points, dtype=np.float64), tris)
+    )
 
 
 def point_triangle_distance(point, tri) -> float:
@@ -117,19 +123,12 @@ def point_triangle_distance(point, tri) -> float:
     return float(point_triangle_distance_batch(point, tri)[0])
 
 
-def segment_segment_distance_batch(
-    p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np.ndarray
-) -> np.ndarray:
-    """Distance between segments ``p1[i]q1[i]`` and ``p2[i]q2[i]``.
+def _segment_segment_sqdist_batch(p1, q1, p2, q2) -> np.ndarray:
+    """Squared distance between segments ``p1[i]q1[i]`` and ``p2[i]q2[i]``.
 
     Clamped closest-point computation (Ericson 5.1.9), vectorized and
     robust to degenerate (point-like) segments.
     """
-    p1 = np.asarray(p1, dtype=np.float64)
-    q1 = np.asarray(q1, dtype=np.float64)
-    p2 = np.asarray(p2, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
@@ -154,42 +153,21 @@ def segment_segment_distance_batch(
     t = np.clip(t, 0.0, 1.0)
 
     diff = (p1 + d1 * s[:, None]) - (p2 + d2 * t[:, None])
-    return np.sqrt(_dot(diff, diff))
+    return _dot(diff, diff)
+
+
+def segment_segment_distance_batch(
+    p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np.ndarray
+) -> np.ndarray:
+    """Distance between segments ``p1[i]q1[i]`` and ``p2[i]q2[i]``."""
+    return np.sqrt(_segment_segment_sqdist_batch(
+        *(np.asarray(v, dtype=np.float64) for v in (p1, q1, p2, q2))
+    ))
 
 
 def segment_segment_distance(p1, q1, p2, q2) -> float:
     args = [np.asarray(v, dtype=np.float64).reshape(1, 3) for v in (p1, q1, p2, q2)]
     return float(segment_segment_distance_batch(*args)[0])
-
-
-def _point_triangle_sqdist_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    closest = closest_point_on_triangle_batch(points, tris)
-    diff = points - closest
-    return _dot(diff, diff)
-
-
-def _segment_segment_sqdist_batch(p1, q1, p2, q2) -> np.ndarray:
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = _dot(d1, d1)
-    e = _dot(d2, d2)
-    f = _dot(d2, r)
-    c = _dot(d1, r)
-    b = _dot(d1, d2)
-
-    denom = a * e - b * b
-    safe_denom = np.where(denom > _EPS, denom, 1.0)
-    s = np.where(denom > _EPS, np.clip((b * f - c * e) / safe_denom, 0.0, 1.0), 0.0)
-    safe_e = np.where(e > _EPS, e, 1.0)
-    t = np.where(e > _EPS, (b * s + f) / safe_e, 0.0)
-    safe_a = np.where(a > _EPS, a, 1.0)
-    s = np.where(t < 0.0, np.clip(-c / safe_a, 0.0, 1.0), s)
-    s = np.where(t > 1.0, np.clip((b - c) / safe_a, 0.0, 1.0), s)
-    s = np.where(a > _EPS, s, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    diff = (p1 + d1 * s[:, None]) - (p2 + d2 * t[:, None])
-    return _dot(diff, diff)
 
 
 def tri_tri_distance_batch(

@@ -13,19 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.aabb import AABB
-from repro.partition.obb import OBB, obb_of_points
 from repro.partition.skeleton import extract_skeleton, nearest_skeleton_point
 
-__all__ = ["SubObject", "ObjectPartition", "partition_faces"]
+__all__ = ["PARTS", "SubObject", "ObjectPartition", "partition_faces"]
+
+#: Sub-objects per partitioned object (at most: empty groups are dropped).
+PARTS = 8
 
 
 @dataclass(frozen=True)
 class SubObject:
-    """One group of faces with its approximations."""
+    """One group of faces with its box."""
 
     index: int
     aabb: AABB
-    obb: OBB
     face_count: int
 
 
@@ -53,13 +54,14 @@ class ObjectPartition:
         return [sub.aabb for sub in self.sub_objects]
 
 
-def partition_faces(polyhedron, n_parts: int, lloyd_iterations: int = 5) -> ObjectPartition:
+def partition_faces(
+    polyhedron, n_parts: int = PARTS, lloyd_iterations: int = 5
+) -> ObjectPartition:
     """Partition ``polyhedron`` into at most ``n_parts`` sub-objects.
 
     Skeleton points are extracted from the vertex cloud; every face of
     the (highest-LOD) mesh joins the group of its nearest skeleton
-    point; empty groups are dropped. Each group gets a tight MBB and a
-    PCA OBB.
+    point; empty groups are dropped. Each group gets a tight MBB.
     """
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
@@ -81,7 +83,6 @@ def partition_faces(polyhedron, n_parts: int, lloyd_iterations: int = 5) -> Obje
             SubObject(
                 index=len(subs),
                 aabb=AABB.of_points(corners),
-                obb=obb_of_points(corners),
                 face_count=int(face_ids.size),
             )
         )

@@ -20,7 +20,9 @@ each pair kernel as one dual-tree traversal over an AABB-tree
 (:class:`~tests.oracles.aabbtree.TriangleAABBTree`) of each whole
 decode instead of a blocked loop — the paper's AABB-tree acceleration,
 a second algorithm to check the waves against. Trees index whole
-objects, so tree mode is not combined with partition acceleration.
+decodes: on a partitioned source, tree mode evaluates every part of a
+candidate rather than only its candidate parts, which leaves the answer
+unchanged but not the face-pair counts.
 """
 
 from __future__ import annotations

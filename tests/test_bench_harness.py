@@ -48,8 +48,11 @@ class TestSpecs:
 
     def test_accel_variants_match_paper_columns(self):
         # Fused batching (the paper's G) is always on, so it is no column.
-        # The AABB-tree column (A) is a test oracle, not a variant.
+        # The AABB-tree column (A) is a test oracle, not a variant. B and
+        # P are partition thresholds: none, and the engine's default.
         assert set(ACCEL_VARIANTS) == {"B", "P"}
+        assert ACCEL_VARIANTS["B"]["partition_min_faces"] == float("inf")
+        assert ACCEL_VARIANTS["P"] == {}
 
     def test_paper_table_covers_all_base_cells(self):
         for test_id in TESTS:
@@ -91,8 +94,12 @@ class TestRunner:
         assert first[-1] == max(first)
 
     def test_make_engine_with_named_accel(self, workload):
-        engine = make_engine("fpr", "P", workload=workload)
-        assert engine.config.label == "FPR/P"
+        # P partitions the conftest's 420-face vessels, B nothing.
+        for accel, partitioned in (("B", False), ("P", True)):
+            engine = make_engine("fpr", accel, workload=workload)
+            assert engine.config.label == "FPR"
+            _rtree, partitions = engine._get("vessels").index()
+            assert bool(partitions) is partitioned
 
 
 class TestReporting:

@@ -126,6 +126,7 @@ class TestQueryAndProfile:
         assert "target 0" in text
 
     def test_intersection_query_with_accel(self, generated, capsys):
+        # Partitioning needs no flag: the engine decides it by object size.
         code = main(
             [
                 "query",
@@ -133,24 +134,25 @@ class TestQueryAndProfile:
                 str(generated / "nuclei_b"),
                 "--query", "intersection",
                 "--paradigm", "fr",
-                "--accel", "partition",
             ]
         )
         assert code == 0
         assert "intersection_join" in capsys.readouterr().out
 
     def test_accel_aabb_is_gone(self, generated, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "query",
-                    str(generated / "nuclei_a"),
-                    str(generated / "nuclei_b"),
-                    "--accel", "aabb",
-                ]
-            )
-        assert exc.value.code == 2
-        assert "invalid choice: 'aabb'" in capsys.readouterr().err
+        # So is the flag itself, for every value it used to take.
+        for accel in ("aabb", "partition"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "query",
+                        str(generated / "nuclei_a"),
+                        str(generated / "nuclei_b"),
+                        "--accel", accel,
+                    ]
+                )
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --accel" in capsys.readouterr().err
 
     def test_within_requires_distance(self, generated):
         with pytest.raises(SystemExit):

@@ -4,26 +4,35 @@ import time
 
 import pytest
 
-from repro.core import Accel, EngineConfig, QueryStats
+import repro
+import repro.core
+from repro.core import EngineConfig, QueryStats
 from repro.core.errors import EngineConfigError
 
 
 class TestAccel:
+    """Table 1's acceleration columns are not switches: the object's
+    size decides partitioning, and the fused waves always run."""
+
     def test_labels(self):
-        assert Accel().label == "B"
-        assert Accel(partition=True).label == "P"
+        assert EngineConfig(paradigm="fr").label == "FR"
+        assert EngineConfig(paradigm="fpr").label == "FPR"
 
     def test_aabbtree_is_gone(self):
-        # The AABB-tree evaluator is a test oracle now, not a switch.
+        # The AABB-tree evaluator is a test oracle now, and the `Accel`
+        # switch set that held it is gone with its partition flag.
+        for module in (repro, repro.core):
+            assert not hasattr(module, "Accel")
         with pytest.raises(TypeError):
-            Accel(aabbtree=True)
+            EngineConfig(accel=object())
 
 
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.paradigm == "fpr"
-        assert config.label == "FPR/B"
+        assert config.label == "FPR"
+        assert config.partition_min_faces == 400
 
     def test_bad_paradigm(self):
         with pytest.raises(EngineConfigError):
@@ -46,7 +55,8 @@ class TestEngineConfig:
         assert flipped.lod_list == (0, 3)
 
     def test_bad_partition_parts(self):
-        with pytest.raises(EngineConfigError):
+        # The part count is a constant (repro.partition.PARTS), not a field.
+        with pytest.raises(TypeError):
             EngineConfig(partition_parts=0)
 
 
@@ -114,11 +124,11 @@ class TestQueryStats:
         assert a.decode_failures == 7
 
     def test_as_dict_and_summary(self):
-        stats = QueryStats(query="nn_join", config_label="FPR/B", total_seconds=0.5)
+        stats = QueryStats(query="nn_join", config_label="FPR", total_seconds=0.5)
         payload = stats.as_dict()
         assert payload["query"] == "nn_join"
         assert "nn_join" in stats.summary()
-        assert "FPR/B" in stats.summary()
+        assert "[FPR]" in stats.summary()
 
     def test_as_dict_includes_face_pairs_by_lod(self):
         stats = QueryStats()

@@ -8,29 +8,40 @@ AABB-tree cells (``A``) run the per-pair oracle's tree mode
 against ground truth too; the swap is in-process, so they run serially.
 """
 
+import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import pytest
 
 from repro.baselines import NaiveEngine
-from repro.core import Accel, EngineConfig, QuerySpec, ThreeDPro
+from repro.core import EngineConfig, QuerySpec, ThreeDPro
+from repro.core import engine as engine_module
 from repro.core.errors import DatasetNotLoadedError, EngineConfigError
+from repro.geometry import AABB
 from repro.mesh import icosphere
-from repro.storage import Dataset
+from repro.storage import Dataset, load_dataset, save_dataset
 from tests.oracles import per_pair_refine
 
 WITHIN_DISTANCE = 1.0
 
-# (config, tree): ``tree`` refines through the AABB-tree oracle.
+# (config, tree): ``tree`` refines through the AABB-tree oracle, whose
+# trees index whole objects. B and A legs partition nothing (the 420-face
+# vessels sit above the default threshold of 400); P partitions them.
+UNPARTITIONED = {"partition_min_faces": math.inf}
 CONFIGS = [
-    pytest.param(EngineConfig(paradigm="fr"), False, id="FR/B"),
-    pytest.param(EngineConfig(paradigm="fpr"), False, id="FPR/B"),
-    pytest.param(EngineConfig(paradigm="fr", query_workers=1), True, id="FR/A"),
-    pytest.param(EngineConfig(paradigm="fpr", query_workers=1), True, id="FPR/A"),
+    pytest.param(EngineConfig(paradigm="fr", **UNPARTITIONED), False, id="FR/B"),
+    pytest.param(EngineConfig(paradigm="fpr", **UNPARTITIONED), False, id="FPR/B"),
     pytest.param(
-        EngineConfig(paradigm="fpr", accel=Accel(partition=True), partition_min_faces=200),
-        False, id="FPR/P",
+        EngineConfig(paradigm="fr", query_workers=1, **UNPARTITIONED), True, id="FR/A",
     ),
+    pytest.param(
+        EngineConfig(paradigm="fpr", query_workers=1, **UNPARTITIONED), True, id="FPR/A",
+    ),
+    pytest.param(EngineConfig(paradigm="fpr", partition_min_faces=200), False, id="FPR/P"),
 ]
 
 
@@ -264,3 +275,74 @@ class TestErrors:
         engine = build_engine(EngineConfig(), datasets)
         with pytest.raises(EngineConfigError):
             engine.knn_join("nuclei_a", "nuclei_b", k=0)
+
+
+class TestSourceIndex:
+    """Partitioning is decided by object size, and a dataset's index
+    (R-tree plus partitions) is built once, on its first use as a source."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts of ``partition_faces`` calls and R-trees built."""
+        counts = {"partition_faces": 0, "rtree": 0}
+        real_partition, real_rtree = engine_module.partition_faces, engine_module.RTree
+
+        def partition_faces(*args, **kwargs):
+            counts["partition_faces"] += 1
+            time.sleep(0.05)  # widen the window for racing first uses
+            return real_partition(*args, **kwargs)
+
+        def rtree(*args, **kwargs):
+            counts["rtree"] += 1
+            return real_rtree(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "partition_faces", partition_faces)
+        monkeypatch.setattr(engine_module, "RTree", rtree)
+        return counts
+
+    def test_default_threshold_partitions_large_objects_only(self, datasets):
+        nucleus = datasets["nuclei_a"].objects[0]
+        vessel = datasets["vessels"].objects[0]
+        assert nucleus.face_count_at_lod(nucleus.max_lod) < 400
+        assert vessel.face_count_at_lod(vessel.max_lod) >= 400
+        engine = ThreeDPro(EngineConfig())
+        engine.load_dataset(Dataset("mixed", [nucleus, vessel]))
+        rtree, partitions = engine._get("mixed").index()
+        assert set(partitions) == {1}
+        everything = AABB((-1e9, -1e9, -1e9), (1e9, 1e9, 1e9))
+        payloads = set(rtree.query_intersecting(everything))
+        assert (0, None) in payloads
+        assert {sid for sid, part in payloads if part is not None} == {1}
+
+    def test_target_only_dataset_is_never_indexed(self, datasets, tmp_path, counted):
+        # Serial: the counting wrappers cannot see into worker processes.
+        engine = ThreeDPro(EngineConfig(query_workers=1))
+        loaded = {}
+        for name, dataset in datasets.items():
+            save_dataset(dataset, tmp_path / name)
+            loaded[name] = load_dataset(tmp_path / name)
+            engine.load_dataset(loaded[name])
+        engine.intersection_join("nuclei_a", "nuclei_b")
+        engine.nn_join("nuclei_a", "nuclei_b")
+        assert loaded["vessels"].materialized_count() == 0
+        assert counted == {"partition_faces": 0, "rtree": 1}
+
+    def test_concurrent_first_source_uses_build_once(self, datasets, counted):
+        engine = build_engine(EngineConfig(query_workers=1), datasets)
+        spec = QuerySpec(kind="intersection", source="vessels", target="nuclei_a")
+        barrier = threading.Barrier(4)
+
+        def first_use(_i):
+            barrier.wait(timeout=30)
+            return engine.execute(spec).pairs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(first_use, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 4
+        assert all(answer == answers[0] for answer in answers)
+        assert counted == {"partition_faces": len(datasets["vessels"]), "rtree": 1}

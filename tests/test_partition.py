@@ -1,4 +1,4 @@
-"""Tests for skeleton extraction, OBB fitting, and object partitioning."""
+"""Tests for skeleton extraction and object partitioning."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.datagen.vessels import VesselSpec, make_vessel
 from repro.geometry import AABB
 from repro.mesh import icosphere
-from repro.partition import extract_skeleton, obb_of_points, partition_faces
+from repro.partition import extract_skeleton, partition_faces
 from repro.partition.skeleton import nearest_skeleton_point
 
 
@@ -46,55 +46,6 @@ class TestSkeleton:
         skeleton = np.array([[0, 0, 0], [10, 0, 0]], dtype=float)
         points = np.array([[1, 0, 0], [9, 0, 0], [4, 0, 0]], dtype=float)
         assert nearest_skeleton_point(points, skeleton).tolist() == [0, 1, 0]
-
-
-class TestOBB:
-    def test_axis_aligned_cloud(self):
-        rng = np.random.default_rng(2)
-        points = rng.uniform((-1, -2, -3), (1, 2, 3), size=(500, 3))
-        obb = obb_of_points(points)
-        # PCA boxes are not minimal; allow modest slack over the true box.
-        assert obb.volume <= 2 * 4 * 6 * 1.3
-
-    def test_obb_tighter_than_aabb_for_rotated_box(self):
-        rng = np.random.default_rng(3)
-        local = rng.uniform((-4, -0.5, -0.5), (4, 0.5, 0.5), size=(800, 3))
-        theta = np.pi / 4
-        rot = np.array(
-            [
-                [np.cos(theta), -np.sin(theta), 0],
-                [np.sin(theta), np.cos(theta), 0],
-                [0, 0, 1],
-            ]
-        )
-        points = local @ rot.T
-        obb = obb_of_points(points)
-        aabb = AABB.of_points(points)
-        assert obb.volume < aabb.volume * 0.6
-
-    def test_contains_its_points(self):
-        rng = np.random.default_rng(4)
-        points = rng.normal(size=(100, 3))
-        obb = obb_of_points(points)
-        for p in points:
-            assert obb.contains_point(p, tol=1e-6)
-
-    def test_aabb_covers_corners(self):
-        rng = np.random.default_rng(5)
-        points = rng.normal(size=(50, 3))
-        obb = obb_of_points(points)
-        box = obb.aabb()
-        for corner in obb.corners():
-            assert box.contains_point(tuple(corner + 0))
-
-    def test_single_point(self):
-        obb = obb_of_points(np.array([[1.0, 2.0, 3.0]]))
-        assert obb.center == pytest.approx((1.0, 2.0, 3.0))
-        assert obb.volume == 0.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            obb_of_points(np.zeros((0, 3)))
 
 
 class TestPartitioner:

@@ -9,6 +9,7 @@ the properties everything else rests on:
   answers as the AABB-tree oracle.
 """
 
+import math
 from contextlib import nullcontext
 
 
@@ -120,11 +121,14 @@ class TestEngineEquivalence:
         s_set = Dataset("s", [encoder.encode(m) for m in sources])
 
         answers = []
-        # The last leg refines through the AABB-tree oracle, in-process.
+        # The 80-face nuclei sit below the default partition threshold;
+        # one leg partitions them all. The last leg refines through the
+        # AABB-tree oracle, in-process, over whole (unpartitioned) objects.
         for config, refining in (
             (EngineConfig(paradigm="fr"), nullcontext()),
             (EngineConfig(paradigm="fpr"), nullcontext()),
-            (EngineConfig(paradigm="fpr", query_workers=1),
+            (EngineConfig(paradigm="fpr", partition_min_faces=40), nullcontext()),
+            (EngineConfig(paradigm="fpr", query_workers=1, partition_min_faces=math.inf),
              per_pair_refine.installed(tree=True)),
         ):
             engine = ThreeDPro(config)
