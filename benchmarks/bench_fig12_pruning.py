@@ -11,6 +11,7 @@ import pytest
 from repro.bench.reporting import format_table
 from repro.bench.runner import make_engine
 from repro.core import choose_lod_list, profile_pruning
+from repro.core.schedule import full_ladder
 
 QUERIES = [
     ("intersection", "nuclei_a", "nuclei_b", None),
@@ -25,7 +26,10 @@ IDS = ["INT-NN", "WN-NN", "WN-NV", "NN-NN", "NN-NV"]
 
 @pytest.mark.parametrize("query,target,source,dist_attr", QUERIES, ids=IDS)
 def test_fig12_pruning_profile(benchmark, workload, query, target, source, dist_attr):
-    engine = make_engine("fpr", "B", workload=workload)
+    engine = make_engine(
+        "fpr", "B", workload=workload,
+        lod_list=full_ladder(*workload.datasets.values()),
+    )
     distance = getattr(workload, dist_attr) if dist_attr else None
     profile = {}
 

@@ -12,6 +12,7 @@ import time
 
 from repro import EngineConfig, ThreeDPro
 from repro.core import choose_lod_list, profile_pruning
+from repro.core.schedule import full_ladder
 from repro.datagen import make_tissue_scene
 from repro.datagen.vessels import VesselSpec
 from repro.storage import Dataset
@@ -43,7 +44,8 @@ def main():
     }
 
     print("Profiling NN pruning per LOD on a target sample...")
-    profiler = ThreeDPro(EngineConfig(paradigm="fpr"))
+    ladder = full_ladder(*datasets.values())
+    profiler = ThreeDPro(EngineConfig(paradigm="fpr", lod_list=ladder))
     for dataset in datasets.values():
         profiler.load_dataset(dataset)
     profile = profile_pruning(profiler, "nuclei", "vessels", "nn", sample_size=16)
@@ -60,7 +62,7 @@ def main():
 
     print("\nEnd-to-end comparison on the full join:")
     schedules = {
-        "all LODs": EngineConfig(paradigm="fpr"),
+        "all LODs": EngineConfig(paradigm="fpr", lod_list=ladder),
         "profiled": EngineConfig(paradigm="fpr", lod_list=chosen),
         "top only (FR)": EngineConfig(paradigm="fr"),
     }

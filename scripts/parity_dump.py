@@ -23,6 +23,13 @@ settled) of each group, and a hash of every value vector
 ``stop_below == 0`` — the exact minima NN ranges and kNN bounds are
 tightened from, which the pairs alone show only at the top k.
 
+A second, ``repeat`` matrix covers the learned LOD schedule: within and
+intersection × backend × ``partition_min_faces``, clean, fpr, each
+running its spec three times on one engine and dumping the pairs and
+degraded keys of runs 2 and 3. An engine that learns runs those on the
+top LOD alone (run 2) and on the cheaper schedule (run 3); one that does
+not runs every LOD each time. The dumps must not differ.
+
 Parallel runs are made order-free where scheduling decides the order
 and nothing else: the funnel drops its cache and decode-volume fields
 (per-worker caches), and per-group frame and span lists are sorted.
@@ -244,6 +251,21 @@ def run_one(datasets, spec, config, parallel: bool) -> dict:
     }
 
 
+def run_repeated(datasets, spec, config) -> dict:
+    engine = ThreeDPro(EngineConfig(**config))
+    for dataset in datasets.values():
+        engine.load_dataset(dataset)
+    results = [engine.execute(spec) for _run in range(3)]
+    return {
+        f"run{index}": {
+            "pairs": _plain(list(result.pairs.items())),
+            "degraded_keys": sorted(map(list, result.degraded_keys)),
+        }
+        for index, result in enumerate(results, start=1)
+        if index > 1
+    }
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: parity_dump.py OUTPUT", file=sys.stderr)
@@ -265,6 +287,16 @@ def main(argv: list[str]) -> int:
                 config["fault_injector"] = FaultInjector(seed=11, decode_error_rate=0.3)
             dump = run_one(datasets, spec, config, parallel=backend != "serial")
             key = f"{label} {backend} {faults} {paradigm} min_faces={min_faces}"
+            lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
+            print(key, file=sys.stderr, flush=True)
+        repeated = product(
+            ("intersection", "within"), BACKENDS.items(), MIN_FACES.items()
+        )
+        for label, (backend, backend_config), (min_faces, partitioning) in repeated:
+            spec, overrides = cases(point)[label]
+            config = {**backend_config, **overrides, **partitioning, "paradigm": "fpr"}
+            dump = run_repeated(datasets, spec, config)
+            key = f"{label} {backend} clean fpr min_faces={min_faces} repeat"
             lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
             print(key, file=sys.stderr, flush=True)
     finally:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.bench.workloads import Workload
 from repro.core.config import EngineConfig
 from repro.core.engine import JoinResult, ThreeDPro
+from repro.core.schedule import full_ladder
 
 __all__ = ["TestSpec", "TESTS", "make_engine", "run_test", "ACCEL_VARIANTS"]
 
@@ -114,12 +115,17 @@ def run_test(
 
     FPR cells default to the profiled LOD schedule (``profile_lods``),
     matching the paper's methodology; profiling cost is incurred once
-    per (workload, test) and excluded from the measured cell.
+    per (workload, test) and excluded from the measured cell. Without
+    it they run every LOD.
     """
     spec = TESTS[test_id]
     if engine is None:
-        if paradigm == "fpr" and profile_lods and "lod_list" not in overrides:
-            overrides["lod_list"] = profiled_lod_list(test_id, workload)
+        if paradigm == "fpr" and "lod_list" not in overrides:
+            overrides["lod_list"] = (
+                profiled_lod_list(test_id, workload)
+                if profile_lods
+                else full_ladder(*workload.datasets.values())
+            )
         engine = make_engine(paradigm, accel, workload=workload, **overrides)
     if spec.query == "intersection":
         result = engine.intersection_join(spec.target, spec.source)

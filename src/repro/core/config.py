@@ -139,7 +139,7 @@ class EngineConfig:
     """Complete engine configuration (one Table 1 cell)."""
 
     paradigm: str = "fpr"  # "fr" | "fpr"
-    lod_list: tuple[int, ...] | None = None  # None: all LODs (fpr) / top (fr)
+    lod_list: tuple[int, ...] | None = None  # None: learned (fpr) / top (fr)
     # Skeleton partitioning (paper Section 5.1): a source object whose
     # top LOD has at least this many faces is indexed by sub-object
     # boxes and refined part by part; smaller objects are indexed whole

@@ -8,6 +8,8 @@ The engine owns (Fig. 8 of the paper):
   use as a source, so a dataset that is only a target is never decoded
   for indexing;
 * an **object decoder** behind a shared LRU decode cache;
+* a **learned LOD schedule** per ``(kind, source, target)``
+  (:mod:`repro.core.schedule`), measured on the engine's own queries;
 * a **geometry computer** — the batched face-pair kernel executor;
 * the **query processor** — :meth:`ThreeDPro.execute` compiles a
   declarative :class:`~repro.core.plan.QuerySpec` into a
@@ -32,6 +34,7 @@ from repro.core.config import EngineConfig
 from repro.core.errors import DatasetNotLoadedError, EngineConfigError
 from repro.core.executor import QueryExecutor
 from repro.core.plan import STRATEGIES, QueryPlan, QueryResult, QuerySpec
+from repro.core.schedule import LEARNED_KINDS, LearnedSchedule, full_ladder
 from repro.index.rtree import RTree, RTreeEntry
 from repro.mesh.polyhedron import Polyhedron
 from repro.obs import metrics as obs_metrics
@@ -130,6 +133,7 @@ class ThreeDPro:
             else None
         )
         self.executor = QueryExecutor(self)
+        self.lod_schedule = LearnedSchedule()
         self._datasets: dict[str, _LoadedDataset] = {}
         self._probe_seq = 0
 
@@ -150,6 +154,7 @@ class ThreeDPro:
         self._datasets[dataset.name] = _LoadedDataset(
             dataset, provider, self.config.partition_min_faces
         )
+        self.lod_schedule.forget(dataset.name)
 
     def load_polyhedra(
         self, name: str, polyhedra: list[Polyhedron], encoder: PPVPEncoder | None = None
@@ -188,17 +193,25 @@ class ThreeDPro:
 
     # -- LOD scheduling ----------------------------------------------------------
 
-    def _lod_schedule(self, target: _LoadedDataset, source: _LoadedDataset) -> tuple[int, ...]:
-        top = 0
-        for loaded in (target, source):
-            for obj in loaded.dataset.objects:
-                top = max(top, obj.max_lod)
+    def _lod_schedule(
+        self, spec: QuerySpec, target: _LoadedDataset, source: _LoadedDataset
+    ) -> tuple[tuple[int, ...], str]:
+        """``(lods, label)`` for one join (see :mod:`repro.core.schedule`).
+
+        FR and an explicit ``lod_list`` are ``"pinned"``. Otherwise
+        within and intersection joins run the learned schedule, and
+        NN/kNN the full ladder.
+        """
+        ladder = full_ladder(target.dataset, source.dataset)
+        top = ladder[-1]
         if self.config.paradigm == "fr":
-            return (top,)
-        if self.config.lod_list is None:
-            return tuple(range(top + 1))
-        lods = sorted({min(lod, top) for lod in self.config.lod_list} | {top})
-        return tuple(lods)
+            return (top,), "pinned"
+        if self.config.lod_list is not None:
+            lods = sorted({min(lod, top) for lod in self.config.lod_list} | {top})
+            return tuple(lods), "pinned"
+        if spec.kind not in LEARNED_KINDS:
+            return ladder, "ladder"
+        return self.lod_schedule.choose(_schedule_key(spec), ladder)
 
     # -- the unified query API ----------------------------------------------------
 
@@ -228,9 +241,22 @@ class ThreeDPro:
             finally:
                 del self._datasets[name]
                 self.cache.evict_dataset(name)
-        return self.executor.run(self._compile(spec))
+                self.lod_schedule.forget(name)
+        plan = self._compile(spec)
+        result = self.executor.run(plan)
+        self.lod_schedule.record(_schedule_key(spec), plan.lods, result)
+        return result
 
-    def _compile(self, spec: QuerySpec) -> QueryPlan:
+    def _run_pinned(self, spec: QuerySpec, lods: tuple[int, ...]) -> QueryResult:
+        """Run ``spec`` on exactly ``lods``, learning nothing from it.
+
+        Process workers run their chunk on the coordinator's schedule
+        this way, and :func:`~repro.core.lod_select.profile_pruning`
+        its sample query on the full ladder.
+        """
+        return self.executor.run(self._compile(spec.normalized(), lods=lods))
+
+    def _compile(self, spec: QuerySpec, lods: tuple[int, ...] | None = None) -> QueryPlan:
         strategy = STRATEGIES[spec.kind]
         source = self._get(spec.source)
         if spec.kind == "containment":
@@ -239,12 +265,17 @@ class ThreeDPro:
             return QueryPlan(
                 spec=spec, strategy=strategy, target=source, source=source,
                 lods=(), config=self.config, span_target="<point>",
+                schedule="ladder",
             )
         target = self._get(spec.target)
+        if lods is None:
+            lods, schedule = self._lod_schedule(spec, target, source)
+        else:
+            schedule = "pinned"
         return QueryPlan(
             spec=spec, strategy=strategy, target=target, source=source,
-            lods=self._lod_schedule(target, source),
-            config=self.config, span_target=target.name,
+            lods=tuple(lods), config=self.config, span_target=target.name,
+            schedule=schedule,
         )
 
     # -- joins (compatibility wrappers) --------------------------------------------
@@ -279,3 +310,7 @@ class ThreeDPro:
         return self.execute(
             QuerySpec(kind="knn", source=source_name, target=target_name, k=k)
         )
+
+
+def _schedule_key(spec: QuerySpec) -> tuple:
+    return (spec.kind, spec.source, spec.target)

@@ -183,6 +183,8 @@ class QueryExecutor:
             config=self.config.label,
             target=plan.span_target,
             source=plan.source.name,
+            lods=plan.lods,
+            schedule=plan.schedule,
         )
         outcomes = None
         with root:
@@ -207,6 +209,11 @@ class QueryExecutor:
         self._emit_attribution(plan, stats, completeness, root)
         if not completeness.complete:
             self._note_partial(stats, completeness, root)
+        log_event(
+            _LOG, "query", query=stats.query, lods=plan.lods,
+            schedule=plan.schedule, seconds=stats.total_seconds,
+            complete=completeness.complete,
+        )
         return QueryResult(
             pairs,
             stats,

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.plan import QuerySpec
+from repro.core.schedule import full_ladder
 from repro.storage.store import Dataset
 
 __all__ = ["LODProfile", "profile_pruning", "choose_lod_list"]
@@ -68,41 +70,46 @@ def profile_pruning(
 ) -> LODProfile:
     """Run ``query`` over a target sample with refinement at every LOD.
 
-    ``engine`` must be configured with the FPR paradigm and
-    ``lod_list=None`` (all LODs) — the profile measures how much each
-    level prunes when every level runs. A deterministic every-n-th
-    sample of the target dataset is loaded under a temporary name.
+    ``engine`` must run the FPR paradigm. The sample query is pinned to
+    the full LOD ladder whatever the engine's own schedule — the profile
+    measures how much each level prunes when every level runs — and
+    teaches the engine's learned schedule nothing. A deterministic
+    every-n-th sample of the target dataset is loaded under a temporary
+    name.
     """
-    if engine.config.paradigm != "fpr" or engine.config.lod_list is not None:
-        raise ValueError("profiling requires paradigm='fpr' with lod_list=None")
+    if engine.config.paradigm != "fpr":
+        raise ValueError("profiling requires paradigm='fpr'")
+    if query not in ("intersection", "within", "nn"):
+        raise ValueError(f"unknown query {query!r}")
+    if query == "within" and distance is None:
+        raise ValueError("within profiling needs a distance")
     target = engine._get(target_name)
+    source = engine._get(source_name)
+    lods = full_ladder(target.dataset, source.dataset)
     objects = target.dataset.objects
     step = max(1, len(objects) // sample_size)
     sample = [objects[i] for i in range(0, len(objects), step)][:sample_size]
     sample_name = f"__sample_{target_name}__"
     engine.load_dataset(Dataset(sample_name, sample))
     try:
-        if query == "intersection":
-            result = engine.intersection_join(sample_name, source_name)
-        elif query == "within":
-            if distance is None:
-                raise ValueError("within profiling needs a distance")
-            result = engine.within_join(sample_name, source_name, distance)
-        elif query == "nn":
-            result = engine.knn_join(sample_name, source_name, k=k)
-        else:
-            raise ValueError(f"unknown query {query!r}")
+        spec = QuerySpec(
+            kind="knn" if query == "nn" else query,
+            source=source_name,
+            target=sample_name,
+            distance=distance if query == "within" else None,
+            k=k if query == "nn" else None,
+        )
+        result = engine._run_pinned(spec, lods)
     finally:
         del engine._datasets[sample_name]
 
-    lods = engine._lod_schedule(target, engine._get(source_name))
     return LODProfile(
         query=query,
         lods=lods,
         evaluated=dict(result.stats.pairs_evaluated_by_lod),
         pruned=dict(result.stats.pairs_pruned_by_lod),
-        face_growth=measure_face_growth(engine._get(source_name).dataset),
-        growth_by_lod=measure_face_growth_by_lod(engine._get(source_name).dataset),
+        face_growth=measure_face_growth(source.dataset),
+        growth_by_lod=measure_face_growth_by_lod(source.dataset),
     )
 
 

@@ -456,7 +456,11 @@ class QueryPlan:
     ``target`` / ``source`` are the engine's loaded-dataset records
     (``target`` is the source dataset for containment, whose "target"
     is the query point). ``lods`` is the join-wide LOD schedule (empty
-    for containment, which derives its ladder from the candidates).
+    for containment, which derives its ladder from the candidates), and
+    ``schedule`` says why it was chosen: ``"pinned"`` (FR, an explicit
+    ``lod_list``, or a process worker running its coordinator's
+    schedule), ``"ladder"``, ``"probe"`` or ``"learned"`` (see
+    :mod:`repro.core.schedule`).
     """
 
     spec: QuerySpec
@@ -466,6 +470,7 @@ class QueryPlan:
     lods: tuple[int, ...]
     config: object  # EngineConfig
     span_target: str
+    schedule: str
 
     @property
     def label(self) -> str:

@@ -179,6 +179,11 @@ class ChunkTask:
     chunk_key: str = ""  # stable chunk identity for deterministic faults
     attempt: int = 0  # 0-based submission attempt
     heartbeat_path: str = ""  # file the worker touches per target
+    # The coordinator's LOD schedule: the worker runs exactly these LODs
+    # and learns nothing, so every chunk follows one schedule. It rides
+    # on the task, not in ``config``, so ``engine_key`` (and the
+    # worker's cached engine and decode cache) does not depend on it.
+    lods: tuple = ()
 
 
 @dataclass
@@ -578,6 +583,7 @@ def _supervise(engine, plan, chunks, deadline, config, manifests, engine_key):
                     chunk_key=f"{plan.label}:{index}",
                     attempt=attempts[index],
                     heartbeat_path=path,
+                    lods=plan.lods,
                 )
                 attempts[index] += 1
                 futures[pool.submit(_run_chunk, task)] = index
@@ -708,7 +714,7 @@ def _run_chunk(task: ChunkTask) -> ChunkOutcome:
 
     engine.executor.heartbeat = heartbeat
     try:
-        result = engine.execute(task.spec)
+        result = engine._run_pinned(task.spec, task.lods)
     finally:
         engine.executor.heartbeat = None
 

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.core import EngineConfig, QuerySpec, ThreeDPro
+from repro.core.schedule import full_ladder
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import DecodedObjectProvider
 
@@ -23,6 +24,9 @@ INTERSECTION = QuerySpec(kind="intersection", source="nuclei_b", target="nuclei_
 
 
 def _engine(datasets, **config):
+    # Every LOD, on every query: the accounts compared here are those of
+    # repeated queries, which would otherwise run the learned schedule.
+    config.setdefault("lod_list", full_ladder(*datasets.values()))
     engine = ThreeDPro(EngineConfig(metrics=MetricsRegistry(), **config))
     for dataset in datasets.values():
         engine.load_dataset(dataset)
