@@ -340,7 +340,9 @@ def _screened_intersect(faces: _FaceTables, ia, ib, starts, owners=None, cap=Non
     return out
 
 
-def _screened_distance(faces: _FaceTables, ia, ib, starts, owners=None, cap=None) -> np.ndarray:
+def _screened_distance(
+    faces: _FaceTables, ia, ib, starts, owners=None, cap=None, crossing_above=None
+) -> np.ndarray:
     """Exact distances only on lanes that can decide their segment's min.
 
     Per lane, the AABB gap lower-bounds the true distance and the
@@ -358,7 +360,10 @@ def _screened_distance(faces: _FaceTables, ia, ib, starts, owners=None, cap=None
     space. ``owners`` maps segments to jobs (default: segment ``k`` is
     job ``k``). Bounds and caps are pure functions of the lane, its job
     and its own sub-block's survivors, so screening never depends on
-    batch composition.
+    batch composition. With ``crossing_above`` set, a lane whose face
+    boxes overlap (lower bound 0, so it always passes the screen) and
+    that reads above it is also SAT-tested, and reads 0 when its
+    triangles cross; a lane at or under it already settles its job.
     """
     if owners is None:
         owners = np.arange(len(starts))
@@ -377,6 +382,13 @@ def _screened_distance(faces: _FaceTables, ia, ib, starts, owners=None, cap=None
             faces.tris.take(ia[keep], axis=0), faces.tris.take(ib[keep], axis=0),
             check_intersection=False,
         )
+    if crossing_above is not None:
+        touching = np.flatnonzero((lb == 0.0) & (out > crossing_above))
+        if len(touching):
+            crossing = tri_tri_intersect_batch(
+                faces.tris.take(ia[touching], axis=0), faces.tris.take(ib[touching], axis=0)
+            )
+            out[touching[crossing]] = 0.0
     return out
 
 
@@ -507,7 +519,8 @@ def batched_any_intersect(computer, jobs, stats=None, checkpoint=None) -> list[b
 
 
 def batched_min_distances(
-    computer, jobs, stop_below: float = 0.0, stats=None, checkpoint=None
+    computer, jobs, stop_below: float = 0.0, stats=None, checkpoint=None,
+    check_intersection: bool = False,
 ) -> list[float]:
     """Per job, the minimum face-pair distance between its two sets.
 
@@ -529,6 +542,12 @@ def batched_min_distances(
     its exact minimum. ``min`` is exact and order-independent in floating
     point and every screen is a per-lane function, so batch composition
     never changes a reported value.
+
+    The kernel skips the triangle intersection test, so two face sets
+    whose surfaces cross read the smallest feature-pair distance, not 0.
+    ``check_intersection`` runs that test on every lane whose face boxes
+    overlap, the only lanes that can cross, and reads 0 for a crossing
+    job: within's top-LOD round, which rejects what reads above ``D``.
     """
     if stop_below > 0.0:
         block = min(computer.gpu_block, max(computer.cpu_block, _EXIT_BLOCK_FLOOR))
@@ -540,7 +559,9 @@ def batched_min_distances(
         computer,
         jobs,
         block=max(1, block),
-        kernel=_screened_distance,
+        kernel=partial(
+            _screened_distance, crossing_above=stop_below if check_intersection else None
+        ),
         reduce_segments=lambda values, starts: np.minimum.reduceat(values, starts),
         fold=lambda acc, value: min(acc, float(value)),
         init=math.inf,

@@ -7,7 +7,9 @@ candidates as early as the progressive-approximation properties allow:
 * intersection — an intersecting face pair at any LOD settles the pair
   as a result (property 1); containment is checked at the top LOD;
 * within — a distance ≤ D at any LOD settles the pair as a result
-  (property 2: low-LOD distance upper-bounds the true distance);
+  (property 2: low-LOD distance upper-bounds the true distance); the
+  top LOD rejects the rest unless the surfaces cross or one solid
+  holds the other;
 * nearest neighbor — each LOD tightens every candidate's MAXDIST, and
   candidates whose MINDIST exceeds the target's k-th smallest MAXDIST
   are dropped; the range collapses to the exact distance at the top LOD;
@@ -322,14 +324,18 @@ class RefineContext:
         """Per job, whether any face pair between the two sides intersects."""
         return self._evaluate(jobs, lod, batch.batched_any_intersect)
 
-    def min_distances(self, jobs: list, lod: int, stop_below: float = 0.0) -> list[float]:
+    def min_distances(
+        self, jobs: list, lod: int, stop_below: float = 0.0, check_intersection: bool = False
+    ) -> list[float]:
         """Per job, the minimum face-pair distance (early exit at ``stop_below``).
 
         With ``stop_below > 0`` only ``value <= stop_below`` is answered:
-        a job that does not settle reports some value above it.
+        a job that does not settle reports some value above it. With
+        ``check_intersection`` a job whose surfaces cross reads 0.
         """
         return self._evaluate(
-            jobs, lod, batch.batched_min_distances, stop_below=stop_below
+            jobs, lod, batch.batched_min_distances,
+            stop_below=stop_below, check_intersection=check_intersection,
         )
 
     def points_inside(self, probes: list, lod: int) -> list[bool]:
@@ -510,7 +516,8 @@ def _round(ctx: RefineContext, active, lod: int, kind: _Kind, charge: bool = Tru
 
 
 def _gather_face_pairs(
-    ctx: RefineContext, dec_t, pairs, lod: int, jobs: list, drop_empty: bool = False
+    ctx: RefineContext, dec_t, pairs, lod: int, jobs: list, drop_empty: bool = False,
+    decoded: list | None = None,
 ):
     """Decode each ``(sid, parts)`` survivor in order; queue its face pairs.
 
@@ -523,11 +530,14 @@ def _gather_face_pairs(
     degraded (LOD fallback or salvaged geometry). A flag depends only on
     its own decode, never on what other targets decoded earlier, which
     keeps NN exactness identical between serial and parallel execution.
+    ``decoded``, when given, receives each survivor's decode (or None).
     """
     codes: list[int] = []
     rough: list[bool] = []
     for sid, parts in pairs:
         dec_s = ctx._decode_source_or_none(sid, lod)
+        if decoded is not None:
+            decoded.append(dec_s)
         if dec_s is None:
             codes.append(_DEGRADED)
             rough.append(True)
@@ -701,16 +711,7 @@ def _containment_stage(ctx: RefineContext, top_lod: int) -> _Kind:
             if dec_s.num_faces == 0:
                 ctx.note_degraded("source", sid)
                 return None
-            s_box = ctx.faces_aabb("source", sid, dec_s)
-            # Both directions are queued when the boxes allow them:
-            # probing the second after the first already confirmed has
-            # no observable effect beyond time.
-            found = []
-            if _box_contains(t_box, s_box):
-                found.append((dec_s.triangles[0, 0], dec_t.triangles))
-            if _box_contains(s_box, t_box):
-                found.append((dec_t.triangles[0, 0], dec_s.triangles))
-            return found
+            return _nesting_probes(ctx, t_box, dec_t, sid, dec_s)
 
         return _gather_probes(
             ctx, sids, top_lod, probes, probes_for, "intersection_containment_pair"
@@ -725,6 +726,43 @@ def _containment_stage(ctx: RefineContext, top_lod: int) -> _Kind:
         ),
         target_failed=lambda s, lod: None,  # keep the confirmed pairs
     )
+
+
+def _nesting_probes(ctx: RefineContext, t_box, dec_t, sid: int, dec_s) -> list:
+    """Ray-cast probes that find whether one solid holds the other: a
+    vertex of each inside the other, wherever the face boxes allow it.
+
+    Both directions are queued when the boxes allow them: probing the
+    second after the first already confirmed has no observable effect
+    beyond time.
+    """
+    s_box = ctx.faces_aabb("source", sid, dec_s)
+    found = []
+    if _box_contains(t_box, s_box):
+        found.append((dec_s.triangles[0, 0], dec_t.triangles))
+    if _box_contains(s_box, t_box):
+        found.append((dec_t.triangles[0, 0], dec_s.triangles))
+    return found
+
+
+def _nested(ctx: RefineContext, tid: int, dec_t, pairs) -> set:
+    """The source ids of ``(sid, dec_s)`` pairs where one solid holds the
+    other (top LOD, both sides decoded, neither empty)."""
+    if dec_t.num_faces == 0:
+        return set()
+    t_box = ctx.faces_aabb("target", tid, dec_t)
+    probes: list = []
+    owners: list[int] = []
+    for sid, dec_s in pairs:
+        if dec_s.num_faces == 0:
+            continue
+        found = _nesting_probes(ctx, t_box, dec_t, sid, dec_s)
+        probes.extend(found)
+        owners.extend([sid] * len(found))
+    if not probes:
+        return set()
+    inside = ctx.points_inside(probes, ctx.lods[-1])
+    return {sid for sid, hit in zip(owners, inside) if hit}
 
 
 def _faces_aabb(dec) -> tuple[np.ndarray, np.ndarray]:
@@ -771,6 +809,15 @@ def refine_within_group(
     the executor folds them into each committed value. An undecodable
     target settles all its survivors from MBB upper bounds. See
     :func:`_refine` for the round structure and interrupt contract.
+
+    The answer is the solids' distance, whatever the schedule. A lower
+    LOD confirms what its face-pair distance puts within ``distance``
+    (a subset's distance upper-bounds the object's); the top LOD
+    rejects the rest, so there the distance must be the solids' own.
+    Two solids whose surfaces cross, or one of which holds the other,
+    are at distance 0, but their surfaces are not: the top round's
+    kernel also tests crossing faces, and a pair it would reject is
+    probed for containment, as intersection's containment stage does.
     """
     states = []
     for tid, (definite, open_candidates) in items:
@@ -784,17 +831,31 @@ def refine_within_group(
         states.append(GroupState(tid, list(open_candidates.items())))
     top_lod = ctx.lods[-1]
 
+    def gather(s, dec_t, lod, jobs):
+        decoded = [] if lod == top_lod else None
+        codes, rough = _gather_face_pairs(ctx, dec_t, s.survivors, lod, jobs, decoded=decoded)
+        return codes, rough, decoded
+
     def settle(s, dec_t, payload, dists, lod):
         # Exact distances exclude at the top LOD; a rough distance
         # (degraded decode on either side, or MBB fallback) is only an
         # upper bound, so its exclusion is a degraded-mode drop.
-        codes, rough = payload
+        codes, rough, decoded = payload
         measured = _distances(ctx, s.tid, (sid for sid, _parts in s.survivors), codes, dists)
+        held = set()
+        if lod == top_lod:
+            held = _nested(ctx, s.tid, dec_t, [
+                (sid, dec_s)
+                for (sid, _parts), dist, inexact, dec_s in zip(
+                    s.survivors, measured, rough, decoded
+                )
+                if dist > distance and not (inexact or dec_t.degraded)
+            ])
         remaining = []
         confirmed = []
         rejected = degraded = 0
         for pair, dist, inexact in zip(s.survivors, measured, rough):
-            if dist <= distance:
+            if dist <= distance or pair[0] in held:
                 confirmed.append(pair[0])
             elif lod == top_lod:
                 if inexact or dec_t.degraded:
@@ -812,10 +873,10 @@ def refine_within_group(
 
     return _refine(ctx, states, ctx.lods, _Kind(
         query="within",
-        gather=lambda s, dec_t, lod, jobs: _gather_face_pairs(
-            ctx, dec_t, s.survivors, lod, jobs
+        gather=gather,
+        evaluate=lambda jobs, lod: ctx.min_distances(
+            jobs, lod, stop_below=distance, check_intersection=lod == top_lod
         ),
-        evaluate=lambda jobs, lod: ctx.min_distances(jobs, lod, stop_below=distance),
         settle=settle,
         target_failed=lambda s, lod: _within_mbb_fallback(ctx, s, lod, distance),
     ))

@@ -17,7 +17,9 @@ the top LOD alone ``(top,)``:
   its last :data:`WINDOW` observations (``"learned"``), except that every
   :data:`REPROBE_EVERY`-th query runs the other one (``"probe"``), so a
   wrong or stale choice corrects itself. A schedule with no observation
-  yet (its queries were all partial) is run until it has one.
+  (its queries were all partial, cancelled or degraded) costs infinity,
+  so with neither measured the ladder runs, as with a pinned ladder,
+  and the unmeasured schedule is tried again only on the re-probe.
 
 One observation is the query's compute seconds divided by the pairs
 evaluated at the schedule's first LOD — the pairs entering refinement,
@@ -30,17 +32,16 @@ intersection join (the ladder) spent 30 ms decoding and 3 ms computing,
 which made the ladder look dearer than the top LOD alone although it is
 six times cheaper warm. Only complete queries with no degraded object
 are recorded. Only these two kinds learn, because their pairs do not
-depend on the schedule (every LOD is a spatial subset of the object):
-NN and kNN report distances taken at the settle LOD, and containment
-derives its ladder from its candidates. One exception: the distance
-kernel skips the triangle intersection test, so a within pair whose
-surfaces cross reads a small positive distance at the top LOD, and a
-lower LOD can confirm a pair that the top LOD alone (and FR) rejects.
-The two solids then intersect, so the ladder's answer is the right one.
+depend on the schedule (every LOD is a spatial subset of the object,
+and the top LOD decides what no lower one confirmed, by the solids'
+distance: see :func:`repro.core.refine.refine_within_group`). NN and
+kNN report distances taken at the settle LOD, and containment derives
+its ladder from its candidates.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 
@@ -93,7 +94,8 @@ class _Key:
 
 
 def _mean(costs) -> float:
-    return sum(costs) / len(costs)
+    """The window's mean; infinite for a schedule never measured."""
+    return sum(costs) / len(costs) if costs else math.inf
 
 
 class LearnedSchedule:
@@ -122,10 +124,8 @@ class LearnedSchedule:
             entry.queries += 1
             if n == 0:
                 return ladder, "ladder"
-            if n == 1 or not entry.top:
+            if n == 1:
                 return (top,), "probe"
-            if not entry.ladder:
-                return ladder, "probe"
             top_wins = _mean(entry.top) < _mean(entry.ladder)
             if n % REPROBE_EVERY == REPROBE_EVERY - 1:
                 top_wins = not top_wins
@@ -156,15 +156,3 @@ class LearnedSchedule:
         with self._lock:
             for key in [k for k in self._keys if dataset in k[1:]]:
                 del self._keys[key]
-
-    def snapshot(self) -> dict:
-        """``key -> {"queries", "ladder", "top"}`` (cost lists), for inspection."""
-        with self._lock:
-            return {
-                key: {
-                    "queries": entry.queries,
-                    "ladder": list(entry.ladder),
-                    "top": list(entry.top),
-                }
-                for key, entry in self._keys.items()
-            }

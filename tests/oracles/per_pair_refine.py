@@ -100,11 +100,14 @@ def _pair_min_distance(ctx, dec_t, dec_s, sid, parts, lod, stop_below) -> float:
     return dist
 
 
-def batch_min_distances(ctx, dec_t, survivors, lod, stop_below=0.0, target_id=None):
+def batch_min_distances(
+    ctx, dec_t, survivors, lod, stop_below=0.0, target_id=None, decoded=None
+):
     """Distances from the target to many candidates at one LOD, per pair.
 
     Returns ``(distances, inexact)``: an undecodable candidate reports
     the MBB upper bound and is flagged inexact, as is a degraded decode.
+    ``decoded``, when given, receives each candidate's decode (or None).
     """
     dists: list[float] = []
     inexact: list[bool] = []
@@ -112,6 +115,10 @@ def batch_min_distances(ctx, dec_t, survivors, lod, stop_below=0.0, target_id=No
         try:
             dec_s = ctx.decode_source(sid, lod)
         except DecodeFailureError:
+            dec_s = None
+        if decoded is not None:
+            decoded.append(dec_s)
+        if dec_s is None:
             dists.append(ctx.box_upper_bound(target_id, sid))
             inexact.append(True)
             continue
@@ -224,6 +231,31 @@ def _containment_stage(ctx, target_id, survivors, results) -> None:
 # -- Algorithm 2: within -------------------------------------------------------------
 
 
+def _surfaces_cross(ctx, dec_t, dec_s, sid, parts) -> bool:
+    """Top-LOD within: whether the pair's faces intersect (uncounted)."""
+    tris_s = ctx.source_faces(dec_s, sid, parts)
+    if not (len(tris_s) and dec_t.num_faces):
+        return False
+    if _trees is not None:
+        return _tree(dec_t).intersects(_tree(dec_s))
+    return ctx.computer.intersects(dec_t.triangles, tris_s)
+
+
+def _one_holds_the_other(ctx, target_id, dec_t, sid, dec_s) -> bool:
+    """Top-LOD within: whether one solid contains the other."""
+    if not (dec_t.num_faces and dec_s.num_faces):
+        return False
+    t_box = ctx.faces_aabb("target", target_id, dec_t)
+    s_box = ctx.faces_aabb("source", sid, dec_s)
+    return (
+        _box_contains(t_box, s_box)
+        and point_in_polyhedron(dec_s.triangles[0, 0], dec_t.triangles)
+    ) or (
+        _box_contains(s_box, t_box)
+        and point_in_polyhedron(dec_t.triangles[0, 0], dec_s.triangles)
+    )
+
+
 def refine_within(ctx, target_id: int, candidates: dict, distance: float) -> list[int]:
     results: list[int] = []
     return _with_partial(
@@ -259,18 +291,27 @@ def _within(ctx, target_id, candidates, distance, results) -> None:
                 ctx.emit_confirmed(lod, results[mark:])
                 return
             ctx.ledger_evaluated(lod, len(survivors))
+            decoded: list = []
             dists, inexact = batch_min_distances(
-                ctx, dec_t, survivors, lod, stop_below=distance, target_id=target_id
+                ctx, dec_t, survivors, lod, stop_below=distance, target_id=target_id,
+                decoded=decoded,
             )
             remaining = []
             rejected = degraded = 0
-            for (sid, parts), dist, rough in zip(survivors, dists, inexact):
+            for (sid, parts), dist, rough, dec_s in zip(survivors, dists, inexact, decoded):
+                if (
+                    lod == top_lod and dist > distance and dec_s is not None
+                    and _surfaces_cross(ctx, dec_t, dec_s, sid, parts)
+                ):
+                    dist = 0.0
                 if dist <= distance:
                     results.append(sid)
                 elif lod < top_lod:
                     remaining.append((sid, parts))
                 elif rough or dec_t.degraded:
                     degraded += 1  # only an upper bound: a degraded-mode drop
+                elif _one_holds_the_other(ctx, target_id, dec_t, sid, dec_s):
+                    results.append(sid)
                 else:
                     rejected += 1
             survivors = remaining

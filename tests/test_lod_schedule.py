@@ -22,6 +22,7 @@ from repro.core.schedule import REPROBE_EVERY, WINDOW, LearnedSchedule, full_lad
 from repro.datagen import make_tissue_scene
 from repro.datagen.vessels import VesselSpec
 from repro.faults import FaultInjector
+from repro.mesh.primitives import icosphere
 from repro.storage import Dataset
 
 WITHIN = QuerySpec(kind="within", source="nuclei_b", target="nuclei_a", distance=1.0)
@@ -42,6 +43,14 @@ def _engine(datasets, **config):
 def _fixed_costs(ladder, top):
     """A cost hook charging each schedule a constant."""
     return lambda result, lods: top if len(lods) == 1 else ladder
+
+
+def _profile(schedule):
+    """``key -> {"queries", "ladder", "top"}`` (cost lists) of a schedule."""
+    return {
+        key: {"queries": e.queries, "ladder": list(e.ladder), "top": list(e.top)}
+        for key, e in schedule._keys.items()
+    }
 
 
 def _root(engine):
@@ -126,14 +135,14 @@ class TestOrder:
         schedule = LearnedSchedule(cost=_fixed_costs(1.0, 2.0))
         for _ in range(3):
             assert schedule.choose(KEY, (0,)) == ((0,), "ladder")
-        assert schedule.snapshot() == {}
+        assert _profile(schedule) == {}
 
     def test_replacing_a_dataset_forgets_its_keys(self, datasets):
         engine = _engine(datasets)
         engine.lod_schedule.cost = _fixed_costs(ladder=2.0, top=1.0)
         _run(engine, WITHIN, 2)
         engine.load_dataset(datasets["nuclei_b"])
-        assert KEY not in engine.lod_schedule.snapshot()
+        assert KEY not in _profile(engine.lod_schedule)
         assert _run(engine, WITHIN, 1)[0][0] == "ladder"
 
 
@@ -142,13 +151,13 @@ class TestPinnedAndUnlearned:
         engine = _engine(datasets, lod_list=(0, 2))
         top = full_ladder(datasets["nuclei_a"], datasets["nuclei_b"])[-1]
         assert _run(engine, WITHIN, 3) == [("pinned", (0, 2, top))] * 3
-        assert engine.lod_schedule.snapshot() == {}
+        assert _profile(engine.lod_schedule) == {}
 
     def test_fr_is_untouched(self, datasets):
         engine = _engine(datasets, paradigm="fr")
         top = full_ladder(datasets["nuclei_a"], datasets["nuclei_b"])[-1]
         assert _run(engine, INTERSECTION, 3) == [("pinned", (top,))] * 3
-        assert engine.lod_schedule.snapshot() == {}
+        assert _profile(engine.lod_schedule) == {}
 
     @pytest.mark.parametrize(
         "spec",
@@ -163,7 +172,7 @@ class TestPinnedAndUnlearned:
         engine.lod_schedule.cost = _fixed_costs(ladder=2.0, top=1.0)
         ladder = full_ladder(datasets["nuclei_a"], datasets["vessels"])
         assert _run(engine, spec, 3) == [("ladder", ladder)] * 3
-        assert engine.lod_schedule.snapshot() == {}
+        assert _profile(engine.lod_schedule) == {}
 
     def test_containment_keeps_its_ladder(self, datasets, small_scene):
         engine = _engine(datasets)
@@ -174,7 +183,7 @@ class TestPinnedAndUnlearned:
             result = engine.execute(spec)
             assert _root(engine).attrs["schedule"] == "ladder"
             assert 0 in result.stats.pairs_evaluated_by_lod
-        assert engine.lod_schedule.snapshot() == {}
+        assert _profile(engine.lod_schedule) == {}
 
     def test_event_log_line_names_the_schedule(self, datasets, caplog):
         engine = _engine(datasets)
@@ -196,9 +205,9 @@ class TestWhatIsRecorded:
         lods, _label = schedule.choose(KEY, (0, 1, 2, 3))
         for result in (_result(complete=False), _result(degraded=2)):
             schedule.record(KEY, lods, result)
-        assert schedule.snapshot()[KEY]["ladder"] == []
+        assert _profile(schedule)[KEY]["ladder"] == []
         schedule.record(KEY, lods, _result())
-        assert schedule.snapshot()[KEY]["ladder"] == [1.0]
+        assert _profile(schedule)[KEY]["ladder"] == [1.0]
 
     def test_cancelled_query_is_not_recorded(self, datasets):
         from repro.core import CancellationToken
@@ -208,14 +217,14 @@ class TestWhatIsRecorded:
         token.cancel()
         result = engine.execute(replace(WITHIN, cancellation=token))
         assert result.completeness.reason == "cancelled"
-        assert engine.lod_schedule.snapshot()[KEY]["ladder"] == []
-        # The ladder has no observation yet, so it is measured again.
-        engine.execute(WITHIN)
-        assert _root(engine).attrs["schedule"] == "probe"
-        engine.execute(WITHIN)
-        assert _root(engine).attrs["lods"] == full_ladder(
-            datasets["nuclei_a"], datasets["nuclei_b"]
-        )
+        assert _profile(engine.lod_schedule)[KEY]["ladder"] == []
+        # The probe is measured; the unmeasured ladder costs infinity
+        # and is tried again on the re-probe.
+        ladder = full_ladder(datasets["nuclei_a"], datasets["nuclei_b"])
+        seen = _run(engine, WITHIN, REPROBE_EVERY - 1)
+        assert seen[0] == ("probe", (ladder[-1],))
+        assert seen[1:-1] == [("learned", (ladder[-1],))] * (REPROBE_EVERY - 3)
+        assert seen[-1] == ("probe", ladder)
 
     def test_deadline_partial_is_not_recorded(self, datasets, monkeypatch):
         engine = _engine(datasets)
@@ -228,7 +237,7 @@ class TestWhatIsRecorded:
         )
         result = engine.execute(WITHIN)
         assert result.completeness.reason == "deadline"
-        assert engine.lod_schedule.snapshot()[KEY]["ladder"] == []
+        assert _profile(engine.lod_schedule)[KEY]["ladder"] == []
 
     def test_degraded_query_is_not_recorded(self, datasets):
         engine = _engine(
@@ -237,7 +246,53 @@ class TestWhatIsRecorded:
         result = engine.execute(INTERSECTION)
         assert result.complete and result.stats.degraded_objects > 0
         key = ("intersection", "nuclei_b", "nuclei_a")
-        assert engine.lod_schedule.snapshot()[key]["ladder"] == []
+        assert _profile(engine.lod_schedule)[key]["ladder"] == []
+
+    def test_an_unrecorded_probe_returns_to_the_ladder(self):
+        # The top LOD alone never completes (it always misses its
+        # deadline): it costs infinity, so only the re-probe runs it.
+        schedule = LearnedSchedule(cost=_fixed_costs(ladder=2.0, top=1.0))
+        chosen = []
+        for _ in range(2 * REPROBE_EVERY):
+            lods, label = schedule.choose(KEY, (0, 1, 2, 3))
+            schedule.record(KEY, lods, _result(complete=len(lods) > 1))
+            chosen.append((label, lods))
+        assert chosen[:2] == [("ladder", (0, 1, 2, 3)), ("probe", (3,))]
+        for n, entry in enumerate(chosen[2:], start=3):
+            if n % REPROBE_EVERY == 0:
+                assert entry == ("probe", (3,)), n
+            else:
+                assert entry == ("learned", (0, 1, 2, 3)), n
+
+    def test_every_query_past_its_deadline_runs_the_ladder(self, datasets, monkeypatch):
+        engine = _engine(datasets)
+        engine.lod_schedule.cost = _fixed_costs(ladder=2.0, top=1.0)
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            engine.executor, "_deadline_for",
+            lambda spec: Deadline(3.0, clock=lambda: float(next(ticks))),
+        )
+        ladder = full_ladder(datasets["nuclei_a"], datasets["nuclei_b"])
+        seen = []
+        for _ in range(5):
+            result = engine.execute(WITHIN)
+            assert result.completeness.reason == "deadline"
+            seen.append(tuple(_root(engine).attrs["lods"]))
+        assert seen == [ladder, (ladder[-1],), ladder, ladder, ladder]
+
+    def test_every_query_degraded_runs_the_ladder(self, datasets):
+        engine = _engine(
+            datasets, fault_injector=FaultInjector(seed=3, decode_error_rate=0.3)
+        )
+        engine.lod_schedule.cost = _fixed_costs(ladder=2.0, top=1.0)
+        ladder = full_ladder(datasets["nuclei_a"], datasets["nuclei_b"])
+        seen = []
+        for _ in range(5):
+            result = engine.execute(WITHIN)
+            assert result.complete and result.stats.degraded_objects > 0
+            seen.append(tuple(_root(engine).attrs["lods"]))
+        assert seen == [ladder, (ladder[-1],), ladder, ladder, ladder]
+        assert _profile(engine.lod_schedule)[KEY]["top"] == []
 
     def test_probe_and_sample_queries_leave_no_key(self, datasets, small_scene):
         from repro.core import profile_pruning
@@ -249,7 +304,7 @@ class TestWhatIsRecorded:
         )
         profile_pruning(engine, "nuclei_a", "nuclei_b", "within", sample_size=4,
                         distance=1.0)
-        assert engine.lod_schedule.snapshot() == {}
+        assert _profile(engine.lod_schedule) == {}
 
     def test_concurrent_queries_keep_the_profile_consistent(self, datasets):
         engine = _engine(datasets, tracing=False)
@@ -289,9 +344,9 @@ class TestWhatIsRecorded:
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors
-        snapshot = engine.lod_schedule.snapshot()
+        profile = _profile(engine.lod_schedule)
         for spec in specs:
-            entry = snapshot[(spec.kind, spec.source, spec.target)]
+            entry = profile[(spec.kind, spec.source, spec.target)]
             # No lost update: every query was counted once, and every
             # observation landed in the window of the schedule it ran.
             assert entry["queries"] == 1 + threads * per_thread
@@ -345,23 +400,16 @@ def _scene_datasets(seed):
 
 class TestPairsAcrossSchedules:
     """Runs 1 (ladder), 2 (top LOD alone) and 3 (learned) of a key, on
-    both backends, against FR.
-
-    Intersection pairs never depend on the schedule. Within pairs depend
-    on it in one known case: the distance kernel skips the triangle
-    intersection test, so two surfaces that cross read a small positive
-    distance at the top LOD, and a lower LOD of the same pair can read
-    below the threshold and confirm it. The ladder then holds a pair
-    that FR and the top LOD alone reject, and it is right to, because
-    the two solids intersect. So the top LOD alone must equal FR, and
-    the ladder may hold FR's pairs plus intersecting ones, nothing else.
-    """
+    both backends, equal to FR: every schedule answers by the solids'
+    distance, so within at distance 0 is intersection."""
 
     @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(0, 2**16), st.floats(0.0, 3.0))
-    # Two pairs of this scene cross at the top LOD with a kernel
-    # distance of 0.0043 and 0.0057: the ladder keeps them, FR does not.
+    # Pairs 6-6 and 7-7 of this scene cross at the top LOD, where the
+    # face-pair distance without the crossing test reads 0.0043 and
+    # 0.0057; a lower LOD of each reads below the threshold.
     @example(seed=0, distance=0.00390625)
+    @example(seed=0, distance=0.0)
     def test_schedules_agree_with_fr(self, seed, distance):
         datasets = _scene_datasets(seed)
         specs = (
@@ -370,7 +418,10 @@ class TestPairsAcrossSchedules:
         )
         fr = _engine(datasets, paradigm="fr", tracing=False)
         expected = {spec.kind: fr.execute(spec) for spec in specs}
-        intersecting = expected["intersection"].pairs
+        if distance == 0.0:
+            assert _sorted(expected["within"].pairs) == _sorted(
+                expected["intersection"].pairs
+            )
         for workers in (1, 2):
             engine = _engine(datasets, query_workers=workers, tracing=False)
             # Make the third, learned query run the top LOD for within
@@ -386,11 +437,32 @@ class TestPairsAcrossSchedules:
                     result = engine.execute(spec)
                     where = (workers, spec.kind, run)
                     assert result.degraded_keys == reference.degraded_keys, where
-                    if spec.kind == "intersection" or run > 0:
-                        assert result.pairs == reference.pairs, where
-                        continue
-                    for tid in set(result.pairs) | set(reference.pairs):
-                        got = set(result.pairs.get(tid, ()))
-                        want = set(reference.pairs.get(tid, ()))
-                        assert want <= got, where
-                        assert got - want <= set(intersecting.get(tid, ())), where
+                    assert _sorted(result.pairs) == _sorted(reference.pairs), where
+
+    def test_nested_solids_are_within_on_every_schedule(self):
+        # Each target holds, or is held by, its source: the surfaces are
+        # 1.5 apart and never cross, but the solids meet.
+        encoder = PPVPEncoder(max_lods=4, rounds_per_lod=2)
+        far = (10.0, 0.0, 0.0)
+        datasets = {
+            "t": Dataset.from_polyhedra(
+                "t", [icosphere(2, radius=2.0), icosphere(1, radius=0.5, center=far)], encoder
+            ),
+            "s": Dataset.from_polyhedra(
+                "s", [icosphere(1, radius=0.5), icosphere(2, radius=2.0, center=far)], encoder
+            ),
+        }
+        within = QuerySpec(kind="within", source="s", target="t", distance=0.5)
+        intersection = QuerySpec(kind="intersection", source="s", target="t")
+        expected = {0: [0], 1: [1]}
+        fr = _engine(datasets, paradigm="fr", tracing=False)
+        assert _sorted(fr.execute(intersection).pairs) == expected
+        assert _sorted(fr.execute(within).pairs) == expected
+        engine = _engine(datasets, tracing=False)
+        engine.lod_schedule.cost = _fixed_costs(ladder=2.0, top=1.0)
+        for run in range(3):
+            assert _sorted(engine.execute(within).pairs) == expected, run
+
+
+def _sorted(pairs):
+    return {tid: sorted(sids) for tid, sids in pairs.items() if sids}
