@@ -18,10 +18,13 @@ which partitions all of them) over one small seeded tissue scene. Each
 run dumps its pairs, degraded targets and keys, both pair ledgers, the
 funnel, ``face_pairs_by_lod``, the progress frames each group
 refinement emits, the ``refine`` span sequence (query, lod, survivors,
-settled) of each group, and a hash of every value vector
-``repro.core.batch.batched_min_distances`` returns with
-``stop_below == 0`` — the exact minima NN ranges and kNN bounds are
-tightened from, which the pairs alone show only at the top k.
+settled) of each group, and hashes of every batched refine call
+(:class:`ValueRecorder`): the value vectors of
+``repro.core.batch.batched_min_distances`` with ``stop_below == 0``
+(the exact minima NN ranges and kNN bounds are tightened from, which
+the pairs alone show only at the top k) and with ``stop_below > 0``
+(within), the verdict vectors of ``batched_any_intersect``, and per
+call the ``_note_batch`` size sequence and checkpoint count.
 
 A second, ``repeat`` matrix covers the learned LOD schedule: within and
 intersection × backend × ``partition_min_faces``, clean, fpr, each
@@ -150,37 +153,83 @@ class FrameRecorder:
 
 
 class ValueRecorder:
-    """Hashes every value vector ``batched_min_distances`` returns with
-    ``stop_below == 0``, in call order (``float.hex``, so bit-exact).
+    """Hashes, in call order, what every batched refine call returns and
+    how it accounts for it (``float.hex``, so values are bit-exact).
 
-    The refine layer looks the function up on :mod:`repro.core.batch`
-    at call time, so patching the module attribute sees every call made
+    Four digests, each with its call count: the value vectors
+    ``batched_min_distances`` returns with ``stop_below == 0`` (NN
+    ranges and kNN bounds are tightened from these exact minima) and
+    with ``stop_below > 0`` (within: a realized distance at or under
+    ``D``, or some value above it), the verdict vectors of
+    ``batched_any_intersect``, and per call of either, the sequence of
+    ``_note_batch`` sizes and the number of checkpoints — the flush and
+    deadline granularity.
+
+    The refine layer looks both functions up on :mod:`repro.core.batch`
+    at call time, so patching the module attributes sees every call made
     in this interpreter.
     """
 
+    FIELDS = ("min_distance_values", "within_values", "intersect_verdicts", "flushes")
+
     def __init__(self):
-        self.calls = 0
-        self.digest = hashlib.sha256()
+        self.calls = dict.fromkeys(self.FIELDS, 0)
+        self.digests = {field: hashlib.sha256() for field in self.FIELDS}
+
+    def _add(self, field, text):
+        self.calls[field] += 1
+        self.digests[field].update(text.encode() + b"\n")
+
+    def _wrap(self, original, field_of, render):
+        def recorded(computer, jobs, *args, **kwargs):
+            sizes, ticks = [], [0]
+            note_batch = computer._note_batch
+            computer._note_batch = lambda size: (sizes.append(size), note_batch(size))[1]
+            checkpoint = kwargs.get("checkpoint")
+            if checkpoint is not None:
+                def counted():
+                    ticks[0] += 1
+                    checkpoint()
+
+                kwargs["checkpoint"] = counted
+            try:
+                result = original(computer, jobs, *args, **kwargs)
+            finally:
+                del computer._note_batch
+            self._add(field_of(*args, **kwargs), " ".join(render(v) for v in result))
+            self._add("flushes", f"{' '.join(map(str, sizes))} / {ticks[0]}")
+            return result
+
+        return recorded
 
     def __enter__(self):
-        self._original = original = batch.batched_min_distances
-
-        def recorded(computer, jobs, stop_below=0.0, **kwargs):
-            values = original(computer, jobs, stop_below=stop_below, **kwargs)
-            if stop_below == 0.0:
-                self.calls += 1
-                self.digest.update(" ".join(float(v).hex() for v in values).encode())
-                self.digest.update(b"\n")
-            return values
-
-        batch.batched_min_distances = recorded
+        self._originals = {
+            name: getattr(batch, name)
+            for name in ("batched_min_distances", "batched_any_intersect")
+        }
+        batch.batched_min_distances = self._wrap(
+            self._originals["batched_min_distances"],
+            lambda stop_below=0.0, **_: (
+                "min_distance_values" if stop_below == 0.0 else "within_values"
+            ),
+            lambda value: float(value).hex(),
+        )
+        batch.batched_any_intersect = self._wrap(
+            self._originals["batched_any_intersect"],
+            lambda *_args, **_kwargs: "intersect_verdicts",
+            lambda verdict: str(int(verdict)),
+        )
         return self
 
     def __exit__(self, *exc):
-        batch.batched_min_distances = self._original
+        for name, original in self._originals.items():
+            setattr(batch, name, original)
 
     def as_dict(self) -> dict:
-        return {"calls": self.calls, "sha256": self.digest.hexdigest()}
+        return {
+            field: {"calls": self.calls[field], "sha256": self.digests[field].hexdigest()}
+            for field in self.FIELDS
+        }
 
 
 def _plain(value):
@@ -247,7 +296,7 @@ def run_one(datasets, spec, config, parallel: bool) -> dict:
         "funnel": _plain(funnel),
         "frames": frames,
         "refine_spans": spans,
-        "min_distance_values": values.as_dict(),
+        **values.as_dict(),
     }
 
 

@@ -2,12 +2,13 @@
 
 The refine stage historically dispatched one Python-level kernel call per
 surviving candidate pair. This module batches *across* pairs: every job
-contributes fixed-size sub-blocks of its face-pair cross product into a
-shared buffer, the buffer is flushed through one fused numpy kernel
-(:func:`~repro.geometry.tritri.tri_tri_intersect_batch` /
-:func:`~repro.geometry.distance.tri_tri_distance_batch`) once it reaches
-the saturating batch size, and per-job results are folded back out with
-``np.*.reduceat`` segment reductions over the flush's chunk offsets.
+contributes fixed-size sub-blocks of its face-pair cross product to a
+shared launch, as face-row index pairs, the launch runs through one fused
+numpy kernel (:func:`~repro.geometry.tritri.tri_tri_intersect_batch` /
+:func:`~repro.geometry.distance.tri_tri_distance_batch`, which lays its
+lanes out as per-coordinate planes and works through them in
+cache-sized chunks), and per-sub-block results are folded back out with
+``np.*.reduceat`` segment reductions over the launch's offsets.
 
 Early exit is per job, via a wave discipline chosen for determinism:
 
@@ -15,15 +16,26 @@ Early exit is per job, via a wave discipline chosen for determinism:
   row-major order :func:`~repro.parallel.executor.iter_pair_blocks` always
   used;
 * each *wave* takes at most one sub-block from every unsettled job;
-* every wave ends with a kernel call on what is buffered, and a job's
-  settle state is re-checked only at wave boundaries — before its next
-  sub-block can be enqueued.
+* a job's settle state is re-checked only at wave boundaries — before
+  its next sub-block is taken.
 
-A job therefore evaluates exactly ``ceil`` of its own settle point in
+A job therefore takes exactly ``ceil`` of its own settle point in
 sub-blocks, **independent of which other jobs share the batch**. That is
 what keeps ``face_pairs_by_lod`` identical between the serial run and
 any chunked process-backend run, where the same jobs are batched in
 different groupings.
+
+The waves are replayed, not evaluated one by one. Every screen and
+kernel value below is a pure function of the lane, its job and the
+lane's own sub-block, so a sub-block's value does not depend on when it
+is computed. When a wave reaches a sub-block not yet evaluated, one
+*look-ahead launch* evaluates the next ``horizon`` sub-blocks of every
+unsettled job, and the horizon doubles: 1, 2, 4, … sub-blocks. The
+waves then fold those values in order and settle exactly the jobs they
+always settled; values past a job's settle point are dropped. A job is
+never evaluated past twice its settle point, and a round that takes
+``w`` waves makes about ``log2(w) + 1`` launches instead of one or more
+per wave.
 
 Faces are screened before lanes. Each call builds per-face tables once
 (:class:`_FaceTables`): every distinct face set's AABB corners and first
@@ -38,12 +50,11 @@ cap — within's query distance, or for NN / kNN / FR (``stop_below ==
 0``) a realized face-pair distance ``U`` found in O(F) per job, each
 plus a pad for the kernel's rounding. Only lanes whose two faces
 survive are buffered, as face-row index pairs rather than copied
-triangles.
-Intersection builds no masks: its jobs mostly settle in their first
-sub-block, and its lane screen already drops every lane whose face
-boxes are disjoint.
+triangles. Intersection builds no masks: its jobs mostly settle in
+their first sub-block, and its lane screen already drops every lane
+whose face boxes are disjoint.
 
-The buffered lanes are then screened per lane: a flush takes each lane's
+The buffered lanes are then screened per lane: a launch takes each lane's
 AABB-gap lower bound and first-vertex upper bound from the tables and
 gathers ``(n, 3, 3)`` triangles only for the lanes that pass. A lane
 also passes only under its job's cap; on the within path (``stop_below
@@ -54,16 +65,17 @@ path it drops lanes that cannot realize the job's minimum, so every
 value stays exact. Every screen is a pure function of the lane, its job
 and its own sub-block.
 
-Accounting counts lanes *before* screening: ``stats["pairs"]`` (and so
-``face_pairs_by_lod``), each flush's ``_note_batch`` size and the
-settle waves are those of an unscreened run, while the kernel runs only
-once ``gpu_block`` survivors are buffered (or a wave ends), so it is
-called less often with fuller batches.
+Accounting counts lanes *before* screening and follows the replayed
+waves: ``stats["pairs"]`` (and so ``face_pairs_by_lod``), each flush's
+``_note_batch`` size and the settle waves are those of an unscreened
+run that evaluated every wave on its own — a flush every ``gpu_block``
+enumerated lanes and at each wave's end — while the kernel runs once per
+look-ahead launch.
 
-``checkpoint`` (when given) runs after every flush — every ``gpu_block``
-enumerated lanes and at each wave's end; the refine layer points it at
-the deadline check + worker heartbeat, which is the batched path's
-cooperative-cancellation granularity.
+``checkpoint`` (when given) runs after every flush; the refine layer
+points it at the deadline check + worker heartbeat, which is the
+batched path's cooperative-cancellation granularity. Kernel work
+between two checkpoints is at most one look-ahead launch.
 """
 
 from __future__ import annotations
@@ -394,7 +406,7 @@ def _screened_distance(
 
 def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
                settled, stats, checkpoint, caps=None):
-    """Drive all jobs to their settle points through fused flushes.
+    """Drive all jobs to their settle points: evaluate ahead, replay waves.
 
     ``caps(faces)`` gives each job's cap (intersection has none).
     Sub-blocks are enumerated as always, but with caps only lanes whose
@@ -403,91 +415,97 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
     owners, cap)`` screens and evaluates one concatenated buffer
     (``owners`` holds each sub-block's job, ``cap`` its job cap or
     None); ``reduce_segments(values, starts)`` collapses it to one value
-    per contributed sub-block; ``fold(acc, value)`` merges a sub-block's
-    value into its owner's accumulator (seeded with ``init``); and
+    per sub-block; ``fold(acc, value)`` merges a sub-block's value into
+    its owner's accumulator (seeded with ``init``); and
     ``settled(acc)`` decides, at wave boundaries, whether a job needs no
     further sub-blocks.
 
-    Accounting follows the enumerated lanes, not the survivors: every
-    ``gpu_block`` enumerated lanes (and at each wave's end) make one
-    flush — one ``_note_batch`` and one ``checkpoint`` — exactly as if
-    no face were screened, and ``stats["pairs"]`` counts them all. The
-    kernel runs whenever ``gpu_block`` survivors are buffered, and at
-    each wave's end.
+    Values come from look-ahead launches. Every unsettled job sits at
+    the same sub-block in a wave, so when a wave reaches a sub-block not
+    yet evaluated, one kernel call evaluates the next ``horizon``
+    sub-blocks of every unsettled job, and the horizon doubles: 1, 2, 4,
+    … A sub-block's value is a pure function of its lanes, its job and
+    itself, so the waves then replay exactly as if each had been
+    evaluated on its own: they fold the same values in the same order,
+    settle the same jobs, and no job is evaluated past twice its settle
+    point.
+
+    Accounting follows the replayed waves' enumerated lanes, not the
+    survivors: every ``gpu_block`` enumerated lanes (and at each wave's
+    end) make one flush — one ``_note_batch`` and one ``checkpoint`` —
+    exactly as if no face were screened and nothing were evaluated
+    ahead, and ``stats["pairs"]`` counts them all.
     """
     results = [init] * len(jobs)
     faces = _FaceTables(jobs, block)
     job_caps = None if caps is None else caps(faces)
     screen_lanes = _FaceScreen(faces, job_caps).lanes
-    offsets = faces.offsets
-    capacity = max(1, computer.gpu_block)
     total = [len(tris_a) * len(tris_b) for tris_a, tris_b in jobs]
-    cursor = [0] * len(jobs)
-    buf_a: list[np.ndarray] = []
-    buf_b: list[np.ndarray] = []
-    owners: list[int] = []
-    filled = 0
+    # Per job, its evaluated sub-blocks' values; None where none survived.
+    values: list[list] = [[] for _ in jobs]
+
+    def launch(job_ids, first, count):
+        buf_a, buf_b, owners, slots = [], [], [], []
+        for job_id in job_ids:
+            row_a, row_b = faces.offsets[job_id]
+            out = values[job_id]
+            end = min((first + count) * block, total[job_id])
+            for start in range(first * block, end, block):
+                lanes = screen_lanes(job_id, start, min(start + block, end))
+                if lanes is not None:
+                    ii, jj = lanes
+                    buf_a.append(ii + row_a)
+                    buf_b.append(jj + row_b)
+                    owners.append(job_id)
+                    slots.append(len(out))
+                out.append(None)
+        if not buf_a:
+            return
+        starts = np.zeros(len(buf_a), dtype=np.intp)
+        np.cumsum([len(chunk) for chunk in buf_a[:-1]], out=starts[1:])
+        cap = None if job_caps is None else job_caps[owners]
+        lanes = kernel(faces, np.concatenate(buf_a), np.concatenate(buf_b), starts, owners, cap)
+        for owner, slot, value in zip(owners, slots, reduce_segments(lanes, starts).tolist()):
+            values[owner][slot] = value
+
+    capacity = max(1, computer.gpu_block)
     enumerated = 0
     pairs_seen = 0
 
-    def evaluate():
-        nonlocal filled
-        if not buf_a:
-            return
-        ia = np.concatenate(buf_a)
-        ib = np.concatenate(buf_b)
-        lengths = [len(chunk) for chunk in buf_a]
-        starts = np.zeros(len(lengths), dtype=np.intp)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        cap = None if job_caps is None else job_caps[owners]
-        values = kernel(faces, ia, ib, starts, owners, cap)
-        segments = reduce_segments(values, starts)
-        for owner, value in zip(owners, segments):
-            results[owner] = fold(results[owner], value)
-        buf_a.clear()
-        buf_b.clear()
-        owners.clear()
-        filled = 0
-
     def flush():
         nonlocal enumerated, pairs_seen
-        if not enumerated:
-            return
         pairs_seen += enumerated
         computer._note_batch(enumerated)
         enumerated = 0
         if checkpoint is not None:
             checkpoint()
 
-    active = list(range(len(jobs)))
+    active = [job_id for job_id in range(len(jobs)) if total[job_id]]
+    wave = ahead = 0
+    horizon = 1
     while active:
-        alive = []
+        if wave == ahead:
+            launch(active, wave, horizon)
+            ahead += horizon
+            horizon *= 2
         for job_id in active:
-            start = cursor[job_id]
-            if start >= total[job_id]:
-                continue  # cross product exhausted; result is final
-            stop = min(start + block, total[job_id])
-            cursor[job_id] = stop
-            enumerated += stop - start
-            alive.append(job_id)
-            lanes = screen_lanes(job_id, start, stop)
-            if lanes is not None:
-                ii, jj = lanes
-                row_a, row_b = offsets[job_id]
-                buf_a.append(ii + row_a)
-                buf_b.append(jj + row_b)
-                owners.append(job_id)
-                filled += len(ii)
-                if filled >= capacity:
-                    evaluate()
+            enumerated += min(block, total[job_id] - wave * block)
             if enumerated >= capacity:
                 flush()
         # Wave barrier: settle decisions always see every result of the
         # wave, so a job's evaluated-pair count depends only on its own
         # sub-block sequence, never on its batch neighbors.
-        evaluate()
-        flush()
-        active = [job_id for job_id in alive if not settled(results[job_id])]
+        if enumerated:
+            flush()
+        for job_id in active:
+            value = values[job_id][wave]
+            if value is not None:
+                results[job_id] = fold(results[job_id], value)
+        wave += 1
+        active = [
+            job_id for job_id in active
+            if wave * block < total[job_id] and not settled(results[job_id])
+        ]
 
     if stats is not None:
         stats["pairs"] = stats.get("pairs", 0) + pairs_seen

@@ -5,7 +5,9 @@ Two layers of properties:
 * ``repro.core.batch`` in isolation — the wave-batched kernels must
   agree with a plain per-job loop over the fused geometry kernels
   (exactly for intersection; up to early exit for distances), lane
-  screening must be invisible, and the flush checkpoint must fire.
+  screening must be invisible, the flush checkpoint must fire, and the
+  look-ahead wave loop must replay the waves of the interleaved one
+  (``tests/oracles/interleaved_waves``) exactly.
 * the engine end to end — the shipped round loop must be byte-identical
   to the per-pair reference oracle (``tests/oracles/per_pair_refine``,
   run on a serial engine) on every query kind, across backends, under
@@ -41,7 +43,7 @@ from repro.faults import FaultInjector
 from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
 from repro.parallel import GeometryComputer
-from tests.oracles import per_pair_refine
+from tests.oracles import interleaved_waves, per_pair_refine
 
 
 def _soup(rng, n, center, spread=1.0):
@@ -498,6 +500,142 @@ class TestFacePrescreen:
         keep_a, keep_b = faces.face_masks(faces.nearest_caps())
         assert len(keep_a) == 12 * 9
         assert len(keep_b) == sum(len(tris) for tris in sources)
+
+
+def _settle_mix(rng):
+    """Jobs that settle at every point a wave can: in their first
+    sub-block, part-way, never, and at contact (a shared vertex, 0.0),
+    plus jobs with an empty side and jobs of one sub-block (64 lanes on
+    the distance paths, 8 on intersection, with the ``computer``
+    fixture's blocks)."""
+    empty = np.zeros((0, 3, 3))
+    far_then_near = np.concatenate([_soup(rng, 20, (8, 0, 0)), _soup(rng, 6, (0.5, 0, 0))])
+    touching_a = _soup(rng, 30, (20, 0, 0))
+    touching_b = _soup(rng, 10, (22.5, 0, 0))
+    touching_b[4, 0] = touching_a[17, 1]  # lane 17 * 10 + 4: sub-block 2
+    same = _soup(rng, 10, (4, 4, 4))
+    return [
+        (same, same.copy()),  # contact in lane 0: every path settles at once
+        (_soup(rng, 12, (0, 0, 0)), _soup(rng, 12, (0.3, 0, 0))),  # first sub-block
+        (far_then_near, _soup(rng, 10, (0, 0, 0))),                # part-way
+        (_soup(rng, 15, (0, 0, 0)), _soup(rng, 15, (9, 0, 0))),    # never
+        (touching_a, touching_b),                                  # contact
+        (empty, _soup(rng, 5, (0, 0, 0))),
+        (_soup(rng, 5, (0, 0, 0)), empty),
+        (_soup(rng, 3, (0, 0, 0)), _soup(rng, 4, (0.2, 0, 0))),    # one sub-block
+        (_soup(rng, 2, (0, 0, 0)), _soup(rng, 3, (6, 0, 0))),      # one, far
+        (_soup(rng, 40, (0, 0, 0)), _soup(rng, 12, (2.2, 0, 0))),  # near miss, long
+    ]
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestLookAheadMatchesInterleaved:
+    """The look-ahead wave loop replays the interleaved waves exactly.
+
+    ``tests/oracles/interleaved_waves.py`` is the wave loop that evaluated
+    every wave's sub-blocks as the wave enumerated them. The shipped one
+    evaluates sub-blocks ahead, in launches whose horizon doubles, and
+    replays the waves on their values: results, ``stats["pairs"]``, the
+    ``_note_batch`` size sequence and the checkpoints must be the
+    oracle's, in fewer kernel launches than waves, and no job may be
+    evaluated past twice the sub-blocks it settles in.
+    """
+
+    RUNS = {
+        "nearest": lambda computer, jobs, **kw: batched_min_distances(computer, jobs, **kw),
+        "nearest_checked": lambda computer, jobs, **kw: batched_min_distances(
+            computer, jobs, check_intersection=True, **kw),
+        "within": lambda computer, jobs, **kw: batched_min_distances(
+            computer, jobs, stop_below=0.3, **kw),
+        "within_checked": lambda computer, jobs, **kw: batched_min_distances(
+            computer, jobs, stop_below=0.3, check_intersection=True, **kw),
+        "intersect": lambda computer, jobs, **kw: batched_any_intersect(computer, jobs, **kw),
+    }
+
+    @staticmethod
+    def _observe(computer, run, jobs, checkpoint=None, waves=None):
+        """``run``'s result plus everything the waves account and launch,
+        on the shipped wave loop or on ``waves``."""
+        sizes, ticks, stats, launches = [], [], {}, []
+        evaluated = [0] * len(jobs)
+        lanes = batch_module._FaceScreen.lanes
+
+        def counting_lanes(screen, job_id, start, stop):
+            evaluated[job_id] += 1
+            return lanes(screen, job_id, start, stop)
+
+        def counting(kernel):
+            def launch(*args, **kwargs):
+                launches.append(len(args[1]))
+                return kernel(*args, **kwargs)
+            return launch
+
+        def tick():
+            ticks.append(1)
+            if checkpoint is not None:
+                checkpoint(len(ticks))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch_module._FaceScreen, "lanes", counting_lanes)
+            for name in ("_screened_distance", "_screened_intersect"):
+                patch.setattr(batch_module, name, counting(getattr(batch_module, name)))
+            if waves is not None:
+                patch.setattr(batch_module, "_run_waves", waves)
+            patch.setattr(computer, "_note_batch", sizes.append)
+            result = run(computer, jobs, stats=stats, checkpoint=tick)
+        return {
+            "result": result, "pairs": stats["pairs"], "sizes": sizes,
+            "ticks": len(ticks), "launches": len(launches), "evaluated": evaluated,
+        }
+
+    def _both(self, computer, run, jobs):
+        return (
+            self._observe(computer, run, jobs),
+            self._observe(computer, run, jobs, waves=interleaved_waves._run_waves),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", sorted(RUNS))
+    def test_replays_the_interleaved_waves(self, computer, mode, seed):
+        jobs = _settle_mix(np.random.default_rng(seed))
+        shipped, oracle = self._both(computer, self.RUNS[mode], jobs)
+        for key in ("result", "pairs", "sizes", "ticks"):
+            assert shipped[key] == oracle[key], key
+        # The oracle enumerates each sub-block as its wave reaches it, so
+        # its per-job count is the job's settle point, and the most any
+        # job takes is the number of waves.
+        settle = oracle["evaluated"]
+        waves = max(settle)
+        assert waves >= 4
+        assert shipped["launches"] < waves
+        for done, needed in zip(shipped["evaluated"], settle):
+            assert needed <= done <= max(2 * needed - 1, 0)
+
+    def test_the_mix_settles_everywhere(self, computer):
+        jobs = _settle_mix(np.random.default_rng(0))
+        nearest = batched_min_distances(computer, jobs)
+        assert nearest[0] == nearest[4] == 0.0  # contact
+        assert nearest[5] == nearest[6] == math.inf  # empty sides
+        within = [v <= 0.3 for v in batched_min_distances(computer, jobs, stop_below=0.3)]
+        assert within[:4] == [True, True, True, False]
+        assert batched_any_intersect(computer, jobs)[0]
+
+    @pytest.mark.parametrize("mode", sorted(RUNS))
+    def test_checkpoint_raises_at_the_same_call(self, computer, mode):
+        jobs = _settle_mix(np.random.default_rng(2))
+        calls = self._observe(computer, self.RUNS[mode], jobs)["ticks"]
+        for stop_at in sorted({1, 2, calls // 2, calls}):
+            def checkpoint(call, stop_at=stop_at):
+                if call == stop_at:
+                    raise _Stop(call)
+
+            for waves in (None, interleaved_waves._run_waves):
+                with pytest.raises(_Stop) as info:
+                    self._observe(computer, self.RUNS[mode], jobs, checkpoint, waves)
+                assert info.value.args == (stop_at,)
 
 
 class TestKthSmallestProperties:

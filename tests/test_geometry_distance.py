@@ -17,6 +17,8 @@ from repro.geometry.distance import (
     point_triangle_distance_batch,
     segment_segment_distance_batch,
 )
+from repro.geometry import distance
+from tests.oracles import distance_rows
 
 XY = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
 
@@ -155,3 +157,108 @@ class TestTriTriDistance:
             # For disjoint pairs the feature minimum is exact; dense
             # sampling should get close to it.
             assert sampled - d <= 0.5
+
+
+def _as_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _grid_lanes(rng, n, plane=False):
+    """Lanes on a small integer grid: many exact ties and touches."""
+    tris = rng.integers(-2, 3, size=(2, n, 3, 3)).astype(np.float64)
+    if plane:
+        tris[..., 2] = 0.0
+    return tris[0], tris[1]
+
+
+class TestMatchesRowOracle:
+    """The plane kernel returns the row kernel's values bit for bit.
+
+    ``tests/oracles/distance_rows.py`` is the ``(n, 3)`` row kernel the
+    plane kernel replaced; both run the same operations in the same
+    order, so outputs are compared as ``int64`` views, not approximately.
+    """
+
+    @staticmethod
+    def assert_same(tri_a, tri_b):
+        for check in (True, False):
+            got = tri_tri_distance_batch(tri_a, tri_b, check_intersection=check)
+            expected = distance_rows.tri_tri_distance_batch(
+                tri_a, tri_b, check_intersection=check
+            )
+            assert np.array_equal(_as_bits(got), _as_bits(expected)), check
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 33, distance._CHUNK - 1, distance._CHUNK, distance._CHUNK + 1, 5000]
+    )
+    def test_seeded_random_soups(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.uniform(-3, 3, size=(2, n, 1, 3))
+        tri_a, tri_b = base + rng.normal(scale=0.6, size=(2, n, 3, 3))
+        self.assert_same(tri_a, tri_b)
+
+    def test_degenerate_triangles(self):
+        rng = np.random.default_rng(41)
+        tri_a, tri_b = rng.normal(size=(2, 4000, 3, 3))
+        tri_a[:500, 1] = tri_a[:500, 0]  # zero-length edge
+        tri_b[500:1000, 2] = tri_b[500:1000, 1]  # repeated vertex
+        tri_a[1000:1500, 2] = 2 * tri_a[1000:1500, 1] - tri_a[1000:1500, 0]  # collinear
+        tri_b[1500:2000, :] = tri_b[1500:2000, :1]  # zero area: a single point
+        tri_a[2000:2500, :] = tri_a[2000:2500, :1]  # point against point
+        tri_b[2000:2500, :] = tri_b[2000:2500, :1]
+        tri_a[2500:3000, 2] = tri_a[2500:3000, 0]  # a segment against a segment
+        tri_b[2500:3000, 1] = tri_b[2500:3000, 0]
+        self.assert_same(tri_a, tri_b)
+
+    def test_integer_grid_coplanar_and_shared_features(self):
+        rng = np.random.default_rng(42)
+        tri_a, tri_b = _grid_lanes(rng, 3000)
+        tri_b[:1000, 0] = tri_a[:1000, 0]  # shared vertex
+        tri_b[1000:2000, :2] = tri_a[1000:2000, [1, 0]]  # shared edge
+        self.assert_same(tri_a, tri_b)
+        self.assert_same(*_grid_lanes(rng, 3000, plane=True))
+
+    def test_every_lane_the_joins_send(self, datasets, monkeypatch):
+        """Every lane NN, kNN k=3 and within joins of the ``conftest``
+        scene send to the kernel, captured at the module attribute the
+        gather/segment layer calls."""
+        from repro.core import EngineConfig, QuerySpec, ThreeDPro
+        from repro.core import batch
+
+        lanes_a, lanes_b = [], []
+        kernel = batch.tri_tri_distance_batch
+
+        def recording(tri_a, tri_b, **kwargs):
+            lanes_a.append(np.array(tri_a))
+            lanes_b.append(np.array(tri_b))
+            return kernel(tri_a, tri_b, **kwargs)
+
+        monkeypatch.setattr(batch, "tri_tri_distance_batch", recording)
+        engine = ThreeDPro(EngineConfig(query_workers=1))
+        for dataset in datasets.values():
+            engine.load_dataset(dataset)
+        for params in ({"kind": "nn"}, {"kind": "knn", "k": 3},
+                       {"kind": "within", "distance": 2.0}):
+            engine.execute(QuerySpec(source="nuclei_b", target="nuclei_a", **params))
+        monkeypatch.undo()
+        assert sum(map(len, lanes_a)) > 1000
+        self.assert_same(np.concatenate(lanes_a), np.concatenate(lanes_b))
+
+    def test_feature_pair_helpers(self):
+        rng = np.random.default_rng(43)
+        points = rng.normal(size=(3000, 3))
+        tris = rng.normal(size=(3000, 3, 3))
+        tris[:300, 1] = tris[:300, 0]
+        tris[300:600, :] = tris[300:600, :1]
+        points[600:900] = tris[600:900, 2]  # on a corner
+        for name in ("closest_point_on_triangle_batch", "point_triangle_distance_batch"):
+            got = getattr(distance, name)(points, tris)
+            expected = getattr(distance_rows, name)(points, tris)
+            assert np.array_equal(_as_bits(got), _as_bits(expected)), name
+        p1, q1, p2, q2 = rng.normal(size=(4, 3000, 3))
+        q1[:300] = p1[:300]  # point-like first segment
+        q2[300:600] = p2[300:600]  # point-like second segment
+        q2[600:900] = p2[600:900] + 2.0 * (q1[600:900] - p1[600:900])  # parallel
+        got = segment_segment_distance_batch(p1, q1, p2, q2)
+        expected = distance_rows.segment_segment_distance_batch(p1, q1, p2, q2)
+        assert np.array_equal(_as_bits(got), _as_bits(expected))
