@@ -33,6 +33,13 @@ degraded keys of runs 2 and 3. An engine that learns runs those on the
 top LOD alone (run 2) and on the cheaper schedule (run 3); one that does
 not runs every LOD each time. The dumps must not differ.
 
+A third, ``stored`` matrix runs the six kinds serially with the
+default ``partition_min_faces``, clean and faulted, fpr and fr, over the
+same two datasets saved to a temporary shard store and loaded back
+lazily before each run, so every run decodes through the shard-backed
+objects' first touch. Stored positions are quantized, so these rows
+answer for the stored datasets, not the in-memory ones.
+
 Parallel runs are made order-free where scheduling decides the order
 and nothing else: the funnel drops its cache and decode-volume fields
 (per-worker caches), and per-group frame and span lists are sorted.
@@ -48,7 +55,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from itertools import product
+from pathlib import Path
 
 from repro.compression import PPVPEncoder
 from repro.core import EngineConfig, QuerySpec, ThreeDPro
@@ -57,7 +66,7 @@ from repro.datagen import make_tissue_scene
 from repro.datagen.vessels import VesselSpec
 from repro.faults import FaultInjector
 from repro.parallel import procpool
-from repro.storage import Dataset
+from repro.storage import Dataset, load_dataset, save_dataset
 
 BACKENDS = {
     "serial": {"query_workers": 1},
@@ -348,6 +357,19 @@ def main(argv: list[str]) -> int:
             key = f"{label} {backend} clean fpr min_faces={min_faces} repeat"
             lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
             print(key, file=sys.stderr, flush=True)
+        with tempfile.TemporaryDirectory(prefix="parity-store-") as root:
+            for name, dataset in datasets.items():
+                save_dataset(dataset, Path(root) / name)
+            stored = product(cases(point).items(), ("clean", "faulted"), ("fpr", "fr"))
+            for (label, (spec, overrides)), faults, paradigm in stored:
+                config = {**BACKENDS["serial"], **overrides, "paradigm": paradigm}
+                if faults == "faulted":
+                    config["fault_injector"] = FaultInjector(seed=11, decode_error_rate=0.3)
+                loaded = {name: load_dataset(Path(root) / name) for name in datasets}
+                dump = run_one(loaded, spec, config, parallel=False)
+                key = f"{label} serial {faults} {paradigm} min_faces=default stored"
+                lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
+                print(key, file=sys.stderr, flush=True)
     finally:
         procpool.shutdown()
     with open(argv[0], "w") as out:

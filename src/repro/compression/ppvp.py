@@ -174,6 +174,10 @@ class CompressedObject:
         reinserted = self.rounds_reinserted_at(lod)
         return len(self.base_faces) + 2 * self._decode_cum_records[reinserted]
 
+    def base_mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, base_faces)``: all that LOD 0 reads."""
+        return self.positions, self.base_faces
+
     def decoder(self) -> "ProgressiveDecoder":
         return ProgressiveDecoder(self)
 

@@ -6,7 +6,9 @@ removal records of encoding round ``i``. Decoding an object to LOD ``k``
 touches only the header, the base segment, and the round segments that
 LOD needs — exactly the paper's "decoding one object to a specific LOD
 also needs the data for all the LODs lower than that LOD", and the
-per-segment byte counts reproduce Fig. 9.
+per-segment byte counts reproduce Fig. 9. The engine reads LOD 0 that
+way (:func:`deserialize_base`: header and base segment); any higher LOD
+it reads through :func:`deserialize_object`, which parses every round.
 
 Vertex coordinates are uniformly quantized over the object's MBB with a
 configurable bit width and packed MSB-first at that width; all integer
@@ -44,6 +46,7 @@ from repro.geometry.aabb import AABB
 __all__ = [
     "serialize_object",
     "deserialize_object",
+    "deserialize_base",
     "salvage_object_blob",
     "serialized_segment_sizes",
     "SerializationError",
@@ -419,15 +422,26 @@ def _segments(blob: bytes, head: _Header) -> list[bytes]:
     return segments
 
 
+def _positions(head: _Header, blocks) -> np.ndarray:
+    """The dequantized vertex table from ``(vertex ids, quantized rows)`` blocks.
+
+    Rows no block names dequantize from zero (the MBB's low corner). A
+    row's value depends on its own quantized coordinates alone, so a
+    table built from the base block only equals the full one at every
+    base vertex, bit for bit.
+    """
+    quant_table = np.zeros((head.num_vertices, 3), dtype=np.int64)
+    for ids, quant in blocks:
+        quant_table[np.asarray(ids, dtype=np.int64)] = quant
+    return _dequantize(quant_table, head.aabb, head.quant_bits)
+
+
 def _assemble(head: _Header, base: tuple, rounds: list[tuple], **metadata) -> CompressedObject:
     """Build the object from a parsed base segment and parsed round segments."""
     base_ids, base_faces, base_quant = base
-    quant_table = np.zeros((head.num_vertices, 3), dtype=np.int64)
-    quant_table[np.asarray(base_ids, dtype=np.int64)] = base_quant
-    for _records, vids, round_quant in rounds:
-        quant_table[np.asarray(vids, dtype=np.int64)] = round_quant
+    blocks = [(base_ids, base_quant)] + [(vids, quant) for _records, vids, quant in rounds]
     return CompressedObject(
-        positions=_dequantize(quant_table, head.aabb, head.quant_bits),
+        positions=_positions(head, blocks),
         base_faces=base_faces,
         rounds=tuple(records for records, _vids, _quant in rounds),
         rounds_per_lod=head.rounds_per_lod,
@@ -435,24 +449,56 @@ def _assemble(head: _Header, base: tuple, rounds: list[tuple], **metadata) -> Co
     )
 
 
+def _parse_base(blob: bytes) -> tuple[_Header, list[bytes], tuple]:
+    """Check a blob and parse its header and base segment.
+
+    Returns the header, the coded segments (base first) and the parsed
+    base segment: every check a full parse makes before it reads the
+    rounds — the whole-blob CRC and a segment table that covers the
+    body — runs here, so a base-only parse is no less strict.
+    """
+    head = _parse_header(blob)
+    segments = _segments(blob, head)
+    return head, segments, _parse_base_segment(_decompress(segments[0]), head.quant_bits)
+
+
 @_reports_malformed_bytes
 def deserialize_object(blob: bytes) -> CompressedObject:
     """Rebuild a :class:`CompressedObject` (positions snapped to the grid).
 
-    v2 blobs have their trailing CRC32 verified first; any corruption
-    raises :class:`~repro.core.errors.BlobChecksumError` rather than
-    parsing into garbage geometry. Malformed bytes of any provenance
-    (including a corrupted version byte demoting a v2 blob to the
-    checksum-free v1 layout) surface as :class:`SerializationError`,
-    never as a raw parser exception.
+    The base parse of :func:`deserialize_base` plus a parse of every
+    round segment. v2 blobs have their trailing CRC32 verified first;
+    any corruption raises :class:`~repro.core.errors.BlobChecksumError`
+    rather than parsing into garbage geometry. Malformed bytes of any
+    provenance (including a corrupted version byte demoting a v2 blob to
+    the checksum-free v1 layout, or a malformed round behind a valid
+    CRC) surface as :class:`SerializationError`, never as a raw parser
+    exception.
     """
-    head = _parse_header(blob)
-    base, *rounds = _segments(blob, head)
+    head, segments, base = _parse_base(blob)
     return _assemble(
-        head,
-        _parse_base_segment(_decompress(base), head.quant_bits),
-        [_parse_round_segment(_decompress(s), head.quant_bits) for s in rounds],
+        head, base,
+        [_parse_round_segment(_decompress(s), head.quant_bits) for s in segments[1:]],
     )
+
+
+@_reports_malformed_bytes
+def deserialize_base(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """LOD 0 of a blob, read from its header and base segment alone.
+
+    Returns ``(positions, base_faces)``, both read-only. ``base_faces``
+    equals the full object's; ``positions`` has its full length and
+    equals the full object's at every base vertex (see
+    :func:`_positions`), which is every row the base faces index. The
+    round segments are not parsed, so a malformed round surfaces only
+    in :func:`deserialize_object`; every other check of a full parse
+    runs, with the same errors.
+    """
+    head, _segments, (base_ids, base_faces, base_quant) = _parse_base(blob)
+    positions = _positions(head, [(base_ids, base_quant)])
+    positions.setflags(write=False)
+    base_faces.setflags(write=False)
+    return positions, base_faces
 
 
 @_reports_malformed_bytes

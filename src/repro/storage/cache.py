@@ -3,13 +3,16 @@
 The cache is LRU over a byte budget, keyed by ``(dataset, object id,
 LOD)``; each entry is a :class:`DecodedLOD` — the face snapshot of one
 object at one LOD plus lazily-built derived structures (corner triangle
-array, partition grouping). A cache miss builds a fresh
-decoder over the object's compiled
+array, partition grouping). A cache miss at LOD 0 is served from the
+object's base mesh (``base_mesh()``), which for a shard-backed object
+parses the blob's header and base segment only. A miss at any higher
+LOD builds a fresh decoder over the object's compiled
 :class:`~repro.compression.lodtable.LODTable` — built once per object,
 timed by the ``decode_table_build`` span /
-``repro_decode_table_build_seconds`` histogram — so advancing to any
-LOD is O(1) bookkeeping and every materialization is an array slice
-(``decode_slice`` span / ``repro_decode_slice_seconds``).
+``repro_decode_table_build_seconds`` histogram — so advancing to that
+LOD is O(1) bookkeeping and the materialization is an array slice
+(``decode_slice`` span / ``repro_decode_slice_seconds``). A cold join
+therefore parses and compiles only the objects it refines past LOD 0.
 
 The provider call that does the work also accounts for it: each
 :meth:`DecodedObjectProvider.get` records its cache hit or miss, decode
@@ -328,10 +331,18 @@ class DecodedObjectProvider:
         if self.fault_injector is not None:
             self.fault_injector.before_decode(self.name, obj_id, lod)
         obj = self.objects[obj_id]
+        if lod == 0:
+            # The base mesh is LOD 0 (the table's step-0 rows, in order):
+            # no round is parsed and no table compiled for it.
+            positions, faces = obj.base_mesh()
+            return DecodedLOD(
+                positions, faces, lod=0, degraded=obj_id in self.salvaged_ids
+            )
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         if "lod_table" not in obj.__dict__:
-            # First decode of this object anywhere: compile the columnar
-            # table (cached on the object, shared by every later decode).
+            # First decode past LOD 0 of this object anywhere: compile
+            # the columnar table (cached on the object, shared by every
+            # later decode).
             start = time.perf_counter()
             table = obj.lod_table
             elapsed = time.perf_counter() - start

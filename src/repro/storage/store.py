@@ -50,6 +50,7 @@ from pathlib import Path
 
 from repro.compression.ppvp import CompressedObject, PPVPEncoder
 from repro.compression.serialize import (
+    deserialize_base,
     deserialize_object,
     salvage_object_blob,
     serialize_object,
@@ -220,16 +221,23 @@ class ShardSet:
                 self._readers[filename] = reader
             return reader
 
-    def materialize(self, filename: str, object_id: int) -> CompressedObject:
-        """Deserialize one object from its shard (CRC-verified slice)."""
+    def _blob(self, filename: str, object_id: int) -> bytes:
+        """One object's blob, copied out of its CRC-verified slice."""
         reader = self.reader(filename)
         with self._lock:
             view = reader.blob(object_id)
             try:
-                blob = bytes(view)
+                return bytes(view)
             finally:
                 view.release()
-        return _DECODERS[self.codec](blob)
+
+    def materialize(self, filename: str, object_id: int) -> CompressedObject:
+        """Deserialize one object from its shard (CRC-verified slice)."""
+        return _DECODERS[self.codec](self._blob(filename, object_id))
+
+    def base_mesh(self, filename: str, object_id: int):
+        """``(positions, base_faces)`` of one ``3dpr`` blob, its rounds unparsed."""
+        return deserialize_base(self._blob(filename, object_id))
 
     def close(self) -> None:
         """Close every open reader (raises if exported slices are alive)."""
@@ -260,11 +268,18 @@ class ShardBackedObject:
     Answers the planning questions (``aabb``, ``max_lod``, ``lods``,
     ``face_count_at_lod``) straight from the shard index — exactly the
     attributes engine load, R-tree build, LOD scheduling, and MBB
-    filtering touch — and delegates everything else (``decode``,
-    ``lod_table``, ``positions``, ...) to the real
-    :class:`CompressedObject`, deserialized on first touch. Pickling
-    materializes, so a proxy never outlives its mapping across a
-    process boundary.
+    filtering touch. It has two states past that:
+
+    * *base* — :meth:`base_mesh` (LOD 0) of a ``3dpr`` blob parses the
+      header and the base segment only and keeps that result;
+    * *full* (``materialized``) — everything else (``decode``,
+      ``lod_table``, ``rounds``, ``positions``, ...) is delegated to the
+      real :class:`CompressedObject`, deserialized on first touch, which
+      then also serves :meth:`base_mesh`. A ``pickle``-codec spill has
+      no base-only parse and goes straight to this state.
+
+    Pickling materializes, so a proxy never outlives its mapping across
+    a process boundary.
     """
 
     def __init__(self, shards: ShardSet, filename: str, entry):
@@ -287,11 +302,24 @@ class ShardBackedObject:
             raise ValueError(f"lod must be in [0, {entry.max_lod}], got {lod}")
         return entry.face_counts[lod]
 
+    def base_mesh(self):
+        """``(positions, base_faces)``: LOD 0, without parsing the rounds.
+
+        ``positions`` equals the full object's at every base vertex.
+        """
+        d = self.__dict__
+        if "_real" in d or self._shards.codec != "3dpr":
+            return self._materialize().base_mesh()
+        if "_base" not in d:
+            d["_base"] = self._shards.base_mesh(self._filename, self._entry.object_id)
+        return d["_base"]
+
     def _materialize(self) -> CompressedObject:
         real = self.__dict__.get("_real")
         if real is None:
             real = self._shards.materialize(self._filename, self._entry.object_id)
             self.__dict__["_real"] = real
+            self.__dict__.pop("_base", None)
         return real
 
     def __getattr__(self, name):
@@ -392,7 +420,11 @@ class Dataset:
         )
 
     def materialized_count(self) -> int:
-        """How many objects are resident (all of them for legacy loads)."""
+        """How many objects are fully parsed (all of them for legacy loads).
+
+        A shard-backed object that served only LOD 0 holds its base mesh
+        and does not count.
+        """
         return sum(
             1
             for obj in self.objects

@@ -19,10 +19,15 @@ from hypothesis import strategies as st
 from repro.compression import PPVPEncoder, deserialize_object, serialize_object
 from repro.compression.serialize import (
     SerializationError,
+    _compress,
+    _parse_header,
+    _segments,
+    _write_blob,
     extract_lod_prefix,
     salvage_object_blob,
     serialized_segment_sizes,
 )
+from repro.compression.varint import write_uvarint
 from repro.core import EngineConfig, ThreeDPro
 from repro.core.errors import BlobChecksumError, CuboidFormatError
 from repro.faults import FaultInjector
@@ -217,6 +222,66 @@ class TestChaosJoins:
             for _sid, dist, _exact in cands:
                 # every reported distance upper-bounds the true nearest
                 assert dist + 1e-6 >= truth[tid][1]
+
+
+class TestMalformedRoundBehindValidCRC:
+    """A blob whose every CRC holds but whose round is malformed.
+
+    LOD 0 is read from the header and the base segment alone, so the
+    malformed round surfaces only when something needs the rounds: a
+    request past LOD 0 falls back down the ladder to LOD 0, degraded,
+    while a full parse of the blob still raises.
+    """
+
+    @staticmethod
+    def _malformed_round(blob: bytes) -> bytes:
+        """``blob`` with round 0 replaced by one record of ring length 2."""
+        head = _parse_header(blob)
+        segments = _segments(blob, head)
+        part_a = bytearray()
+        for value in (1, 0, 0, 2, 1, 2):  # count, vertex, apex, ring length, ring
+            write_uvarint(part_a, value)
+        payload = bytearray()
+        write_uvarint(payload, len(part_a))
+        payload += part_a + bytes(-(-3 * head.quant_bits // 8))  # one position
+        segments[1] = _compress(bytes(payload))
+        return _write_blob(
+            head.coder, head.quant_bits, head.rounds_per_lod, head.num_vertices,
+            head.aabb, segments,
+        )
+
+    def test_lod0_served_and_higher_lods_fall_back(self, tmp_path, caplog):
+        import logging
+
+        from repro.storage import Dataset, load_dataset, save_dataset
+        from repro.storage.cache import DecodeCache, DecodedObjectProvider
+
+        obj = PPVPEncoder(max_lods=3).encode(icosphere(1))
+        bad = self._malformed_round(serialize_object(obj))
+        with pytest.raises(SerializationError, match="malformed removal record"):
+            deserialize_object(bad)
+
+        class SwapBlob:
+            def corrupt_blob(self, blob, key):
+                return bad
+
+        save_dataset(Dataset("bad", [obj]), tmp_path / "bad", fault_injector=SwapBlob())
+        loaded = load_dataset(tmp_path / "bad")  # every CRC verifies
+        provider = DecodedObjectProvider("bad", loaded.objects, DecodeCache())
+        base = provider.get(0, 0)
+        assert (base.lod, base.degraded) == (0, False)
+        assert np.array_equal(base.faces, obj.base_faces)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            top = provider.get(0, obj.max_lod)
+        assert (top.lod, top.degraded) == (0, True)
+        assert np.array_equal(top.faces, base.faces)
+        assert provider.degraded_ids == {0: 0}
+        assert not provider.failed_ids
+        events = [record.getMessage() for record in caplog.records]
+        assert events.count("decode_failure") == obj.max_lod
+        assert "decode_fallback" in events
+        with pytest.raises(SerializationError, match="malformed removal record"):
+            deserialize_object(bad)
 
 
 class TestOFFFuzz:

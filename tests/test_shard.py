@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.compression import PPVPEncoder
@@ -40,6 +41,7 @@ from repro.storage import (
     spill_dataset,
     write_shard_file,
 )
+from repro.storage.cache import DecodeCache, DecodedLOD, DecodedObjectProvider
 from tests.oracles.legacy_store import save_legacy_dataset
 from tests.test_batch import PARITY_IDS, PARITY_SPECS, _comparable
 
@@ -367,6 +369,126 @@ class TestLazyShardDataset:
         (directory / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatasetFormatError):
             load_dataset(directory)
+
+
+class TestBaseOnlyLOD0:
+    """LOD 0 of a stored object comes from its header and base segment.
+
+    The provider serves it without parsing a round or compiling a
+    ``LODTable``; these check it is the full-table LOD 0 bit for bit,
+    before and after the object is fully parsed, and that a cold join
+    fully parses exactly the objects it refines past LOD 0.
+    """
+
+    @pytest.fixture(scope="class")
+    def store(self, datasets, tmp_path_factory):
+        """The nuclei and the partitioned (>= 400-face) vessels, saved."""
+        root = tmp_path_factory.mktemp("lod0")
+        for name in ("nuclei_a", "vessels"):
+            save_dataset(datasets[name], root / name)
+        return root
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def _check_lod0(self, decoded, reference, partition):
+        faces = reference.lod_table.faces_at_step(0)
+        assert self._same_bits(decoded.faces, faces)
+        assert self._same_bits(decoded.triangles, reference.positions[faces])
+        base_ids = np.unique(reference.base_faces)
+        assert self._same_bits(
+            decoded.positions[base_ids], reference.positions[base_ids]
+        )
+        if partition is not None:
+            expected = DecodedLOD(reference.positions, faces).groups(partition)
+            assert self._same_bits(decoded.groups(partition), expected)
+
+    @pytest.mark.parametrize("name", ["nuclei_a", "vessels"])
+    def test_lod0_matches_the_full_table(self, store, name):
+        from repro.partition.partitioner import partition_faces
+
+        loaded = load_dataset(store / name)
+        reference = load_dataset(store / name)
+        eager = [reference.objects[i]._materialize() for i in range(len(reference))]
+        partitioned = 0
+        for obj_id, (obj, ref) in enumerate(zip(loaded.objects, eager)):
+            partition = None
+            if ref.face_count_at_lod(ref.max_lod) >= 400:
+                partition = partition_faces(ref.decode(ref.max_lod))
+                partitioned += 1
+            base = DecodedObjectProvider(name, loaded.objects, DecodeCache()).get(obj_id, 0)
+            assert not obj.materialized
+            self._check_lod0(base, ref, partition)
+            # Past LOD 0 the object is fully parsed; each LOD is the eager one.
+            provider = DecodedObjectProvider(name, loaded.objects, DecodeCache())
+            for lod in obj.lods[1:]:
+                decoded = provider.get(obj_id, lod)
+                decoder = ref.decoder()
+                decoder.advance_to(lod)
+                assert self._same_bits(decoded.faces, decoder.face_array())
+                assert self._same_bits(decoded.triangles, decoder.polyhedron().triangles)
+            assert obj.materialized == (obj.max_lod > 0)
+            after = DecodedObjectProvider(name, loaded.objects, DecodeCache()).get(obj_id, 0)
+            self._check_lod0(after, ref, partition)
+        assert loaded.materialized_count() == sum(o.max_lod > 0 for o in loaded.objects)
+        assert partitioned == (len(loaded) if name == "vessels" else 0)
+
+    def test_cold_join_parses_only_objects_refined_past_lod0(
+        self, datasets, tmp_path, monkeypatch
+    ):
+        from repro.compression import ppvp
+        from repro.core.schedule import full_ladder
+        from repro.storage import store as store_module
+
+        calls = {"deserialize": 0, "compile": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setitem(
+            store_module._DECODERS, "3dpr",
+            counted("deserialize", store_module._DECODERS["3dpr"]),
+        )
+        monkeypatch.setattr(
+            ppvp, "compile_lod_table", counted("compile", ppvp.compile_lod_table)
+        )
+        requested = []
+        original_get = DecodedObjectProvider.get
+
+        def recording_get(provider, obj_id, lod, *args, **kwargs):
+            requested.append((provider.name, obj_id, lod))
+            return original_get(provider, obj_id, lod, *args, **kwargs)
+
+        monkeypatch.setattr(DecodedObjectProvider, "get", recording_get)
+
+        loaded = {}
+        for name in ("nuclei_a", "nuclei_b"):
+            save_dataset(datasets[name], tmp_path / name)
+            loaded[name] = load_dataset(tmp_path / name)
+        engine = ThreeDPro(
+            EngineConfig(query_workers=1, lod_list=full_ladder(*loaded.values()))
+        )
+        for dataset in loaded.values():
+            engine.load_dataset(dataset)
+        result = engine.intersection_join("nuclei_a", "nuclei_b")
+        assert result.pairs
+
+        touched = {(name, obj_id) for name, obj_id, _lod in requested}
+        refined = {(name, obj_id) for name, obj_id, lod in requested if lod >= 1}
+        materialized = {
+            (name, obj_id)
+            for name, dataset in loaded.items()
+            for obj_id, obj in enumerate(dataset.objects)
+            if obj.materialized
+        }
+        assert refined and refined < touched
+        assert materialized == refined
+        assert calls == {"deserialize": len(refined), "compile": len(refined)}
 
 
 class TestMigrate:
