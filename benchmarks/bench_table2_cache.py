@@ -18,9 +18,9 @@ def test_table2_decode_cache(benchmark, workload, test_id, cache_enabled):
     result = {}
 
     def run():
-        engine = make_engine(
-            "fpr", "B", workload=workload, cache_enabled=cache_enabled
-        )
+        # A zero budget is the pass-through cache: every get misses.
+        overrides = {} if cache_enabled else {"cache_bytes": 0}
+        engine = make_engine("fpr", "B", workload=workload, **overrides)
         result["value"] = run_test(test_id, workload, "fpr", engine=engine)
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -337,7 +337,7 @@ def check_concurrent_accounts(datasets) -> None:
     from repro.core.plan import QuerySpec
 
     engine = ThreeDPro(
-        EngineConfig(metrics=MetricsRegistry(), query_workers=1, cache_enabled=False)
+        EngineConfig(metrics=MetricsRegistry(), query_workers=1, cache_bytes=0)
     )
     for dataset in datasets.values():
         engine.load_dataset(dataset)

@@ -23,8 +23,12 @@ settled) of each group, and hashes of every batched refine call
 ``repro.core.batch.batched_min_distances`` with ``stop_below == 0``
 (the exact minima NN ranges and kNN bounds are tightened from, which
 the pairs alone show only at the top k) and with ``stop_below > 0``
-(within), the verdict vectors of ``batched_any_intersect``, and per
-call the ``_note_batch`` size sequence and checkpoint count.
+(within), the verdict vectors of ``batched_any_intersect``, per call
+the ``_note_batch`` size sequence and checkpoint count, and the kernel
+inputs of every launch: the ``ia``, ``ib``, ``starts`` and ``owners``
+each call of ``repro.core.batch._screened_distance`` /
+``_screened_intersect`` receives (``kernel_inputs``), so a change to how
+launch buffers are built shows even where the values come out equal.
 
 A second, ``repeat`` matrix covers the learned LOD schedule: within and
 intersection × backend × ``partition_min_faces``, clean, fpr, each
@@ -58,6 +62,8 @@ import sys
 import tempfile
 from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 from repro.compression import PPVPEncoder
 from repro.core import EngineConfig, QuerySpec, ThreeDPro
@@ -165,21 +171,28 @@ class ValueRecorder:
     """Hashes, in call order, what every batched refine call returns and
     how it accounts for it (``float.hex``, so values are bit-exact).
 
-    Four digests, each with its call count: the value vectors
+    Five digests, each with its call count: the value vectors
     ``batched_min_distances`` returns with ``stop_below == 0`` (NN
     ranges and kNN bounds are tightened from these exact minima) and
     with ``stop_below > 0`` (within: a realized distance at or under
     ``D``, or some value above it), the verdict vectors of
     ``batched_any_intersect``, and per call of either, the sequence of
     ``_note_batch`` sizes and the number of checkpoints — the flush and
-    deadline granularity.
+    deadline granularity — and, per kernel launch, the face-row buffers
+    ``ia`` / ``ib``, the segment ``starts`` and the segment ``owners``
+    the screened kernel receives, as int64 bytes (``kernel_inputs``).
 
-    The refine layer looks both functions up on :mod:`repro.core.batch`
-    at call time, so patching the module attributes sees every call made
-    in this interpreter.
+    The refine layer looks the batched functions, and they look the two
+    screened kernels, up on :mod:`repro.core.batch` at call time, so
+    patching the module attributes sees every call made in this
+    interpreter.
     """
 
-    FIELDS = ("min_distance_values", "within_values", "intersect_verdicts", "flushes")
+    FIELDS = (
+        "min_distance_values", "within_values", "intersect_verdicts", "flushes",
+        "kernel_inputs",
+    )
+    KERNELS = ("_screened_distance", "_screened_intersect")
 
     def __init__(self):
         self.calls = dict.fromkeys(self.FIELDS, 0)
@@ -211,11 +224,23 @@ class ValueRecorder:
 
         return recorded
 
+    def _wrap_kernel(self, name, original):
+        def recorded(faces, ia, ib, starts, owners=None, cap=None, **kwargs):
+            self._add("kernel_inputs", f"{name} {len(ia)} {len(starts)}")
+            digest = self.digests["kernel_inputs"]
+            for array in (ia, ib, starts, owners):
+                digest.update(np.asarray(array, dtype=np.int64).tobytes())
+            return original(faces, ia, ib, starts, owners, cap, **kwargs)
+
+        return recorded
+
     def __enter__(self):
         self._originals = {
             name: getattr(batch, name)
-            for name in ("batched_min_distances", "batched_any_intersect")
+            for name in ("batched_min_distances", "batched_any_intersect", *self.KERNELS)
         }
+        for name in self.KERNELS:
+            setattr(batch, name, self._wrap_kernel(name, self._originals[name]))
         batch.batched_min_distances = self._wrap(
             self._originals["batched_min_distances"],
             lambda stop_below=0.0, **_: (

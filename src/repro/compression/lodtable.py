@@ -44,9 +44,8 @@ import numpy as np
 __all__ = ["ALIVE", "LODTable", "compile_lod_table"]
 
 # Death sentinel: the face is still live at the final compiled step.
-# Using a sentinel (not num_steps + 1) keeps tables extendable — adding
-# decode steps appends rows and stamps deaths without rewriting
-# survivors.
+# One fixed value (not num_steps + 1), so "never removed" reads the same
+# in every table whatever its step count.
 ALIVE = int(np.iinfo(np.int32).max)
 
 # The vectorized compiler packs a sorted vertex triple into one int64
@@ -142,37 +141,6 @@ class LODTable:
         """Removal records reinserted to reach ``step`` (decode work)."""
         self._check_step(step)
         return int(self.cum_records[step])
-
-    def extended(self, earlier_rounds) -> "LODTable":
-        """A new table with ``earlier_rounds`` appended as decode steps.
-
-        ``earlier_rounds`` are encode rounds that *precede* the rounds
-        this table was compiled from (the salvage/progressive-transmission
-        case: a checksum-valid round suffix compiles to a truncated
-        table, and newly arrived earlier segments extend it). Survivor
-        rows are untouched; new steps append rows and stamp deaths, so
-        every step this table served is preserved verbatim.
-        """
-        if self.failed_step is not None:
-            raise ValueError("cannot extend a table whose compilation failed")
-        if not earlier_rounds:
-            return self
-        faces = [tuple(face) for face in self.faces.tolist()]
-        birth = self.birth.tolist()
-        death = self.death.tolist()
-        live = {
-            tuple(sorted(face)): row
-            for row, face in enumerate(faces)
-            if death[row] == ALIVE
-        }
-        face_counts = self.face_counts.tolist()
-        records_per_step = [0] + np.diff(self.cum_records).tolist()
-        failed_step, failure = _replay_steps(
-            faces, birth, death, live, face_counts, records_per_step,
-            tuple(earlier_rounds)[::-1], first_step=self.num_steps + 1,
-        )
-        return _finish(faces, birth, death, face_counts, records_per_step,
-                       failed_step, failure)
 
     # Tables are plain immutable arrays; define the pickle protocol
     # explicitly so the process backend's spill transport stays stable
@@ -346,17 +314,16 @@ def _compile_vectorized(base: np.ndarray, decode_rounds) -> LODTable | None:
 
 def _replay_steps(
     faces: list, birth: list, death: list, live: dict,
-    face_counts: list, records_per_step: list,
-    steps_rounds, first_step: int,
+    face_counts: list, records_per_step: list, steps_rounds,
 ) -> tuple[int | None, Exception | None]:
-    """Replay decode steps record by record, mutating the builder lists.
+    """Replay decode steps 1, 2, ... record by record, mutating the builder lists.
 
     On an inconsistent record the whole step rolls back (the table stays
     exactly at the previous step) and the original error is returned so
     the decoder can re-raise it for any request at or past that step.
     """
     for offset, records in enumerate(steps_rounds):
-        step = first_step + offset
+        step = offset + 1
         killed_rows: list[int] = []
         appended_from = len(faces)
         try:
@@ -397,22 +364,6 @@ def _replay_steps(
     return None, None
 
 
-def _finish(
-    faces: list, birth: list, death: list,
-    face_counts: list, records_per_step: list,
-    failed_step: int | None, failure: Exception | None,
-) -> LODTable:
-    return LODTable(
-        faces=np.asarray(faces, dtype=np.int64).reshape(-1, 3),
-        birth=np.asarray(birth, dtype=np.int32),
-        death=np.asarray(death, dtype=np.int32),
-        face_counts=np.asarray(face_counts, dtype=np.int64),
-        cum_records=np.cumsum(np.asarray(records_per_step, dtype=np.int64)),
-        failed_step=failed_step,
-        failure=failure,
-    )
-
-
 def _compile_sequential(base: np.ndarray, decode_rounds) -> LODTable:
     """Record-by-record builder: exact legacy replay failure semantics."""
     faces: list[tuple[int, int, int]] = []
@@ -431,8 +382,14 @@ def _compile_sequential(base: np.ndarray, decode_rounds) -> LODTable:
     face_counts = [len(faces)]
     records_per_step = [0]
     failed_step, failure = _replay_steps(
-        faces, birth, death, live, face_counts, records_per_step,
-        decode_rounds, first_step=1,
+        faces, birth, death, live, face_counts, records_per_step, decode_rounds,
     )
-    return _finish(faces, birth, death, face_counts, records_per_step,
-                   failed_step, failure)
+    return LODTable(
+        faces=np.asarray(faces, dtype=np.int64).reshape(-1, 3),
+        birth=np.asarray(birth, dtype=np.int32),
+        death=np.asarray(death, dtype=np.int32),
+        face_counts=np.asarray(face_counts, dtype=np.int64),
+        cum_records=np.cumsum(np.asarray(records_per_step, dtype=np.int64)),
+        failed_step=failed_step,
+        failure=failure,
+    )

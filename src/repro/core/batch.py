@@ -30,9 +30,13 @@ kernel value below is a pure function of the lane, its job and the
 lane's own sub-block, so a sub-block's value does not depend on when it
 is computed. When a wave reaches a sub-block not yet evaluated, one
 *look-ahead launch* evaluates the next ``horizon`` sub-blocks of every
-unsettled job, and the horizon doubles: 1, 2, 4, … sub-blocks. The
-waves then fold those values in order and settle exactly the jobs they
-always settled; values past a job's settle point are dropped. A job is
+unsettled job, and the horizon doubles: 1, 2, 4, … sub-blocks. A launch
+builds its lanes once, not sub-block by sub-block: per job, the outer
+product of its kept rows and columns as flat lane indices, cut to the
+launch's range and into sub-blocks where ``flat // block`` changes
+(:meth:`_FaceTables.launch_lanes`). The waves then fold those values in
+order and settle exactly the jobs they always settled; values past a
+job's settle point are dropped. A job is
 never evaluated past twice its settle point, and a round that takes
 ``w`` waves makes about ``log2(w) + 1`` launches instead of one or more
 per wave.
@@ -50,9 +54,10 @@ cap — within's query distance, or for NN / kNN / FR (``stop_below ==
 0``) a realized face-pair distance ``U`` found in O(F) per job, each
 plus a pad for the kernel's rounding. Only lanes whose two faces
 survive are buffered, as face-row index pairs rather than copied
-triangles. Intersection builds no masks: its jobs mostly settle in
-their first sub-block, and its lane screen already drops every lane
-whose face boxes are disjoint.
+triangles, in row-major order within each sub-block; a sub-block with
+no surviving lane sends nothing to the kernel. Intersection builds no
+masks: its jobs mostly settle in their first sub-block, and its lane
+screen already drops every lane whose face boxes are disjoint.
 
 The buffered lanes are then screened per lane: a launch takes each lane's
 AABB-gap lower bound and first-vertex upper bound from the tables and
@@ -111,7 +116,8 @@ class _FaceTables:
     ``v0`` their first vertices, all ``(F, 3)``; ``tris`` holds the
     triangles themselves, gathered only for lanes that pass a screen.
     ``offsets[job]`` maps a job's local face indices on its two sides to
-    stacked rows, and ``widths[job]`` is its second set's face count.
+    stacked rows, ``widths[job]`` is its second set's face count and
+    ``totals[job]`` its cross product's lane count.
 
     The distance paths also read each set's overall box
     (``set_boxes``), each job's rounding ``pad``, and ``rows``: per
@@ -139,6 +145,7 @@ class _FaceTables:
         np.cumsum(self.sizes, out=self.first[1:])
         self.offsets = [(self.first[a], self.first[b]) for a, b in job_sets]
         self.widths = [len(tris_b) for _tris_a, tris_b in jobs]
+        self.totals = [len(tris_a) * len(tris_b) for tris_a, tris_b in jobs]
         filled = [tris for tris in self.sets if len(tris)]
         self.tris = np.concatenate(filled) if filled else np.zeros((0, 3, 3))
         v0, v1, v2 = self.tris[:, 0], self.tris[:, 1], self.tris[:, 2]
@@ -158,8 +165,14 @@ class _FaceTables:
 
     @cached_property
     def spanning(self) -> np.ndarray:
-        lanes = self.sizes[self.side_a] * self.sizes[self.side_b]
-        return np.flatnonzero(lanes > self._block)
+        return np.flatnonzero(np.asarray(self.totals, dtype=np.intp) > self._block)
+
+    @cached_property
+    def ranks(self) -> list[int]:
+        """Per job, its index among the spanning jobs, or -1."""
+        ranks = np.full(len(self.totals), -1, dtype=np.intp)
+        ranks[self.spanning] = np.arange(len(self.spanning))
+        return ranks.tolist()
 
     @cached_property
     def set_boxes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -268,59 +281,76 @@ class _FaceTables:
         gap_sq = gap[:, 0] + gap[:, 1] + gap[:, 2]
         return np.sqrt(gap_sq) <= np.repeat(caps, lengths)
 
+    def kept_faces(self, caps):
+        """Per side, the local indices of the spanning jobs' faces that
+        pass :meth:`face_masks`, concatenated, and each job's cut points
+        into them: ``((rows, row_cuts), (cols, col_cuts))``."""
+        kept = []
+        for keep, (_, bounds) in zip(self.face_masks(caps), self.rows):
+            index = np.flatnonzero(keep)
+            cuts = np.searchsorted(index, bounds)
+            kept.append((index - np.repeat(bounds[:-1], np.diff(cuts)), cuts.tolist()))
+        return tuple(kept)
+
+    @cached_property
+    def _lane_bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per job, its width and its two sides' first stacked rows."""
+        return self.sizes[self.side_b], self.first[self.side_a], self.first[self.side_b]
+
+    def launch_lanes(self, kept, job_ids, first: int, count: int):
+        """Every buffered lane of sub-blocks ``first`` to ``first + count
+        - 1`` of each job in ``job_ids``, in one pass.
+
+        ``kept`` is :meth:`kept_faces`' output, or None to buffer every
+        lane. Per job, the outer product of its kept rows and kept
+        columns (all of them when the job is not masked) gives flat lane
+        indices ``ii * width + jj`` in row-major order, kept within the
+        launch's range ``[first * block, (first + count) * block)``;
+        only the kept rows that reach the range are expanded. The buffer
+        is cut into one segment per sub-block wherever the job or ``flat
+        // block`` changes, so a sub-block with no surviving lane gets no
+        segment. Returns the stacked face rows ``(ia, ib)``, the segment
+        ``starts`` and, per segment, its job and sub-block (``owners``,
+        ``subs``), or None when no lane survives. ``job_ids`` must be
+        non-empty.
+        """
+        block = self._block
+        lo, hi = first * block, (first + count) * block
+        if kept is not None:
+            (rows, row_cuts), (cols, col_cuts) = kept
+        flats = []
+        for job_id in job_ids:
+            k = -1 if kept is None else self.ranks[job_id]
+            if k < 0:
+                flats.append(np.arange(lo, min(hi, self.totals[job_id])))
+                continue
+            width = self.widths[job_id]
+            job_rows = rows[row_cuts[k]:row_cuts[k + 1]]
+            low, high = np.searchsorted(job_rows, (lo // width, (hi - 1) // width + 1))
+            flat = (job_rows[low:high, None] * width + cols[col_cuts[k]:col_cuts[k + 1]]).ravel()
+            low, high = np.searchsorted(flat, (lo, hi))
+            flats.append(flat[low:high])
+        flat = np.concatenate(flats)
+        if not len(flat):
+            return None
+        place = np.repeat(np.arange(len(flats)), [len(lanes) for lanes in flats])
+        jobs = np.asarray(job_ids, dtype=np.intp)[place]
+        widths, first_a, first_b = self._lane_bases
+        ii, jj = np.divmod(flat, widths[jobs])
+        sub = flat // block
+        # A segment starts at the first lane and wherever (place, sub) changes.
+        key = place * count + sub
+        cut = np.empty(len(key), dtype=bool)
+        cut[0] = True
+        np.not_equal(key[1:], key[:-1], out=cut[1:])
+        starts = np.flatnonzero(cut)
+        return ii + first_a[jobs], jj + first_b[jobs], starts, jobs[starts], sub[starts]
+
 
 def _sum_sq(delta: np.ndarray) -> np.ndarray:
     """Squared norms of ``(n, 3)`` rows, summed in x, y, z order."""
     delta = delta * delta
     return delta[:, 0] + delta[:, 1] + delta[:, 2]
-
-
-class _FaceScreen:
-    """Which lanes of each job's sub-blocks reach the buffers.
-
-    With per-job ``caps`` (the distance paths), built from
-    :meth:`_FaceTables.face_masks`; without (intersection, whose jobs
-    mostly settle in their first sub-block), every lane is buffered and
-    the per-lane box screen alone decides. ``lanes`` returns a
-    sub-block's surviving ``(ii, jj)`` local index pairs in row-major
-    order, or None when none survive; whole masked rows are skipped
-    without building the sub-block's index arrays.
-    """
-
-    def __init__(self, faces: _FaceTables, caps=None):
-        self.widths = faces.widths
-        self.masks: dict[int, tuple] = {}
-        if caps is None or not len(faces.spanning):
-            return
-        keep_a, keep_b = faces.face_masks(caps)
-        (_, bounds_a), (_, bounds_b) = faces.rows
-        count_a = np.add.reduceat(keep_a, bounds_a[:-1]).tolist()
-        count_b = np.add.reduceat(keep_b, bounds_b[:-1]).tolist()
-        bounds_a, bounds_b = bounds_a.tolist(), bounds_b.tolist()
-        flags = keep_a.tolist()
-        for k, job_id in enumerate(faces.spanning.tolist()):
-            lo_a, hi_a = bounds_a[k], bounds_a[k + 1]
-            lo_b, hi_b = bounds_b[k], bounds_b[k + 1]
-            if count_a[k] == hi_a - lo_a and count_b[k] == hi_b - lo_b:
-                continue  # every face survives: nothing to mask
-            # With no column left, no row has a lane.
-            rows = flags[lo_a:hi_a] if count_b[k] else [False] * (hi_a - lo_a)
-            self.masks[job_id] = (rows, keep_a[lo_a:hi_a], keep_b[lo_b:hi_b])
-
-    def lanes(self, job_id: int, start: int, stop: int):
-        width = self.widths[job_id]
-        masks = self.masks.get(job_id)
-        if masks is None:
-            return np.divmod(np.arange(start, stop), width)
-        rows, keep_a, keep_b = masks
-        if not any(rows[start // width:(stop - 1) // width + 1]):
-            return None
-        ii, jj = np.divmod(np.arange(start, stop), width)
-        keep = keep_a.take(ii)
-        keep &= keep_b.take(jj)
-        if not keep.any():
-            return None
-        return ii[keep], jj[keep]
 
 
 def _lane_gap_sq(faces: _FaceTables, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -408,15 +438,14 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
                settled, stats, checkpoint, caps=None):
     """Drive all jobs to their settle points: evaluate ahead, replay waves.
 
-    ``caps(faces)`` gives each job's cap (intersection has none).
-    Sub-blocks are enumerated as always, but with caps only lanes whose
-    two faces pass :meth:`_FaceTables.face_masks` are buffered, as
-    stacked face-row index pairs; ``kernel(faces, ia, ib, starts,
-    owners, cap)`` screens and evaluates one concatenated buffer
-    (``owners`` holds each sub-block's job, ``cap`` its job cap or
-    None); ``reduce_segments(values, starts)`` collapses it to one value
-    per sub-block; ``fold(acc, value)`` merges a sub-block's value into
-    its owner's accumulator (seeded with ``init``); and
+    ``caps(faces)`` gives each job's cap (intersection has none). With
+    caps only lanes whose two faces pass :meth:`_FaceTables.face_masks`
+    are buffered, as stacked face-row index pairs; ``kernel(faces, ia,
+    ib, starts, owners, cap)`` screens and evaluates one concatenated
+    buffer (``owners`` holds each sub-block's job, ``cap`` its job cap
+    or None); ``reduce_segments(values, starts)`` collapses it to one
+    value per sub-block; ``fold(acc, value)`` merges a sub-block's value
+    into its owner's accumulator (seeded with ``init``); and
     ``settled(acc)`` decides, at wave boundaries, whether a job needs no
     further sub-blocks.
 
@@ -424,11 +453,13 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
     the same sub-block in a wave, so when a wave reaches a sub-block not
     yet evaluated, one kernel call evaluates the next ``horizon``
     sub-blocks of every unsettled job, and the horizon doubles: 1, 2, 4,
-    … A sub-block's value is a pure function of its lanes, its job and
-    itself, so the waves then replay exactly as if each had been
-    evaluated on its own: they fold the same values in the same order,
-    settle the same jobs, and no job is evaluated past twice its settle
-    point.
+    … Each launch builds its lanes once, in one pass with one step per
+    job (:meth:`_FaceTables.launch_lanes`), and scatters its values into
+    one slot per sub-block. A sub-block's value is a pure function of
+    its lanes, its job and itself, so the waves then replay exactly as
+    if each had been evaluated on its own: they fold the same values in
+    the same order, settle the same jobs, and no job is evaluated past
+    twice its settle point.
 
     Accounting follows the replayed waves' enumerated lanes, not the
     survivors: every ``gpu_block`` enumerated lanes (and at each wave's
@@ -439,34 +470,23 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
     results = [init] * len(jobs)
     faces = _FaceTables(jobs, block)
     job_caps = None if caps is None else caps(faces)
-    screen_lanes = _FaceScreen(faces, job_caps).lanes
-    total = [len(tris_a) * len(tris_b) for tris_a, tris_b in jobs]
-    # Per job, its evaluated sub-blocks' values; None where none survived.
-    values: list[list] = [[] for _ in jobs]
+    kept = None if job_caps is None or not len(faces.spanning) else faces.kept_faces(job_caps)
+    total = faces.totals
+    # One slot per sub-block, job by job from ``base[job]``: its value
+    # once evaluated, None where no lane survived.
+    base = np.zeros(len(jobs) + 1, dtype=np.intp)
+    np.cumsum([-(-lanes // block) for lanes in total], out=base[1:])
+    values = np.full(base[-1], None, dtype=object)
 
     def launch(job_ids, first, count):
-        buf_a, buf_b, owners, slots = [], [], [], []
-        for job_id in job_ids:
-            row_a, row_b = faces.offsets[job_id]
-            out = values[job_id]
-            end = min((first + count) * block, total[job_id])
-            for start in range(first * block, end, block):
-                lanes = screen_lanes(job_id, start, min(start + block, end))
-                if lanes is not None:
-                    ii, jj = lanes
-                    buf_a.append(ii + row_a)
-                    buf_b.append(jj + row_b)
-                    owners.append(job_id)
-                    slots.append(len(out))
-                out.append(None)
-        if not buf_a:
-            return
-        starts = np.zeros(len(buf_a), dtype=np.intp)
-        np.cumsum([len(chunk) for chunk in buf_a[:-1]], out=starts[1:])
-        cap = None if job_caps is None else job_caps[owners]
-        lanes = kernel(faces, np.concatenate(buf_a), np.concatenate(buf_b), starts, owners, cap)
-        for owner, slot, value in zip(owners, slots, reduce_segments(lanes, starts).tolist()):
-            values[owner][slot] = value
+        lanes = faces.launch_lanes(kept, job_ids, first, count)
+        if lanes is not None:
+            ia, ib, starts, owners, subs = lanes
+            cap = None if job_caps is None else job_caps[owners]
+            lanes = kernel(faces, ia, ib, starts, owners, cap)
+            values[base[owners] + subs] = reduce_segments(lanes, starts)
+
+    slot = base.tolist()
 
     capacity = max(1, computer.gpu_block)
     enumerated = 0
@@ -498,7 +518,7 @@ def _run_waves(computer, jobs, *, block, kernel, reduce_segments, fold, init,
         if enumerated:
             flush()
         for job_id in active:
-            value = values[job_id][wave]
+            value = values[slot[job_id] + wave]
             if value is not None:
                 results[job_id] = fold(results[job_id], value)
         wave += 1

@@ -145,8 +145,7 @@ class EngineConfig:
     # boxes and refined part by part; smaller objects are indexed whole
     # (math.inf partitions nothing).
     partition_min_faces: int = 400
-    cache_bytes: int = 256 * 1024 * 1024
-    cache_enabled: bool = True
+    cache_bytes: int = 256 * 1024 * 1024  # 0: a pass-through cache
     # Inter-target query parallelism: how many worker processes the
     # QueryExecutor fans cuboid-ordered target chunks across
     # (repro.parallel.procpool), each opening the dataset from the

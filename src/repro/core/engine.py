@@ -122,7 +122,6 @@ class ThreeDPro:
         self.tracer = Tracer(enabled=self.config.tracing)
         self.cache = DecodeCache(
             capacity_bytes=self.config.cache_bytes,
-            enabled=self.config.cache_enabled,
             metrics=self.metrics,
         )
         self.computer = GeometryComputer(metrics=self.metrics)

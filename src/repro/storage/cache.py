@@ -117,8 +117,11 @@ class DecodedLOD:
 class DecodeCache:
     """Byte-budgeted LRU cache for :class:`DecodedLOD` entries.
 
-    ``enabled=False`` turns the cache into a pass-through miss machine —
+    ``capacity_bytes=0`` turns the cache into a pass-through miss
+    machine — every :meth:`get` misses and :meth:`put` stores nothing —
     the configuration used by the paper's Table 2 "without cache" rows.
+    Any positive budget keeps at least the newest entry, even one larger
+    than the budget.
 
     Counter semantics: ``hits``, ``misses``, ``evictions``, and
     ``evicted_bytes`` are engine-wide *lifetime* counters — neither
@@ -132,13 +135,11 @@ class DecodeCache:
     def __init__(
         self,
         capacity_bytes: int = 256 * 1024 * 1024,
-        enabled: bool = True,
         metrics: obs_metrics.MetricsRegistry | None = None,
     ):
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be >= 0")
         self.capacity_bytes = capacity_bytes
-        self.enabled = enabled
         self._entries: OrderedDict[tuple, DecodedLOD] = OrderedDict()
         # Guards the LRU structure and counters: parallel query workers
         # share one cache, and OrderedDict reordering is not atomic.
@@ -179,10 +180,6 @@ class DecodeCache:
 
     def get(self, key: tuple) -> DecodedLOD | None:
         with self._lock:
-            if not self.enabled:
-                self.misses += 1
-                self._m_misses.inc()
-                return None
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
@@ -195,7 +192,7 @@ class DecodeCache:
 
     def put(self, key: tuple, value: DecodedLOD) -> None:
         with self._lock:
-            if not self.enabled:
+            if not self.capacity_bytes:
                 return
             if key in self._entries:
                 self.bytes_used -= self._entries.pop(key).nbytes

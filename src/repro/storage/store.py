@@ -221,7 +221,7 @@ class ShardSet:
                 self._readers[filename] = reader
             return reader
 
-    def _blob(self, filename: str, object_id: int) -> bytes:
+    def blob(self, filename: str, object_id: int) -> bytes:
         """One object's blob, copied out of its CRC-verified slice."""
         reader = self.reader(filename)
         with self._lock:
@@ -231,13 +231,14 @@ class ShardSet:
             finally:
                 view.release()
 
-    def materialize(self, filename: str, object_id: int) -> CompressedObject:
-        """Deserialize one object from its shard (CRC-verified slice)."""
-        return _DECODERS[self.codec](self._blob(filename, object_id))
-
-    def base_mesh(self, filename: str, object_id: int):
-        """``(positions, base_faces)`` of one ``3dpr`` blob, its rounds unparsed."""
-        return deserialize_base(self._blob(filename, object_id))
+    def materialize(
+        self, filename: str, object_id: int, blob: bytes | None = None
+    ) -> CompressedObject:
+        """Deserialize one object from its shard (CRC-verified slice), or
+        from ``blob``, its bytes already copied out by :meth:`blob`."""
+        if blob is None:
+            blob = self.blob(filename, object_id)
+        return _DECODERS[self.codec](blob)
 
     def close(self) -> None:
         """Close every open reader (raises if exported slices are alive)."""
@@ -271,12 +272,15 @@ class ShardBackedObject:
     filtering touch. It has two states past that:
 
     * *base* — :meth:`base_mesh` (LOD 0) of a ``3dpr`` blob parses the
-      header and the base segment only and keeps that result;
+      header and the base segment only and keeps that result, with the
+      CRC-checked bytes it copied out of the shard;
     * *full* (``materialized``) — everything else (``decode``,
       ``lod_table``, ``rounds``, ``positions``, ...) is delegated to the
       real :class:`CompressedObject`, deserialized on first touch, which
-      then also serves :meth:`base_mesh`. A ``pickle``-codec spill has
-      no base-only parse and goes straight to this state.
+      then also serves :meth:`base_mesh`. An object in the base state
+      deserializes the bytes it kept, so each object reads its blob
+      once, and drops them. A ``pickle``-codec spill has no base-only
+      parse and goes straight to this state.
 
     Pickling materializes, so a proxy never outlives its mapping across
     a process boundary.
@@ -311,15 +315,19 @@ class ShardBackedObject:
         if "_real" in d or self._shards.codec != "3dpr":
             return self._materialize().base_mesh()
         if "_base" not in d:
-            d["_base"] = self._shards.base_mesh(self._filename, self._entry.object_id)
+            blob = self._shards.blob(self._filename, self._entry.object_id)
+            d["_base"] = deserialize_base(blob)
+            d["_blob"] = blob
         return d["_base"]
 
     def _materialize(self) -> CompressedObject:
-        real = self.__dict__.get("_real")
+        d = self.__dict__
+        real = d.get("_real")
         if real is None:
-            real = self._shards.materialize(self._filename, self._entry.object_id)
-            self.__dict__["_real"] = real
-            self.__dict__.pop("_base", None)
+            real = self._shards.materialize(self._filename, self._entry.object_id, d.get("_blob"))
+            d["_real"] = real
+            d.pop("_base", None)
+            d.pop("_blob", None)
         return real
 
     def __getattr__(self, name):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import _FaceScreen, _FaceTables
+from repro.core.batch import _FaceTables
+from tests.oracles.face_screen import _FaceScreen
 
 __all__ = ["_run_waves"]
 

@@ -5,8 +5,10 @@ Two layers of properties:
 * ``repro.core.batch`` in isolation — the wave-batched kernels must
   agree with a plain per-job loop over the fused geometry kernels
   (exactly for intersection; up to early exit for distances), lane
-  screening must be invisible, the flush checkpoint must fire, and the
-  look-ahead wave loop must replay the waves of the interleaved one
+  screening must be invisible, the flush checkpoint must fire, a
+  launch's one lane pass must buffer exactly the lanes the per-sub-block
+  oracle (``tests/oracles/face_screen``) enumerates, and the look-ahead
+  wave loop must replay the waves of the interleaved one
   (``tests/oracles/interleaved_waves``) exactly.
 * the engine end to end — the shipped round loop must be byte-identical
   to the per-pair reference oracle (``tests/oracles/per_pair_refine``,
@@ -43,7 +45,7 @@ from repro.faults import FaultInjector
 from repro.geometry.distance import tri_tri_distance_batch
 from repro.geometry.tritri import tri_tri_intersect_batch
 from repro.parallel import GeometryComputer
-from tests.oracles import interleaved_waves, per_pair_refine
+from tests.oracles import face_screen, interleaved_waves, per_pair_refine
 
 
 def _soup(rng, n, center, spread=1.0):
@@ -502,6 +504,112 @@ class TestFacePrescreen:
         assert len(keep_b) == sum(len(tris) for tris in sources)
 
 
+class TestLanePass:
+    """A launch's one lane pass (:meth:`_FaceTables.launch_lanes`) buffers
+    exactly what the per-sub-block oracle (``_FaceScreen.lanes``,
+    ``tests/oracles/face_screen.py``) buffers, concatenated: the same
+    lanes in the same order, cut into the same segments, with each
+    segment's job and sub-block; a sub-block the oracle answers None
+    for gets no segment."""
+
+    MASKS = ("all", "rows_false", "cols_false", "sparse")
+
+    @classmethod
+    def _draw(cls, rng):
+        """A seeded case: jobs, block, face masks (or None; the tables'
+        ``face_masks`` answers them) and a launch."""
+        block = int(rng.choice([1, 3, 4, 7, 16, 40]))
+        jobs = [
+            (_soup(rng, int(n), (0, 0, 0)), _soup(rng, int(m), (0, 0, 0)))
+            for n, m in rng.integers(1, 14, size=(int(rng.integers(1, 7)), 2))
+        ]
+        faces = _FaceTables(jobs, block)
+        masks = None
+        if rng.random() < 0.8:
+            (_, bounds_a), (_, bounds_b) = faces.rows
+            keep_a = rng.random(bounds_a[-1]) < 0.4
+            keep_b = rng.random(bounds_b[-1]) < 0.4
+            for k in range(len(faces.spanning)):
+                rows = slice(bounds_a[k], bounds_a[k + 1])
+                cols = slice(bounds_b[k], bounds_b[k + 1])
+                kind = cls.MASKS[int(rng.integers(len(cls.MASKS)))]
+                if kind == "all":
+                    keep_a[rows] = keep_b[cols] = True
+                elif kind == "rows_false":
+                    keep_a[rows] = False
+                elif kind == "cols_false":
+                    keep_b[cols] = False
+            masks = keep_a, keep_b
+            faces.face_masks = lambda caps: masks
+        first = int(rng.integers(0, -(-max(faces.totals) // block)))
+        count = int(rng.choice([1, 2, 4, 8]))
+        job_ids = [
+            job_id for job_id, lanes in enumerate(faces.totals)
+            if lanes > first * block and rng.random() < 0.8
+        ] or [int(np.argmax(faces.totals))]
+        return faces, masks, job_ids, first, count
+
+    @staticmethod
+    def _oracle(faces, masks, job_ids, first, count):
+        """The oracle's ``lanes`` answers per sub-block, concatenated."""
+        caps = None if masks is None else np.zeros(len(faces.totals))
+        screen = face_screen._FaceScreen(faces, caps)
+        block = faces._block
+        ia, ib, starts, owners, subs = [], [], [], [], []
+        for job_id in job_ids:
+            row_a, row_b = faces.offsets[job_id]
+            end = min((first + count) * block, faces.totals[job_id])
+            for start in range(first * block, end, block):
+                lanes = screen.lanes(job_id, start, min(start + block, end))
+                if lanes is None:
+                    continue
+                starts.append(sum(map(len, ia)))
+                owners.append(job_id)
+                subs.append(start // block)
+                ia.append(lanes[0] + row_a)
+                ib.append(lanes[1] + row_b)
+        if not ia:
+            return None
+        return np.concatenate(ia), np.concatenate(ib), starts, owners, subs
+
+    def test_one_pass_equals_the_per_sub_block_oracle(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _case in range(400):
+            faces, masks, job_ids, first, count = self._draw(rng)
+            caps = None if masks is None else np.zeros(len(faces.totals))
+            kept = None if caps is None else faces.kept_faces(caps)
+            got = faces.launch_lanes(kept, job_ids, first, count)
+            expected = self._oracle(faces, masks, job_ids, first, count)
+            block = faces._block
+            if got is None or expected is None:
+                assert got is expected
+                seen.add("no lane survives")
+                continue
+            for name, a, b in zip(("ia", "ib", "starts", "owners", "subs"), got, expected):
+                assert np.array_equal(a, b), name
+            assert got[0].dtype == np.intp
+            for job_id in job_ids:
+                width = faces.widths[job_id]
+                seen.add("block < width" if block < width else "block > width"
+                         if block > width else "block == width")
+                if block % width:
+                    seen.add("width does not divide block")
+                if faces.totals[job_id] < (first + count) * block:
+                    seen.add("total ends mid-launch")
+            seen.add("no masks" if masks is None else "masks")
+            if len(got[2]) < sum(
+                len(range(first * block, min((first + count) * block, faces.totals[j]), block))
+                for j in job_ids
+            ):
+                seen.add("a sub-block with no segment")
+        assert seen >= {
+            "block < width", "block > width", "width does not divide block",
+            "total ends mid-launch", "no masks", "masks", "a sub-block with no segment",
+            "no lane survives",
+        }
+
+
 def _settle_mix(rng):
     """Jobs that settle at every point a wave can: in their first
     sub-block, part-way, never, and at contact (a shared vertex, 0.0),
@@ -558,14 +666,25 @@ class TestLookAheadMatchesInterleaved:
     @staticmethod
     def _observe(computer, run, jobs, checkpoint=None, waves=None):
         """``run``'s result plus everything the waves account and launch,
-        on the shipped wave loop or on ``waves``."""
+        on the shipped wave loop or on ``waves``. ``evaluated`` counts,
+        per job, the sub-blocks it had evaluated: each look-ahead
+        launch's covered sub-blocks on the shipped loop, each
+        ``_FaceScreen.lanes`` call on the oracle's."""
         sizes, ticks, stats, launches = [], [], {}, []
         evaluated = [0] * len(jobs)
-        lanes = batch_module._FaceScreen.lanes
+        lanes = face_screen._FaceScreen.lanes
+        launch_lanes = _FaceTables.launch_lanes
 
         def counting_lanes(screen, job_id, start, stop):
             evaluated[job_id] += 1
             return lanes(screen, job_id, start, stop)
+
+        def counting_launch(faces, kept, job_ids, first, count):
+            block = faces._block
+            for job_id in job_ids:
+                end = min((first + count) * block, faces.totals[job_id])
+                evaluated[job_id] += len(range(first * block, end, block))
+            return launch_lanes(faces, kept, job_ids, first, count)
 
         def counting(kernel):
             def launch(*args, **kwargs):
@@ -579,7 +698,8 @@ class TestLookAheadMatchesInterleaved:
                 checkpoint(len(ticks))
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(batch_module._FaceScreen, "lanes", counting_lanes)
+            patch.setattr(face_screen._FaceScreen, "lanes", counting_lanes)
+            patch.setattr(_FaceTables, "launch_lanes", counting_launch)
             for name in ("_screened_distance", "_screened_intersect"):
                 patch.setattr(batch_module, name, counting(getattr(batch_module, name)))
             if waves is not None:

@@ -145,17 +145,6 @@ class TestSalvagedPrefixes:
                 cur.advance_to(lod)
                 assert np.array_equal(ref.face_array(), cur.face_array())
 
-    def test_extension_reconstructs_full_table(self, sphere_obj):
-        obj = sphere_obj
-        for dropped in (1, obj.num_rounds // 2, obj.num_rounds - 1):
-            partial = dataclasses.replace(obj, rounds=obj.rounds[dropped:]).lod_table
-            extended = partial.extended(obj.rounds[:dropped])
-            assert_tables_equal(extended, obj.lod_table)
-
-    def test_extension_with_nothing_is_identity(self, sphere_obj):
-        table = sphere_obj.lod_table
-        assert table.extended(()) is table
-
 
 def _corrupted(obj, encode_round: int):
     bogus = RemovalRecord(vertex=0, ring=(999_999, 999_998, 999_997), apex_offset=0)
@@ -197,11 +186,6 @@ class TestCorruptRounds:
         ref = ReplayDecoder(corrupt)
         ref.advance_to(1)
         assert np.array_equal(fresh.face_array(), ref.face_array())
-
-    def test_failed_table_refuses_extension(self, sphere_obj):
-        corrupt = _corrupted(sphere_obj, encode_round=1)
-        with pytest.raises(ValueError, match="cannot extend"):
-            corrupt.lod_table.extended(sphere_obj.rounds[:1])
 
 
 class TestPickle:

@@ -54,7 +54,7 @@ def _account(result):
 def test_concurrent_queries_keep_their_own_account(datasets):
     """More query threads than cores, switching often, over one engine."""
     specs = (NN, WITHIN, INTERSECTION)
-    engine = _engine(datasets, query_workers=1, cache_enabled=False)
+    engine = _engine(datasets, query_workers=1, cache_bytes=0)
     alone = {spec: engine.execute(spec) for spec in specs}
     results = {}
     errors = []
@@ -104,7 +104,7 @@ def served_misses(monkeypatch):
 
 
 def test_decoded_vertices_is_per_query_per_miss(datasets, served_misses):
-    engine = _engine(datasets, query_workers=1, cache_enabled=False)
+    engine = _engine(datasets, query_workers=1, cache_bytes=0)
     first = engine.execute(WITHIN).stats
     charged = sum(
         obj.lod_table.records_through_step(obj.rounds_reinserted_at(lod))
@@ -114,7 +114,7 @@ def test_decoded_vertices_is_per_query_per_miss(datasets, served_misses):
     assert first.decoded_vertices == charged > 0
     again = engine.execute(WITHIN).stats
     assert again.decoded_vertices == first.decoded_vertices
-    parallel = _engine(datasets, query_workers=2, cache_enabled=False)
+    parallel = _engine(datasets, query_workers=2, cache_bytes=0)
     assert parallel.execute(WITHIN).stats.decoded_vertices == first.decoded_vertices
 
 

@@ -334,6 +334,30 @@ class TestLazyShardDataset:
         obj.decode(obj.max_lod)
         assert loaded.materialized_count() == 1
 
+    def test_base_then_full_reads_the_blob_once(self, tmp_path, monkeypatch):
+        save_dataset(make_dataset(2), tmp_path / "s")
+        obj = load_dataset(tmp_path / "s").objects[1]
+        assert obj.max_lod > 0
+        reads = []
+        blob = ShardReader.blob
+
+        def counting(reader, object_id):
+            reads.append(object_id)
+            return blob(reader, object_id)
+
+        monkeypatch.setattr(ShardReader, "blob", counting)
+        positions, faces = obj.base_mesh()
+        assert not obj.materialized
+        top = obj.decode(obj.max_lod)
+        assert obj.materialized
+        assert reads == [obj._entry.object_id]
+        # The full object serves LOD 0 as the base state did; its bytes are gone.
+        assert "_blob" not in obj.__dict__
+        real_positions, real_faces = obj.base_mesh()
+        assert np.array_equal(real_faces, faces)
+        assert np.array_equal(real_positions[np.unique(faces)], positions[np.unique(faces)])
+        assert len(top.faces) == obj.face_count_at_lod(obj.max_lod)
+
     def test_lazy_verify_defers_crc(self, tmp_path):
         directory = tmp_path / "s"
         meshes = [icosphere(1, center=(i * 3.0, 0, 0)) for i in range(3)]

@@ -65,11 +65,23 @@ class TestDecodeCache:
         assert cache.misses == 1
 
     def test_disabled_cache_never_hits(self):
-        cache = DecodeCache(enabled=False)
+        cache = DecodeCache(0)
         dec = make_decoded()
         cache.put(("d", 1, 0), dec)
         assert cache.get(("d", 1, 0)) is None
         assert cache.hit_rate == 0.0
+
+    def test_zero_budget_stores_nothing(self):
+        cache = DecodeCache(0)
+        cache.put(("d", 1, 0), make_decoded())
+        assert len(cache) == 0
+        assert cache.bytes_used == 0
+
+    def test_positive_budget_keeps_the_newest_entry(self):
+        cache = DecodeCache(1)
+        dec = make_decoded()
+        cache.put(("d", 1, 0), dec)
+        assert cache.get(("d", 1, 0)) is dec
 
     def test_lru_eviction_by_bytes(self):
         entries = [make_decoded(seed=i) for i in range(5)]
