@@ -30,12 +30,21 @@ each call of ``repro.core.batch._screened_distance`` /
 ``_screened_intersect`` receives (``kernel_inputs``), so a change to how
 launch buffers are built shows even where the values come out equal.
 
-A second, ``repeat`` matrix covers the learned LOD schedule: within and
-intersection × backend × ``partition_min_faces``, clean, fpr, each
-running its spec three times on one engine and dumping the pairs and
-degraded keys of runs 2 and 3. An engine that learns runs those on the
-top LOD alone (run 2) and on the cheaper schedule (run 3); one that does
-not runs every LOD each time. The dumps must not differ.
+A second, ``repeat`` matrix covers the learned LOD schedule: within,
+intersection and kNN k=3 × backend × ``partition_min_faces``, clean,
+fpr, each running its spec three times on one engine and dumping runs 2
+and 3. An engine that learns runs those on the kind's alternative
+schedule (run 2: the top LOD alone, or LOD 0 then the top LOD for kNN)
+and on the cheaper schedule (run 3); one that does not runs every LOD
+each time. Within and intersection dump their pairs and degraded keys.
+kNN dumps only what its answer contract keeps schedule-independent: per
+target, the sorted source ids, and every answer pair flagged exact
+whose distance is not, bit for bit, the pair's top-LOD distance (FR
+with ``exact_nn_distances``); that list is empty. Which payloads are
+exact is not dumped: a target that leaves the rounds early reports
+bounds from the LOD it left at, which the schedule decides, so one
+schedule's bound is another's exact distance. The dumps must not
+differ.
 
 A third, ``stored`` matrix runs the six kinds serially with the
 default ``partition_min_faces``, clean and faulted, fpr and fr, over the
@@ -334,16 +343,51 @@ def run_one(datasets, spec, config, parallel: bool) -> dict:
     }
 
 
+def _schedule_free(result, reference) -> dict:
+    """What a learned schedule may not change in ``result``.
+
+    For kNN, ``reference`` maps each answer pair to its top-LOD distance.
+    """
+    if result.spec.kind != "knn":
+        return {
+            "pairs": _plain(list(result.pairs.items())),
+            "degraded_keys": sorted(map(list, result.degraded_keys)),
+        }
+    return {
+        "ids": _plain([
+            [tid, sorted(match[0] for match in matches)]
+            for tid, matches in result.pairs.items()
+        ]),
+        "exact_off_top": _plain([
+            [tid, sid]
+            for tid, matches in result.pairs.items()
+            for sid, distance, exact in matches
+            if exact and distance != reference.get((tid, sid))
+        ]),
+    }
+
+
+def _top_lod_distances(datasets, spec) -> dict:
+    """``(target, source) -> distance`` of every answer pair, measured at
+    the top LOD (FR with ``exact_nn_distances``)."""
+    engine = ThreeDPro(EngineConfig(paradigm="fr", exact_nn_distances=True, query_workers=1))
+    for dataset in datasets.values():
+        engine.load_dataset(dataset)
+    return {
+        (tid, sid): distance
+        for tid, matches in engine.execute(spec).pairs.items()
+        for sid, distance, _exact in matches
+    }
+
+
 def run_repeated(datasets, spec, config) -> dict:
     engine = ThreeDPro(EngineConfig(**config))
     for dataset in datasets.values():
         engine.load_dataset(dataset)
     results = [engine.execute(spec) for _run in range(3)]
+    reference = _top_lod_distances(datasets, spec) if results[0].spec.kind == "knn" else {}
     return {
-        f"run{index}": {
-            "pairs": _plain(list(result.pairs.items())),
-            "degraded_keys": sorted(map(list, result.degraded_keys)),
-        }
+        f"run{index}": _schedule_free(result, reference)
         for index, result in enumerate(results, start=1)
         if index > 1
     }
@@ -373,7 +417,7 @@ def main(argv: list[str]) -> int:
             lines.append(f"{key}\t{json.dumps(dump, sort_keys=True)}")
             print(key, file=sys.stderr, flush=True)
         repeated = product(
-            ("intersection", "within"), BACKENDS.items(), MIN_FACES.items()
+            ("intersection", "within", "knn3"), BACKENDS.items(), MIN_FACES.items()
         )
         for label, (backend, backend_config), (min_faces, partitioning) in repeated:
             spec, overrides = cases(point)[label]

@@ -7,8 +7,9 @@ touches only the header, the base segment, and the round segments that
 LOD needs — exactly the paper's "decoding one object to a specific LOD
 also needs the data for all the LODs lower than that LOD", and the
 per-segment byte counts reproduce Fig. 9. The engine reads LOD 0 that
-way (:func:`deserialize_base`: header and base segment); any higher LOD
-it reads through :func:`deserialize_object`, which parses every round.
+way (:func:`parse_base`: header and base segment); any higher LOD it
+reads by parsing the rounds too (:func:`assemble` of that base parse, or
+:func:`deserialize_object` of the whole blob).
 
 Vertex coordinates are uniformly quantized over the object's MBB with a
 configurable bit width and packed MSB-first at that width; all integer
@@ -36,6 +37,7 @@ import functools
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +48,9 @@ from repro.geometry.aabb import AABB
 __all__ = [
     "serialize_object",
     "deserialize_object",
-    "deserialize_base",
+    "parse_base",
+    "assemble",
+    "ParsedBase",
     "salvage_object_blob",
     "serialized_segment_sizes",
     "SerializationError",
@@ -449,56 +453,71 @@ def _assemble(head: _Header, base: tuple, rounds: list[tuple], **metadata) -> Co
     )
 
 
-def _parse_base(blob: bytes) -> tuple[_Header, list[bytes], tuple]:
+class ParsedBase(NamedTuple):
+    """A blob checked and parsed up to its rounds (:func:`parse_base`)."""
+
+    head: _Header
+    #: The coded round segments, in table order, not parsed yet.
+    rounds: list[bytes]
+    #: The parsed base segment: ``(vertex ids, base faces, quantized rows)``.
+    base: tuple
+
+    def base_mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """LOD 0: ``(positions, base_faces)``, both read-only.
+
+        ``base_faces`` equals the full object's; ``positions`` has its
+        full length and equals the full object's at every base vertex
+        (see :func:`_positions`), which is every row the base faces
+        index.
+        """
+        base_ids, base_faces, base_quant = self.base
+        positions = _positions(self.head, [(base_ids, base_quant)])
+        positions.setflags(write=False)
+        faces = base_faces.view()
+        faces.setflags(write=False)
+        return positions, faces
+
+
+@_reports_malformed_bytes
+def parse_base(blob: bytes) -> ParsedBase:
     """Check a blob and parse its header and base segment.
 
-    Returns the header, the coded segments (base first) and the parsed
-    base segment: every check a full parse makes before it reads the
-    rounds — the whole-blob CRC and a segment table that covers the
-    body — runs here, so a base-only parse is no less strict.
+    Every check a full parse makes before it reads the rounds — the
+    whole-blob CRC and a segment table that covers the body — runs here,
+    with the same errors, so a base-only parse is no less strict. The
+    round segments are not parsed, so a malformed round surfaces only in
+    :func:`assemble`.
     """
     head = _parse_header(blob)
     segments = _segments(blob, head)
-    return head, segments, _parse_base_segment(_decompress(segments[0]), head.quant_bits)
+    base = _parse_base_segment(_decompress(segments[0]), head.quant_bits)
+    return ParsedBase(head, segments[1:], base)
+
+
+@_reports_malformed_bytes
+def assemble(parsed: ParsedBase) -> CompressedObject:
+    """The object a base parse belongs to: its round segments are parsed
+    now, the header and base segment are not parsed again."""
+    quant_bits = parsed.head.quant_bits
+    return _assemble(
+        parsed.head, parsed.base,
+        [_parse_round_segment(_decompress(s), quant_bits) for s in parsed.rounds],
+    )
 
 
 @_reports_malformed_bytes
 def deserialize_object(blob: bytes) -> CompressedObject:
     """Rebuild a :class:`CompressedObject` (positions snapped to the grid).
 
-    The base parse of :func:`deserialize_base` plus a parse of every
-    round segment. v2 blobs have their trailing CRC32 verified first;
-    any corruption raises :class:`~repro.core.errors.BlobChecksumError`
-    rather than parsing into garbage geometry. Malformed bytes of any
-    provenance (including a corrupted version byte demoting a v2 blob to
-    the checksum-free v1 layout, or a malformed round behind a valid
-    CRC) surface as :class:`SerializationError`, never as a raw parser
-    exception.
+    :func:`parse_base` plus :func:`assemble`. v2 blobs have their
+    trailing CRC32 verified first; any corruption raises
+    :class:`~repro.core.errors.BlobChecksumError` rather than parsing
+    into garbage geometry. Malformed bytes of any provenance (including
+    a corrupted version byte demoting a v2 blob to the checksum-free v1
+    layout, or a malformed round behind a valid CRC) surface as
+    :class:`SerializationError`, never as a raw parser exception.
     """
-    head, segments, base = _parse_base(blob)
-    return _assemble(
-        head, base,
-        [_parse_round_segment(_decompress(s), head.quant_bits) for s in segments[1:]],
-    )
-
-
-@_reports_malformed_bytes
-def deserialize_base(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """LOD 0 of a blob, read from its header and base segment alone.
-
-    Returns ``(positions, base_faces)``, both read-only. ``base_faces``
-    equals the full object's; ``positions`` has its full length and
-    equals the full object's at every base vertex (see
-    :func:`_positions`), which is every row the base faces index. The
-    round segments are not parsed, so a malformed round surfaces only
-    in :func:`deserialize_object`; every other check of a full parse
-    runs, with the same errors.
-    """
-    head, _segments, (base_ids, base_faces, base_quant) = _parse_base(blob)
-    positions = _positions(head, [(base_ids, base_quant)])
-    positions.setflags(write=False)
-    base_faces.setflags(write=False)
-    return positions, base_faces
+    return assemble(parse_base(blob))
 
 
 @_reports_malformed_bytes

@@ -198,8 +198,8 @@ class ThreeDPro:
         """``(lods, label)`` for one join (see :mod:`repro.core.schedule`).
 
         FR and an explicit ``lod_list`` are ``"pinned"``. Otherwise
-        within and intersection joins run the learned schedule, and
-        NN/kNN the full ladder.
+        within, intersection and kNN (``k >= 2``) joins run the learned
+        schedule, and NN the full ladder.
         """
         ladder = full_ladder(target.dataset, source.dataset)
         top = ladder[-1]
@@ -208,9 +208,10 @@ class ThreeDPro:
         if self.config.lod_list is not None:
             lods = sorted({min(lod, top) for lod in self.config.lod_list} | {top})
             return tuple(lods), "pinned"
-        if spec.kind not in LEARNED_KINDS:
+        key = _schedule_key(spec)
+        if key is None:
             return ladder, "ladder"
-        return self.lod_schedule.choose(_schedule_key(spec), ladder)
+        return self.lod_schedule.choose(key, ladder)
 
     # -- the unified query API ----------------------------------------------------
 
@@ -311,5 +312,17 @@ class ThreeDPro:
         )
 
 
-def _schedule_key(spec: QuerySpec) -> tuple:
+def _schedule_key(spec: QuerySpec) -> tuple | None:
+    """The learned schedule's key of a normalized ``spec``; ``None`` when
+    its kind keeps the ladder.
+
+    A kNN key carries k, which decides the cheaper schedule, and NN
+    (normalized to kNN with k = 1) has none: it keeps the ladder.
+    """
+    if spec.kind not in LEARNED_KINDS:
+        return None
+    if spec.kind == "knn":
+        if spec.k < 2:
+            return None
+        return (spec.kind, spec.source, spec.target, spec.k)
     return (spec.kind, spec.source, spec.target)

@@ -6,13 +6,16 @@ an intersection join settles most pairs at LOD 0 and is several times
 faster on the full ladder, while a within join settles few pairs below
 the top and is faster on the top LOD alone. So the engine measures it.
 
-For every ``(kind, source, target)`` key of a within or intersection
-join that runs with ``EngineConfig.lod_list=None``, :class:`LearnedSchedule`
+The learned kinds are within, intersection and kNN with ``k >= 2``
+(:data:`LEARNED_KINDS`), on joins that run with
+``EngineConfig.lod_list=None``. For every key — ``(kind, source,
+target)``, and ``(kind, source, target, k)`` for kNN — :class:`LearnedSchedule`
 chooses between two schedules, the full ladder ``range(top + 1)`` and
-the top LOD alone ``(top,)``:
+the kind's :func:`alternative`: the top LOD alone ``(top,)`` for within
+and intersection, LOD 0 then the top LOD ``(0, top)`` for kNN.
 
 * the key's first query runs the ladder (label ``"ladder"``);
-* its second query runs the top LOD alone (``"probe"``);
+* its second query runs the alternative (``"probe"``);
 * after that, each query runs the schedule with the lower mean cost over
   its last :data:`WINDOW` observations (``"learned"``), except that every
   :data:`REPROBE_EVERY`-th query runs the other one (``"probe"``), so a
@@ -31,12 +34,32 @@ schedule misleads. On the benchmark suite's scene the first
 intersection join (the ladder) spent 30 ms decoding and 3 ms computing,
 which made the ladder look dearer than the top LOD alone although it is
 six times cheaper warm. Only complete queries with no degraded object
-are recorded. Only these two kinds learn, because their pairs do not
-depend on the schedule (every LOD is a spatial subset of the object,
-and the top LOD decides what no lower one confirmed, by the solids'
-distance: see :func:`repro.core.refine.refine_within_group`). NN and
-kNN report distances taken at the settle LOD, and containment derives
-its ladder from its candidates.
+are recorded.
+
+Within and intersection pairs do not depend on the schedule: every LOD
+is a spatial subset of the object, and the top LOD decides what no
+lower one confirmed, by the solids' distance (see
+:func:`repro.core.refine.refine_within_group`).
+
+kNN's intermediate LODs, with only MBB lower bounds, prune little, and
+its distances are measured at the top LOD anyway, so skipping them can
+pay; whether it does depends on k and the data (on the suite scene
+``(0, top)`` wins at k = 3 and loses at k = 2). A kNN answer keeps this
+contract under either schedule:
+
+* its id set does not depend on the schedule;
+* every distance flagged ``exact=True`` is the top-LOD kernel minimum,
+  bit for bit;
+* a target that leaves the rounds early (``k`` or fewer candidates
+  left) reports upper bounds flagged ``exact=False``; those bounds, and
+  the order they rank, come from the LOD where it left, which the
+  schedule decides.
+
+NN (kNN with ``k = 1``) keeps the ladder: a target leaves the rounds
+once one candidate is left, which on the suite scene happens at LODs
+0-2 for every target, and ``(0, top)`` costs it four to six times as
+much. Were it learned, every :data:`REPROBE_EVERY`-th query would pay
+for the re-probe. Containment derives its ladder from its candidates.
 """
 
 from __future__ import annotations
@@ -50,12 +73,13 @@ __all__ = [
     "REPROBE_EVERY",
     "WINDOW",
     "LearnedSchedule",
+    "alternative",
     "full_ladder",
     "query_cost",
 ]
 
-#: Query kinds whose schedule is learned.
-LEARNED_KINDS = ("intersection", "within")
+#: Query kinds whose schedule is learned (kNN only with ``k >= 2``).
+LEARNED_KINDS = ("intersection", "within", "knn")
 
 #: Observations per schedule the cost mean is taken over.
 WINDOW = 8
@@ -68,6 +92,13 @@ def full_ladder(*datasets) -> tuple[int, ...]:
     """Every LOD up to the highest any object of ``datasets`` has."""
     top = max((obj.max_lod for d in datasets for obj in d.objects), default=0)
     return tuple(range(top + 1))
+
+
+def alternative(kind: str, ladder: tuple[int, ...]) -> tuple[int, ...]:
+    """The schedule a learned ``kind`` weighs against ``ladder``: LOD 0
+    then the top LOD for kNN, the top LOD alone otherwise."""
+    top = ladder[-1]
+    return (0, top) if kind == "knn" else (top,)
 
 
 def query_cost(result, lods) -> float | None:
@@ -85,12 +116,12 @@ def query_cost(result, lods) -> float | None:
 
 
 class _Key:
-    __slots__ = ("queries", "ladder", "top")
+    __slots__ = ("queries", "ladder", "alternative")
 
     def __init__(self):
         self.queries = 0
         self.ladder: deque = deque(maxlen=WINDOW)
-        self.top: deque = deque(maxlen=WINDOW)
+        self.alternative: deque = deque(maxlen=WINDOW)
 
 
 def _mean(costs) -> float:
@@ -112,9 +143,9 @@ class LearnedSchedule:
 
     def choose(self, key: tuple, ladder: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
         """``(lods, label)`` for the next query of ``key``: ``ladder`` or
-        its top LOD alone."""
-        top = ladder[-1]
-        if top == 0:
+        the :func:`alternative` of the key's kind (``key[0]``)."""
+        other = alternative(key[0], ladder)
+        if ladder[-1] == 0 or other == ladder:
             return ladder, "ladder"
         with self._lock:
             entry = self._keys.get(key)
@@ -125,19 +156,19 @@ class LearnedSchedule:
             if n == 0:
                 return ladder, "ladder"
             if n == 1:
-                return (top,), "probe"
-            top_wins = _mean(entry.top) < _mean(entry.ladder)
+                return other, "probe"
+            other_wins = _mean(entry.alternative) < _mean(entry.ladder)
             if n % REPROBE_EVERY == REPROBE_EVERY - 1:
-                top_wins = not top_wins
+                other_wins = not other_wins
                 label = "probe"
             else:
                 label = "learned"
-        return ((top,) if top_wins else ladder), label
+        return (other if other_wins else ladder), label
 
     def record(self, key: tuple, lods: tuple[int, ...], result) -> None:
         """Add ``result``'s cost to the window of the schedule it ran.
 
-        Keys :meth:`choose` never saw (pinned, NN/kNN, containment and
+        Keys :meth:`choose` never saw (pinned, NN, containment and
         worker-side queries) are ignored, as are partial queries and
         queries that leaned on degraded geometry.
         """
@@ -149,10 +180,11 @@ class LearnedSchedule:
         with self._lock:
             entry = self._keys.get(key)
             if entry is not None:
-                (entry.top if len(lods) == 1 else entry.ladder).append(cost)
+                ran_other = lods == alternative(key[0], lods)
+                (entry.alternative if ran_other else entry.ladder).append(cost)
 
     def forget(self, dataset: str) -> None:
         """Drop every key that names ``dataset`` (it was replaced or unloaded)."""
         with self._lock:
-            for key in [k for k in self._keys if dataset in k[1:]]:
+            for key in [k for k in self._keys if dataset in k[1:3]]:
                 del self._keys[key]

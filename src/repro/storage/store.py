@@ -50,8 +50,10 @@ from pathlib import Path
 
 from repro.compression.ppvp import CompressedObject, PPVPEncoder
 from repro.compression.serialize import (
-    deserialize_base,
+    ParsedBase,
+    assemble,
     deserialize_object,
+    parse_base,
     salvage_object_blob,
     serialize_object,
 )
@@ -84,8 +86,16 @@ __all__ = [
 
 _MANIFEST = "manifest.json"
 _MODES = ("strict", "salvage")
-#: Shard codec -> blob decoder (``pickle`` blobs are only ever our own spills).
-_DECODERS = {"3dpr": deserialize_object, "pickle": pickle.loads}
+
+
+def _deserialize_3dpr(data: bytes | ParsedBase) -> CompressedObject:
+    """A ``3dpr`` blob, or a blob's base parse, as the full object."""
+    return assemble(data) if isinstance(data, ParsedBase) else deserialize_object(data)
+
+
+#: Shard codec -> blob decoder (``pickle`` blobs are only ever our own
+#: spills). The ``3dpr`` decoder also finishes a base parse.
+_DECODERS = {"3dpr": _deserialize_3dpr, "pickle": pickle.loads}
 
 _LOG = get_logger("storage.store")
 
@@ -232,13 +242,12 @@ class ShardSet:
                 view.release()
 
     def materialize(
-        self, filename: str, object_id: int, blob: bytes | None = None
+        self, filename: str, object_id: int, parsed: ParsedBase | None = None
     ) -> CompressedObject:
         """Deserialize one object from its shard (CRC-verified slice), or
-        from ``blob``, its bytes already copied out by :meth:`blob`."""
-        if blob is None:
-            blob = self.blob(filename, object_id)
-        return _DECODERS[self.codec](blob)
+        finish ``parsed``, its blob's base parse, by parsing the rounds."""
+        data = parsed if parsed is not None else self.blob(filename, object_id)
+        return _DECODERS[self.codec](data)
 
     def close(self) -> None:
         """Close every open reader (raises if exported slices are alive)."""
@@ -272,15 +281,17 @@ class ShardBackedObject:
     filtering touch. It has two states past that:
 
     * *base* — :meth:`base_mesh` (LOD 0) of a ``3dpr`` blob parses the
-      header and the base segment only and keeps that result, with the
-      CRC-checked bytes it copied out of the shard;
+      header and the base segment only and keeps that parse
+      (:class:`~repro.compression.serialize.ParsedBase`: the header, the
+      coded round segments and the parsed base segment);
     * *full* (``materialized``) — everything else (``decode``,
       ``lod_table``, ``rounds``, ``positions``, ...) is delegated to the
       real :class:`CompressedObject`, deserialized on first touch, which
       then also serves :meth:`base_mesh`. An object in the base state
-      deserializes the bytes it kept, so each object reads its blob
-      once, and drops them. A ``pickle``-codec spill has no base-only
-      parse and goes straight to this state.
+      parses only the round segments it kept, so each object reads its
+      blob and parses its header and base segment once, and drops the
+      parse. A ``pickle``-codec spill has no base-only parse and goes
+      straight to this state.
 
     Pickling materializes, so a proxy never outlives its mapping across
     a process boundary.
@@ -314,20 +325,22 @@ class ShardBackedObject:
         d = self.__dict__
         if "_real" in d or self._shards.codec != "3dpr":
             return self._materialize().base_mesh()
-        if "_base" not in d:
-            blob = self._shards.blob(self._filename, self._entry.object_id)
-            d["_base"] = deserialize_base(blob)
-            d["_blob"] = blob
+        if "_parsed" not in d:
+            parsed = parse_base(self._shards.blob(self._filename, self._entry.object_id))
+            d["_parsed"] = parsed
+            d["_base"] = parsed.base_mesh()
         return d["_base"]
 
     def _materialize(self) -> CompressedObject:
         d = self.__dict__
         real = d.get("_real")
         if real is None:
-            real = self._shards.materialize(self._filename, self._entry.object_id, d.get("_blob"))
+            real = self._shards.materialize(
+                self._filename, self._entry.object_id, d.get("_parsed")
+            )
             d["_real"] = real
             d.pop("_base", None)
-            d.pop("_blob", None)
+            d.pop("_parsed", None)
         return real
 
     def __getattr__(self, name):

@@ -977,9 +977,11 @@ def case(request, small_scene):
     return (spec(small_scene) if callable(spec) else spec), config
 
 
+PROCESS = {"query_workers": 2, "query_backend": "process"}
+
 BACKENDS = [
     pytest.param({"query_workers": 1}, id="serial"),
-    pytest.param({"query_workers": 2, "query_backend": "process"}, id="process"),
+    pytest.param(PROCESS, id="process"),
 ]
 
 
@@ -1029,6 +1031,24 @@ def oracle(datasets):
     return run
 
 
+@pytest.fixture(scope="module")
+def process_run(datasets):
+    """The shipped rounds' result for a spec on two worker processes, once.
+
+    ``test_clean_runs_identical[*-process]`` and
+    ``test_process_backend_identical`` assert on the same run.
+    """
+    memo = {}
+
+    def run(spec, **config_kwargs):
+        key = (spec, tuple(sorted(config_kwargs.items())))
+        if key not in memo:
+            memo[key] = _build(datasets, **PROCESS, **config_kwargs).execute(spec)
+        return memo[key]
+
+    return run
+
+
 def _frames(engine, spec):
     collected = []
     engine.execute(replace(spec, progress=lambda tid, lod, m: collected.append(
@@ -1043,21 +1063,23 @@ class TestBatchedMatchesPerPair:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", list(ORACLE_CASES), indirect=True)
-    def test_clean_runs_identical(self, datasets, oracle, case, backend):
+    def test_clean_runs_identical(self, datasets, oracle, process_run, case, backend):
         spec, config = case
         per_pair, _frames = oracle(spec, **config)
-        batched = _build(datasets, **backend, **config).execute(spec)
         with_cache = backend.get("query_workers") == 1
+        batched = (
+            _build(datasets, **backend, **config).execute(spec)
+            if with_cache else process_run(spec, **config)
+        )
         assert _comparable(batched, with_cache) == _comparable(per_pair, with_cache)
         for result in (per_pair, batched):
             assert result.funnel.violations(result.stats, strict=True) == []
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES), indirect=True)
-    def test_process_backend_identical(self, datasets, oracle, case):
+    def test_process_backend_identical(self, oracle, process_run, case):
         spec, config = case
-        backend = {"query_workers": 2, "query_backend": "process"}
         per_pair, _frames = oracle(spec, **config)
-        batched = _build(datasets, **backend, **config).execute(spec)
+        batched = process_run(spec, **config)
         assert _comparable(batched, False) == _comparable(per_pair, False)
         for result in (per_pair, batched):
             assert result.funnel.violations(result.stats, strict=True) == []

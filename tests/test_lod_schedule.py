@@ -45,10 +45,16 @@ def _fixed_costs(ladder, top):
     return lambda result, lods: top if len(lods) == 1 else ladder
 
 
+def _knn_costs(ladder, alternative):
+    """A cost hook charging kNN's ladder and its ``(0, top)`` a constant."""
+    return lambda result, lods: alternative if lods == (0, lods[-1]) else ladder
+
+
 def _profile(schedule):
-    """``key -> {"queries", "ladder", "top"}`` (cost lists) of a schedule."""
+    """``key -> {"queries", "ladder", "top"}`` (cost lists) of a schedule;
+    ``"top"`` is the window of the kind's alternative schedule."""
     return {
-        key: {"queries": e.queries, "ladder": list(e.ladder), "top": list(e.top)}
+        key: {"queries": e.queries, "ladder": list(e.ladder), "top": list(e.alternative)}
         for key, e in schedule._keys.items()
     }
 
@@ -168,11 +174,35 @@ class TestPinnedAndUnlearned:
         ids=["nn", "knn"],
     )
     def test_nn_and_knn_keep_the_ladder(self, datasets, spec):
+        # NN keeps the ladder; kNN with k >= 2 learns between the ladder
+        # and LOD 0 then the top LOD, under a key that carries k.
         engine = _engine(datasets)
-        engine.lod_schedule.cost = _fixed_costs(ladder=2.0, top=1.0)
+        engine.lod_schedule.cost = _knn_costs(ladder=2.0, alternative=1.0)
         ladder = full_ladder(datasets["nuclei_a"], datasets["vessels"])
-        assert _run(engine, spec, 3) == [("ladder", ladder)] * 3
-        assert _profile(engine.lod_schedule) == {}
+        seen = _run(engine, spec, 3)
+        if spec.kind == "nn":
+            assert seen == [("ladder", ladder)] * 3
+            assert _profile(engine.lod_schedule) == {}
+            return
+        other = (0, ladder[-1])
+        assert seen == [("ladder", ladder), ("probe", other), ("learned", other)]
+        key = ("knn", "vessels", "nuclei_a", 2)
+        assert list(_profile(engine.lod_schedule)) == [key]
+
+    def test_nn_keeps_the_ladder_after_knn_learned(self, datasets):
+        # NN normalizes to kNN with k = 1: it must not share kNN k = 3's
+        # key, or it would run kNN's learned schedule.
+        engine = _engine(datasets)
+        engine.lod_schedule.cost = _knn_costs(ladder=2.0, alternative=1.0)
+        ladder = full_ladder(datasets["nuclei_a"], datasets["nuclei_b"])
+        knn = QuerySpec(kind="knn", source="nuclei_b", target="nuclei_a", k=3,
+                        target_ids=(0, 1, 2))
+        nn = replace(knn, kind="nn", k=None)
+        seen = _run(engine, knn, 5)
+        assert [label for label, _lods in seen] == ["ladder", "probe"] + ["learned"] * 3
+        assert {lods for _label, lods in seen[1:]} == {(0, ladder[-1])}
+        assert _run(engine, nn, 2) == [("ladder", ladder)] * 2
+        assert list(_profile(engine.lod_schedule)) == [("knn", "nuclei_b", "nuclei_a", 3)]
 
     def test_containment_keeps_its_ladder(self, datasets, small_scene):
         engine = _engine(datasets)
@@ -381,6 +411,32 @@ class TestProcessHandOff:
             assert all(tuple(w.attrs["lods"]) == expected for w in workers)
             assert all(w.attrs["schedule"] == "pinned" for w in workers)
 
+    def test_workers_follow_the_coordinators_knn_lods(self, datasets):
+        engine = _engine(datasets, query_workers=2)
+        engine.lod_schedule.cost = _knn_costs(ladder=2.0, alternative=1.0)
+        spec = QuerySpec(kind="knn", source="nuclei_b", target="nuclei_a", k=3,
+                         target_ids=tuple(range(0, 40, 4)))
+        ladder = full_ladder(datasets["nuclei_a"], datasets["nuclei_b"])
+        other = (0, ladder[-1])
+        for expected in (ladder, other, other):
+            engine.tracer.clear()
+            engine.execute(spec)
+            root = _root(engine)
+            assert tuple(root.attrs["lods"]) == expected
+            workers = [c for c in root.children if c.name == "worker"]
+            assert workers and all(w.attrs.get("backend") == "process" for w in workers)
+            lods = [
+                span.attrs["lod"]
+                for worker in workers
+                for span in worker.walk()
+                if span.name == "refine"
+            ]
+            assert set(lods) <= set(expected)
+            # Some target refines at LOD 0 and some stays to the top.
+            assert {0, ladder[-1]} <= set(lods)
+            assert all(tuple(w.attrs["lods"]) == expected for w in workers)
+            assert all(w.attrs["schedule"] == "pinned" for w in workers)
+
 
 def _scene_datasets(seed):
     scene = make_tissue_scene(
@@ -462,6 +518,59 @@ class TestPairsAcrossSchedules:
         engine.lod_schedule.cost = _fixed_costs(ladder=2.0, top=1.0)
         for run in range(3):
             assert _sorted(engine.execute(within).pairs) == expected, run
+
+
+class TestKnnAcrossSchedules:
+    """kNN's answer contract on runs 1 (ladder), 2 (LOD 0 then the top
+    LOD) and 3 (learned) of a key, on both backends, against FR."""
+
+    @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2**16))
+    @example(seed=0)  # pairs 3-3 and 6-6 cross: their bounds sit under FR's distance
+    def test_answers_keep_the_contract(self, seed):
+        datasets = _scene_datasets(seed)
+        fr = _engine(datasets, paradigm="fr", tracing=False)
+        fr_exact = _engine(datasets, paradigm="fr", tracing=False, exact_nn_distances=True)
+        crossing = {
+            (tid, sid)
+            for tid, sids in fr.execute(
+                QuerySpec(kind="intersection", source="s", target="t")
+            ).pairs.items()
+            for sid in sids
+        }
+        for k in (2, 3):
+            spec = QuerySpec(kind="knn", source="s", target="t", k=k)
+            ids = _ids(fr.execute(spec).pairs)
+            exact = {
+                (tid, sid): distance
+                for tid, matches in fr_exact.execute(spec).pairs.items()
+                for sid, distance, _exact in matches
+            }
+            for workers in (1, 2):
+                engine = _engine(datasets, query_workers=workers, tracing=False)
+                # Run 3 learns the ladder for k = 2 and (0, top) for k = 3.
+                engine.lod_schedule.cost = (
+                    _knn_costs(ladder=1.0, alternative=2.0) if k == 2
+                    else _knn_costs(ladder=2.0, alternative=1.0)
+                )
+                for run in range(3):
+                    result = engine.execute(spec)
+                    where = (k, workers, run)
+                    assert _ids(result.pairs) == ids, where
+                    for tid, matches in result.pairs.items():
+                        for sid, distance, is_exact in matches:
+                            if is_exact:
+                                assert distance == exact[tid, sid], (where, tid, sid)
+                            else:
+                                # An upper bound of the solids' distance:
+                                # 0 where they cross or nest, which the
+                                # surface distance FR reports is not.
+                                floor = 0.0 if (tid, sid) in crossing else exact[tid, sid]
+                                assert distance >= floor, (where, tid, sid)
+
+
+def _ids(pairs):
+    return {tid: sorted(match[0] for match in matches) for tid, matches in pairs.items()}
 
 
 def _sorted(pairs):

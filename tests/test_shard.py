@@ -358,6 +358,27 @@ class TestLazyShardDataset:
         assert np.array_equal(real_positions[np.unique(faces)], positions[np.unique(faces)])
         assert len(top.faces) == obj.face_count_at_lod(obj.max_lod)
 
+    def test_base_then_full_parses_header_and_base_once(self, tmp_path, monkeypatch):
+        from repro.compression import serialize
+
+        save_dataset(make_dataset(2), tmp_path / "s")
+        obj = load_dataset(tmp_path / "s").objects[1]
+        calls = {"_parse_header": 0, "_parse_base_segment": 0, "_parse_round_segment": 0}
+        for name in calls:
+            original = getattr(serialize, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(serialize, name, counted)
+        obj.base_mesh()
+        assert calls == {"_parse_header": 1, "_parse_base_segment": 1, "_parse_round_segment": 0}
+        obj.decode(obj.max_lod)
+        assert obj.materialized and "_parsed" not in obj.__dict__
+        assert calls["_parse_header"] == calls["_parse_base_segment"] == 1
+        assert calls["_parse_round_segment"] == len(obj.rounds)
+
     def test_lazy_verify_defers_crc(self, tmp_path):
         directory = tmp_path / "s"
         meshes = [icosphere(1, center=(i * 3.0, 0, 0)) for i in range(3)]
